@@ -12,8 +12,8 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import as_guard
-from .ffield import (Matrix, PrimeField, Subspace, all_vectors, kernel,
-                     rref_canonicalize, vstack)
+from .ffield import (Matrix, PrimeField, Subspace, all_vectors, are_independent,
+                     combine, hstack, kernel, span_basis, vstack)
 
 
 def is_alternating(m: Matrix) -> bool:
@@ -59,12 +59,7 @@ class AltMatrixSpace:
         for m in mats:
             if not is_alternating(m):
                 raise ValueError("generator is not alternating")
-        if not mats:
-            return cls(field, n, ())
-        flat = Matrix(field, len(mats), n * n, [e for m in mats for e in m.entries])
-        red, rank = rref_canonicalize(flat)
-        basis = [Matrix(field, n, n, red.row(i)) for i in range(rank)]
-        return cls(field, n, basis)
+        return cls(field, n, span_basis(field, n, n, mats))
 
     @classmethod
     def zero_space(cls, field: PrimeField, n: int) -> "AltMatrixSpace":
@@ -81,20 +76,14 @@ class AltMatrixSpace:
                 raise ValueError("basis matrix has wrong field or shape")
             if not is_alternating(m):
                 raise ValueError("not alternating: nonzero diagonal or not skew-symmetric")
-        if self.basis:
-            flat = Matrix(self.field, len(self.basis), self.n * self.n,
-                          [e for m in self.basis for e in m.entries])
-            if flat.rank() != len(self.basis):
-                raise ValueError("dependent basis")
+        if not are_independent(self.basis):
+            raise ValueError("dependent basis")
 
     def combination(self, coeffs) -> Matrix:
-        p = self.field.p
-        ent = [0] * (self.n * self.n)
-        for c, m in zip(coeffs, self.basis):
-            if c % p:
-                for idx, e in enumerate(m.entries):
-                    ent[idx] += c * e
-        return Matrix(self.field, self.n, self.n, [e % p for e in ent])
+        if not self.basis:
+            return Matrix.zeros(self.field, self.n, self.n)
+        ent = combine(coeffs, [m.entries for m in self.basis], self.field.p)
+        return Matrix._reduced(self.field, self.n, self.n, ent)
 
     def bilinear(self, u, v) -> tuple:
         """(u^t A_1 v, ..., u^t A_m v)."""
@@ -114,6 +103,13 @@ class AltMatrixSpace:
 
     def __repr__(self):
         return f"AltMatrixSpace(F{self.field.p}, n={self.n}, dim={self.dim})"
+
+
+def block_alternating(b: Matrix) -> Matrix:
+    """The alternating matrix [[0, B], [-B^t, 0]] of an s x t block B."""
+    f, s, t = b.field, b.rows, b.cols
+    return vstack(hstack(Matrix.zeros(f, s, s), b),
+                  hstack(b.transpose().scale(-1), Matrix.zeros(f, t, t)))
 
 
 def radical_space(space: AltMatrixSpace) -> Subspace:
@@ -158,10 +154,6 @@ def degree(space: AltMatrixSpace, v) -> int:
     if not rows:
         return 0
     return Matrix.from_rows(space.field, rows).rank()
-
-
-def codegree(space: AltMatrixSpace, v) -> int:
-    return space.n - degree(space, v)
 
 
 def max_degree(space: AltMatrixSpace, guard=None) -> int:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from itertools import product
 
-from .altspace import (AltMatrixSpace, is_isotropic, nondegenerate_part,
-                       radical_space)
+from .altspace import (AltMatrixSpace, block_alternating, is_isotropic,
+                       nondegenerate_part, radical_space)
 from .errors import VerificationError, as_guard
-from .ffield import (Matrix, PrimeField, Subspace, enumerate_subspaces,
-                     kernel, rref_canonicalize, vstack)
+from .ffield import (Matrix, PrimeField, Subspace, are_independent, combine,
+                     enumerate_subspaces, kernel, span_basis)
 
 
 class MatrixSpace:
@@ -31,34 +31,22 @@ class MatrixSpace:
         for m in self.basis:
             if m.field != field or m.rows != self.s or m.cols != self.t:
                 raise ValueError("basis matrix has wrong field or shape")
-        if self.basis:
-            flat = Matrix(field, len(self.basis), self.s * self.t,
-                          [e for m in self.basis for e in m.entries])
-            if flat.rank() != len(self.basis):
-                raise ValueError("dependent basis")
+        if not are_independent(self.basis):
+            raise ValueError("dependent basis")
 
     @classmethod
     def from_generators(cls, field, s, t, mats) -> "MatrixSpace":
-        mats = list(mats)
-        if not mats:
-            return cls(field, s, t, ())
-        flat = Matrix(field, len(mats), s * t, [e for m in mats for e in m.entries])
-        red, rank = rref_canonicalize(flat)
-        basis = [Matrix(field, s, t, red.row(i)) for i in range(rank)]
-        return cls(field, s, t, basis)
+        return cls(field, s, t, span_basis(field, s, t, mats))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def combination(self, coeffs) -> Matrix:
-        p = self.field.p
-        ent = [0] * (self.s * self.t)
-        for c, m in zip(coeffs, self.basis):
-            if c % p:
-                for idx, e in enumerate(m.entries):
-                    ent[idx] += c * e
-        return Matrix(self.field, self.s, self.t, [e % p for e in ent])
+        if not self.basis:
+            return Matrix.zeros(self.field, self.s, self.t)
+        ent = combine(coeffs, [m.entries for m in self.basis], self.field.p)
+        return Matrix._reduced(self.field, self.s, self.t, ent)
 
     def __repr__(self):
         return f"MatrixSpace(F{self.field.p}, {self.s}x{self.t}, dim={self.dim})"
@@ -66,18 +54,8 @@ class MatrixSpace:
 
 def bipartite_space_from_blocks(b: MatrixSpace) -> AltMatrixSpace:
     """The alternating space spanned by [[0, B], [-B^t, 0]] over b's basis."""
-    field, s, t = b.field, b.s, b.t
-    n = s + t
-    mats = []
-    for m in b.basis:
-        ent = [[0] * n for _ in range(n)]
-        for i in range(s):
-            for j in range(t):
-                v = m[i, j]
-                ent[i][s + j] = v
-                ent[s + j][i] = (-v) % field.p
-        mats.append(Matrix.from_rows(field, ent))
-    return AltMatrixSpace.from_generators(field, n, mats)
+    return AltMatrixSpace.from_generators(b.field, b.s + b.t,
+                                          [block_alternating(m) for m in b.basis])
 
 
 def _splitting_transform(space: AltMatrixSpace, u1: Subspace, u2: Subspace) -> Matrix:
@@ -144,9 +122,7 @@ def ncrk_witness_pair(b: MatrixSpace, guard=None):
     g = as_guard(guard)
     best = None
     for v in enumerate_subspaces(b.field, b.t, guard=g):
-        img = image_of_subspace(b, v)
-        u = kernel(Matrix.from_rows(b.field, [r for r in img.basis_rows()])
-                   if img.dim else Matrix.zeros(b.field, 0, b.s))
+        u = kernel(image_of_subspace(b, v).basis)
         if best is None or v.dim + u.dim > best[0]:
             best = (v.dim + u.dim, u, v)
     return best[1], best[2]
@@ -179,23 +155,15 @@ def alpha_bipartite(space: AltMatrixSpace, u1: Subspace, u2: Subspace,
     """alpha(A) = n - ncrk(B) for a bipartite space, with a verified witness.
 
     The witness is built from a maximizing isotropic pair (U, V) of the
-    block space: the embedded span of U in the u1-coordinates and V in the
-    u2-coordinates is isotropic of dimension n - ncrk(B), carried back
-    through the splitting isometry.
+    block space, whose dimensions also give ncrk(B) = s + t - dim U - dim V:
+    U carried into u1 and V into u2 span an isotropic space of dimension
+    n - ncrk(B).
     """
-    g = as_guard(guard)
-    t = _splitting_transform(space, u1, u2)
     b = block_space_from_bipartite(space, u1, u2)
     n = space.n
-    r = ncrk_brute(b, guard=g)
-    u, v = ncrk_witness_pair(b, guard=g)
-    rows = [tuple(x) + (0,) * b.t for x in u.basis_rows()]
-    rows += [(0,) * b.s + tuple(x) for x in v.basis_rows()]
-    if rows:
-        lifted = Matrix.from_rows(space.field, rows) @ t.transpose()
-        witness = Subspace.from_matrix(lifted)
-    else:
-        witness = Subspace.zero(space.field, n)
+    u, v = ncrk_witness_pair(b, guard=guard)
+    r = b.s + b.t - u.dim - v.dim
+    witness = u.image(u1.basis).sum(v.image(u2.basis))
     if witness.dim != n - r or not is_isotropic(space, witness):
         raise VerificationError("bipartite alpha witness failed verification")
     return n - r, witness
@@ -221,17 +189,10 @@ class AdjointAlgebra:
 
     def element(self, coeffs):
         """(D, D*) for the combination given by coeffs over the pair basis."""
-        p = self.field.p
-        n = self.n
-        dent = [0] * (n * n)
-        bent = [0] * (n * n)
-        for c, (d, b) in zip(coeffs, self.pairs):
-            if c % p:
-                for idx in range(n * n):
-                    dent[idx] += c * d.entries[idx]
-                    bent[idx] += c * b.entries[idx]
-        return (Matrix(self.field, n, n, [e % p for e in dent]),
-                Matrix(self.field, n, n, [e % p for e in bent]))
+        field, n = self.field, self.n
+        d = combine(coeffs, [d.entries for d, _ in self.pairs], field.p)
+        b = combine(coeffs, [b.entries for _, b in self.pairs], field.p)
+        return Matrix._reduced(field, n, n, d), Matrix._reduced(field, n, n, b)
 
 
 def adjoint_algebra(space: AltMatrixSpace) -> AdjointAlgebra:
@@ -309,6 +270,36 @@ def decomposition_from_idempotent(p: Matrix):
     return image, ker
 
 
+def decomposition_from_hyperbolic(space: AltMatrixSpace, p: Matrix):
+    """The isotropic 2-decomposition (u1, u2) of a space given by a
+    hyperbolic idempotent P of the adjoint algebra of its non-degenerate part.
+
+    im P and ker P are lifted through the complement of rad(A) that carries
+    that part, and rad(A) joins the first part; the zero space is split as
+    <e_1> + <e_2, ..., e_n> whatever P.  Returns None when a part would be
+    zero; raises VerificationError unless the result is a decomposition.
+    """
+    n = space.n
+    rad = radical_space(space)
+    if rad.dim == n:
+        if n < 2:
+            return None
+        e1 = Subspace.from_vectors(space.field, n, [(1,) + (0,) * (n - 1)])
+        return e1, e1.coordinate_complement()
+    v1, v2 = decomposition_from_idempotent(p)
+    if v1.dim == 0 or v2.dim == 0:
+        return None
+    if rad.dim == 0:
+        u1, u2 = v1, v2           # a non-degenerate space is its own part
+    else:
+        comp = rad.coordinate_complement()
+        u1, u2 = v1.image(comp.basis).sum(rad), v2.image(comp.basis)
+    if not (is_isotropic(space, u1) and is_isotropic(space, u2)
+            and u1.dim + u2.dim == n and u1.sum(u2).dim == n):
+        raise VerificationError("idempotent decomposition failed verification")
+    return u1, u2
+
+
 def two_decomposition_via_adjoint(space: AltMatrixSpace, guard=None):
     """Decide isotropic 2-decomposability through the adjoint algebra.
 
@@ -317,34 +308,8 @@ def two_decomposition_via_adjoint(space: AltMatrixSpace, guard=None):
     is converted to a verified decomposition of the original space.
     Returns (u1, u2) or None.
     """
-    g = as_guard(guard)
-    n = space.n
-    if n < 2:
+    if space.n < 2:
         return None
-    rad = radical_space(space)
-    if rad.dim == n:
-        # zero space: split the standard basis
-        e1 = Subspace.from_vectors(space.field, n, [(1,) + (0,) * (n - 1)])
-        return e1, e1.coordinate_complement()
-    part, t = (space, None) if rad.dim == 0 else nondegenerate_part(space)
-    adj = adjoint_algebra(part)
-    p = hyperbolic_idempotent_search(adj, guard=g)
-    if p is None:
-        return None
-    v1, v2 = decomposition_from_idempotent(p)
-    if v1.dim == 0 or v2.dim == 0:
-        return None
-    if t is not None:
-        k = part.n
-        tt = t.transpose()
-        rows1 = [tuple(r) + (0,) * rad.dim for r in v1.basis_rows()]
-        lifted1 = Subspace.from_matrix(Matrix.from_rows(space.field, rows1) @ tt)
-        u1 = lifted1.sum(rad)
-        rows2 = [tuple(r) + (0,) * rad.dim for r in v2.basis_rows()]
-        u2 = Subspace.from_matrix(Matrix.from_rows(space.field, rows2) @ tt)
-    else:
-        u1, u2 = v1, v2
-    if not (is_isotropic(space, u1) and is_isotropic(space, u2)
-            and u1.dim + u2.dim == n and u1.sum(u2).dim == n):
-        raise VerificationError("idempotent decomposition failed verification")
-    return u1, u2
+    part = space if radical_space(space).dim == 0 else nondegenerate_part(space)[0]
+    p = hyperbolic_idempotent_search(adjoint_algebra(part), guard=guard)
+    return None if p is None else decomposition_from_hyperbolic(space, p)

@@ -15,16 +15,16 @@ import sys
 import time
 
 from . import io as formats
-from .altspace import (AltMatrixSpace, is_isotropic, max_degree,
-                       max_rank_bruteforce, radical_space, degree)
+from .altspace import (is_isotropic, max_rank_bruteforce, nondegenerate_part,
+                       radical_space, degree)
 from .bipartite import (adjoint_algebra, alpha_bipartite,
                         block_space_from_bipartite,
-                        decomposition_from_idempotent,
+                        decomposition_from_hyperbolic,
                         hyperbolic_idempotent_search, ncrk_brute,
                         ncrk_pad_square, two_decomposition_via_adjoint)
 from .errors import (DEFAULT_GUARD, Guard, GuardExceeded, ParseError,
                      VerificationError)
-from .ffield import PrimeField, Subspace, gaussian_binomial
+from .ffield import PrimeField, Subspace, all_vectors, gaussian_binomial
 from .gadgets import (baer_generators, dim2_gadget, group_closure,
                       right_degree_min, singular_exists_brute)
 from .graphs import (coloring_from_decomposition,
@@ -142,8 +142,7 @@ def cmd_from_graph(args, guard):
 
 def cmd_to_graph_witness(args, guard):
     g, dig = _load_graph(args)
-    with open(args.report, "r") as fh:
-        report = json.load(fh)
+    report = json.loads(_read(args.report))
     results = report.get("results", {})
     field = PrimeField(results.get("field", args.field))
     if "parts" in results:
@@ -192,10 +191,7 @@ def cmd_alpha_bipartite(args, guard):
 def cmd_adjoint(args, guard):
     space, dig = _load_space(args)
     rad = radical_space(space)
-    reduced = space
-    if rad.dim:
-        from .altspace import nondegenerate_part
-        reduced, _ = nondegenerate_part(space)
+    reduced = nondegenerate_part(space)[0] if rad.dim else space
     adj = adjoint_algebra(reduced)
     res = {"dim": adj.dim, "ambient": adj.n, "field": space.field.p,
            "reduced_from_radical_dim": rad.dim}
@@ -205,8 +201,8 @@ def cmd_adjoint(args, guard):
             res["hyperbolic_idempotent"] = None
         else:
             res["hyperbolic_idempotent"] = p.row_list()
-            pair = two_decomposition_via_adjoint(space, guard=guard)
-            res["decomposition"] = [_rows(pair[0]), _rows(pair[1])]
+            pair = decomposition_from_hyperbolic(space, p)
+            res["decomposition"] = None if pair is None else [_rows(u) for u in pair]
     return dig, res
 
 
@@ -302,14 +298,13 @@ def cmd_count(args, guard):
 def cmd_stats(args, guard):
     space, dig = _load_space(args)
     degs = {}
-    from .ffield import all_vectors
     for v in all_vectors(space.field, space.n, guard=guard, nonzero=True):
         d = degree(space, v)
         degs[d] = degs.get(d, 0) + 1
     gm = greedy_maximal(space)
     return dig, {"n": space.n, "dim": space.dim, "field": space.field.p,
                  "radical_dim": radical_space(space).dim,
-                 "max_degree": max_degree(space, guard=guard),
+                 "max_degree": max(degs, default=0),
                  "degree_histogram": {str(k): v for k, v in sorted(degs.items())},
                  "max_rank": max_rank_bruteforce(space, guard=guard),
                  "greedy_maximal_dim": gm.dim}

@@ -7,7 +7,8 @@ values and usable as dictionary keys.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from operator import add, mul
 
 from .errors import DEFAULT_GUARD, Guard, as_guard
 
@@ -153,9 +154,6 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols,
                       [(a * x) % p for x in self.entries])
 
-    def __neg__(self) -> "Matrix":
-        return self.scale(self.field.p - 1)
-
     def apply(self, v) -> tuple:
         """Matrix-vector product, v a length-cols tuple."""
         if len(v) != self.cols:
@@ -197,6 +195,22 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols or a.field != b.field:
         raise ValueError("vstack mismatch")
     return Matrix(a.field, a.rows + b.rows, a.cols, a.entries + b.entries)
+
+
+def combine(coeffs, rows, p) -> tuple:
+    """The linear combination sum_i coeffs[i] * rows[i] mod p, as a tuple.
+
+    Zero coefficients are skipped; when none is nonzero the result is the
+    zero row (the empty tuple if rows is empty).
+    """
+    acc = None
+    for c, r in zip(coeffs, rows):
+        if c:
+            term = r if c == 1 else map(mul, repeat(c), r)
+            acc = list(term) if acc is None else list(map(add, acc, term))
+    if acc is None:
+        return (0,) * len(rows[0]) if rows else ()
+    return tuple([a % p for a in acc])
 
 
 def _rref_rows(rows, p, inv):
@@ -285,10 +299,6 @@ class Subspace:
     def full(cls, field: PrimeField, n: int) -> "Subspace":
         return cls(field, n, Matrix.identity(field, n), tuple(range(n)))
 
-    @classmethod
-    def span_of(cls, field: PrimeField, n: int, *vectors) -> "Subspace":
-        return cls.from_vectors(field, n, vectors)
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -312,6 +322,25 @@ class Subspace:
                 row = self.basis.row(i)
                 v = [(x - f * y) % p for x, y in zip(v, row)]
         return tuple(v)
+
+    def coordinates(self, v) -> tuple:
+        """Coefficients of v over the RREF basis; raises unless v lies in self.
+
+        An RREF basis row has a 1 in its own pivot column and 0 in the
+        others, so the coefficients are the entries of v at the pivots.
+        """
+        if any(self.reduce_vector(v)):
+            raise ValueError("vector not inside the subspace")
+        p = self.field.p
+        return tuple(v[c] % p for c in self.pivots)
+
+    def image(self, t: Matrix) -> "Subspace":
+        """Row space of (basis of self) . t, for t with self.n rows."""
+        if t.rows != self.n or t.field != self.field:
+            raise ValueError("shape or field mismatch in subspace image")
+        trows = [t.row(i) for i in range(t.rows)]
+        return Subspace.from_vectors(self.field, t.cols, [
+            combine(r, trows, self.field.p) for r in self.basis_rows()])
 
     def contains_vector(self, v) -> bool:
         return not any(self.reduce_vector(v))
@@ -383,6 +412,22 @@ class Subspace:
         return f"Subspace(F{self.field.p}^{self.n}, dim {self.dim})"
 
 
+def span_basis(field: PrimeField, rows: int, cols: int, mats) -> list:
+    """An independent basis of the span of rows x cols matrices: the
+    canonical RREF of their entry vectors, reshaped, so the pivots are
+    deterministic in row-major order."""
+    span = Subspace.from_vectors(field, rows * cols, [m.entries for m in mats])
+    return [Matrix._reduced(field, rows, cols, r) for r in span.basis_rows()]
+
+
+def are_independent(mats) -> bool:
+    """True iff the matrices, of one field and shape, are linearly independent."""
+    if not mats:
+        return True
+    m0 = mats[0]
+    return len(span_basis(m0.field, m0.rows, m0.cols, mats)) == len(mats)
+
+
 def kernel(m: Matrix) -> Subspace:
     """Right kernel {v : m v = 0} of m, as a subspace of F_p^cols."""
     rows = m.row_list()
@@ -446,6 +491,8 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     """Number of dimension-d subspaces of F_q^n (exact integer)."""
     if d < 0 or d > n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
+    if q < 2:
+        raise ValueError(f"need q >= 2, got q={q}")
     num = 1
     den = 1
     for i in range(d):
@@ -540,17 +587,9 @@ def enumerate_complements(u: Subspace, guard=None):
         yield Subspace.zero(field, n)
         return
     g.require(q ** (d * k))
-    urows = u.basis_rows()
-    wrows = w0.basis_rows()
+    # row i of a complement is w_i + (coefficients i) . u
+    lifts = [[w] + u.basis_rows() for w in w0.basis_rows()]
     for coeffs in product(range(q), repeat=d * k):
         g.tick()
-        rows = []
-        for i in range(k):
-            r = list(wrows[i])
-            cs = coeffs[i * d:(i + 1) * d]
-            for c, ur in zip(cs, urows):
-                if c:
-                    for j, e in enumerate(ur):
-                        r[j] = (r[j] + c * e) % q
-            rows.append(r)
-        yield Subspace.from_vectors(field, n, rows)
+        yield Subspace.from_vectors(field, n, [
+            combine((1,) + coeffs[i * d:(i + 1) * d], lifts[i], q) for i in range(k)])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .altspace import AltMatrixSpace, elementary_alternating
+from .altspace import AltMatrixSpace, block_alternating, elementary_alternating
 from .bipartite import MatrixSpace
 from .errors import as_guard
 from .ffield import Matrix, PrimeField, invert, projective_vectors
@@ -49,15 +49,7 @@ def dim2_gadget(bprime) -> AltMatrixSpace:
         if mat.rows != n or mat.cols != m or mat.field != field:
             raise ValueError("slice shape mismatch: expected n matrices of shape n x m")
     amb = n + m
-    gens = []
-    for mat in bprime:
-        ent = [[0] * amb for _ in range(amb)]
-        for i in range(n):
-            for j in range(m):
-                v = mat[i, j]
-                ent[i][n + j] = v
-                ent[n + j][i] = (-v) % field.p
-        gens.append(Matrix.from_rows(field, ent))
+    gens = [block_alternating(mat) for mat in bprime]
     for i, j in combinations(range(n), 2):
         gens.append(elementary_alternating(field, amb, i, j))
     for k, l in combinations(range(m), 2):

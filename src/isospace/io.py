@@ -120,27 +120,19 @@ def emit_graph(g: Graph) -> str:
 
 
 def parse_mats(text: str) -> MatrixSpace:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("empty file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 5 or parts[0] != "mats":
-        raise ParseError(f"line {lineno}: expected header 'mats p s t m'")
-    p, s, t, m = _ints(lineno, " ".join(parts[1:]), 4)
-    try:
-        field = PrimeField(p)
-    except ValueError as e:
-        raise ParseError(f"line {lineno}: {e}")
-    if s < 1 or t < 1 or m < 0:
-        raise ParseError(f"line {lineno}: need s, t >= 1 and m >= 0")
-    mats = _read_blocks(lines, 1, field, s, t, m, "matrix")
+    field, s, t, mats = _parse_mats_blocks(text)
     return MatrixSpace.from_generators(field, s, t, mats)
 
 
 def parse_mats_tuple(text: str):
     """Like parse_mats but keeps the blocks as an ordered tuple (no span
     reduction); used where the order and multiplicity matter."""
+    field, _, _, mats = _parse_mats_blocks(text)
+    return field, mats
+
+
+def _parse_mats_blocks(text: str):
+    """(field, s, t, blocks) of a 'mats p s t m' file, blocks in file order."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty file")
@@ -155,7 +147,7 @@ def parse_mats_tuple(text: str):
         raise ParseError(f"line {lineno}: {e}")
     if s < 1 or t < 1 or m < 0:
         raise ParseError(f"line {lineno}: need s, t >= 1 and m >= 0")
-    return field, _read_blocks(lines, 1, field, s, t, m, "matrix")
+    return field, s, t, _read_blocks(lines, 1, field, s, t, m, "matrix")
 
 
 def emit_mats(b: MatrixSpace) -> str:

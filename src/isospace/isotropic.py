@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from .altspace import (AltMatrixSpace, is_isotropic, nondegenerate_part,
-                       rad_of, radical_space, restrict)
+from .altspace import (AltMatrixSpace, is_isotropic, rad_of, radical_space,
+                       restrict)
 from .errors import VerificationError, as_guard
-from .ffield import (Matrix, Subspace, enumerate_complements,
-                     enumerate_subspaces, projective_vectors)
+from .ffield import (Subspace, combine, enumerate_complements,
+                     projective_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -47,19 +47,16 @@ def greedy_maximal(space: AltMatrixSpace, start=None) -> Subspace:
 # the isotropic lattice
 
 class IsotropicLattice:
-    """All isotropic spaces of A, bucketed by dimension, with cover links.
+    """All isotropic spaces of A, bucketed by dimension.
 
-    links[U.key()] lists every isotropic space of dimension dim(U)+1 that
-    contains U.  rad_dims caches dim rad(U), so maximality (U = rad(U)) is
-    a lookup.
+    rad_dims caches dim rad(U), so maximality (U = rad(U)) is a lookup.
     """
 
-    __slots__ = ("space", "levels", "links", "rad_dims")
+    __slots__ = ("space", "levels", "rad_dims")
 
-    def __init__(self, space, levels, links, rad_dims):
+    def __init__(self, space, levels, rad_dims):
         self.space = space
         self.levels = levels          # tuple of tuples of Subspace, by dim
-        self.links = links            # dict key -> tuple of Subspace
         self.rad_dims = rad_dims      # dict key -> int
 
     def alpha(self) -> int:
@@ -98,93 +95,29 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     """Build the lattice of all isotropic spaces bottom-up by dimension.
 
     Dimension d+1 is reached by adjoining, to each isotropic U of dimension
-    d, one representative per line of rad(U)/U; a newly seen space is
-    registered as a cover of each of its dimension-d subspaces, which is
-    what makes the dedup exact.
+    d, one representative per line of rad(U)/U; a space reached from
+    several U is kept once, at its first discovery.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
-    q = field.p
     zero = Subspace.zero(field, n)
     levels = [[zero]]
-    links: dict = {zero.key(): []}
-    link_keys: dict = {zero.key(): set()}
-    rad_dims = {zero.key(): 0}
+    rad_dims = {}
     while True:
-        cur = levels[-1]
         nxt: dict = {}
-        for u in cur:
-            uk = u.key()
+        for u in levels[-1]:
             rad = rad_of(space, u)
-            rad_dims[uk] = rad.dim
+            rad_dims[u.key()] = rad.dim
             if rad.dim == u.dim:
                 continue
             comp_rows = _complement_in(u, rad)
-            k = len(comp_rows)
-            useen = link_keys.setdefault(uk, set())
-            # one representative per line of rad(U)/U
-            for lead in range(k):
-                for tail in product(range(q), repeat=k - lead - 1):
-                    g.tick()
-                    coeffs = (0,) * lead + (1,) + tail
-                    vec = [0] * n
-                    for c, r in zip(coeffs, comp_rows):
-                        if c:
-                            for j, e in enumerate(r):
-                                vec[j] = (vec[j] + c * e) % q
-                    v = u.extend_by_vector(tuple(vec))
-                    vk = v.key()
-                    if vk in useen:
-                        continue
-                    # new space: register it as a cover of every
-                    # dimension-d subspace, which keeps the dedup exact
-                    nxt[vk] = v
-                    for h in _hyperplanes(v):
-                        hk = h.key()
-                        g.tick()
-                        links.setdefault(hk, []).append(v)
-                        link_keys.setdefault(hk, set()).add(vk)
+            for coeffs in projective_vectors(field, len(comp_rows), guard=g):
+                v = u.extend_by_vector(combine(coeffs, comp_rows, field.p))
+                nxt.setdefault(v.key(), v)
         if not nxt:
             break
-        level = list(nxt.values())
-        for v in level:
-            links.setdefault(v.key(), [])
-        levels.append(level)
-    return IsotropicLattice(space,
-                            tuple(tuple(l) for l in levels),
-                            {k: tuple(v) for k, v in links.items()},
-                            rad_dims)
-
-
-def _hyperplanes(v: Subspace):
-    """All codimension-1 subspaces of v (as subspaces of the ambient space).
-
-    A coefficient basis in RREF times v's RREF basis is again in RREF (the
-    coefficient pivots select v's pivot columns), so no re-elimination is
-    needed.
-    """
-    field = v.field
-    q = field.p
-    d = v.dim
-    if d == 0:
-        return
-    rows = v.basis_rows()
-    n = v.n
-    for coeff in enumerate_subspaces(field, d, d - 1):
-        flat = []
-        for cr in coeff.basis_rows():
-            vec = [0] * n
-            for c, r in zip(cr, rows):
-                if c == 1:
-                    for t, e in enumerate(r):
-                        vec[t] = (vec[t] + e) % q
-                elif c:
-                    for t, e in enumerate(r):
-                        vec[t] = (vec[t] + c * e) % q
-            flat.extend(vec)
-        basis = Matrix._reduced(field, d - 1, n, tuple(flat))
-        pivots = tuple(v.pivots[c] for c in coeff.pivots)
-        yield Subspace(field, n, basis, pivots)
+        levels.append(list(nxt.values()))
+    return IsotropicLattice(space, tuple(tuple(l) for l in levels), rad_dims)
 
 
 def enumerate_maximal_filter(space: AltMatrixSpace, guard=None) -> tuple:
@@ -200,15 +133,6 @@ def alpha_exact(space: AltMatrixSpace, guard=None):
 
 # ---------------------------------------------------------------------------
 # branch enumeration of maximal isotropic spaces
-
-def _lift_rows(sub: Subspace, through: Matrix) -> Subspace:
-    """Map a subspace of F^k through the row map given by `through` (k x n)."""
-    rows = [r for r in sub.basis_rows()]
-    mapped = Matrix.from_rows(sub.field, rows) @ through if rows else None
-    if mapped is None:
-        return Subspace.zero(sub.field, through.cols)
-    return Subspace.from_matrix(mapped)
-
 
 def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
     """All maximal isotropic spaces by the recursive branching scheme.
@@ -227,22 +151,11 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
             return [Subspace.full(field, n)]
         rad = radical_space(sp)
         if rad.dim > 0:
-            part, t = nondegenerate_part(sp)
-            # maximal spaces of sp = T(V + radical block), V maximal of part
-            k = part.n
-            out = []
-            tt = t.transpose()
-            for v in rec(part):
-                rows = []
-                for r in v.basis_rows():
-                    rows.append(tuple(r) + (0,) * rad.dim)
-                for i in range(rad.dim):
-                    e = [0] * (k + rad.dim)
-                    e[k + i] = 1
-                    rows.append(tuple(e))
-                lifted = Matrix.from_rows(field, rows) @ tt
-                out.append(Subspace.from_matrix(lifted))
-            return out
+            # maximal spaces of sp = V lifted through a complement of
+            # rad(sp), plus rad(sp), for V maximal of the (non-degenerate)
+            # restriction to that complement
+            comp = rad.coordinate_complement()
+            return [v.image(comp.basis).sum(rad) for v in rec(restrict(sp, comp))]
         # non-degenerate: branch on the closed neighbourhood of a
         # minimum-degree vector
         reps = list(projective_vectors(field, n, guard=g))
@@ -262,7 +175,7 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
             rw = rads[w]
             sub = restrict(sp, rw)
             for m in rec(sub):
-                cand = _lift_rows(m, rw.basis)
+                cand = m.image(rw.basis)
                 ck = cand.key()
                 if ck in found:
                     continue
@@ -299,15 +212,11 @@ def _vector_mask(sub: Subspace) -> int:
     """Bitmask over vector indices (base-q digits) of all vectors of sub."""
     q = sub.field.p
     rows = sub.basis_rows()
-    n = sub.n
-    weights = [q**i for i in range(n)]
+    weights = [q**i for i in range(sub.n)]
     mask = 0
     for coeffs in product(range(q), repeat=len(rows)):
-        v = [0] * n
-        for c, r in zip(coeffs, rows):
-            if c:
-                for j, e in enumerate(r):
-                    v[j] = (v[j] + c * e) % q
+        # the zero space combines to (), whose index is 0 as well
+        v = combine(coeffs, rows, q)
         mask |= 1 << sum(w * e for w, e in zip(weights, v))
     return mask
 
@@ -376,10 +285,7 @@ def chi_brute(space: AltMatrixSpace, guard=None):
 def _maximal_of_restriction(space: AltMatrixSpace, u: Subspace, guard):
     """Maximal isotropic spaces of A|_U, lifted back to subspaces of F^n."""
     sub = restrict(space, u)
-    lifted = []
-    for m in enumerate_maximal_filter(sub, guard=guard):
-        lifted.append(_lift_rows(m, u.basis))
-    return lifted
+    return [m.image(u.basis) for m in enumerate_maximal_filter(sub, guard=guard)]
 
 
 def chi_lawler(space: AltMatrixSpace, guard=None):
@@ -436,42 +342,11 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
 def _complements_inside(u: Subspace, v: Subspace, guard):
     """All subspaces W <= u with V + W = u a direct sum (V <= u given)."""
     g = as_guard(guard)
-    field = u.field
-    q = field.p
-    # coordinates inside u: express v in the coefficient space of u's basis
-    d = u.dim
-    vin = []
-    for r in v.basis_rows():
-        coeff = _coords_in(u, r)
-        vin.append(coeff)
-    vsub = Subspace.from_vectors(field, d, vin)
-    urows = u.basis_rows()
+    # work in the coefficient space of u's basis, then lift back
+    vsub = Subspace.from_vectors(u.field, u.dim,
+                                 [u.coordinates(r) for r in v.basis_rows()])
     for wc in enumerate_complements(vsub, guard=g):
-        rows = []
-        for cr in wc.basis_rows():
-            vec = [0] * u.n
-            for c, r in zip(cr, urows):
-                if c:
-                    for j, e in enumerate(r):
-                        vec[j] = (vec[j] + c * e) % q
-            rows.append(vec)
-        yield Subspace.from_vectors(field, u.n, rows)
-
-
-def _coords_in(u: Subspace, vec) -> tuple:
-    """Coefficients of vec over u's RREF basis (vec must lie in u)."""
-    coeff = [0] * u.dim
-    p = u.field.p
-    v = [e % p for e in vec]
-    for i, c in enumerate(u.pivots):
-        f = v[c]
-        if f:
-            coeff[i] = f
-            row = u.basis.row(i)
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    if any(v):
-        raise ValueError("vector not inside the subspace")
-    return tuple(coeff)
+        yield wc.image(u.basis)
 
 
 def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
@@ -592,6 +467,8 @@ def isotropic_count_formula(n: int, d: int, q: int) -> int:
         raise ValueError("no non-degenerate alternating form in odd dimension")
     if d < 0:
         raise ValueError("need d >= 0")
+    if q < 2:
+        raise ValueError(f"need q >= 2, got q={q}")
     if d > n // 2:
         return 0
     num = 1

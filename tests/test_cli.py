@@ -174,3 +174,34 @@ def test_console_entry_point(files):
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["results"]["chi"] == 3
+
+
+def _fails_cleanly(argv, capsys):
+    """Exit code of main(argv), checking for a one-line stderr message."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return code
+
+
+def test_to_graph_witness_missing_report(files, tmp_path, capsys):
+    missing = str(tmp_path / "no-such-report.json")
+    assert _fails_cleanly(["to-graph-witness", "-f", files["p3.graph"],
+                           "--report", missing], capsys) == 2
+
+
+def test_count_gaussian_rejects_q_below_2(capsys):
+    assert _fails_cleanly(["count", "gaussian", "4", "2", "1"], capsys) == 2
+
+
+def test_count_iso_formula_rejects_q_below_2(capsys):
+    assert _fails_cleanly(["count", "iso-formula", "4", "1", "1"], capsys) == 2
+
+
+def test_adjoint_find_hyperbolic_on_a_line(tmp_path):
+    # n = 1 has no isotropic 2-decomposition, though the search succeeds
+    line = tmp_path / "line.ams"
+    line.write_text("ams 2 1 0\n")
+    rep = run_command(["adjoint", "-f", str(line), "--find-hyperbolic"])
+    assert rep["results"]["decomposition"] is None

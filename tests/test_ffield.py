@@ -3,7 +3,7 @@ import random
 import pytest
 
 from isospace.errors import Guard, GuardExceeded
-from isospace.ffield import (Matrix, PrimeField, Subspace,
+from isospace.ffield import (Matrix, PrimeField, Subspace, combine,
                              enumerate_complements, enumerate_subspaces,
                              gaussian_binomial, invert, kernel,
                              projective_vectors, rref_canonicalize,
@@ -206,3 +206,60 @@ def test_subspace_canonical_equality_and_hash():
     spanned = Subspace.from_vectors(F3, 3, [(1, 2, 0), (1, 0, 1)])
     assert spanned == a == b
     assert len({a, b, spanned}) == 1
+
+
+def _random_rows(rng, f, k, n):
+    return [tuple(rng.randrange(f.p) for _ in range(n)) for _ in range(k)]
+
+
+def test_combine_matches_matrix_product():
+    # reference: the coefficient row times the stacked rows, via Matrix.__matmul__
+    rng = random.Random(31)
+    for _ in range(60):
+        f = rng.choice([F2, F3])
+        k, n = rng.randint(1, 5), rng.randint(1, 6)
+        rows = _random_rows(rng, f, k, n)
+        coeffs = tuple(rng.randrange(f.p) for _ in range(k))
+        if rng.random() < 0.2:
+            coeffs = (0,) * k
+        want = Matrix.from_rows(f, [coeffs]) @ Matrix.from_rows(f, rows)
+        assert combine(coeffs, rows, f.p) == want.row(0)
+
+
+def test_combine_reduces_and_handles_no_rows():
+    assert combine((4, 1), [(1, 2), (2, 2)], 3) == (0, 1)
+    assert combine((0, 0), [(1, 2), (2, 2)], 3) == (0, 0)
+    assert combine((), [], 2) == ()
+
+
+def test_subspace_image_matches_matrix_product():
+    rng = random.Random(37)
+    for _ in range(60):
+        f = rng.choice([F2, F3])
+        k, n = rng.randint(1, 5), rng.randint(1, 6)
+        t = Matrix.from_rows(f, _random_rows(rng, f, k, n))
+        s = Subspace.from_vectors(f, k, _random_rows(rng, f, rng.randint(0, k), k))
+        if s.dim == 0:
+            want = Subspace.zero(f, n)
+        else:
+            want = Subspace.from_matrix(s.basis @ t)
+        assert s.image(t) == want
+    # the zero subspace maps to the zero subspace of the target
+    t = Matrix.from_rows(F3, [(1, 2, 0), (0, 1, 1)])
+    assert Subspace.zero(F3, 2).image(t) == Subspace.zero(F3, 3)
+    with pytest.raises(ValueError):
+        Subspace.zero(F3, 3).image(t)
+
+
+def test_subspace_coordinates():
+    rng = random.Random(41)
+    for _ in range(40):
+        f = rng.choice([F2, F3])
+        n = rng.randint(1, 5)
+        u = Subspace.from_vectors(f, n, _random_rows(rng, f, rng.randint(1, n), n))
+        coeffs = tuple(rng.randrange(f.p) for _ in range(u.dim))
+        v = combine(coeffs, u.basis_rows(), f.p)
+        assert u.coordinates(v) == coeffs
+    u = Subspace.from_vectors(F2, 3, [(1, 1, 0)])
+    with pytest.raises(ValueError):
+        u.coordinates((0, 0, 1))

@@ -69,23 +69,6 @@ def test_lattice_symplectic_4_dim2_count():
     assert len(lat.levels[2]) == 15 == isotropic_count_formula(4, 2, 2)
 
 
-def test_lattice_links_consistent():
-    rng = random.Random(17)
-    for _ in range(10):
-        n = rng.randint(1, 4)
-        sp = random_space(rng, rng.choice([F2, F3]), n, rng.randint(0, 3))
-        lat = enumerate_isotropic_lattice(sp)
-        by_key = {u.key(): u for u in lat.all_spaces()}
-        for u in lat.all_spaces():
-            for v in lat.links.get(u.key(), ()):
-                assert v.dim == u.dim + 1
-                assert v.contains(u)
-                assert v.key() in by_key
-        # every isotropic space is isotropic, and counts match a recount
-        for u in lat.all_spaces():
-            assert is_isotropic(sp, u)
-
-
 def test_lattice_counts_against_subspace_filter():
     # independent oracle: filter all subspaces by the isotropy test
     from isospace.ffield import enumerate_subspaces
@@ -103,6 +86,12 @@ def test_lattice_guard():
     with pytest.raises(GuardExceeded):
         enumerate_isotropic_lattice(AltMatrixSpace.zero_space(F3, 6),
                                     guard=Guard(100))
+    # the lines of rad(U)/U are counted against the guard before the sweep,
+    # so a space far beyond the budget fails before any work
+    g = Guard()
+    with pytest.raises(GuardExceeded):
+        enumerate_isotropic_lattice(AltMatrixSpace.zero_space(F2, 40), guard=g)
+    assert g.used == 0
 
 
 # ----------------------------------------------------- maximal: filter, branch
