@@ -54,12 +54,22 @@ class AltMatrixSpace:
     @classmethod
     def from_generators(cls, field: PrimeField, n: int, mats) -> "AltMatrixSpace":
         """Span of arbitrary alternating generators, re-reduced to an
-        independent ordered basis with deterministic (row-major) pivots."""
+        independent ordered basis with deterministic (row-major) pivots.
+
+        The reduced basis is independent by construction and alternating as
+        a span of alternating matrices, so only the generators are checked.
+        """
         mats = list(mats)
         for m in mats:
             if not is_alternating(m):
                 raise ValueError("generator is not alternating")
-        return cls(field, n, span_basis(field, n, n, mats))
+            if m.field != field or m.rows != n:
+                raise ValueError("generator has wrong field or shape")
+        sp = object.__new__(cls)
+        sp.field = field
+        sp.n = int(n)
+        sp.basis = tuple(span_basis(field, n, n, mats))
+        return sp
 
     @classmethod
     def zero_space(cls, field: PrimeField, n: int) -> "AltMatrixSpace":

@@ -36,7 +36,18 @@ class MatrixSpace:
 
     @classmethod
     def from_generators(cls, field, s, t, mats) -> "MatrixSpace":
-        return cls(field, s, t, span_basis(field, s, t, mats))
+        """Span of arbitrary s x t generators, reduced to an independent
+        ordered basis (independent by construction, so not re-checked)."""
+        mats = list(mats)
+        for m in mats:
+            if m.field != field or m.rows != s or m.cols != t:
+                raise ValueError("generator has wrong field or shape")
+        sp = object.__new__(cls)
+        sp.field = field
+        sp.s = int(s)
+        sp.t = int(t)
+        sp.basis = tuple(span_basis(field, s, t, mats))
+        return sp
 
     @property
     def dim(self) -> int:

@@ -3,7 +3,9 @@
 Every subcommand produces a Report (a plain dict): the command, an input
 digest, the results with witnesses as RREF row lists, the timing, and the
 seed/guard settings.  Witnesses re-verify through the library.  Exit
-codes: 0 ok, 2 parse error, 3 guard exceeded, 4 verification failure.
+codes: 0 ok, 2 parse error (malformed file or argument), 3 guard exceeded,
+4 verification failure, 5 input error (well-formed input outside a
+command's domain, such as a disconnected graph for `quantum`).
 """
 
 from __future__ import annotations
@@ -55,16 +57,32 @@ def _rows(sub: Subspace):
     return [list(r) for r in sub.basis_rows()]
 
 
+def _field(p) -> PrimeField:
+    try:
+        return PrimeField(p)
+    except (TypeError, ValueError) as e:
+        raise ParseError(str(e))
+
+
+def _subspace(field, n, rows) -> Subspace:
+    """The span of witness rows from the command line or a report."""
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and len(r) == n and all(isinstance(x, int) for x in r)
+            for r in rows):
+        raise ParseError(f"witness rows {rows!r} are not lists of {n} integers")
+    return Subspace.from_vectors(field, n, rows)
+
+
 def _parse_rows(text: str, field, n) -> Subspace:
     rows = []
     for part in text.split(";"):
         part = part.strip()
         if part:
-            rows.append([int(x) for x in part.split()])
-    for r in rows:
-        if len(r) != n:
-            raise ParseError(f"witness row has length {len(r)}, ambient is {n}")
-    return Subspace.from_vectors(field, n, rows)
+            try:
+                rows.append([int(x) for x in part.split()])
+            except ValueError:
+                raise ParseError(f"witness row {part!r} is not a list of integers")
+    return _subspace(field, n, rows)
 
 
 def _load_space(args):
@@ -134,7 +152,7 @@ def cmd_decompose(args, guard):
 
 def cmd_from_graph(args, guard):
     g, dig = _load_graph(args)
-    field = PrimeField(args.field)
+    field = _field(args.field)
     space = space_from_graph(g, field)
     return dig, {"space": formats.emit_space(space), "dim": space.dim,
                  "field": field.p, "n": space.n}
@@ -142,16 +160,25 @@ def cmd_from_graph(args, guard):
 
 def cmd_to_graph_witness(args, guard):
     g, dig = _load_graph(args)
-    report = json.loads(_read(args.report))
-    results = report.get("results", {})
-    field = PrimeField(results.get("field", args.field))
+    text = _read(args.report)
+    try:
+        report = json.loads(text)
+    except ValueError as e:
+        raise ParseError(f"report {args.report} is not JSON: {e}")
+    results = report.get("results", {}) if isinstance(report, dict) else None
+    if not isinstance(results, dict):
+        raise ParseError("report carries no 'results' object")
+    field = _field(results.get("field", args.field))
     if "parts" in results:
-        parts = [Subspace.from_vectors(field, g.n, rows) for rows in results["parts"]]
+        parts = results["parts"]
+        if not isinstance(parts, list):
+            raise ParseError("report 'parts' is not a list")
+        parts = [_subspace(field, g.n, rows) for rows in parts]
         blocks = coloring_from_decomposition(g, parts)
         return dig, {"coloring": [[v + 1 for v in b] for b in blocks],
                      "count": len(blocks), "field": field.p}
     if "witness" in results:
-        u = Subspace.from_vectors(field, g.n, results["witness"])
+        u = _subspace(field, g.n, results["witness"])
         verts = independent_set_from_isotropic(g, u)
         return dig, {"independent_set": [v + 1 for v in verts],
                      "size": len(verts), "field": field.p}
@@ -270,7 +297,12 @@ def cmd_quantum(args, guard):
     if args.what == "decide2":
         return dig, {"iso_2_decomposition": decide_iso_2_decomposition(ch),
                      "period": period(ch), "n": ch.n}
-    state = [float(x) for x in args.state.split()]
+    try:
+        state = [float(x) for x in args.state.split()]
+    except ValueError:
+        raise ParseError(f"--state {args.state!r} is not a list of numbers")
+    if len(state) != ch.n:
+        raise ParseError(f"--state has {len(state)} entries, the graph has {ch.n} vertices")
     import math
     norm = math.sqrt(sum(x * x for x in state))
     if norm == 0:
@@ -454,8 +486,8 @@ def main(argv=None) -> int:
         print(f"verification failure: {e}", file=sys.stderr)
         return 4
     except ValueError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 2
+        print(f"input error: {e}", file=sys.stderr)
+        return 5
     if _wants_json(argv):
         print(json.dumps(report, sort_keys=True))
     else:

@@ -323,17 +323,6 @@ class Subspace:
                 v = [(x - f * y) % p for x, y in zip(v, row)]
         return tuple(v)
 
-    def coordinates(self, v) -> tuple:
-        """Coefficients of v over the RREF basis; raises unless v lies in self.
-
-        An RREF basis row has a 1 in its own pivot column and 0 in the
-        others, so the coefficients are the entries of v at the pivots.
-        """
-        if any(self.reduce_vector(v)):
-            raise ValueError("vector not inside the subspace")
-        p = self.field.p
-        return tuple(v[c] % p for c in self.pivots)
-
     def image(self, t: Matrix) -> "Subspace":
         """Row space of (basis of self) . t, for t with self.n rows."""
         if t.rows != self.n or t.field != self.field:

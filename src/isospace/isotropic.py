@@ -282,34 +282,38 @@ def chi_brute(space: AltMatrixSpace, guard=None):
     raise VerificationError("no decomposition found up to n parts")  # unreachable
 
 
-def _maximal_of_restriction(space: AltMatrixSpace, u: Subspace, guard):
-    """Maximal isotropic spaces of A|_U, lifted back to subspaces of F^n."""
-    sub = restrict(space, u)
-    return [m.image(u.basis) for m in enumerate_maximal_filter(sub, guard=guard)]
-
-
 def chi_lawler(space: AltMatrixSpace, guard=None):
     """chi(A) by the memoized recursion chi(U) = 1 + min over maximal
     isotropic V of A|_U and complements W of V inside U of chi(W).
 
-    Top-down, keyed by the canonical subspace U, so only reachable
-    subspaces are materialized.  Maximal spaces are tried largest first,
-    and the search stops once the dimension lower bound
-    ceil(dim U / alpha(A|_U)) is attained.  Returns (chi, certificate).
+    Top-down over the reachable subspaces U, memoized by the restricted
+    space A|_U: the search at U depends on A|_U alone, so each distinct
+    restriction is solved once per call, in the coordinates of U's RREF
+    basis.  (An RREF coordinate basis times U's RREF basis is again in
+    RREF, so W = w . U has A|_W = (A|_U)|_w with the same canonical basis.)
+    Maximal spaces are tried largest first, and the search stops once the
+    dimension lower bound ceil(dim U / alpha(A|_U)) is attained.  Returns
+    (chi, certificate).
     """
     g = as_guard(guard)
     field, n = space.field, space.n
-    memo: dict = {}
+    by_u: dict = {}      # U.key() -> key of A|_U
+    by_sub: dict = {}    # key of A|_U -> (chi, V, W), V and W in U's coordinates
 
     def rec(u: Subspace):
         if u.dim == 0:
             return 0, None, None
-        key = u.key()
-        hit = memo.get(key)
+        ukey = u.key()
+        skey = by_u.get(ukey)
+        if skey is not None:
+            return by_sub[skey]
+        sub = restrict(space, u)
+        skey = by_u[ukey] = (sub.n, tuple(m.entries for m in sub.basis))
+        hit = by_sub.get(skey)
         if hit is not None:
             return hit
         g.tick()
-        mis = sorted(_maximal_of_restriction(space, u, g), key=lambda s: -s.dim)
+        mis = sorted(enumerate_maximal_filter(sub, guard=g), key=lambda s: -s.dim)
         alpha_u = mis[0].dim
         lb = -(-u.dim // alpha_u)
         best = None
@@ -317,36 +321,28 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
             # no decomposition through v can beat 1 + ceil((dim U - dim V)/alpha)
             if best is not None and 1 + -(-(u.dim - v.dim) // alpha_u) >= best[0]:
                 continue
-            for w in _complements_inside(u, v, g):
-                cw, _, _ = rec(w)
+            for w in enumerate_complements(v, guard=g):
+                cw, _, _ = rec(w.image(u.basis))
                 if best is None or 1 + cw < best[0]:
                     best = (1 + cw, v, w)
                     if best[0] == lb:
                         break
             if best is not None and best[0] == lb:
                 break
-        memo[key] = best
+        by_sub[skey] = best
         return best
 
     if n == 0:
         return 0, []
-    c, v, w = rec(Subspace.full(field, n))
+    u = Subspace.full(field, n)
+    c, v, w = rec(u)
     parts = []
     while v is not None:
-        parts.append(v)
-        _, v, w = rec(w)
+        parts.append(v.image(u.basis))
+        u = w.image(u.basis)
+        _, v, w = rec(u)
     validate_decomposition(space, parts)
     return c, parts
-
-
-def _complements_inside(u: Subspace, v: Subspace, guard):
-    """All subspaces W <= u with V + W = u a direct sum (V <= u given)."""
-    g = as_guard(guard)
-    # work in the coefficient space of u's basis, then lift back
-    vsub = Subspace.from_vectors(u.field, u.dim,
-                                 [u.coordinates(r) for r in v.basis_rows()])
-    for wc in enumerate_complements(vsub, guard=g):
-        yield wc.image(u.basis)
 
 
 def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:

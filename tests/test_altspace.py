@@ -62,6 +62,29 @@ def test_validate_rejects_dependent_basis():
         AltMatrixSpace(F3, 3, [m, m.scale(2)])
 
 
+def test_from_generators_checks_each_generator():
+    with pytest.raises(ValueError, match="generator is not alternating"):
+        AltMatrixSpace.from_generators(F3, 2, [Matrix.from_rows(F3, [[0, 1], [1, 0]])])
+    with pytest.raises(ValueError, match="generator is not alternating"):
+        AltMatrixSpace.from_generators(F3, 2, [Matrix.from_rows(F3, [[0, 1, 0]])])
+    with pytest.raises(ValueError, match="wrong field or shape"):
+        AltMatrixSpace.from_generators(F3, 3, [J2_F3])
+    with pytest.raises(ValueError, match="wrong field or shape"):
+        AltMatrixSpace.from_generators(F2, 2, [J2_F3])
+
+
+def test_from_generators_equals_validated_space():
+    rng = random.Random(14)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        f = rng.choice([F2, F3])
+        sp = random_space(rng, f, n, rng.randint(0, 6))
+        assert AltMatrixSpace(f, n, sp.basis) == sp
+    m = elementary_alternating(F3, 3, 0, 1)
+    sp = AltMatrixSpace.from_generators(F3, 3, [m, m.scale(2), m.scale(0)])
+    assert sp == AltMatrixSpace(F3, 3, [m]) and sp.dim == 1
+
+
 def test_radical_zero_space():
     z = AltMatrixSpace.zero_space(F3, 4)
     assert radical_space(z) == Subspace.full(F3, 4)

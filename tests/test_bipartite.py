@@ -54,6 +54,21 @@ def test_block_space_rejects_bad_split():
         block_space_from_bipartite(sp, u1, u2)
 
 
+def test_matrix_space_from_generators():
+    rng = random.Random(15)
+    for _ in range(20):
+        f = rng.choice([F2, F3])
+        s, t = rng.randint(1, 3), rng.randint(1, 3)
+        b = random_matrix_space(rng, f, s, t, rng.randint(0, 5))
+        assert MatrixSpace(f, s, t, b.basis).basis == b.basis
+    # a 2 x 3 generator has the entry count of a 3 x 2 one, yet is rejected
+    m = Matrix.from_rows(F2, [[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(ValueError, match="wrong field or shape"):
+        MatrixSpace.from_generators(F2, 3, 2, [m])
+    with pytest.raises(ValueError, match="wrong field or shape"):
+        MatrixSpace.from_generators(F3, 2, 3, [m])
+
+
 def test_ncrk_zero_and_full():
     assert ncrk_brute(MatrixSpace(F2, 2, 3, ())) == 0
     full = random_matrix_space(random.Random(0), F2, 2, 2, 0)

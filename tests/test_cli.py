@@ -205,3 +205,32 @@ def test_adjoint_find_hyperbolic_on_a_line(tmp_path):
     line.write_text("ams 2 1 0\n")
     rep = run_command(["adjoint", "-f", str(line), "--find-hyperbolic"])
     assert rep["results"]["decomposition"] is None
+
+
+def test_baer_over_f2_is_an_input_error(files, capsys):
+    # K3_AMS is well formed, but the Baer correspondence needs odd p
+    assert _fails_cleanly(["baer", "-f", files["k3.ams"]], capsys) == 5
+
+
+def test_quantum_on_a_disconnected_graph_is_an_input_error(tmp_path, capsys):
+    g = tmp_path / "two-edges.graph"
+    g.write_text("graph 4\n1 2\n3 4\n")
+    assert _fails_cleanly(["quantum", "period", "-f", str(g)], capsys) == 5
+
+
+def test_alpha_bipartite_malformed_rows_are_a_parse_error(files, capsys):
+    assert _fails_cleanly(["alpha-bipartite", "-f", files["j.ams"],
+                           "--u1", "a b", "--u2", "0 1"], capsys) == 2
+
+
+def test_malformed_arguments_stay_parse_errors(files, tmp_path, capsys):
+    notjson = tmp_path / "report.txt"
+    notjson.write_text("alpha: 2\n")
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"results": {"field": 2, "witness": [[1, 0]]}}))
+    for argv in (["from-graph", "-f", files["p3.graph"], "--field", "4"],
+                 ["to-graph-witness", "-f", files["p3.graph"], "--report", str(notjson)],
+                 ["to-graph-witness", "-f", files["p3.graph"], "--report", str(short)],
+                 ["quantum", "fidelity", "-f", files["c4.graph"], "--state", "1 x 0 0"],
+                 ["quantum", "fidelity", "-f", files["c4.graph"], "--state", "1 0"]):
+        assert _fails_cleanly(argv, capsys) == 2, argv

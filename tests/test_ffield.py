@@ -249,17 +249,3 @@ def test_subspace_image_matches_matrix_product():
     assert Subspace.zero(F3, 2).image(t) == Subspace.zero(F3, 3)
     with pytest.raises(ValueError):
         Subspace.zero(F3, 3).image(t)
-
-
-def test_subspace_coordinates():
-    rng = random.Random(41)
-    for _ in range(40):
-        f = rng.choice([F2, F3])
-        n = rng.randint(1, 5)
-        u = Subspace.from_vectors(f, n, _random_rows(rng, f, rng.randint(1, n), n))
-        coeffs = tuple(rng.randrange(f.p) for _ in range(u.dim))
-        v = combine(coeffs, u.basis_rows(), f.p)
-        assert u.coordinates(v) == coeffs
-    u = Subspace.from_vectors(F2, 3, [(1, 1, 0)])
-    with pytest.raises(ValueError):
-        u.coordinates((0, 0, 1))

@@ -330,3 +330,41 @@ def test_maximal_count_thm18_slack():
         sp = random_space(rng, f, n, rng.randint(0, 4))
         cnt = len(enumerate_maximal_filter(sp))
         assert math.log(cnt, f.p) <= n * n / 6.0 + 6 * n
+
+
+# ------------------------------------------------------- the Lawler memo
+
+def test_chi_lawler_solves_each_restriction_once(monkeypatch):
+    # the search at U depends on A|_U alone, so no restricted space is
+    # enumerated twice within one call
+    from isospace import isotropic
+    from test_acceptance import random_space_suite_lam4
+    seen = []
+    inner = isotropic.enumerate_maximal_filter
+
+    def recording(sub, guard=None):
+        seen.append((sub.field.p, sub.n, tuple(m.entries for m in sub.basis)))
+        return inner(sub, guard=guard)
+
+    monkeypatch.setattr(isotropic, "enumerate_maximal_filter", recording)
+    for _, sp in random_space_suite_lam4():
+        seen.clear()
+        chi_lawler(sp)
+        assert seen and len(seen) == len(set(seen)), sp
+
+
+def test_chi_lawler_certificates_pinned():
+    # chi and the parts of every certificate, bit for bit as computed by
+    # the recursion memoized by U, on the criterion-04 random spaces and
+    # every graph on at most 5 vertices over F_2
+    import hashlib
+    import json
+    from test_acceptance import random_space_suite_lam4, small_graphs_all
+    spaces = ([sp for _, sp in random_space_suite_lam4()]
+              + [space_from_graph(g, F2) for g in small_graphs_all()])
+    out = []
+    for sp in spaces:
+        c, parts = chi_lawler(sp)
+        out.append((c, [p.key() for p in parts]))
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "85114d2371124f0ac36c54dd61a00f679883b03b8020dbc42a30cb6bd08d21b9"
