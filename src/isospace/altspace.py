@@ -13,7 +13,7 @@ from itertools import product
 
 from .errors import as_guard
 from .ffield import (Matrix, PrimeField, Subspace, all_vectors, are_independent,
-                     combine, hstack, kernel, span_basis, vstack)
+                     combine, hstack, kernel, span_basis, stacked_products, vstack)
 
 
 def is_alternating(m: Matrix) -> bool:
@@ -95,15 +95,6 @@ class AltMatrixSpace:
         ent = combine(coeffs, [m.entries for m in self.basis], self.field.p)
         return Matrix._reduced(self.field, self.n, self.n, ent)
 
-    def bilinear(self, u, v) -> tuple:
-        """(u^t A_1 v, ..., u^t A_m v)."""
-        p = self.field.p
-        out = []
-        for m in self.basis:
-            av = m.apply(v)
-            out.append(sum(x * y for x, y in zip(u, av)) % p)
-        return tuple(out)
-
     def __eq__(self, other):
         return (isinstance(other, AltMatrixSpace) and self.field == other.field
                 and self.n == other.n and self.basis == other.basis)
@@ -136,34 +127,25 @@ def rad_of(space: AltMatrixSpace, target) -> Subspace:
     """rad_A(target): all u with u^t A v = 0 for every v in the target.
 
     target may be a vector or a Subspace; for a subspace the constraints
-    range over its basis.
+    range over its basis.  The constraint rows v^t A = -(A v)^t are the
+    stacked products of the target's basis with the basis of the space.
     """
     if isinstance(target, Subspace):
         if target.n != space.n:
             raise ValueError("ambient mismatch")
-        vecs = target.basis_rows()
+        vecs = target.basis
     else:
         if len(target) != space.n:
             raise ValueError("vector length mismatch")
-        vecs = [tuple(target)]
-    rows = []
-    for m in space.basis:
-        for v in vecs:
-            rows.append(m.apply(v))
-    if not rows:
+        vecs = Matrix(space.field, 1, space.n, target)
+    if not space.basis:
         return Subspace.full(space.field, space.n)
-    constraint = Matrix.from_rows(space.field, rows)
-    return kernel(constraint)
+    return kernel(stacked_products(vecs, space.basis))
 
 
 def degree(space: AltMatrixSpace, v) -> int:
-    """deg_A(v) = dim <A v : A in basis> = rank of [A_1 v | ... | A_m v]."""
-    if len(v) != space.n:
-        raise ValueError("vector length mismatch")
-    rows = [m.apply(v) for m in space.basis]
-    if not rows:
-        return 0
-    return Matrix.from_rows(space.field, rows).rank()
+    """deg_A(v) = dim <A v : A in basis> = n - dim rad_A(v)."""
+    return space.n - rad_of(space, v).dim
 
 
 def max_degree(space: AltMatrixSpace, guard=None) -> int:
@@ -201,18 +183,12 @@ def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
 
 
 def is_isotropic(space: AltMatrixSpace, u: Subspace) -> bool:
-    """True iff b_i^t A b_j = 0 for all basis pairs of u and all basis A."""
+    """True iff B A B^t = 0 for the basis B of u and every basis matrix A."""
     if u.n != space.n:
         raise ValueError("ambient mismatch")
-    rows = u.basis_rows()
-    for m in space.basis:
-        images = [m.apply(r) for r in rows]
-        p = space.field.p
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                if sum(x * y for x, y in zip(rows[i], images[j])) % p:
-                    return False
-    return True
+    b = u.basis
+    bt = b.transpose()
+    return all(((b @ m) @ bt).is_zero() for m in space.basis)
 
 
 def nondegenerate_part(space: AltMatrixSpace):

@@ -15,7 +15,7 @@ from .altspace import (AltMatrixSpace, block_alternating, is_isotropic,
                        nondegenerate_part, radical_space)
 from .errors import VerificationError, as_guard
 from .ffield import (Matrix, PrimeField, Subspace, are_independent, combine,
-                     enumerate_subspaces, kernel, span_basis)
+                     enumerate_subspaces, kernel, span_basis, stacked_products)
 
 
 class MatrixSpace:
@@ -103,40 +103,31 @@ def block_space_from_bipartite(space: AltMatrixSpace, u1: Subspace,
     return MatrixSpace.from_generators(space.field, s, tt, blocks)
 
 
-def image_of_subspace(b: MatrixSpace, v: Subspace) -> Subspace:
-    """B(V) = < B w : B in basis, w in basis of V > as a subspace of F^s."""
-    rows = []
-    for m in b.basis:
-        for w in v.basis_rows():
-            rows.append(m.apply(w))
-    return Subspace.from_vectors(b.field, b.s, rows)
+def ncrk_witness_pair(b: MatrixSpace, guard=None):
+    """A maximizing isotropic pair (U, V) for ncrk(B).
+
+    V runs over the subspaces of F^t; its best partner U is the common left
+    kernel of B(V) = <B w : B in basis, w in V>, so dim U = s - dim B(V).
+    The first V with the largest dim V + dim U wins, and only its kernel
+    is taken.
+    """
+    g = as_guard(guard)
+    # the rows w^t B^t span B(V); with no basis, B(V) is the zero space
+    bts = [m.transpose() for m in b.basis] or [Matrix.zeros(b.field, b.t, b.s)]
+    best = None
+    for v in enumerate_subspaces(b.field, b.t, guard=g):
+        image = stacked_products(v.basis, bts)
+        score = v.dim + b.s - image.rank()
+        if best is None or score > best[0]:
+            best = (score, image, v)
+    return kernel(best[1]), best[2]
 
 
 def ncrk_brute(b: MatrixSpace, guard=None) -> int:
-    """Non-commutative rank by enumerating right spaces V <= F^t.
-
-    For each V the best partner is the common left kernel of {Bw : w in V};
-    ncrk = s + t - max(dim V + dim U).
-    """
-    g = as_guard(guard)
-    best = 0
-    for v in enumerate_subspaces(b.field, b.t, guard=g):
-        img = image_of_subspace(b, v)
-        u_dim = b.s - img.dim
-        if v.dim + u_dim > best:
-            best = v.dim + u_dim
-    return b.s + b.t - best
-
-
-def ncrk_witness_pair(b: MatrixSpace, guard=None):
-    """A maximizing isotropic pair (U, V) for ncrk(B)."""
-    g = as_guard(guard)
-    best = None
-    for v in enumerate_subspaces(b.field, b.t, guard=g):
-        u = kernel(image_of_subspace(b, v).basis)
-        if best is None or v.dim + u.dim > best[0]:
-            best = (v.dim + u.dim, u, v)
-    return best[1], best[2]
+    """Non-commutative rank by enumerating right spaces V <= F^t:
+    ncrk = s + t - max(dim V + dim U) over the pairs of ncrk_witness_pair."""
+    u, v = ncrk_witness_pair(b, guard=guard)
+    return b.s + b.t - u.dim - v.dim
 
 
 def ncrk_pad_square(b: MatrixSpace) -> MatrixSpace:
@@ -174,7 +165,7 @@ def alpha_bipartite(space: AltMatrixSpace, u1: Subspace, u2: Subspace,
     n = space.n
     u, v = ncrk_witness_pair(b, guard=guard)
     r = b.s + b.t - u.dim - v.dim
-    witness = u.image(u1.basis).sum(v.image(u2.basis))
+    witness = u.image(u1).sum(v.image(u2))
     if witness.dim != n - r or not is_isotropic(space, witness):
         raise VerificationError("bipartite alpha witness failed verification")
     return n - r, witness
@@ -304,7 +295,7 @@ def decomposition_from_hyperbolic(space: AltMatrixSpace, p: Matrix):
         u1, u2 = v1, v2           # a non-degenerate space is its own part
     else:
         comp = rad.coordinate_complement()
-        u1, u2 = v1.image(comp.basis).sum(rad), v2.image(comp.basis)
+        u1, u2 = v1.image(comp).sum(rad), v2.image(comp)
     if not (is_isotropic(space, u1) and is_isotropic(space, u2)
             and u1.dim + u2.dim == n and u1.sum(u2).dim == n):
         raise VerificationError("idempotent decomposition failed verification")

@@ -313,16 +313,10 @@ def cmd_quantum(args, guard):
 
 
 def cmd_count(args, guard):
-    if args.what == "gaussian":
-        try:
-            val = gaussian_binomial(args.n, args.d, args.q)
-        except ValueError as e:
-            raise ParseError(str(e))
-    else:
-        try:
-            val = isotropic_count_formula(args.n, args.d, args.q)
-        except ValueError as e:
-            raise ParseError(str(e))
+    if args.q < 2:
+        raise ParseError(f"need q >= 2, got q={args.q}")
+    count = gaussian_binomial if args.what == "gaussian" else isotropic_count_formula
+    val = count(args.n, args.d, args.q)
     return "-", {"value": str(val), "n": args.n, "d": args.d, "q": args.q,
                  "what": args.what}
 

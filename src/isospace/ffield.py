@@ -112,8 +112,8 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         r, c, ent = self.rows, self.cols, self.entries
-        return Matrix(self.field, c, r,
-                      [ent[i * c + j] for j in range(c) for i in range(r)])
+        return Matrix._reduced(self.field, c, r,
+                               tuple([ent[i * c + j] for j in range(c) for i in range(r)]))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows or self.field != other.field:
@@ -132,7 +132,7 @@ class Matrix:
                     for j in range(m):
                         orow[j] += av * brow[j]
             out[i * m:(i + 1) * m] = [x % p for x in orow]
-        return Matrix(self.field, n, m, out)
+        return Matrix._reduced(self.field, n, m, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols) or self.field != other.field:
@@ -153,17 +153,6 @@ class Matrix:
         a %= p
         return Matrix(self.field, self.rows, self.cols,
                       [(a * x) % p for x in self.entries])
-
-    def apply(self, v) -> tuple:
-        """Matrix-vector product, v a length-cols tuple."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        p = self.field.p
-        c = self.cols
-        return tuple(
-            sum(self.entries[i * c + j] * v[j] for j in range(c)) % p
-            for i in range(self.rows)
-        )
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -195,6 +184,16 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols or a.field != b.field:
         raise ValueError("vstack mismatch")
     return Matrix(a.field, a.rows + b.rows, a.cols, a.entries + b.entries)
+
+
+def stacked_products(left: Matrix, mats) -> Matrix:
+    """The products left @ m for m in mats (nonempty), stacked vertically.
+
+    With left = U's basis these are the forms u^t M evaluated on U at once.
+    """
+    prods = [left @ m for m in mats]
+    return Matrix._reduced(left.field, left.rows * len(prods), prods[0].cols,
+                           tuple(e for pm in prods for e in pm.entries))
 
 
 def combine(coeffs, rows, p) -> tuple:
@@ -255,8 +254,8 @@ def rref_canonicalize(m: Matrix) -> tuple[Matrix, int]:
     rows = m.row_list()
     pivots = _rref_rows(rows, m.field.p, m.field._inv)
     rank = len(pivots)
-    flat = [e for r in rows[:rank] for e in r]
-    return Matrix(m.field, rank, m.cols, flat), rank
+    flat = tuple(e for r in rows[:rank] for e in r)
+    return Matrix._reduced(m.field, rank, m.cols, flat), rank
 
 
 class Subspace:
@@ -323,13 +322,17 @@ class Subspace:
                 v = [(x - f * y) % p for x, y in zip(v, row)]
         return tuple(v)
 
-    def image(self, t: Matrix) -> "Subspace":
-        """Row space of (basis of self) . t, for t with self.n rows."""
-        if t.rows != self.n or t.field != self.field:
+    def image(self, outer: "Subspace") -> "Subspace":
+        """self, given in the coordinates of outer's basis, lifted into
+        outer's ambient space.
+
+        A product of RREF bases is in RREF, with the pivots of outer taken
+        at self's pivots, so nothing is reduced again.
+        """
+        if self.n != outer.dim or self.field != outer.field:
             raise ValueError("shape or field mismatch in subspace image")
-        trows = [t.row(i) for i in range(t.rows)]
-        return Subspace.from_vectors(self.field, t.cols, [
-            combine(r, trows, self.field.p) for r in self.basis_rows()])
+        return Subspace(self.field, outer.n, self.basis @ outer.basis,
+                        tuple(outer.pivots[c] for c in self.pivots))
 
     def contains_vector(self, v) -> bool:
         return not any(self.reduce_vector(v))

@@ -14,7 +14,7 @@ from itertools import combinations
 from .altspace import AltMatrixSpace, block_alternating, elementary_alternating
 from .bipartite import MatrixSpace
 from .errors import as_guard
-from .ffield import Matrix, PrimeField, invert, projective_vectors
+from .ffield import Matrix, PrimeField, invert, projective_vectors, stacked_products
 
 
 def singular_exists_brute(b: MatrixSpace, guard=None):
@@ -71,10 +71,11 @@ def right_degree_min(bprime, guard=None) -> int:
     field = bprime[0].field
     m = bprime[0].cols
     g = as_guard(guard)
+    # the rows v^t B'_i^t are the vectors B'_i v
+    bt = [mat.transpose() for mat in bprime]
     best = n
     for v in projective_vectors(field, m, guard=g):
-        cols = [mat.apply(v) for mat in bprime]
-        r = Matrix.from_rows(field, cols).rank()
+        r = stacked_products(Matrix._reduced(field, 1, m, v), bt).rank()
         if r < best:
             best = r
             if best == 0:
@@ -82,7 +83,7 @@ def right_degree_min(bprime, guard=None) -> int:
     return best
 
 
-def baer_generators(tensor, p: int | None = None):
+def baer_generators(tensor):
     """The 1+n+m generators of the Baer group of an alternating tuple.
 
     tensor is an ordered tuple (A_1, ..., A_m) of alternating n x n
@@ -104,8 +105,7 @@ def baer_generators(tensor, p: int | None = None):
     dim = 1 + n + m
     gens = []
     for i in range(n):
-        ei = tuple(1 if t == i else 0 for t in range(n))
-        cols = [a.apply(ei) for a in tensor]   # columns of B_i, each in F^n
+        cols = [a.col(i) for a in tensor]   # columns A_c e_i of B_i, each in F^n
         g = [[0] * dim for _ in range(dim)]
         g[0][0] = 1
         g[0][1 + i] = 1
@@ -129,21 +129,17 @@ def baer_generators(tensor, p: int | None = None):
 class MatrixGroupClosure:
     """A finite matrix group stored explicitly (tiny scale only)."""
 
-    __slots__ = ("field", "k", "generators", "elements", "_index")
+    __slots__ = ("field", "k", "generators", "elements")
 
     def __init__(self, field: PrimeField, generators, elements):
         self.field = field
         self.k = generators[0].rows if generators else 0
         self.generators = tuple(generators)
         self.elements = tuple(elements)
-        self._index = {m.entries for m in self.elements}
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, m: Matrix) -> bool:
-        return m.entries in self._index
 
     def is_abelian(self) -> bool:
         els = self.elements

@@ -44,15 +44,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return sum(1 for (a, b) in self.edges if a == i or b == i)
 
-    def neighbours(self, i: int):
-        out = []
-        for (a, b) in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in set(self.edges)
 

@@ -155,7 +155,7 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
             # rad(sp), plus rad(sp), for V maximal of the (non-degenerate)
             # restriction to that complement
             comp = rad.coordinate_complement()
-            return [v.image(comp.basis).sum(rad) for v in rec(restrict(sp, comp))]
+            return [v.image(comp).sum(rad) for v in rec(restrict(sp, comp))]
         # non-degenerate: branch on the closed neighbourhood of a
         # minimum-degree vector
         reps = list(projective_vectors(field, n, guard=g))
@@ -175,7 +175,7 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
             rw = rads[w]
             sub = restrict(sp, rw)
             for m in rec(sub):
-                cand = m.image(rw.basis)
+                cand = m.image(rw)
                 ck = cand.key()
                 if ck in found:
                     continue
@@ -322,7 +322,7 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
             if best is not None and 1 + -(-(u.dim - v.dim) // alpha_u) >= best[0]:
                 continue
             for w in enumerate_complements(v, guard=g):
-                cw, _, _ = rec(w.image(u.basis))
+                cw, _, _ = rec(w.image(u))
                 if best is None or 1 + cw < best[0]:
                     best = (1 + cw, v, w)
                     if best[0] == lb:
@@ -338,8 +338,8 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     c, v, w = rec(u)
     parts = []
     while v is not None:
-        parts.append(v.image(u.basis))
-        u = w.image(u.basis)
+        parts.append(v.image(u))
+        u = w.image(u)
         _, v, w = rec(u)
     validate_decomposition(space, parts)
     return c, parts

@@ -199,6 +199,12 @@ def test_count_iso_formula_rejects_q_below_2(capsys):
     assert _fails_cleanly(["count", "iso-formula", "4", "1", "1"], capsys) == 2
 
 
+def test_count_outside_the_domain_is_an_input_error(capsys):
+    # well-formed arguments with no answer: an odd-dimensional form, d > n
+    assert _fails_cleanly(["count", "iso-formula", "3", "1", "2"], capsys) == 5
+    assert _fails_cleanly(["count", "gaussian", "2", "3", "2"], capsys) == 5
+
+
 def test_adjoint_find_hyperbolic_on_a_line(tmp_path):
     # n = 1 has no isotropic 2-decomposition, though the search succeeds
     line = tmp_path / "line.ams"

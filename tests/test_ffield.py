@@ -233,19 +233,22 @@ def test_combine_reduces_and_handles_no_rows():
 
 
 def test_subspace_image_matches_matrix_product():
+    # reference: the row space of the product of the two bases, reduced again
     rng = random.Random(37)
     for _ in range(60):
         f = rng.choice([F2, F3])
-        k, n = rng.randint(1, 5), rng.randint(1, 6)
-        t = Matrix.from_rows(f, _random_rows(rng, f, k, n))
+        n = rng.randint(1, 6)
+        outer = Subspace.from_vectors(f, n, _random_rows(rng, f, rng.randint(0, n), n))
+        k = outer.dim
         s = Subspace.from_vectors(f, k, _random_rows(rng, f, rng.randint(0, k), k))
         if s.dim == 0:
             want = Subspace.zero(f, n)
         else:
-            want = Subspace.from_matrix(s.basis @ t)
-        assert s.image(t) == want
-    # the zero subspace maps to the zero subspace of the target
-    t = Matrix.from_rows(F3, [(1, 2, 0), (0, 1, 1)])
-    assert Subspace.zero(F3, 2).image(t) == Subspace.zero(F3, 3)
+            want = Subspace.from_matrix(s.basis @ outer.basis)
+        got = s.image(outer)
+        assert got == want and got.pivots == want.pivots
+    # the zero subspace maps to the zero subspace of the outer ambient space
+    outer = Subspace.from_vectors(F3, 3, [(1, 2, 0), (0, 1, 1)])
+    assert Subspace.zero(F3, 2).image(outer) == Subspace.zero(F3, 3)
     with pytest.raises(ValueError):
-        Subspace.zero(F3, 3).image(t)
+        Subspace.zero(F3, 3).image(outer)
