@@ -17,7 +17,7 @@ from .ffield import (Matrix, PrimeField, Subspace, enumerate_complements,
 from .altspace import (AltMatrixSpace, degree, elementary_alternating,
                        is_isotropic, isometry_transform, max_degree,
                        max_rank_bruteforce, nondegenerate_part, rad_of,
-                       radical_space, restrict)
+                       radical_space, restrict, validate_decomposition)
 from .graphs import (Graph, coloring_from_decomposition, graph_alpha_brute,
                      graph_chi_brute, independent_set_from_isotropic,
                      is_bipartite_bfs, space_from_graph)
@@ -26,8 +26,7 @@ from .isotropic import (IsotropicLattice, alpha_exact, chi_brute, chi_lawler,
                         enumerate_maximal_branch, enumerate_maximal_filter,
                         greedy_deg_decomposition, greedy_maximal,
                         greedy_part_bound, has_isotropic_dim2,
-                        isotropic_count_formula, two_decomposition_brute,
-                        validate_decomposition)
+                        isotropic_count_formula, two_decomposition_brute)
 from .bipartite import (AdjointAlgebra, MatrixSpace, adjoint_algebra,
                         alpha_bipartite, bipartite_space_from_blocks,
                         block_space_from_bipartite,

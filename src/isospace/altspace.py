@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import as_guard
+from .errors import VerificationError, as_guard
 from .ffield import (Matrix, PrimeField, Subspace, all_vectors, are_independent,
                      combine, hstack, kernel, span_basis, stacked_products, vstack)
 
@@ -191,20 +191,35 @@ def is_isotropic(space: AltMatrixSpace, u: Subspace) -> bool:
     return all(((b @ m) @ bt).is_zero() for m in space.basis)
 
 
-def nondegenerate_part(space: AltMatrixSpace):
-    """Restrict to a complement of rad(A).
+def validate_decomposition(space: AltMatrixSpace, parts) -> None:
+    """Raise VerificationError unless parts is an isotropic decomposition:
+    nonzero isotropic subspaces of F^n whose bases together form a basis."""
+    n = space.n
+    for u in parts:
+        if u.n != n or u.field != space.field:
+            raise VerificationError("decomposition part lies in another ambient space")
+        if u.dim == 0:
+            raise VerificationError("decomposition part is the zero space")
+        if not is_isotropic(space, u):
+            raise VerificationError("decomposition part is not isotropic")
+    rows = [r for u in parts for r in u.basis_rows()]
+    if len(rows) != n or Subspace.from_vectors(space.field, n, rows).dim != n:
+        raise VerificationError("parts do not form a direct sum decomposition of F^n")
 
-    Returns (space', T) with T invertible, columns ordered [complement |
-    radical], such that T^t A T is block-diagonal with the nondegenerate
-    space' in the leading block.  space' has zero radical.
+
+def nondegenerate_part(space: AltMatrixSpace):
+    """(A|_comp, comp, rad): rad = rad(A), comp its coordinate complement,
+    and the restriction of A to comp, which has zero radical.
+
+    Every maximal isotropic space of A is V lifted through comp plus rad,
+    for V maximal isotropic in the part.  A non-degenerate space is its
+    own part, on the full space.
     """
     rad = radical_space(space)
+    if rad.dim == 0:
+        return space, Subspace.full(space.field, space.n), rad
     comp = rad.coordinate_complement()
-    cols = comp.basis_rows() + rad.basis_rows()
-    t = Matrix.from_rows(space.field, cols).transpose() if cols else \
-        Matrix(space.field, space.n, 0, ())
-    part = restrict(space, comp)
-    return part, t
+    return restrict(space, comp), comp, rad
 
 
 def max_rank_bruteforce(space: AltMatrixSpace, guard=None) -> int:

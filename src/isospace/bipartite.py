@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 
 from .altspace import (AltMatrixSpace, block_alternating, is_isotropic,
-                       nondegenerate_part, radical_space)
+                       nondegenerate_part, radical_space, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import (Matrix, PrimeField, Subspace, are_independent, combine,
                      enumerate_subspaces, kernel, span_basis, stacked_products)
@@ -69,38 +69,18 @@ def bipartite_space_from_blocks(b: MatrixSpace) -> AltMatrixSpace:
                                           [block_alternating(m) for m in b.basis])
 
 
-def _splitting_transform(space: AltMatrixSpace, u1: Subspace, u2: Subspace) -> Matrix:
-    """Column transform aligning the parts of a 2-decomposition with the
-    leading and trailing coordinates; raises unless (u1, u2) really is an
-    isotropic 2-decomposition of the space."""
-    n = space.n
-    if u1.n != n or u2.n != n:
-        raise VerificationError("not an isotropic 2-decomposition: ambient mismatch")
-    if u1.dim == 0 or u2.dim == 0 or u1.dim + u2.dim != n \
-            or u1.sum(u2).dim != n:
-        raise VerificationError("not an isotropic 2-decomposition: not a direct sum")
-    if not (is_isotropic(space, u1) and is_isotropic(space, u2)):
-        raise VerificationError("not an isotropic 2-decomposition: parts not isotropic")
-    cols = u1.basis_rows() + u2.basis_rows()
-    return Matrix.from_rows(space.field, cols).transpose()
-
-
 def block_space_from_bipartite(space: AltMatrixSpace, u1: Subspace,
                                u2: Subspace) -> MatrixSpace:
     """Extract B <= M(s x t) from a bipartite space via its 2-decomposition.
 
-    Applies the isometry aligning u1, u2 with the coordinates and reads the
-    upper-right blocks of the transformed basis.
+    The blocks are U1 A U2^t for the RREF bases U1, U2 of the parts: entry
+    (i, j) is the form of row i of U1 against row j of U2.  Raises unless
+    (u1, u2) is an isotropic 2-decomposition of the space.
     """
-    t = _splitting_transform(space, u1, u2)
-    s, tt = u1.dim, u2.dim
-    tmat = t.transpose()
-    blocks = []
-    for m in space.basis:
-        moved = (tmat @ m) @ t
-        rows = [[moved[i, s + j] for j in range(tt)] for i in range(s)]
-        blocks.append(Matrix.from_rows(space.field, rows))
-    return MatrixSpace.from_generators(space.field, s, tt, blocks)
+    validate_decomposition(space, [u1, u2])
+    u2t = u2.basis.transpose()
+    return MatrixSpace.from_generators(space.field, u1.dim, u2.dim,
+                                       [(u1.basis @ m) @ u2t for m in space.basis])
 
 
 def ncrk_witness_pair(b: MatrixSpace, guard=None):
@@ -282,23 +262,18 @@ def decomposition_from_hyperbolic(space: AltMatrixSpace, p: Matrix):
     zero; raises VerificationError unless the result is a decomposition.
     """
     n = space.n
-    rad = radical_space(space)
-    if rad.dim == n:
+    if space.dim == 0:
         if n < 2:
             return None
         e1 = Subspace.from_vectors(space.field, n, [(1,) + (0,) * (n - 1)])
         return e1, e1.coordinate_complement()
-    v1, v2 = decomposition_from_idempotent(p)
-    if v1.dim == 0 or v2.dim == 0:
+    _, comp, rad = nondegenerate_part(space)
+    u1, u2 = decomposition_from_idempotent(p)
+    if u1.dim == 0 or u2.dim == 0:
         return None
-    if rad.dim == 0:
-        u1, u2 = v1, v2           # a non-degenerate space is its own part
-    else:
-        comp = rad.coordinate_complement()
-        u1, u2 = v1.image(comp).sum(rad), v2.image(comp)
-    if not (is_isotropic(space, u1) and is_isotropic(space, u2)
-            and u1.dim + u2.dim == n and u1.sum(u2).dim == n):
-        raise VerificationError("idempotent decomposition failed verification")
+    if rad.dim:
+        u1, u2 = u1.image(comp).sum(rad), u2.image(comp)
+    validate_decomposition(space, [u1, u2])
     return u1, u2
 
 
@@ -312,6 +287,6 @@ def two_decomposition_via_adjoint(space: AltMatrixSpace, guard=None):
     """
     if space.n < 2:
         return None
-    part = space if radical_space(space).dim == 0 else nondegenerate_part(space)[0]
+    part = nondegenerate_part(space)[0]
     p = hyperbolic_idempotent_search(adjoint_algebra(part), guard=guard)
     return None if p is None else decomposition_from_hyperbolic(space, p)

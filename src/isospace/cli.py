@@ -18,9 +18,8 @@ import time
 
 from . import io as formats
 from .altspace import (is_isotropic, max_rank_bruteforce, nondegenerate_part,
-                       radical_space, degree)
+                       radical_space, degree, validate_decomposition)
 from .bipartite import (adjoint_algebra, alpha_bipartite,
-                        block_space_from_bipartite,
                         decomposition_from_hyperbolic,
                         hyperbolic_idempotent_search, ncrk_brute,
                         ncrk_pad_square, two_decomposition_via_adjoint)
@@ -35,8 +34,7 @@ from .graphs import (coloring_from_decomposition,
 from .isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover,
                         enumerate_maximal_branch, enumerate_maximal_filter,
                         greedy_deg_decomposition, greedy_maximal,
-                        has_isotropic_dim2, isotropic_count_formula,
-                        validate_decomposition)
+                        has_isotropic_dim2, isotropic_count_formula)
 from .quantum import (channel_from_graph, decide_iso_2_decomposition,
                       fidelity_pure, period)
 
@@ -210,16 +208,15 @@ def cmd_alpha_bipartite(args, guard):
                                     "2-decomposition found); give --u1/--u2")
         u1, u2 = pair
     a, wit = alpha_bipartite(space, u1, u2, guard=guard)
-    b = block_space_from_bipartite(space, u1, u2)
     return dig, {"alpha": a, "witness": _rows(wit), "ncrk": space.n - a,
-                 "block_shape": [b.s, b.t], "field": space.field.p, "n": space.n}
+                 "block_shape": [u1.dim, u2.dim], "field": space.field.p,
+                 "n": space.n}
 
 
 def cmd_adjoint(args, guard):
     space, dig = _load_space(args)
-    rad = radical_space(space)
-    reduced = nondegenerate_part(space)[0] if rad.dim else space
-    adj = adjoint_algebra(reduced)
+    part, _, rad = nondegenerate_part(space)
+    adj = adjoint_algebra(part)
     res = {"dim": adj.dim, "ambient": adj.n, "field": space.field.p,
            "reduced_from_radical_dim": rad.dim}
     if args.find_hyperbolic:
@@ -445,8 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv) -> dict:
     """Execute one CLI invocation and return the Report dict."""
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    return _report(build_parser().parse_args(argv))
+
+
+def _report(args) -> dict:
+    """Run the subcommand of parsed arguments and return the Report dict."""
     guard = Guard(args.guard)
     t0 = time.time()
     digest, results = args.fn(args, guard)
@@ -461,15 +461,10 @@ def run_command(argv) -> dict:
     return report
 
 
-def _wants_json(argv) -> bool:
-    return "--json" in argv
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        report = run_command(argv)
+        args = build_parser().parse_args(argv)
+        report = _report(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
@@ -482,7 +477,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 5
-    if _wants_json(argv):
+    if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
         res = report["results"]

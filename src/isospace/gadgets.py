@@ -154,11 +154,11 @@ class MatrixGroupClosure:
         g = as_guard(guard)
         comms = []
         seen = set()
-        for a in self.elements:
-            ia = invert(a)
-            for b in self.elements:
+        inverses = [invert(a) for a in self.elements]
+        for a, ia in zip(self.elements, inverses):
+            for b, ib in zip(self.elements, inverses):
                 g.tick()
-                c = ((ia @ invert(b)) @ a) @ b
+                c = ((ia @ ib) @ a) @ b
                 if c.entries not in seen:
                     seen.add(c.entries)
                     comms.append(c)

@@ -8,7 +8,8 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from .altspace import AltMatrixSpace, elementary_alternating, is_isotropic
+from .altspace import (AltMatrixSpace, elementary_alternating, is_isotropic,
+                       validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import PrimeField, Subspace
 
@@ -127,17 +128,9 @@ def coloring_from_decomposition(g: Graph, parts) -> list:
     Laplace expansion of the full change-of-basis determinant); every block
     is verified independent.
     """
-    field = parts[0].field
-    space = space_from_graph(g, field)
-    total = Subspace.zero(field, g.n)
-    dims = 0
-    for u in parts:
-        if u.dim == 0 or not is_isotropic(space, u):
-            raise VerificationError("not a decomposition: part is zero or not isotropic")
-        dims += u.dim
-        total = total.sum(u)
-    if dims != g.n or total.dim != g.n:
-        raise VerificationError("not a decomposition: parts do not form a direct sum of F^n")
+    # no part, no field: the empty list decomposes F^0 alone, over any field
+    field = parts[0].field if parts else PrimeField(2)
+    validate_decomposition(space_from_graph(g, field), parts)
     parts_cols = [(u.basis, u.dim) for u in parts]
     res = _part_assignment(parts_cols, set(range(g.n)), 0, [])
     if res is None:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from .altspace import (AltMatrixSpace, is_isotropic, rad_of, radical_space,
-                       restrict)
+from .altspace import (AltMatrixSpace, is_isotropic, nondegenerate_part, rad_of,
+                       restrict, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import (Subspace, combine, enumerate_complements,
                      projective_vectors)
@@ -149,13 +149,10 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
         field, n = sp.field, sp.n
         if sp.dim == 0:
             return [Subspace.full(field, n)]
-        rad = radical_space(sp)
+        part, comp, rad = nondegenerate_part(sp)
         if rad.dim > 0:
-            # maximal spaces of sp = V lifted through a complement of
-            # rad(sp), plus rad(sp), for V maximal of the (non-degenerate)
-            # restriction to that complement
-            comp = rad.coordinate_complement()
-            return [v.image(comp).sum(rad) for v in rec(restrict(sp, comp))]
+            # every maximal space of sp is one of the part's, lifted, plus rad
+            return [v.image(comp).sum(rad) for v in rec(part)]
         # non-degenerate: branch on the closed neighbourhood of a
         # minimum-degree vector
         reps = list(projective_vectors(field, n, guard=g))
@@ -191,22 +188,6 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
 
 # ---------------------------------------------------------------------------
 # chi: three independent computations
-
-def validate_decomposition(space: AltMatrixSpace, parts) -> None:
-    """Raise VerificationError unless parts is an isotropic decomposition."""
-    n = space.n
-    total_dim = 0
-    acc = Subspace.zero(space.field, n)
-    for u in parts:
-        if u.dim == 0:
-            raise VerificationError("decomposition part is the zero space")
-        if not is_isotropic(space, u):
-            raise VerificationError("decomposition part is not isotropic")
-        total_dim += u.dim
-        acc = acc.sum(u)
-    if total_dim != n or acc.dim != n:
-        raise VerificationError("parts do not form a direct sum decomposition of F^n")
-
 
 def _vector_mask(sub: Subspace) -> int:
     """Bitmask over vector indices (base-q digits) of all vectors of sub."""

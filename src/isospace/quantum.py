@@ -8,9 +8,10 @@ in complex floating point with explicit tolerances.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .graphs import Graph
+
+# numpy is imported inside the functions that use it, so importing the
+# package (and so every CLI command but `quantum`) does not load it.
 
 CHANNEL_TOL = 1e-10
 EIG_TOL = 1e-8
@@ -26,6 +27,7 @@ class QuantumChannel:
     __slots__ = ("n", "kraus")
 
     def __init__(self, kraus):
+        import numpy as np
         kraus = [np.asarray(k, dtype=complex) for k in kraus]
         if not kraus:
             raise ValueError("need at least one Kraus operator")
@@ -53,6 +55,7 @@ class ComplexSubspace:
     __slots__ = ("n", "basis")
 
     def __init__(self, basis: np.ndarray):
+        import numpy as np
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim != 2:
             raise ValueError("basis must be an n x d array of columns")
@@ -66,6 +69,7 @@ class ComplexSubspace:
     @classmethod
     def from_vectors(cls, n: int, vectors) -> "ComplexSubspace":
         """Orthonormalize a spanning list of vectors (rank revealed by QR)."""
+        import numpy as np
         arr = np.array([np.asarray(v, dtype=complex) for v in vectors]).T
         if arr.size == 0:
             return cls(np.zeros((n, 0), dtype=complex))
@@ -87,6 +91,7 @@ def channel_from_graph(g: Graph) -> QuantumChannel:
     Requires a connected graph with no isolated vertex; the resulting
     channel is irreducible with 2|E| Kraus operators.
     """
+    import numpy as np
     if g.n == 0 or not g.is_connected() or any(g.degree(i) == 0 for i in range(g.n)):
         raise ValueError("channel construction needs a connected graph "
                          "with every vertex degree >= 1")
@@ -108,6 +113,7 @@ def channel_matrix(ch: QuantumChannel) -> np.ndarray:
     With row-major vectorization, applying it to vec(rho) equals
     vec(sum_i B_i rho B_i^dagger).
     """
+    import numpy as np
     return sum(np.kron(k, k.conj()) for k in ch.kraus)
 
 
@@ -118,6 +124,7 @@ def is_irreducible(ch: QuantumChannel):
     and the fixed point, Hermitized and trace-normalized, must be positive
     definite.
     """
+    import numpy as np
     m = channel_matrix(ch)
     n = ch.n
     vals, vecs = np.linalg.eig(m)
@@ -141,6 +148,7 @@ def period(ch: QuantumChannel) -> int:
 
     Defined for irreducible channels only.
     """
+    import numpy as np
     ok, _ = is_irreducible(ch)
     if not ok:
         raise ValueError("period is defined for irreducible channels")
@@ -156,6 +164,7 @@ def decide_iso_2_decomposition(ch: QuantumChannel) -> bool:
 
 def is_isotropic_subspace(ch: QuantumChannel, u: ComplexSubspace) -> bool:
     """True iff |a^dagger B_i b| < tol for all basis pairs and Kraus."""
+    import numpy as np
     if u.n != ch.n:
         raise ValueError("ambient mismatch")
     b = u.basis
@@ -167,6 +176,7 @@ def is_isotropic_subspace(ch: QuantumChannel, u: ComplexSubspace) -> bool:
 
 def is_noiseless_subspace(ch: QuantumChannel, u: ComplexSubspace) -> bool:
     """True iff every Kraus operator fixes u pointwise."""
+    import numpy as np
     if u.n != ch.n:
         raise ValueError("ambient mismatch")
     if u.dim == 0:
@@ -184,6 +194,7 @@ def fidelity_pure(ch: QuantumChannel, u) -> float:
     Equals sum_i |u^dagger B_i u|^2, clamped to [0, 1]; u must be a unit
     vector.
     """
+    import numpy as np
     u = np.asarray(u, dtype=complex).reshape(-1)
     if u.shape[0] != ch.n:
         raise ValueError("ambient mismatch")

@@ -5,7 +5,9 @@ import pytest
 from isospace.altspace import (AltMatrixSpace, degree, elementary_alternating,
                                is_isotropic, isometry_transform, max_degree,
                                max_rank_bruteforce, nondegenerate_part,
-                               rad_of, radical_space, restrict)
+                               rad_of, radical_space, restrict,
+                               validate_decomposition)
+from isospace.errors import VerificationError
 from isospace.ffield import Matrix, PrimeField, Subspace
 
 F2 = PrimeField(2)
@@ -217,18 +219,54 @@ def test_nondegenerate_part():
     m = Matrix.from_rows(F2, [[0, 1, 0, 0], [1, 0, 0, 0],
                               [0, 0, 0, 0], [0, 0, 0, 0]])
     sp = AltMatrixSpace(F2, 4, [m])
-    part, t = nondegenerate_part(sp)
+    part, comp, rad = nondegenerate_part(sp)
     assert part.n == 2 and part.dim == 1
-    assert radical_space(part).dim == 0
-    assert t.rank() == 4
-    # nondegenerate input: ambient unchanged, radical stays zero
+    assert rad == Subspace.from_vectors(F2, 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    assert comp == Subspace.from_vectors(F2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    # on random spaces: comp + rad = F^n directly, and the part is A|_comp
+    # with zero radical
+    rng = random.Random(41)
+    for _ in range(30):
+        f = rng.choice([F2, F3])
+        n = rng.randint(1, 5)
+        sp = random_space(rng, f, n, rng.randint(0, 3))
+        part, comp, rad = nondegenerate_part(sp)
+        assert rad == radical_space(sp)
+        assert comp.dim + rad.dim == n and comp.sum(rad).dim == n
+        assert part == restrict(sp, comp)
+        assert radical_space(part).dim == 0
+    # nondegenerate input comes back unchanged, on the full space
     nd = AltMatrixSpace(F3, 2, [J2_F3])
-    part2, _ = nondegenerate_part(nd)
-    assert part2.n == 2 and radical_space(part2).dim == 0
+    part2, comp2, rad2 = nondegenerate_part(nd)
+    assert part2 is nd and comp2 == Subspace.full(F3, 2) and rad2.dim == 0
     # zero space: empty ambient
     z = AltMatrixSpace.zero_space(F3, 2)
-    part3, _ = nondegenerate_part(z)
+    part3, comp3, rad3 = nondegenerate_part(z)
     assert part3.n == 0 and part3.dim == 0
+    assert comp3.dim == 0 and rad3 == Subspace.full(F3, 2)
+
+
+def test_validate_decomposition():
+    sp = AltMatrixSpace(F3, 2, [J2_F3])
+    e1 = Subspace.from_vectors(F3, 2, [(1, 0)])
+    e2 = Subspace.from_vectors(F3, 2, [(0, 1)])
+    validate_decomposition(sp, [e1, e2])
+    validate_decomposition(AltMatrixSpace.zero_space(F3, 0), [])
+    for parts, msg in (([], "direct sum"), ([e1], "direct sum"),
+                       ([e1, e2, e2], "direct sum"),
+                       ([Subspace.full(F3, 2)], "not isotropic"),
+                       ([e1, Subspace.zero(F3, 2), e2], "zero space")):
+        with pytest.raises(VerificationError, match=msg):
+            validate_decomposition(sp, parts)
+
+
+def test_validate_decomposition_rejects_another_ambient():
+    sp = AltMatrixSpace(F3, 2, [J2_F3])
+    e1 = Subspace.from_vectors(F3, 2, [(1, 0)])
+    for other in (Subspace.from_vectors(F3, 3, [(0, 1, 0)]),
+                  Subspace.from_vectors(F2, 2, [(0, 1)])):
+        with pytest.raises(VerificationError, match="another ambient"):
+            validate_decomposition(sp, [e1, other])
 
 
 def test_max_rank():

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +242,37 @@ def test_malformed_arguments_stay_parse_errors(files, tmp_path, capsys):
                  ["quantum", "fidelity", "-f", files["c4.graph"], "--state", "1 x 0 0"],
                  ["quantum", "fidelity", "-f", files["c4.graph"], "--state", "1 0"]):
         assert _fails_cleanly(argv, capsys) == 2, argv
+
+
+def test_to_graph_witness_with_no_parts(files, tmp_path, capsys):
+    report = tmp_path / "empty.json"
+    report.write_text(json.dumps({"results": {"field": 2, "parts": []}}))
+    assert _fails_cleanly(["to-graph-witness", "-f", files["p3.graph"],
+                           "--report", str(report)], capsys) == 4
+    # the empty decomposition is the one decomposition of F^0
+    empty = tmp_path / "empty.graph"
+    empty.write_text("graph 0\n")
+    rep = run_command(["to-graph-witness", "-f", str(empty), "--report", str(report)])
+    assert rep["results"]["coloring"] == [] and rep["results"]["count"] == 0
+
+
+def test_json_flag_is_read_from_the_parsed_arguments(capsys):
+    for argv in (["count", "gaussian", "4", "2", "2", "--js"],
+                 ["count", "gaussian", "4", "2", "2", "--json"],
+                 ["--json", "count", "gaussian", "4", "2", "2"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["results"]["value"] == "35", argv
+    assert main(["count", "gaussian", "4", "2", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "what: gaussian"
+
+
+def test_import_leaves_numpy_unloaded():
+    import isospace
+    src = str(Path(isospace.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import isospace, isospace.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -7,9 +7,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from isospace.altspace import degree, is_isotropic, rad_of
-from isospace.bipartite import alpha_bipartite, bipartite_space_from_blocks, ncrk_brute
-from isospace.ffield import Matrix, Subspace, rref_canonicalize
+from isospace.altspace import degree, is_isotropic, isometry_transform, rad_of
+from isospace.bipartite import (alpha_bipartite, bipartite_space_from_blocks,
+                                block_space_from_bipartite, ncrk_brute)
+from isospace.ffield import Matrix, Subspace, invert, rref_canonicalize, vstack
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover,
                                 enumerate_maximal_branch, enumerate_maximal_filter,
                                 validate_decomposition)
@@ -91,6 +92,29 @@ def test_alpha_from_the_lattice_equals_alpha_from_ncrk(b):
     alpha = alpha_exact(space)[0]
     assert alpha == n - ncrk_brute(b)
     assert alpha_bipartite(space, u1, u2)[0] == alpha
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_spaces(), st.randoms(use_true_random=False))
+def test_block_space_of_a_moved_split(b, rng):
+    # a random split F^n = U1 + U2 with RREF bases R1, R2; for R = [R1; R2]
+    # and T = (R^-1)^t, the isometry T^t A T carries the coordinate split of
+    # A = [[0, B], [-B^t, 0]] to (U1, U2), and R1 (T^t A T) R2^t = B
+    field, s, t = b.field, b.s, b.t
+    n = s + t
+    # an invertible L U with unit triangular factors, its rows shuffled
+    lower = [[int(i == j) if j >= i else rng.randrange(field.p) for j in range(n)]
+             for i in range(n)]
+    upper = [[int(i == j) if j <= i else rng.randrange(field.p) for j in range(n)]
+             for i in range(n)]
+    rows = (Matrix.from_rows(field, lower) @ Matrix.from_rows(field, upper)).row_list()
+    rng.shuffle(rows)
+    u1 = Subspace.from_vectors(field, n, rows[:s])
+    u2 = Subspace.from_vectors(field, n, rows[s:])
+    tm = invert(vstack(u1.basis, u2.basis)).transpose()
+    moved = isometry_transform(bipartite_space_from_blocks(b), tm)
+    assert block_space_from_bipartite(moved, u1, u2).basis == b.basis
+    assert alpha_bipartite(moved, u1, u2)[0] == n - ncrk_brute(b)
 
 
 @settings(max_examples=60, deadline=None)
