@@ -12,10 +12,11 @@ from __future__ import annotations
 from itertools import product
 
 from .altspace import (AltMatrixSpace, block_alternating, is_isotropic,
-                       nondegenerate_part, radical_space, validate_decomposition)
+                       nondegenerate_part, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import (Matrix, PrimeField, Subspace, are_independent, combine,
-                     enumerate_subspaces, kernel, span_basis, stacked_products)
+                     enumerate_subspaces, kernel, solve_linear, span_basis,
+                     stacked_products)
 
 
 class MatrixSpace:
@@ -169,22 +170,15 @@ class AdjointAlgebra:
     def dim(self) -> int:
         return len(self.pairs)
 
-    def element(self, coeffs):
-        """(D, D*) for the combination given by coeffs over the pair basis."""
-        field, n = self.field, self.n
-        d = combine(coeffs, [d.entries for d, _ in self.pairs], field.p)
-        b = combine(coeffs, [b.entries for _, b in self.pairs], field.p)
-        return Matrix._reduced(field, n, n, d), Matrix._reduced(field, n, n, b)
-
 
 def adjoint_algebra(space: AltMatrixSpace) -> AdjointAlgebra:
     """Solve B^t A_i = A_i D for all i in the 2n^2 unknowns (D, B).
 
     The space must be non-degenerate (then B is unique given D and the
-    pair basis projects injectively to the D side).
+    pair basis projects injectively to the D side).  (0, B) solves iff B's
+    columns lie in rad(A), so the space is degenerate iff the RREF kernel
+    has a pivot on the B side.
     """
-    if radical_space(space).dim != 0:
-        raise ValueError("adjoint algebra requires a non-degenerate space")
     n = space.n
     field = space.field
     p = field.p
@@ -207,11 +201,9 @@ def adjoint_algebra(space: AltMatrixSpace) -> AdjointAlgebra:
                     if f:
                         row[nn + k * n + r] = (row[nn + k * n + r] + f) % p
                 rows.append(row)
-    if not rows:
-        # zero space on F^0 only (non-degenerate otherwise implies basis)
-        return AdjointAlgebra(field, n, ())
-    system = Matrix.from_rows(field, rows)
-    ker = kernel(system)
+    ker = kernel(Matrix(field, len(rows), 2 * nn, [e for r in rows for e in r]))
+    if ker.pivots and ker.pivots[-1] >= nn:
+        raise ValueError("adjoint algebra requires a non-degenerate space")
     pairs = []
     for sol in ker.basis_rows():
         d = Matrix(field, n, n, sol[:nn])
@@ -221,21 +213,26 @@ def adjoint_algebra(space: AltMatrixSpace) -> AdjointAlgebra:
 
 
 def hyperbolic_idempotent_search(adj: AdjointAlgebra, guard=None):
-    """Scan Adj for P with P^2 = P and P* = I - P, in coefficient order.
-
-    Returns the first such P (a Matrix) or None.
+    """The first P = sum c_i D_i of Adj, in coefficient order, with P^2 = P
+    and P* = I - P, or None.  P* = I - P is solved once: c0, reduced by the
+    RREF kernel, is zero at its pivots, so t in product order gives
+    c = c0 + sum t_j k_j in coefficient order (c is t_j at pivot j, and each
+    other coordinate depends only on earlier pivots).
     """
     g = as_guard(guard)
-    q = adj.field.p
-    m = adj.dim
-    n = adj.n
-    ident = Matrix.identity(adj.field, n)
-    g.require(q**m)
-    for coeffs in product(range(q), repeat=m):
+    field, n, q = adj.field, adj.n, adj.field.p
+    sums = [combine((1, 1), [d.entries, b.entries], q) for d, b in adj.pairs]
+    system = Matrix._reduced(field, n * n, adj.dim,
+                             tuple(e for col in zip(*sums) for e in col))
+    c0, ker = solve_linear(system, Matrix.identity(field, n).entries)
+    if c0 is None:
+        return None
+    ds = [d.entries for d, _ in adj.pairs]     # P = P0 + sum t_j K_j
+    gens = [combine(c, ds, q) for c in [ker.reduce_vector(c0)] + ker.basis_rows()]
+    g.require(q ** ker.dim)
+    for t in product(range(q), repeat=ker.dim):
         g.tick()
-        d, b = adj.element(coeffs)
-        if b != ident - d:
-            continue
+        d = Matrix._reduced(field, n, n, combine((1,) + t, gens, q))
         if d @ d == d:
             return d
     return None
@@ -252,14 +249,16 @@ def decomposition_from_idempotent(p: Matrix):
     return image, ker
 
 
-def decomposition_from_hyperbolic(space: AltMatrixSpace, p: Matrix):
+def decomposition_from_hyperbolic(space: AltMatrixSpace, p: Matrix,
+                                  comp: Subspace, rad: Subspace):
     """The isotropic 2-decomposition (u1, u2) of a space given by a
-    hyperbolic idempotent P of the adjoint algebra of its non-degenerate part.
+    hyperbolic idempotent P of the adjoint algebra of its non-degenerate part
+    and by the (comp, rad) that nondegenerate_part(space) returns.
 
-    im P and ker P are lifted through the complement of rad(A) that carries
-    that part, and rad(A) joins the first part; the zero space is split as
-    <e_1> + <e_2, ..., e_n> whatever P.  Returns None when a part would be
-    zero; raises VerificationError unless the result is a decomposition.
+    im P and ker P are lifted through comp, and rad joins the first part;
+    the zero space is split as <e_1> + <e_2, ..., e_n> whatever P.  Returns
+    None when a part would be zero; raises VerificationError unless the
+    result is a decomposition.
     """
     n = space.n
     if space.dim == 0:
@@ -267,7 +266,6 @@ def decomposition_from_hyperbolic(space: AltMatrixSpace, p: Matrix):
             return None
         e1 = Subspace.from_vectors(space.field, n, [(1,) + (0,) * (n - 1)])
         return e1, e1.coordinate_complement()
-    _, comp, rad = nondegenerate_part(space)
     u1, u2 = decomposition_from_idempotent(p)
     if u1.dim == 0 or u2.dim == 0:
         return None
@@ -287,6 +285,6 @@ def two_decomposition_via_adjoint(space: AltMatrixSpace, guard=None):
     """
     if space.n < 2:
         return None
-    part = nondegenerate_part(space)[0]
+    part, comp, rad = nondegenerate_part(space)
     p = hyperbolic_idempotent_search(adjoint_algebra(part), guard=guard)
-    return None if p is None else decomposition_from_hyperbolic(space, p)
+    return None if p is None else decomposition_from_hyperbolic(space, p, comp, rad)

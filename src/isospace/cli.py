@@ -29,8 +29,7 @@ from .ffield import PrimeField, Subspace, all_vectors, gaussian_binomial
 from .gadgets import (baer_generators, dim2_gadget, group_closure,
                       right_degree_min, singular_exists_brute)
 from .graphs import (coloring_from_decomposition,
-                     independent_set_from_isotropic, is_bipartite_bfs,
-                     space_from_graph)
+                     independent_set_from_isotropic, space_from_graph)
 from .isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover,
                         enumerate_maximal_branch, enumerate_maximal_filter,
                         greedy_deg_decomposition, greedy_maximal,
@@ -215,7 +214,7 @@ def cmd_alpha_bipartite(args, guard):
 
 def cmd_adjoint(args, guard):
     space, dig = _load_space(args)
-    part, _, rad = nondegenerate_part(space)
+    part, comp, rad = nondegenerate_part(space)
     adj = adjoint_algebra(part)
     res = {"dim": adj.dim, "ambient": adj.n, "field": space.field.p,
            "reduced_from_radical_dim": rad.dim}
@@ -225,7 +224,7 @@ def cmd_adjoint(args, guard):
             res["hyperbolic_idempotent"] = None
         else:
             res["hyperbolic_idempotent"] = p.row_list()
-            pair = decomposition_from_hyperbolic(space, p)
+            pair = decomposition_from_hyperbolic(space, p, comp, rad)
             res["decomposition"] = None if pair is None else [_rows(u) for u in pair]
     return dig, res
 

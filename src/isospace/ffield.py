@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations, product, repeat
 from operator import add, mul
 
-from .errors import DEFAULT_GUARD, Guard, as_guard
+from .errors import as_guard
 
 _SMALL_PRIMES = {
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -420,29 +420,34 @@ def are_independent(mats) -> bool:
     return len(span_basis(m0.field, m0.rows, m0.cols, mats)) == len(mats)
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Right kernel {v : m v = 0} of m, as a subspace of F_p^cols."""
-    rows = m.row_list()
-    p = m.field.p
-    pivots = _rref_rows(rows, p, m.field._inv) if rows else []
-    rank = len(pivots)
+def _kernel_of_rref(field: PrimeField, ncols: int, rows, pivots) -> Subspace:
+    """Right kernel of a matrix whose RREF rows carry the given pivots in
+    their first ncols columns: one vector per free column."""
+    p = field.p
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
+    free = [j for j in range(ncols) if j not in pivset]
     basis = []
     for j in free:
-        v = [0] * m.cols
+        v = [0] * ncols
         v[j] = 1
         for i, c in enumerate(pivots):
             v[c] = (-rows[i][j]) % p
         basis.append(v)
-    return Subspace.from_vectors(m.field, m.cols, basis)
+    return Subspace.from_vectors(field, ncols, basis)
+
+
+def kernel(m: Matrix) -> Subspace:
+    """Right kernel {v : m v = 0} of m, as a subspace of F_p^cols."""
+    rows = m.row_list()
+    pivots = _rref_rows(rows, m.field.p, m.field._inv) if rows else []
+    return _kernel_of_rref(m.field, m.cols, rows, pivots)
 
 
 def solve_linear(system: Matrix, rhs) -> tuple:
     """Solve system @ x = rhs; returns (particular solution or None, kernel).
 
-    rhs may be a vector tuple or a 1-column Matrix.  The kernel of the
-    system is returned in every case.
+    rhs may be a vector tuple or a 1-column Matrix.  The kernel, returned in
+    every case, is read off the first cols columns of the augmented RREF.
     """
     if isinstance(rhs, Matrix):
         if rhs.cols != 1 or rhs.rows != system.rows:
@@ -452,18 +457,15 @@ def solve_linear(system: Matrix, rhs) -> tuple:
         b = [int(e) for e in rhs]
         if len(b) != system.rows:
             raise ValueError("rhs shape mismatch")
-    p = system.field.p
-    aug = [list(system.row(i)) + [b[i] % p] for i in range(system.rows)]
-    ker = kernel(system)
-    if system.rows == 0:
-        return (0,) * system.cols, ker
-    pivots = _rref_rows(aug, p, system.field._inv)
-    if pivots and pivots[-1] == system.cols:
-        return None, ker
-    x = [0] * system.cols
+    field, n = system.field, system.cols
+    aug = [list(system.row(i)) + [b[i] % field.p] for i in range(system.rows)]
+    pivots = _rref_rows(aug, field.p, field._inv)
+    if pivots and pivots[-1] == n:
+        return None, _kernel_of_rref(field, n, aug, pivots[:-1])
+    x = [0] * n
     for i, c in enumerate(pivots):
-        x[c] = aug[i][system.cols]
-    return tuple(x), ker
+        x[c] = aug[i][n]
+    return tuple(x), _kernel_of_rref(field, n, aug, pivots)
 
 
 def invert(m: Matrix) -> Matrix:

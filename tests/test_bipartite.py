@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from isospace.altspace import AltMatrixSpace, is_isotropic, radical_space
+from isospace.altspace import (AltMatrixSpace, is_isotropic, radical_space,
+                               validate_decomposition)
 from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 bipartite_space_from_blocks,
                                 block_space_from_bipartite,
@@ -154,11 +155,10 @@ def test_adjoint_contains_identity_and_star():
     sp = AltMatrixSpace(F3, 2, [symplectic_form(F3, 2)])
     adj = adjoint_algebra(sp)
     assert adj.dim == 4
-    # (I, I) lies in the span: solve for coefficients via brute scan
-    from itertools import product as prod
+    # (I, I) lies in the span of the pairs (D, D*)
     ident = Matrix.identity(F3, 2)
-    assert any(adj.element(c) == (ident, ident)
-               for c in prod(range(3), repeat=adj.dim))
+    flat = Subspace.from_vectors(F3, 8, [d.entries + b.entries for d, b in adj.pairs])
+    assert flat.contains_vector(ident.entries + ident.entries)
 
 
 def test_adjoint_rejects_degenerate():
@@ -232,6 +232,22 @@ def test_idempotent_criterion_matches_brute():
             u1, u2 = via_adjoint
             assert is_isotropic(sp, u1) and is_isotropic(sp, u2)
             assert u1.dim + u2.dim == n and u1.sum(u2).dim == n
+
+
+def test_via_adjoint_decides_single_forms_on_f3_4():
+    # one non-degenerate form on F_3^4 has dim Adj = 16: 3^16 coefficient
+    # vectors, beyond the default guard, but few solutions of P* = I - P
+    rng = random.Random(17)
+    found = 0
+    while found < 10:
+        sp = random_space(rng, F3, 4, 1)
+        if radical_space(sp).dim != 0:
+            continue
+        found += 1
+        assert adjoint_algebra(sp).dim == 16
+        pair = two_decomposition_via_adjoint(sp)
+        assert pair is not None and two_decomposition_brute(sp) is not None
+        validate_decomposition(sp, list(pair))
 
 
 def test_two_decomposition_via_adjoint_degenerate_reduction():

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from isospace.altspace import validate_decomposition
 from isospace.cli import main, run_command
 from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
                          parse_mats, parse_space)
 from isospace.errors import ParseError
+from isospace.ffield import Subspace
 
 K3_AMS = """# the triangle space over F_2
 ams 2 3 3
@@ -213,6 +215,20 @@ def test_adjoint_find_hyperbolic_on_a_line(tmp_path):
     line.write_text("ams 2 1 0\n")
     rep = run_command(["adjoint", "-f", str(line), "--find-hyperbolic"])
     assert rep["results"]["decomposition"] is None
+
+
+def test_adjoint_route_decides_a_form_on_f3_4(tmp_path, capsys):
+    # dim Adj = 16: 3^16 coefficient vectors would exceed the default guard
+    form = tmp_path / "form.ams"
+    form.write_text("ams 3 4 1\n0 1 1 0\n2 0 2 1\n2 1 0 2\n0 2 1 0\n")
+    assert main(["adjoint", "-f", str(form), "--find-hyperbolic", "--json"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["dim"] == 16 and res["hyperbolic_idempotent"] is not None
+    sp = parse_space(form.read_text())
+    validate_decomposition(sp, [Subspace.from_vectors(sp.field, sp.n, rows)
+                                for rows in res["decomposition"]])
+    assert main(["alpha-bipartite", "-f", str(form), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["alpha"] == 2
 
 
 def test_baer_over_f2_is_an_input_error(files, capsys):

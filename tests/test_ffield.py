@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -96,6 +97,35 @@ def test_solve_inconsistent():
     m = Matrix.from_rows(F2, [[1, 0], [1, 0]])
     x, _ = solve_linear(m, (1, 0))
     assert x is None
+
+
+def test_solve_linear_matches_kernel_and_enumeration():
+    # every solution of system @ x = rhs, found by enumerating F_p^cols; the
+    # particular solution is the one that is zero at the free columns
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(150):
+        field = rng.choice([F2, F3, F5])
+        p = field.p
+        rows, cols = rng.randint(0, 3), rng.randint(1, 4)
+        m = Matrix(field, rows, cols, [rng.randrange(p) for _ in range(rows * cols)])
+        rhs = tuple(rng.randrange(p) for _ in range(rows))
+        x, ker = solve_linear(m, rhs)
+        assert ker == kernel(m)
+        sols = [v for v in product(range(p), repeat=cols)
+                if all(sum(m[i, j] * v[j] for j in range(cols)) % p == rhs[i]
+                       for i in range(rows))]
+        seen.add((rows == 0, x is None))
+        if x is None:
+            assert not sols
+            continue
+        assert x in sols and len(sols) == p ** ker.dim
+        assert all(ker.contains_vector([(a - b) % p for a, b in zip(v, x)])
+                   for v in sols)
+        red, rank = rref_canonicalize(m)
+        pivots = {next(j for j in range(cols) if red[i, j]) for i in range(rank)}
+        assert all(x[j] == 0 for j in range(cols) if j not in pivots)
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_subspace_ops():

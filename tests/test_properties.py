@@ -5,12 +5,17 @@ from itertools import product
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from isospace.altspace import degree, is_isotropic, isometry_transform, rad_of
-from isospace.bipartite import (alpha_bipartite, bipartite_space_from_blocks,
-                                block_space_from_bipartite, ncrk_brute)
-from isospace.ffield import Matrix, Subspace, invert, rref_canonicalize, vstack
+from isospace.altspace import (AltMatrixSpace, degree, is_isotropic,
+                               isometry_transform, nondegenerate_part, rad_of,
+                               radical_space)
+from isospace.bipartite import (adjoint_algebra, alpha_bipartite,
+                                bipartite_space_from_blocks,
+                                block_space_from_bipartite,
+                                hyperbolic_idempotent_search, ncrk_brute)
+from isospace.ffield import (Matrix, Subspace, combine, invert,
+                             rref_canonicalize, vstack)
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover,
                                 enumerate_maximal_branch, enumerate_maximal_filter,
                                 validate_decomposition)
@@ -144,3 +149,38 @@ def test_rref_is_invariant_under_row_operations(field, k, n, rng):
 def test_branch_and_filter_enumerations_agree(space):
     branch = {u.key() for u in enumerate_maximal_branch(space)}
     assert branch == {u.key() for u in enumerate_maximal_filter(space)}
+
+
+def first_hyperbolic_idempotent(adj):
+    """Reference scan: every coefficient vector of Adj in product order,
+    testing P* = I - P and then P^2 = P."""
+    field, n, q = adj.field, adj.n, adj.field.p
+    ident = Matrix.identity(field, n)
+    for c in product(range(q), repeat=adj.dim):
+        d = Matrix(field, n, n, combine(c, [d.entries for d, _ in adj.pairs], q))
+        star = Matrix(field, n, n, combine(c, [b.entries for _, b in adj.pairs], q))
+        if star == ident - d and d @ d == d:
+            return d
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(alternating_spaces())
+def test_idempotent_search_finds_the_first_in_coefficient_order(space):
+    adj = adjoint_algebra(nondegenerate_part(space)[0])
+    assume(adj.field.p ** adj.dim <= 3 ** 8)
+    assert hyperbolic_idempotent_search(adj) == first_hyperbolic_idempotent(adj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alternating_spaces())
+@example(AltMatrixSpace.zero_space(F2, 1))
+@example(AltMatrixSpace.zero_space(F3, 3))
+def test_adjoint_algebra_rejects_exactly_the_degenerate_spaces(space):
+    degenerate = radical_space(space).dim != 0
+    try:
+        adjoint_algebra(space)
+    except ValueError:
+        assert degenerate
+    else:
+        assert not degenerate
