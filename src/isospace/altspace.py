@@ -9,11 +9,12 @@ restriction the role of induced subgraphs.
 
 from __future__ import annotations
 
-from itertools import product
+from functools import reduce
 
-from .errors import VerificationError, as_guard
-from .ffield import (Matrix, PrimeField, Subspace, all_vectors, are_independent,
-                     combine, hstack, kernel, span_basis, stacked_products, vstack)
+from .errors import VerificationError
+from .ffield import (Matrix, PrimeField, Subspace, are_independent, combine, hstack,
+                     kernel, projective_vectors, span_basis, stacked_products,
+                     vstack)
 
 
 def is_alternating(m: Matrix) -> bool:
@@ -117,10 +118,7 @@ def radical_space(space: AltMatrixSpace) -> Subspace:
     """rad(A): the isolated vectors, i.e. the intersection of the kernels."""
     if space.dim == 0:
         return Subspace.full(space.field, space.n)
-    stacked = space.basis[0]
-    for m in space.basis[1:]:
-        stacked = vstack(stacked, m)
-    return kernel(stacked)
+    return kernel(vstack(*space.basis))
 
 
 def rad_of(space: AltMatrixSpace, target) -> Subspace:
@@ -149,10 +147,10 @@ def degree(space: AltMatrixSpace, v) -> int:
 
 
 def max_degree(space: AltMatrixSpace, guard=None) -> int:
-    """Delta(A): maximum of deg_A over all q^n - 1 nonzero vectors (guarded)."""
-    g = as_guard(guard)
+    """Delta(A): maximum of deg_A over the nonzero vectors (guarded); one
+    vector per line is swept, since scaling v leaves deg_A(v) alone."""
     best = 0
-    for v in all_vectors(space.field, space.n, guard=g, nonzero=True):
+    for v in projective_vectors(space.field, space.n, guard=guard):
         d = degree(space, v)
         if d > best:
             best = d
@@ -202,9 +200,15 @@ def validate_decomposition(space: AltMatrixSpace, parts) -> None:
             raise VerificationError("decomposition part is the zero space")
         if not is_isotropic(space, u):
             raise VerificationError("decomposition part is not isotropic")
-    rows = [r for u in parts for r in u.basis_rows()]
-    if len(rows) != n or Subspace.from_vectors(space.field, n, rows).dim != n:
+    if (sum(u.dim for u in parts) != n
+            or reduce(Subspace.sum, parts, Subspace.zero(space.field, n)).dim != n):
         raise VerificationError("parts do not form a direct sum decomposition of F^n")
+
+
+def split_zero_space(field: PrimeField, n: int):
+    """The isotropic 2-decomposition <e_1> + <e_2, ..., e_n> of the zero
+    space on F^n, n >= 2."""
+    return Subspace.coordinate(field, n, [0]), Subspace.coordinate(field, n, range(1, n))
 
 
 def nondegenerate_part(space: AltMatrixSpace):
@@ -223,14 +227,10 @@ def nondegenerate_part(space: AltMatrixSpace):
 
 
 def max_rank_bruteforce(space: AltMatrixSpace, guard=None) -> int:
-    """rk(A): maximum rank over all q^m linear combinations (guarded)."""
-    g = as_guard(guard)
-    q = space.field.p
-    m = space.dim
-    g.require(q**m)
+    """rk(A): maximum rank over the linear combinations (guarded); one
+    coefficient vector per line is swept, since scaling keeps the rank."""
     best = 0
-    for coeffs in product(range(q), repeat=m):
-        g.tick()
+    for coeffs in projective_vectors(space.field, space.dim, guard=guard):
         r = space.combination(coeffs).rank()
         if r > best:
             best = r

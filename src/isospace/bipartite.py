@@ -12,11 +12,12 @@ from __future__ import annotations
 from itertools import product
 
 from .altspace import (AltMatrixSpace, block_alternating, is_isotropic,
-                       nondegenerate_part, validate_decomposition)
+                       nondegenerate_part, split_zero_space,
+                       validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import (Matrix, PrimeField, Subspace, are_independent, combine,
                      enumerate_subspaces, kernel, solve_linear, span_basis,
-                     stacked_products)
+                     stacked_products, vstack)
 
 
 class MatrixSpace:
@@ -121,15 +122,11 @@ def ncrk_pad_square(b: MatrixSpace) -> MatrixSpace:
         raise ValueError("padding requires s < t")
     field, s, t = b.field, b.s, b.t
     pad = t - s
-    gens = []
-    for m in b.basis:
-        rows = [[0] * t for _ in range(pad)] + m.row_list()
-        gens.append(Matrix.from_rows(field, rows))
-    for i in range(pad):
-        for j in range(t):
-            ent = [0] * (t * t)
-            ent[i * t + j] = 1
-            gens.append(Matrix(field, t, t, ent))
+    top = Matrix.zeros(field, pad, t)
+    # E_{i,j} is row i t + j of the identity on F^{t t}, reshaped to t x t
+    units = Matrix.identity(field, t * t)
+    gens = ([vstack(top, m) for m in b.basis]
+            + [Matrix._reduced(field, t, t, units.row(k)) for k in range(pad * t)])
     return MatrixSpace.from_generators(field, t, t, gens)
 
 
@@ -262,10 +259,7 @@ def decomposition_from_hyperbolic(space: AltMatrixSpace, p: Matrix,
     """
     n = space.n
     if space.dim == 0:
-        if n < 2:
-            return None
-        e1 = Subspace.from_vectors(space.field, n, [(1,) + (0,) * (n - 1)])
-        return e1, e1.coordinate_complement()
+        return None if n < 2 else split_zero_space(space.field, n)
     u1, u2 = decomposition_from_idempotent(p)
     if u1.dim == 0 or u2.dim == 0:
         return None

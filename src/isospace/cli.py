@@ -25,7 +25,7 @@ from .bipartite import (adjoint_algebra, alpha_bipartite,
                         ncrk_pad_square, two_decomposition_via_adjoint)
 from .errors import (DEFAULT_GUARD, Guard, GuardExceeded, ParseError,
                      VerificationError)
-from .ffield import PrimeField, Subspace, all_vectors, gaussian_binomial
+from .ffield import PrimeField, Subspace, gaussian_binomial, projective_vectors
 from .gadgets import (baer_generators, dim2_gadget, group_closure,
                       right_degree_min, singular_exists_brute)
 from .graphs import (coloring_from_decomposition,
@@ -82,23 +82,14 @@ def _parse_rows(text: str, field, n) -> Subspace:
     return _subspace(field, n, rows)
 
 
-def _load_space(args):
+def _load(args, parse):
+    """parse(text of --file), and the digest of that text."""
     text = _read(args.file)
-    return formats.parse_space(text), _digest(text)
-
-
-def _load_graph(args):
-    text = _read(args.file)
-    return formats.parse_graph(text), _digest(text)
-
-
-def _load_mats(args):
-    text = _read(args.file)
-    return formats.parse_mats(text), _digest(text)
+    return parse(text), _digest(text)
 
 
 def cmd_alpha(args, guard):
-    space, dig = _load_space(args)
+    space, dig = _load(args, formats.parse_space)
     a, wit = alpha_exact(space, guard=guard)
     if not is_isotropic(space, wit) or wit.dim != a:
         raise VerificationError("alpha witness failed re-verification")
@@ -107,7 +98,7 @@ def cmd_alpha(args, guard):
 
 
 def cmd_chi(args, guard):
-    space, dig = _load_space(args)
+    space, dig = _load(args, formats.parse_space)
     if args.method == "brute":
         c, parts = chi_brute(space, guard=guard)
     elif args.method == "lawler":
@@ -123,7 +114,7 @@ def cmd_chi(args, guard):
 
 
 def cmd_maximal(args, guard):
-    space, dig = _load_space(args)
+    space, dig = _load(args, formats.parse_space)
     if args.method == "filter":
         out = enumerate_maximal_filter(space, guard=guard)
     else:
@@ -137,7 +128,7 @@ def cmd_maximal(args, guard):
 
 
 def cmd_decompose(args, guard):
-    space, dig = _load_space(args)
+    space, dig = _load(args, formats.parse_space)
     if args.method == "greedy-deg":
         parts = greedy_deg_decomposition(space)
     else:
@@ -148,7 +139,7 @@ def cmd_decompose(args, guard):
 
 
 def cmd_from_graph(args, guard):
-    g, dig = _load_graph(args)
+    g, dig = _load(args, formats.parse_graph)
     field = _field(args.field)
     space = space_from_graph(g, field)
     return dig, {"space": formats.emit_space(space), "dim": space.dim,
@@ -156,7 +147,7 @@ def cmd_from_graph(args, guard):
 
 
 def cmd_to_graph_witness(args, guard):
-    g, dig = _load_graph(args)
+    g, dig = _load(args, formats.parse_graph)
     text = _read(args.report)
     try:
         report = json.loads(text)
@@ -183,7 +174,7 @@ def cmd_to_graph_witness(args, guard):
 
 
 def cmd_ncrk(args, guard):
-    b, dig = _load_mats(args)
+    b, dig = _load(args, formats.parse_mats)
     res = {"ncrk": ncrk_brute(b, guard=guard), "s": b.s, "t": b.t,
            "dim": b.dim, "field": b.field.p}
     if args.pad:
@@ -196,7 +187,7 @@ def cmd_ncrk(args, guard):
 
 
 def cmd_alpha_bipartite(args, guard):
-    space, dig = _load_space(args)
+    space, dig = _load(args, formats.parse_space)
     if args.u1 and args.u2:
         u1 = _parse_rows(args.u1, space.field, space.n)
         u2 = _parse_rows(args.u2, space.field, space.n)
@@ -213,7 +204,7 @@ def cmd_alpha_bipartite(args, guard):
 
 
 def cmd_adjoint(args, guard):
-    space, dig = _load_space(args)
+    space, dig = _load(args, formats.parse_space)
     part, comp, rad = nondegenerate_part(space)
     adj = adjoint_algebra(part)
     res = {"dim": adj.dim, "ambient": adj.n, "field": space.field.p,
@@ -230,7 +221,7 @@ def cmd_adjoint(args, guard):
 
 
 def cmd_dim2(args, guard):
-    space, dig = _load_space(args)
+    space, dig = _load(args, formats.parse_space)
     ok, wit = has_isotropic_dim2(space, guard=guard)
     res = {"has_isotropic_dim2": ok, "field": space.field.p, "n": space.n}
     if ok:
@@ -243,9 +234,7 @@ def cmd_dim2(args, guard):
 
 
 def cmd_gadget_dim2(args, guard):
-    text = _read(args.file)
-    field, mats = formats.parse_mats_tuple(text)
-    dig = _digest(text)
+    (field, mats), dig = _load(args, formats.parse_mats_tuple)
     if not mats or mats[0].rows != len(mats):
         raise ParseError("gadget input must be n matrices of shape n x m")
     gadget = dim2_gadget(mats)
@@ -260,7 +249,7 @@ def cmd_gadget_dim2(args, guard):
 
 
 def cmd_singular_exists(args, guard):
-    b, dig = _load_mats(args)
+    b, dig = _load(args, formats.parse_mats)
     wit = singular_exists_brute(b, guard=guard)
     res = {"exists": wit is not None, "s": b.s, "t": b.t, "field": b.field.p}
     if wit is not None:
@@ -270,7 +259,7 @@ def cmd_singular_exists(args, guard):
 
 
 def cmd_baer(args, guard):
-    space, dig = _load_space(args)
+    space, dig = _load(args, formats.parse_space)
     gens = baer_generators(space.basis)
     res = {"generator_count": len(gens), "degree": 1 + space.n + space.dim,
            "field": space.field.p}
@@ -286,7 +275,7 @@ def cmd_baer(args, guard):
 
 
 def cmd_quantum(args, guard):
-    g, dig = _load_graph(args)
+    g, dig = _load(args, formats.parse_graph)
     ch = channel_from_graph(g)
     if args.what == "period":
         return dig, {"period": period(ch), "n": ch.n, "kraus": len(ch.kraus)}
@@ -318,11 +307,12 @@ def cmd_count(args, guard):
 
 
 def cmd_stats(args, guard):
-    space, dig = _load_space(args)
+    space, dig = _load(args, formats.parse_space)
     degs = {}
-    for v in all_vectors(space.field, space.n, guard=guard, nonzero=True):
+    # deg_A is constant on each line, which holds q - 1 nonzero vectors
+    for v in projective_vectors(space.field, space.n, guard=guard):
         d = degree(space, v)
-        degs[d] = degs.get(d, 0) + 1
+        degs[d] = degs.get(d, 0) + space.field.p - 1
     gm = greedy_maximal(space)
     return dig, {"n": space.n, "dim": space.dim, "field": space.field.p,
                  "radical_dim": radical_space(space).dim,

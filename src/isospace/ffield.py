@@ -180,10 +180,13 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, a.rows, a.cols + b.cols, [e for r in rows for e in r])
 
 
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.cols or a.field != b.field:
+def vstack(*mats: Matrix) -> Matrix:
+    """One or more matrices of one field and width, stacked vertically."""
+    a = mats[0]
+    if any(m.cols != a.cols or m.field != a.field for m in mats):
         raise ValueError("vstack mismatch")
-    return Matrix(a.field, a.rows + b.rows, a.cols, a.entries + b.entries)
+    return Matrix._reduced(a.field, sum(m.rows for m in mats), a.cols,
+                           tuple(e for m in mats for e in m.entries))
 
 
 def stacked_products(left: Matrix, mats) -> Matrix:
@@ -296,7 +299,16 @@ class Subspace:
 
     @classmethod
     def full(cls, field: PrimeField, n: int) -> "Subspace":
-        return cls(field, n, Matrix.identity(field, n), tuple(range(n)))
+        return cls.coordinate(field, n, range(n))
+
+    @classmethod
+    def coordinate(cls, field: PrimeField, n: int, cols) -> "Subspace":
+        """The span of e_j for the ascending columns cols, built in RREF."""
+        cols = tuple(cols)
+        ent = [0] * (len(cols) * n)
+        for i, j in enumerate(cols):
+            ent[i * n + j] = 1
+        return cls(field, n, Matrix._reduced(field, len(cols), n, tuple(ent)), cols)
 
     @property
     def dim(self) -> int:
@@ -343,10 +355,13 @@ class Subspace:
         return all(self.contains_vector(r) for r in other.basis_rows())
 
     def sum(self, other: "Subspace") -> "Subspace":
-        if self.n != other.n or self.field != other.field:
+        """The join self + other: other's basis rows adjoined one by one."""
+        if self.n != other.n or self.field.p != other.field.p:
             raise ValueError("ambient mismatch")
-        return Subspace.from_vectors(self.field, self.n,
-                                     self.basis_rows() + other.basis_rows())
+        u = self
+        for r in other.basis_rows():
+            u = u.extend_by_vector(r)
+        return u
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked dual (orthogonal) bases."""
@@ -385,13 +400,44 @@ class Subspace:
 
     def coordinate_complement(self) -> "Subspace":
         """The standard complement spanned by e_j over the non-pivot columns."""
-        nonpiv = [j for j in range(self.n) if j not in set(self.pivots)]
+        pivset = set(self.pivots)
+        return Subspace.coordinate(self.field, self.n,
+                                   [j for j in range(self.n) if j not in pivset])
+
+    def first_row_outside(self, inner: "Subspace"):
+        """The first basis row of self that inner does not contain, or None."""
+        return next((r for r in self.basis_rows() if not inner.contains_vector(r)), None)
+
+    def quotient_lines(self, sub: "Subspace", guard=None):
+        """One vector of self per line of self/sub (sub <= self), guarded.
+
+        The vectors are the projective combinations, in projective_vectors
+        order, of a complement of sub in self: the basis rows of self that
+        are new modulo sub, reduced against sub and what came before.
+        """
         rows = []
-        for j in nonpiv:
-            r = [0] * self.n
-            r[j] = 1
-            rows.append(r)
-        return Subspace.from_vectors(self.field, self.n, rows)
+        acc = sub
+        for r in self.basis_rows():
+            red = acc.reduce_vector(r)
+            if any(red):
+                rows.append(red)
+                acc = acc.extend_by_vector(red)
+        p = self.field.p
+        for coeffs in projective_vectors(self.field, len(rows), guard=guard):
+            yield combine(coeffs, rows, p)
+
+    def vector_mask(self) -> int:
+        """Bitmask over the indices of all vectors of self, the index of v
+        being sum v_i p^i."""
+        q = self.field.p
+        rows = self.basis_rows()
+        weights = [q**i for i in range(self.n)]
+        mask = 0
+        for coeffs in product(range(q), repeat=len(rows)):
+            # the zero space combines to (), whose index is 0 as well
+            v = combine(coeffs, rows, q)
+            mask |= 1 << sum(w * e for w, e in zip(weights, v))
+        return mask
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -444,19 +490,13 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def solve_linear(system: Matrix, rhs) -> tuple:
-    """Solve system @ x = rhs; returns (particular solution or None, kernel).
-
-    rhs may be a vector tuple or a 1-column Matrix.  The kernel, returned in
-    every case, is read off the first cols columns of the augmented RREF.
+    """Solve system @ x = rhs for a vector rhs; returns (particular solution
+    or None, kernel).  The kernel, returned in every case, is read off the
+    first cols columns of the augmented RREF.
     """
-    if isinstance(rhs, Matrix):
-        if rhs.cols != 1 or rhs.rows != system.rows:
-            raise ValueError("rhs shape mismatch")
-        b = list(rhs.col(0))
-    else:
-        b = [int(e) for e in rhs]
-        if len(b) != system.rows:
-            raise ValueError("rhs shape mismatch")
+    b = [int(e) for e in rhs]
+    if len(b) != system.rows:
+        raise ValueError("rhs shape mismatch")
     field, n = system.field, system.cols
     aug = [list(system.row(i)) + [b[i] % field.p] for i in range(system.rows)]
     pivots = _rref_rows(aug, field.p, field._inv)
@@ -494,17 +534,6 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
         den *= q**d - q**i
     assert num % den == 0
     return num // den
-
-
-def all_vectors(field: PrimeField, n: int, guard=None, nonzero=False):
-    """All vectors of F_p^n in odometer order."""
-    g = as_guard(guard)
-    g.require(field.p ** n)
-    for v in product(range(field.p), repeat=n):
-        g.tick()
-        if nonzero and not any(v):
-            continue
-        yield v
 
 
 def projective_vectors(field: PrimeField, n: int, guard=None):

@@ -142,12 +142,10 @@ class MatrixGroupClosure:
         return len(self.elements)
 
     def is_abelian(self) -> bool:
-        els = self.elements
-        for i in range(len(els)):
-            for j in range(i + 1, len(els)):
-                if els[i] @ els[j] != els[j] @ els[i]:
-                    return False
-        return True
+        """True iff the generators commute pairwise, which is exactly when
+        the group they generate is abelian."""
+        gens = self.generators
+        return all(a @ b == b @ a for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def commutator_subgroup(self, guard=None) -> "MatrixGroupClosure":
         """Subgroup generated by all commutators g^-1 h^-1 g h."""

@@ -11,36 +11,31 @@ enumerations of all maximal isotropic spaces.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 from .altspace import (AltMatrixSpace, is_isotropic, nondegenerate_part, rad_of,
-                       restrict, validate_decomposition)
+                       restrict, split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
-from .ffield import (Subspace, combine, enumerate_complements,
-                     projective_vectors)
+from .ffield import Subspace, enumerate_complements, projective_vectors
 
 
 # ---------------------------------------------------------------------------
 # greedy maximal isotropic space
 
-def greedy_maximal(space: AltMatrixSpace, start=None) -> Subspace:
+def greedy_maximal(space: AltMatrixSpace) -> Subspace:
     """Grow an isotropic space until U = rad(U), hence maximal.
 
-    Deterministic: the start vector defaults to e_1, and each step adjoins
-    the first basis row of rad(U) lying outside U.
+    Deterministic: it starts at <e_1>, and each step adjoins the first
+    basis row of rad(U) lying outside U.
     """
     field, n = space.field, space.n
     if n < 1:
         raise ValueError("need ambient dimension >= 1")
-    if start is None:
-        start = (1,) + (0,) * (n - 1)
-    u = Subspace.from_vectors(field, n, [start])
+    u = Subspace.coordinate(field, n, [0])
     while True:
         rad = rad_of(space, u)
         if rad.dim == u.dim:
             return u
-        nxt = next(r for r in rad.basis_rows() if not u.contains_vector(r))
-        u = u.extend_by_vector(nxt)
+        u = u.extend_by_vector(rad.first_row_outside(u))
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +73,6 @@ class IsotropicLattice:
         return tuple(out)
 
 
-def _complement_in(sub: Subspace, inside: Subspace) -> list:
-    """Rows spanning a complement of sub inside the subspace `inside`
-    (requires sub <= inside); reduced against sub's pivots."""
-    rows = []
-    acc = sub
-    for r in inside.basis_rows():
-        red = acc.reduce_vector(r)
-        if any(red):
-            rows.append(red)
-            acc = acc.extend_by_vector(red)
-    return rows
-
-
 def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicLattice:
     """Build the lattice of all isotropic spaces bottom-up by dimension.
 
@@ -110,9 +92,8 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
             rad_dims[u.key()] = rad.dim
             if rad.dim == u.dim:
                 continue
-            comp_rows = _complement_in(u, rad)
-            for coeffs in projective_vectors(field, len(comp_rows), guard=g):
-                v = u.extend_by_vector(combine(coeffs, comp_rows, field.p))
+            for line in rad.quotient_lines(u, guard=g):
+                v = u.extend_by_vector(line)
                 nxt.setdefault(v.key(), v)
         if not nxt:
             break
@@ -189,19 +170,6 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
 # ---------------------------------------------------------------------------
 # chi: three independent computations
 
-def _vector_mask(sub: Subspace) -> int:
-    """Bitmask over vector indices (base-q digits) of all vectors of sub."""
-    q = sub.field.p
-    rows = sub.basis_rows()
-    weights = [q**i for i in range(sub.n)]
-    mask = 0
-    for coeffs in product(range(q), repeat=len(rows)):
-        # the zero space combines to (), whose index is 0 as well
-        v = combine(coeffs, rows, q)
-        mask |= 1 << sum(w * e for w, e in zip(weights, v))
-    return mask
-
-
 def chi_brute(space: AltMatrixSpace, guard=None):
     """Minimal part count by depth-first search over isotropic parts.
 
@@ -224,7 +192,7 @@ def chi_brute(space: AltMatrixSpace, guard=None):
         cands.extend(level)
     # cands is ordered by decreasing dimension
     use_masks = q**n <= 1 << 18
-    masks = [_vector_mask(u) for u in cands] if use_masks else [0] * len(cands)
+    masks = [u.vector_mask() for u in cands] if use_masks else [0] * len(cands)
 
     def disjoint(acc, acc_mask, idx):
         if use_masks:
@@ -249,7 +217,7 @@ def chi_brute(space: AltMatrixSpace, guard=None):
             if not disjoint(acc, acc_mask, idx):
                 continue
             s = acc.sum(u)
-            res = extend(s, _vector_mask(s) if use_masks else 0,
+            res = extend(s, s.vector_mask() if use_masks else 0,
                          idx + 1, left - 1, parts + [u])
             if res is not None:
                 return res
@@ -351,17 +319,14 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
             frontier.append(t)
     if full.key() in seen:
         return 1
-    mi_rows = [t.basis_rows() for t in mi]
     k = 1
     while frontier:
         k += 1
         nxt = []
         for w in frontier:
-            for rows in mi_rows:
+            for t in mi:
                 g.tick()
-                u = w
-                for r in rows:
-                    u = u.extend_by_vector(r)
+                u = w.sum(t)
                 uk = u.key()
                 if uk in seen:
                     continue
@@ -393,7 +358,7 @@ def greedy_deg_decomposition(space: AltMatrixSpace) -> list:
         w = covered.coordinate_complement()
         s = Subspace.zero(field, n)
         while w.dim > s.dim:
-            vec = next(r for r in w.basis_rows() if not s.contains_vector(r))
+            vec = w.first_row_outside(s)
             s = s.extend_by_vector(vec)
             w = w.intersect(rad_of(space, vec))
         parts.append(s)
@@ -432,8 +397,7 @@ def has_isotropic_dim2(space: AltMatrixSpace, guard=None):
         rad = rad_of(space, v)
         if rad.dim >= 2:
             line = Subspace.from_vectors(field, n, [v])
-            w = next(r for r in rad.basis_rows() if not line.contains_vector(r))
-            return True, (v, w)
+            return True, (v, rad.first_row_outside(line))
     return False, None
 
 
@@ -469,8 +433,7 @@ def two_decomposition_brute(space: AltMatrixSpace, guard=None):
     if n < 2:
         return None
     if space.dim == 0:
-        e1 = Subspace.from_vectors(space.field, n, [(1,) + (0,) * (n - 1)])
-        return e1, e1.coordinate_complement()
+        return split_zero_space(space.field, n)
     for v in enumerate_maximal_filter(space, guard=g):
         if v.dim == 0 or v.dim == space.n:
             continue

@@ -1,17 +1,22 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from isospace.altspace import validate_decomposition
+from isospace.altspace import (degree, max_degree, max_rank_bruteforce,
+                               validate_decomposition)
 from isospace.cli import main, run_command
 from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
                          parse_mats, parse_space)
 from isospace.errors import ParseError
 from isospace.ffield import Subspace
+from util import F2, F3, random_space
 
 K3_AMS = """# the triangle space over F_2
 ams 2 3 3
@@ -292,3 +297,23 @@ def test_import_leaves_numpy_unloaded():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_degree_and_rank_sweeps_match_all_vectors(tmp_path):
+    # max_degree, max_rank and the stats histogram sweep one vector per
+    # line; the reference here sweeps every vector and coefficient vector
+    rng = random.Random(31)
+    for k in range(16):
+        field = (F2, F3)[k % 2]
+        n = rng.randint(1, 4)
+        sp = random_space(rng, field, n, rng.randint(0, 3))
+        hist = Counter(degree(sp, v) for v in product(range(field.p), repeat=n) if any(v))
+        rank = max(sp.combination(c).rank() for c in product(range(field.p), repeat=sp.dim))
+        assert max_degree(sp) == max(hist)
+        assert max_rank_bruteforce(sp) == rank
+        path = tmp_path / f"s{k}.ams"
+        path.write_text(emit_space(sp))
+        # over F_3^4 the guard of 60 is below the 80 nonzero vectors
+        res = run_command(["--guard", "60", "stats", "-f", str(path)])["results"]
+        assert res["degree_histogram"] == {str(d): c for d, c in sorted(hist.items())}
+        assert res["max_degree"] == max(hist) and res["max_rank"] == rank

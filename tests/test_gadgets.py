@@ -135,3 +135,22 @@ def test_group_closure_cyclic():
     G = group_closure([g])
     assert G.order == 3 and G.is_abelian()
     assert G.commutator_subgroup().order == 1
+
+
+def test_is_abelian_matches_all_pairs_of_elements():
+    rng = random.Random(12)
+    groups = [group_closure(baer_generators([symplectic_form(F3, 2)])),
+              group_closure(baer_generators(
+                  [Matrix.from_rows(F3, [[0, 1, 0], [2, 0, 0], [0, 0, 0]])]))]
+    while len(groups) < 30:
+        field = rng.choice([F2, F3])
+        gens = [Matrix(field, 2, 2, [rng.randrange(field.p) for _ in range(4)])
+                for _ in range(rng.randint(1, 3))]
+        if all(g.rank() == 2 for g in gens):
+            groups.append(group_closure(gens))
+    seen = set()
+    for G in groups:
+        want = all(a @ b == b @ a for a in G.elements for b in G.elements)
+        assert G.is_abelian() == want
+        seen.add(want)
+    assert seen == {True, False}

@@ -16,6 +16,10 @@ from isospace.bipartite import (adjoint_algebra, alpha_bipartite,
                                 hyperbolic_idempotent_search, ncrk_brute)
 from isospace.ffield import (Matrix, Subspace, combine, invert,
                              rref_canonicalize, vstack)
+from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
+                             space_from_graph)
+from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
+                         parse_mats, parse_mats_tuple, parse_space)
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover,
                                 enumerate_maximal_branch, enumerate_maximal_filter,
                                 validate_decomposition)
@@ -184,3 +188,108 @@ def test_adjoint_algebra_rejects_exactly_the_degenerate_spaces(space):
         assert degenerate
     else:
         assert not degenerate
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two spans of up to 3 random vectors each in one F^n, n <= 4."""
+    field = draw(st.sampled_from([F2, F3]))
+    n = draw(st.integers(1, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    span = lambda: Subspace.from_vectors(field, n, [
+        tuple(rng.randrange(field.p) for _ in range(n)) for _ in range(rng.randint(0, 3))])
+    return span(), span()
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_sum_is_the_span_of_both_bases(pair):
+    u, w = pair
+    field, n = u.field, u.n
+    both = Subspace.from_vectors(field, n, u.basis_rows() + w.basis_rows())
+    assert u.sum(w) == w.sum(u) == both
+    assert u.sum(w).pivots == both.pivots
+    zero = Subspace.zero(field, n)
+    assert u.sum(zero) == zero.sum(u) == u
+    with pytest.raises(ValueError):
+        u.sum(Subspace.zero(field, n + 1))
+    with pytest.raises(ValueError):
+        u.sum(Subspace.zero(F3 if field.p == 2 else F2, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F3]), st.integers(0, 5), st.randoms(use_true_random=False))
+def test_coordinate_is_the_span_of_unit_rows(field, n, rng):
+    cols = sorted(rng.sample(range(n), rng.randint(0, n)))
+    units = [tuple(int(k == j) for k in range(n)) for j in cols]
+    got = Subspace.coordinate(field, n, cols)
+    want = Subspace.from_vectors(field, n, units)
+    assert got == want and got.pivots == want.pivots == tuple(cols)
+    assert got.coordinate_complement().sum(got) == Subspace.full(field, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_quotient_lines_pick_one_vector_per_line(pair):
+    sub, extra = pair
+    outer = sub.sum(extra)
+    q, k = outer.field.p, outer.dim - sub.dim
+    vecs = list(outer.quotient_lines(sub))
+    assert len(vecs) == (q**k - 1) // (q - 1)
+    assert all(outer.contains_vector(v) and not sub.contains_vector(v) for v in vecs)
+    assert len({sub.extend_by_vector(v) for v in vecs}) == len(vecs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_vector_mask_marks_exactly_the_vectors(pair):
+    u, _ = pair
+    q, n = u.field.p, u.n
+    mask = u.vector_mask()
+    assert bin(mask).count("1") == q**u.dim
+    for v in product(range(q), repeat=n):
+        index = sum(e * q**i for i, e in enumerate(v))
+        assert bool(mask >> index & 1) == u.contains_vector(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_first_row_outside(pair):
+    outer, inner = pair
+    row = outer.first_row_outside(inner)
+    rows = outer.basis_rows()
+    if inner.contains(outer):
+        assert row is None
+    else:
+        i = rows.index(row)
+        assert not inner.contains_vector(row)
+        assert all(inner.contains_vector(r) for r in rows[:i])
+
+
+@st.composite
+def graphs(draw):
+    """A graph on n vertices with each edge drawn by hypothesis."""
+    n = draw(st.integers(0, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph(n, [e for e, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep])
+
+
+@settings(max_examples=40, deadline=None)
+@given(alternating_spaces(), block_spaces(), graphs())
+def test_io_formats_survive_a_round_trip(space, b, g):
+    assert parse_space(emit_space(space)) == space
+    assert parse_graph(emit_graph(g)) == g
+    back = parse_mats(emit_mats(b))
+    assert (back.field, back.s, back.t, back.basis) == (b.field, b.s, b.t, b.basis)
+    field, blocks = parse_mats_tuple(emit_mats(b))
+    assert field == b.field and tuple(blocks) == b.basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F3]), graphs())
+def test_alpha_and_chi_of_the_graph_space_are_those_of_the_graph(field, g):
+    assume(field.p == 2 or g.n <= 4)
+    space = space_from_graph(g, field)
+    assert alpha_exact(space)[0] == graph_alpha_brute(g)
+    assert chi_maxcover(space) == graph_chi_brute(g)
