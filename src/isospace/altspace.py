@@ -12,9 +12,8 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import VerificationError
-from .ffield import (Matrix, PrimeField, Subspace, are_independent, combine, hstack,
-                     kernel, projective_vectors, span_basis, stacked_products,
-                     vstack)
+from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combine,
+                     hstack, kernel, projective_vectors, span_basis, vstack)
 
 
 def is_alternating(m: Matrix) -> bool:
@@ -121,24 +120,28 @@ def radical_space(space: AltMatrixSpace) -> Subspace:
     return kernel(vstack(*space.basis))
 
 
+def form_rows(space: AltMatrixSpace) -> FormRows:
+    """The map v -> the rows v^t A over the basis of the space, for a scan
+    that evaluates the forms on many vectors: forms.kernel(rows of U) is
+    rad_A(U) and forms.rank([v]) is deg_A(v)."""
+    return FormRows(space.field, space.n, space.n, space.basis)
+
+
 def rad_of(space: AltMatrixSpace, target) -> Subspace:
     """rad_A(target): all u with u^t A v = 0 for every v in the target.
 
     target may be a vector or a Subspace; for a subspace the constraints
-    range over its basis.  The constraint rows v^t A = -(A v)^t are the
-    stacked products of the target's basis with the basis of the space.
+    range over its basis.  The constraint rows are v^t A = -(A v)^t.
     """
     if isinstance(target, Subspace):
         if target.n != space.n:
             raise ValueError("ambient mismatch")
-        vecs = target.basis
+        vecs = target.basis_rows()
     else:
         if len(target) != space.n:
             raise ValueError("vector length mismatch")
-        vecs = Matrix(space.field, 1, space.n, target)
-    if not space.basis:
-        return Subspace.full(space.field, space.n)
-    return kernel(stacked_products(vecs, space.basis))
+        vecs = [tuple(target)]
+    return form_rows(space).kernel(vecs)
 
 
 def degree(space: AltMatrixSpace, v) -> int:
@@ -149,9 +152,10 @@ def degree(space: AltMatrixSpace, v) -> int:
 def max_degree(space: AltMatrixSpace, guard=None) -> int:
     """Delta(A): maximum of deg_A over the nonzero vectors (guarded); one
     vector per line is swept, since scaling v leaves deg_A(v) alone."""
+    forms = form_rows(space)
     best = 0
     for v in projective_vectors(space.field, space.n, guard=guard):
-        d = degree(space, v)
+        d = forms.rank([v])
         if d > best:
             best = d
             if best == min(space.n, space.dim):

@@ -15,9 +15,8 @@ from .altspace import (AltMatrixSpace, block_alternating, is_isotropic,
                        nondegenerate_part, split_zero_space,
                        validate_decomposition)
 from .errors import VerificationError, as_guard
-from .ffield import (Matrix, PrimeField, Subspace, are_independent, combine,
-                     enumerate_subspaces, kernel, solve_linear, span_basis,
-                     stacked_products, vstack)
+from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combine,
+                     enumerate_subspaces, kernel, solve_linear, span_basis, vstack)
 
 
 class MatrixSpace:
@@ -90,19 +89,20 @@ def ncrk_witness_pair(b: MatrixSpace, guard=None):
 
     V runs over the subspaces of F^t; its best partner U is the common left
     kernel of B(V) = <B w : B in basis, w in V>, so dim U = s - dim B(V).
-    The first V with the largest dim V + dim U wins, and only its kernel
-    is taken.
+    B(V) is spanned by the rows w^t B^t over V's RREF basis rows w, which
+    are one per line, so each line of F^t is combined at most once.  The
+    first V with the largest dim V + dim U wins, and only its kernel is
+    taken.
     """
     g = as_guard(guard)
-    # the rows w^t B^t span B(V); with no basis, B(V) is the zero space
-    bts = [m.transpose() for m in b.basis] or [Matrix.zeros(b.field, b.t, b.s)]
+    forms = FormRows(b.field, b.t, b.s, [m.transpose() for m in b.basis])
     best = None
     for v in enumerate_subspaces(b.field, b.t, guard=g):
-        image = stacked_products(v.basis, bts)
-        score = v.dim + b.s - image.rank()
+        score = v.dim + b.s - forms.rank(v.basis_rows())
         if best is None or score > best[0]:
-            best = (score, image, v)
-    return kernel(best[1]), best[2]
+            best = (score, v)
+    v = best[1]
+    return forms.kernel(v.basis_rows()), v
 
 
 def ncrk_brute(b: MatrixSpace, guard=None) -> int:

@@ -17,8 +17,8 @@ import sys
 import time
 
 from . import io as formats
-from .altspace import (is_isotropic, max_rank_bruteforce, nondegenerate_part,
-                       radical_space, degree, validate_decomposition)
+from .altspace import (form_rows, is_isotropic, max_rank_bruteforce, nondegenerate_part,
+                       radical_space, validate_decomposition)
 from .bipartite import (adjoint_algebra, alpha_bipartite,
                         decomposition_from_hyperbolic,
                         hyperbolic_idempotent_search, ncrk_brute,
@@ -308,10 +308,11 @@ def cmd_count(args, guard):
 
 def cmd_stats(args, guard):
     space, dig = _load(args, formats.parse_space)
+    forms = form_rows(space)
     degs = {}
     # deg_A is constant on each line, which holds q - 1 nonzero vectors
     for v in projective_vectors(space.field, space.n, guard=guard):
-        d = degree(space, v)
+        d = forms.rank([v])
         degs[d] = degs.get(d, 0) + space.field.p - 1
     gm = greedy_maximal(space)
     return dig, {"n": space.n, "dim": space.dim, "field": space.field.p,

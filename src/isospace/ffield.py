@@ -189,16 +189,6 @@ def vstack(*mats: Matrix) -> Matrix:
                            tuple(e for m in mats for e in m.entries))
 
 
-def stacked_products(left: Matrix, mats) -> Matrix:
-    """The products left @ m for m in mats (nonempty), stacked vertically.
-
-    With left = U's basis these are the forms u^t M evaluated on U at once.
-    """
-    prods = [left @ m for m in mats]
-    return Matrix._reduced(left.field, left.rows * len(prods), prods[0].cols,
-                           tuple(e for pm in prods for e in pm.entries))
-
-
 def combine(coeffs, rows, p) -> tuple:
     """The linear combination sum_i coeffs[i] * rows[i] mod p, as a tuple.
 
@@ -216,7 +206,11 @@ def combine(coeffs, rows, p) -> tuple:
 
 
 def _rref_rows(rows, p, inv):
-    """In-place RREF of a list of row lists; returns pivot column list."""
+    """In-place RREF of a list of rows; returns pivot column list.
+
+    Only the list is changed: a row is replaced by a new list, never
+    written to, so rows may be tuples shared with the caller.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
@@ -448,6 +442,53 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(F{self.field.p}^{self.n}, dim {self.dim})"
+
+
+class FormRows:
+    """The map w -> the rows w^t M_1, ..., w^t M_k for fixed n x m matrices
+    M_i, and what the rows of several vectors span.
+
+    The k rows of w are one combination sum_j w_j S_j of the slices S_j,
+    row j of every M_i side by side, so each vector costs one combine.  The
+    nonzero rows of each distinct w are kept as long as the map lives.
+    """
+
+    __slots__ = ("field", "k", "m", "_slices", "_rows")
+
+    def __init__(self, field: PrimeField, n: int, m: int, mats):
+        mats = list(mats)
+        if any(a.field != field or a.rows != n or a.cols != m for a in mats):
+            raise ValueError("matrix has wrong field or shape")
+        self.field = field
+        self.k = len(mats)
+        self.m = m
+        self._slices = [tuple(e for a in mats for e in a.row(j)) for j in range(n)]
+        self._rows = {}
+
+    def rows(self, w) -> list:
+        """The nonzero rows among w^t M_1, ..., w^t M_k (w a tuple)."""
+        out = self._rows.get(w)
+        if out is None:
+            flat, m = combine(w, self._slices, self.field.p), self.m
+            rows = [flat[i * m:(i + 1) * m] for i in range(self.k)]
+            out = self._rows[w] = [r for r in rows if any(r)]
+        return out
+
+    def _stacked(self, vectors) -> list:
+        rows = []
+        for w in vectors:
+            rows += self.rows(w)
+        return rows
+
+    def rank(self, vectors) -> int:
+        """The rank of the rows of all the vectors, stacked."""
+        return len(_rref_rows(self._stacked(vectors), self.field.p, self.field._inv))
+
+    def kernel(self, vectors) -> "Subspace":
+        """{u in F^m : r u = 0 for every row r of the vectors}, in RREF."""
+        rows = self._stacked(vectors)
+        pivots = _rref_rows(rows, self.field.p, self.field._inv)
+        return _kernel_of_rref(self.field, self.m, rows, pivots)
 
 
 def span_basis(field: PrimeField, rows: int, cols: int, mats) -> list:

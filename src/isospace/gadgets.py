@@ -14,7 +14,7 @@ from itertools import combinations
 from .altspace import AltMatrixSpace, block_alternating, elementary_alternating
 from .bipartite import MatrixSpace
 from .errors import as_guard
-from .ffield import Matrix, PrimeField, invert, projective_vectors, stacked_products
+from .ffield import FormRows, Matrix, PrimeField, invert, projective_vectors
 
 
 def singular_exists_brute(b: MatrixSpace, guard=None):
@@ -72,10 +72,10 @@ def right_degree_min(bprime, guard=None) -> int:
     m = bprime[0].cols
     g = as_guard(guard)
     # the rows v^t B'_i^t are the vectors B'_i v
-    bt = [mat.transpose() for mat in bprime]
+    forms = FormRows(field, m, n, [mat.transpose() for mat in bprime])
     best = n
     for v in projective_vectors(field, m, guard=g):
-        r = stacked_products(Matrix._reduced(field, 1, m, v), bt).rank()
+        r = forms.rank([v])
         if r < best:
             best = r
             if best == 0:

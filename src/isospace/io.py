@@ -73,8 +73,8 @@ def parse_space(text: str) -> AltMatrixSpace:
         field = PrimeField(p)
     except ValueError as e:
         raise ParseError(f"line {lineno}: {e}")
-    if n < 1 or m < 0:
-        raise ParseError(f"line {lineno}: need n >= 1 and m >= 0")
+    if n < 0 or m < 0:
+        raise ParseError(f"line {lineno}: need n >= 0 and m >= 0")
     mats = _read_blocks(lines, 1, field, n, n, m, "matrix")
     try:
         return AltMatrixSpace(field, n, mats)

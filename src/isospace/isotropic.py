@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .altspace import (AltMatrixSpace, is_isotropic, nondegenerate_part, rad_of,
+from .altspace import (AltMatrixSpace, form_rows, is_isotropic, nondegenerate_part,
                        restrict, split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import Subspace, enumerate_complements, projective_vectors
@@ -30,9 +30,10 @@ def greedy_maximal(space: AltMatrixSpace) -> Subspace:
     field, n = space.field, space.n
     if n < 1:
         raise ValueError("need ambient dimension >= 1")
+    forms = form_rows(space)
     u = Subspace.coordinate(field, n, [0])
     while True:
-        rad = rad_of(space, u)
+        rad = forms.kernel(u.basis_rows())
         if rad.dim == u.dim:
             return u
         u = u.extend_by_vector(rad.first_row_outside(u))
@@ -85,10 +86,11 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     zero = Subspace.zero(field, n)
     levels = [[zero]]
     rad_dims = {}
+    forms = form_rows(space)
     while True:
         nxt: dict = {}
         for u in levels[-1]:
-            rad = rad_of(space, u)
+            rad = forms.kernel(u.basis_rows())
             rad_dims[u.key()] = rad.dim
             if rad.dim == u.dim:
                 continue
@@ -136,11 +138,12 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
             return [v.image(comp).sum(rad) for v in rec(part)]
         # non-degenerate: branch on the closed neighbourhood of a
         # minimum-degree vector
+        forms = form_rows(sp)
         reps = list(projective_vectors(field, n, guard=g))
         degs = []
         rads = {}
         for v in reps:
-            rv = rad_of(sp, v)
+            rv = forms.kernel([v])
             rads[v] = rv
             degs.append(n - rv.dim)
         dmin = min(degs)
@@ -157,7 +160,8 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
                 ck = cand.key()
                 if ck in found:
                     continue
-                if rad_of(sp, cand).dim == cand.dim:
+                # cand = rad(cand): its rows have rank n - dim cand
+                if forms.rank(cand.basis_rows()) == n - cand.dim:
                     found[ck] = cand
         return list(found.values())
 
@@ -170,14 +174,20 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
 # ---------------------------------------------------------------------------
 # chi: three independent computations
 
+# chi_brute keeps a bitmask of each candidate's vectors when q^n is at most this
+MASK_VECTORS = 1 << 18
+
+
 def chi_brute(space: AltMatrixSpace, guard=None):
     """Minimal part count by depth-first search over isotropic parts.
 
     Reference oracle: iterative deepening on the part count; candidate
     parts are all isotropic spaces, tried largest dimension first with an
-    index ordering that breaks the set symmetry.  The direct-sum test
-    against the partial sum uses precomputed vector bitmasks when q^n is
-    small (trivial intersection iff the masks share only the zero vector).
+    index ordering that breaks the set symmetry.  A candidate is taken when
+    its join with the partial sum is direct, dim(S + U) = dim S + dim U;
+    when q^n <= MASK_VECTORS, precomputed vector bitmasks reject overlaps
+    before the join (trivial intersection iff the masks share only the
+    zero vector).
     """
     g = as_guard(guard)
     field, n = space.field, space.n
@@ -191,15 +201,8 @@ def chi_brute(space: AltMatrixSpace, guard=None):
     for level in reversed(lat.levels[1:]):
         cands.extend(level)
     # cands is ordered by decreasing dimension
-    use_masks = q**n <= 1 << 18
+    use_masks = q**n <= MASK_VECTORS
     masks = [u.vector_mask() for u in cands] if use_masks else [0] * len(cands)
-
-    def disjoint(acc, acc_mask, idx):
-        if use_masks:
-            return (acc_mask & masks[idx]) == 1
-        u = cands[idx]
-        s = acc.sum(u)
-        return s.dim == acc.dim + u.dim
 
     def extend(acc: Subspace, acc_mask: int, start: int, left: int, parts):
         missing = n - acc.dim
@@ -214,9 +217,11 @@ def chi_brute(space: AltMatrixSpace, guard=None):
                 if u.dim * left < missing:
                     break
                 continue
-            if not disjoint(acc, acc_mask, idx):
+            if use_masks and acc_mask & masks[idx] != 1:
                 continue
             s = acc.sum(u)
+            if s.dim != acc.dim + u.dim:
+                continue
             res = extend(s, s.vector_mask() if use_masks else 0,
                          idx + 1, left - 1, parts + [u])
             if res is not None:
@@ -352,6 +357,7 @@ def greedy_deg_decomposition(space: AltMatrixSpace) -> list:
     field, n = space.field, space.n
     if n < 1:
         raise ValueError("need ambient dimension >= 1")
+    forms = form_rows(space)
     covered = Subspace.zero(field, n)
     parts = []
     while covered.dim < n:
@@ -360,7 +366,7 @@ def greedy_deg_decomposition(space: AltMatrixSpace) -> list:
         while w.dim > s.dim:
             vec = w.first_row_outside(s)
             s = s.extend_by_vector(vec)
-            w = w.intersect(rad_of(space, vec))
+            w = w.intersect(forms.kernel([vec]))
         parts.append(s)
         covered = covered.sum(s)
     return parts
@@ -393,11 +399,11 @@ def has_isotropic_dim2(space: AltMatrixSpace, guard=None):
     """
     g = as_guard(guard)
     field, n = space.field, space.n
+    forms = form_rows(space)
     for v in projective_vectors(field, n, guard=g):
-        rad = rad_of(space, v)
-        if rad.dim >= 2:
+        if forms.rank([v]) <= n - 2:
             line = Subspace.from_vectors(field, n, [v])
-            return True, (v, rad.first_row_outside(line))
+            return True, (v, forms.kernel([v]).first_row_outside(line))
     return False, None
 
 

@@ -9,9 +9,10 @@ from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 block_space_from_bipartite,
                                 decomposition_from_idempotent,
                                 hyperbolic_idempotent_search, ncrk_brute,
-                                ncrk_pad_square, two_decomposition_via_adjoint)
-from isospace.errors import VerificationError
-from isospace.ffield import Matrix, Subspace
+                                ncrk_pad_square, ncrk_witness_pair,
+                                two_decomposition_via_adjoint)
+from isospace.errors import Guard, VerificationError
+from isospace.ffield import Matrix, Subspace, enumerate_subspaces, kernel, vstack
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import alpha_exact, two_decomposition_brute
 from util import F2, F3, random_matrix_space, random_space, symplectic_form
@@ -260,3 +261,30 @@ def test_two_decomposition_via_adjoint_degenerate_reduction():
     u1, u2 = pair
     assert u1.dim + u2.dim == 4 and u1.sum(u2).dim == 4
     assert is_isotropic(sp, u1) and is_isotropic(sp, u2)
+
+
+def stacked_product_witness_pair(b, guard):
+    """Reference scan: B(V) as the stacked products V B_i^t, first maximum."""
+    bts = [m.transpose() for m in b.basis] or [Matrix.zeros(b.field, b.t, b.s)]
+    best = None
+    for v in enumerate_subspaces(b.field, b.t, guard=guard):
+        image = vstack(*[v.basis @ m for m in bts])
+        score = v.dim + b.s - image.rank()
+        if best is None or score > best[0]:
+            best = (score, image, v)
+    return kernel(best[1]), best[2]
+
+
+def test_ncrk_witness_pair_matches_the_stacked_product_scan():
+    rng = random.Random(8)
+    shapes = [(1, 3), (2, 3), (2, 4), (3, 1), (3, 2), (4, 2), (2, 2), (3, 3)]
+    for k in range(48):
+        field = (F2, F3)[k % 2]
+        s, t = shapes[k % len(shapes)]
+        if field.p == 3 and t > 3:
+            t = 3
+        b = (MatrixSpace(field, s, t, ()) if k % 8 == 7
+             else random_matrix_space(rng, field, s, t, rng.randint(1, 3)))
+        g_new, g_ref = Guard(), Guard()
+        assert ncrk_witness_pair(b, guard=g_new) == stacked_product_witness_pair(b, g_ref)
+        assert g_new.used == g_ref.used

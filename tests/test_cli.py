@@ -277,6 +277,20 @@ def test_to_graph_witness_with_no_parts(files, tmp_path, capsys):
     assert rep["results"]["coloring"] == [] and rep["results"]["count"] == 0
 
 
+def test_the_space_of_the_empty_graph_loads_back(tmp_path):
+    # from-graph writes "ams 2 0 0" for graph 0; alpha and chi read it
+    empty = tmp_path / "empty.graph"
+    empty.write_text("graph 0\n")
+    space = tmp_path / "empty.ams"
+    space.write_text(run_command(["from-graph", "-f", str(empty), "--field", "2"])
+                     ["results"]["space"])
+    assert space.read_text() == "ams 2 0 0\n"
+    rep = run_command(["alpha", "-f", str(space)])["results"]
+    assert rep["alpha"] == 0 and rep["witness"] == []
+    for method in ("brute", "lawler", "maxcover"):
+        assert run_command(["chi", "-f", str(space), "--method", method])["results"]["chi"] == 0
+
+
 def test_json_flag_is_read_from_the_parsed_arguments(capsys):
     for argv in (["count", "gaussian", "4", "2", "2", "--js"],
                  ["count", "gaussian", "4", "2", "2", "--json"],

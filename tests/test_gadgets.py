@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -75,6 +76,20 @@ def test_right_degree_examples():
     e11 = [Matrix.from_rows(F2, [[1 if (r, i) == (0, 0) else 0] for r in range(2)])
            for i in range(2)]
     assert right_degree_min(e11) == 1
+
+
+def test_right_degree_min_matches_every_vector():
+    # the reference ranks [B'_1 v, ..., B'_n v] for every nonzero v, not one per line
+    rng = random.Random(88)
+    for k in range(40):
+        f = (F2, F3)[k % 2]
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        bp = [Matrix.from_rows(f, [[rng.randrange(f.p) if rng.random() < 0.6 else 0
+                                    for _ in range(m)] for _ in range(n)]) for _ in range(n)]
+        ref = min(Matrix.from_rows(f, [[sum(b[r, j] * v[j] for j in range(m)) for r in range(n)]
+                                       for b in bp]).rank()
+                  for v in product(range(f.p), repeat=m) if any(v))
+        assert right_degree_min(bp) == ref
 
 
 def test_baer_generators_shape():

@@ -332,6 +332,30 @@ def test_maximal_count_thm18_slack():
         assert math.log(cnt, f.p) <= n * n / 6.0 + 6 * n
 
 
+def test_chi_brute_without_masks_gives_the_mask_path_answer(monkeypatch):
+    # with no room for masks every candidate is tested by the dimension of
+    # its join alone; chi, the parts and the guard ticks stay the same
+    from isospace import isotropic
+    rng = random.Random(18)
+    spaces = [random_space(rng, (F2, F3)[k % 2], rng.randint(1, 5 - k % 2),
+                           rng.randint(0, 4)) for k in range(30)]
+    spaces += [space_from_graph(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                          if rng.random() < 0.5]), (F2, F3)[n % 2])
+               for n in (2, 3, 4, 4, 5, 5)]
+
+    def run():
+        out = []
+        for sp in spaces:
+            g = Guard()
+            c, parts = chi_brute(sp, guard=g)
+            out.append((c, [p.key() for p in parts], g.used))
+        return out
+
+    with_masks = run()
+    monkeypatch.setattr(isotropic, "MASK_VECTORS", 0)
+    assert run() == with_masks
+
+
 # ------------------------------------------------------- the Lawler memo
 
 def test_chi_lawler_solves_each_restriction_once(monkeypatch):

@@ -14,7 +14,7 @@ from isospace.bipartite import (adjoint_algebra, alpha_bipartite,
                                 bipartite_space_from_blocks,
                                 block_space_from_bipartite,
                                 hyperbolic_idempotent_search, ncrk_brute)
-from isospace.ffield import (Matrix, Subspace, combine, invert,
+from isospace.ffield import (FormRows, Matrix, Subspace, combine, invert, kernel,
                              rref_canonicalize, vstack)
 from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
                              space_from_graph)
@@ -27,10 +27,11 @@ from util import F2, F3, random_matrix_space, random_space
 
 
 @st.composite
-def alternating_spaces(draw):
-    """Spans of up to 4 random alternating matrices on F^n, n <= 4, over F_2 or F_3."""
+def alternating_spaces(draw, min_n=1):
+    """Spans of up to 4 random alternating matrices on F^n, min_n <= n <= 4,
+    over F_2 or F_3."""
     field = draw(st.sampled_from([F2, F3]))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(min_n, 4))
     m = draw(st.integers(0, 4))
     return random_space(draw(st.randoms(use_true_random=False)), field, n, m)
 
@@ -276,7 +277,7 @@ def graphs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(alternating_spaces(), block_spaces(), graphs())
+@given(alternating_spaces(min_n=0), block_spaces(), graphs())
 def test_io_formats_survive_a_round_trip(space, b, g):
     assert parse_space(emit_space(space)) == space
     assert parse_graph(emit_graph(g)) == g
@@ -293,3 +294,27 @@ def test_alpha_and_chi_of_the_graph_space_are_those_of_the_graph(field, g):
     space = space_from_graph(g, field)
     assert alpha_exact(space)[0] == graph_alpha_brute(g)
     assert chi_maxcover(space) == graph_chi_brute(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F2, F3]), st.integers(0, 4), st.integers(0, 4), st.integers(0, 3),
+       st.randoms(use_true_random=False))
+def test_form_rows_are_the_products_w_t_m(field, n, m, k, rng):
+    mats = [Matrix(field, n, m, [rng.randrange(field.p) for _ in range(n * m)])
+            for _ in range(k)]
+    forms = FormRows(field, n, m, mats)
+    vectors = [tuple(rng.randrange(field.p) for _ in range(n)) for _ in range(3)]
+    vectors += [(0,) * n, vectors[0]]
+    products = []
+    for w in vectors:
+        row = Matrix(field, 1, n, w)
+        explicit = [(row @ a).entries for a in mats]
+        assert forms.rows(w) == [r for r in explicit if any(r)]
+        products += [row @ a for a in mats]
+    stacked = vstack(Matrix.zeros(field, 0, m), *products)
+    assert forms.rank(vectors) == stacked.rank()
+    assert forms.kernel(vectors) == kernel(stacked)
+    assert forms.kernel([]) == Subspace.full(field, m)
+    if k:
+        with pytest.raises(ValueError):
+            FormRows(field, n + 1, m, mats)
