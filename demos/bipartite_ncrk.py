@@ -8,8 +8,7 @@ Run: python3 demos/bipartite_ncrk.py
 import random
 
 from isospace import (Graph, PrimeField, Subspace, adjoint_algebra,
-                      alpha_bipartite, alpha_exact,
-                      bipartite_space_from_blocks, block_space_from_bipartite,
+                      alpha_bipartite, block_space_from_bipartite,
                       hyperbolic_idempotent_search, ncrk_brute,
                       ncrk_pad_square, space_from_graph,
                       two_decomposition_via_adjoint)

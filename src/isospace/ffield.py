@@ -256,31 +256,26 @@ def rref_canonicalize(m: Matrix) -> tuple[Matrix, int]:
 
 
 class Subspace:
-    """A subspace of F_p^n held as an RREF basis (rows), hence canonical."""
+    """A subspace of F_p^n held as its RREF rows (a tuple of tuples, no zero
+    rows), hence canonical."""
 
-    __slots__ = ("field", "n", "basis", "pivots", "_rows")
+    __slots__ = ("field", "n", "rows", "pivots")
 
-    def __init__(self, field: PrimeField, n: int, basis: Matrix, pivots: tuple):
+    def __init__(self, field: PrimeField, n: int, rows: tuple, pivots: tuple):
         # internal: callers go through from_vectors / zero / full
         self.field = field
         self.n = n
-        self.basis = basis
+        self.rows = rows
         self.pivots = pivots
-        self._rows = None
 
     @classmethod
     def from_vectors(cls, field: PrimeField, n: int, vectors) -> "Subspace":
-        rows = [list(v) for v in vectors]
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("vector length != ambient dimension")
-        if not rows:
-            return cls.zero(field, n)
-        rows = [[e % field.p for e in r] for r in rows]
-        pivots = _rref_rows(rows, field.p, field._inv)
-        k = len(pivots)
-        basis = Matrix(field, k, n, [e for r in rows[:k] for e in r])
-        return cls(field, n, basis, tuple(pivots))
+        p = field.p
+        rows = [[e % p for e in v] for v in vectors]
+        if any(len(r) != n for r in rows):
+            raise ValueError("vector length != ambient dimension")
+        pivots = _rref_rows(rows, p, field._inv)
+        return cls(field, n, tuple(map(tuple, rows[:len(pivots)])), tuple(pivots))
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Subspace":
@@ -289,7 +284,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: PrimeField, n: int) -> "Subspace":
-        return cls(field, n, Matrix(field, 0, n, ()), ())
+        return cls(field, n, (), ())
 
     @classmethod
     def full(cls, field: PrimeField, n: int) -> "Subspace":
@@ -299,32 +294,32 @@ class Subspace:
     def coordinate(cls, field: PrimeField, n: int, cols) -> "Subspace":
         """The span of e_j for the ascending columns cols, built in RREF."""
         cols = tuple(cols)
-        ent = [0] * (len(cols) * n)
-        for i, j in enumerate(cols):
-            ent[i * n + j] = 1
-        return cls(field, n, Matrix._reduced(field, len(cols), n, tuple(ent)), cols)
+        return cls(field, n, tuple((0,) * c + (1,) + (0,) * (n - c - 1) for c in cols), cols)
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
+
+    @property
+    def basis(self) -> Matrix:
+        """The RREF rows as a dim x n matrix."""
+        return Matrix._reduced(self.field, len(self.rows), self.n,
+                               tuple(e for r in self.rows for e in r))
 
     def key(self) -> tuple:
         """Hashable canonical identity; equal iff the subspaces are equal."""
-        return (self.field.p, self.n, self.basis.entries)
+        return (self.field.p, self.n, self.rows)
 
-    def basis_rows(self):
-        if self._rows is None:
-            self._rows = [self.basis.row(i) for i in range(self.basis.rows)]
-        return self._rows
+    def basis_rows(self) -> list:
+        return list(self.rows)
 
     def reduce_vector(self, v) -> tuple:
         """Residual of v after eliminating this subspace's pivot columns."""
         p = self.field.p
         v = [e % p for e in v]
-        for i, c in enumerate(self.pivots):
+        for c, row in zip(self.pivots, self.rows):
             f = v[c]
             if f:
-                row = self.basis.row(i)
                 v = [(x - f * y) % p for x, y in zip(v, row)]
         return tuple(v)
 
@@ -337,7 +332,9 @@ class Subspace:
         """
         if self.n != outer.dim or self.field != outer.field:
             raise ValueError("shape or field mismatch in subspace image")
-        return Subspace(self.field, outer.n, self.basis @ outer.basis,
+        p = self.field.p
+        return Subspace(self.field, outer.n,
+                        tuple(combine(r, outer.rows, p) for r in self.rows),
                         tuple(outer.pivots[c] for c in self.pivots))
 
     def contains_vector(self, v) -> bool:
@@ -346,14 +343,14 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if self.n != other.n or self.field != other.field:
             raise ValueError("ambient mismatch")
-        return all(self.contains_vector(r) for r in other.basis_rows())
+        return all(self.contains_vector(r) for r in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         """The join self + other: other's basis rows adjoined one by one."""
         if self.n != other.n or self.field.p != other.field.p:
             raise ValueError("ambient mismatch")
         u = self
-        for r in other.basis_rows():
+        for r in other.rows:
             u = u.extend_by_vector(r)
         return u
 
@@ -377,7 +374,7 @@ class Subspace:
             ia = self.field._inv[res[lead]]
             res = tuple((ia * x) % p for x in res)
         rows = []
-        for r in self.basis_rows():
+        for r in self.rows:
             f = r[lead]
             if f:
                 rows.append(tuple((x - f * y) % p for x, y in zip(r, res)))
@@ -388,9 +385,7 @@ class Subspace:
             at += 1
         rows.insert(at, res)
         pivots = self.pivots[:at] + (lead,) + self.pivots[at:]
-        basis = Matrix._reduced(self.field, len(rows), self.n,
-                                tuple(e for r in rows for e in r))
-        return Subspace(self.field, self.n, basis, pivots)
+        return Subspace(self.field, self.n, tuple(rows), pivots)
 
     def coordinate_complement(self) -> "Subspace":
         """The standard complement spanned by e_j over the non-pivot columns."""
@@ -400,7 +395,7 @@ class Subspace:
 
     def first_row_outside(self, inner: "Subspace"):
         """The first basis row of self that inner does not contain, or None."""
-        return next((r for r in self.basis_rows() if not inner.contains_vector(r)), None)
+        return next((r for r in self.rows if not inner.contains_vector(r)), None)
 
     def quotient_lines(self, sub: "Subspace", guard=None):
         """One vector of self per line of self/sub (sub <= self), guarded.
@@ -411,7 +406,7 @@ class Subspace:
         """
         rows = []
         acc = sub
-        for r in self.basis_rows():
+        for r in self.rows:
             red = acc.reduce_vector(r)
             if any(red):
                 rows.append(red)
@@ -424,7 +419,7 @@ class Subspace:
         """Bitmask over the indices of all vectors of self, the index of v
         being sum v_i p^i."""
         q = self.field.p
-        rows = self.basis_rows()
+        rows = self.rows
         weights = [q**i for i in range(self.n)]
         mask = 0
         for coeffs in product(range(q), repeat=len(rows)):
@@ -435,7 +430,7 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
-                and self.n == other.n and self.basis.entries == other.basis.entries)
+                and self.n == other.n and self.rows == other.rows)
 
     def __hash__(self):
         return hash(self.key())
@@ -496,7 +491,7 @@ def span_basis(field: PrimeField, rows: int, cols: int, mats) -> list:
     canonical RREF of their entry vectors, reshaped, so the pivots are
     deterministic in row-major order."""
     span = Subspace.from_vectors(field, rows * cols, [m.entries for m in mats])
-    return [Matrix._reduced(field, rows, cols, r) for r in span.basis_rows()]
+    return [Matrix._reduced(field, rows, cols, r) for r in span.rows]
 
 
 def are_independent(mats) -> bool:
@@ -509,7 +504,7 @@ def are_independent(mats) -> bool:
 
 def _kernel_of_rref(field: PrimeField, ncols: int, rows, pivots) -> Subspace:
     """Right kernel of a matrix whose RREF rows carry the given pivots in
-    their first ncols columns: one vector per free column."""
+    their first ncols columns: one vector per free column, reduced to RREF."""
     p = field.p
     pivset = set(pivots)
     free = [j for j in range(ncols) if j not in pivset]
@@ -520,7 +515,9 @@ def _kernel_of_rref(field: PrimeField, ncols: int, rows, pivots) -> Subspace:
         for i, c in enumerate(pivots):
             v[c] = (-rows[i][j]) % p
         basis.append(v)
-    return Subspace.from_vectors(field, ncols, basis)
+    # the vectors are independent (v_j is 1 at free column j, 0 at the others)
+    kpivots = _rref_rows(basis, p, field._inv)
+    return Subspace(field, ncols, tuple(map(tuple, basis)), tuple(kpivots))
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -627,8 +624,7 @@ def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=N
                 rows = [r[:] for r in base]
                 for (i, j), v in zip(free_pos, vals):
                     rows[i][j] = v
-                basis = Matrix._reduced(field, k, n, tuple(e for r in rows for e in r))
-                yield Subspace(field, n, basis, pivots)
+                yield Subspace(field, n, tuple(map(tuple, rows)), pivots)
 
 
 def enumerate_complements(u: Subspace, guard=None):
@@ -652,7 +648,7 @@ def enumerate_complements(u: Subspace, guard=None):
         return
     g.require(q ** (d * k))
     # row i of a complement is w_i + (coefficients i) . u
-    lifts = [[w] + u.basis_rows() for w in w0.basis_rows()]
+    lifts = [(w,) + u.rows for w in w0.rows]
     for coeffs in product(range(q), repeat=d * k):
         g.tick()
         yield Subspace.from_vectors(field, n, [

@@ -140,20 +140,14 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
         # minimum-degree vector
         forms = form_rows(sp)
         reps = list(projective_vectors(field, n, guard=g))
-        degs = []
-        rads = {}
-        for v in reps:
-            rv = forms.kernel([v])
-            rads[v] = rv
-            degs.append(n - rv.dim)
-        dmin = min(degs)
-        vstar = reps[degs.index(dmin)]
-        rad_v = rads[vstar]
+        # deg(v) = rank of v's rows; min keeps the first minimum
+        vstar = min(reps, key=lambda v: forms.rank([v]))
+        rad_v = forms.kernel([vstar])
         found: dict = {}
         branch = [vstar] + [w for w in reps if not rad_v.contains_vector(w)]
         for w in branch:
             g.tick()
-            rw = rads[w]
+            rw = forms.kernel([w])
             sub = restrict(sp, rw)
             for m in rec(sub):
                 cand = m.image(rw)

@@ -19,9 +19,8 @@ from isospace.bipartite import (adjoint_algebra, alpha_bipartite,
                                 bipartite_space_from_blocks,
                                 decomposition_from_idempotent,
                                 hyperbolic_idempotent_search, ncrk_brute,
-                                ncrk_pad_square, two_decomposition_via_adjoint)
-from isospace.ffield import (PrimeField, enumerate_subspaces,
-                             gaussian_binomial)
+                                ncrk_pad_square)
+from isospace.ffield import enumerate_subspaces, gaussian_binomial
 from isospace.gadgets import (baer_generators, dim2_gadget, group_closure,
                               right_degree_min)
 from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
@@ -38,8 +37,8 @@ from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
 from isospace.quantum import (CHANNEL_TOL, channel_from_graph,
                               decide_iso_2_decomposition, fidelity_pure,
                               period)
-from util import (F2, F3, random_alternating, random_graph,
-                  random_matrix_space, random_space, symplectic_form)
+from util import (F2, F3, random_graph, random_matrix_space, random_space,
+                  symplectic_form)
 
 SEED = 20260810
 FIELDS = {2: F2, 3: F3}

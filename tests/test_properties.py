@@ -145,8 +145,17 @@ def test_rref_is_invariant_under_row_operations(field, k, n, rng):
         elif i != j:
             c = rng.randrange(p)
             moved[i] = [(x + c * y) % p for x, y in zip(moved[i], moved[j])]
-    assert rref_canonicalize(Matrix.from_rows(field, moved)) == \
-        rref_canonicalize(Matrix.from_rows(field, rows))
+    m, m_moved = Matrix.from_rows(field, rows), Matrix.from_rows(field, moved)
+    assert rref_canonicalize(m_moved) == rref_canonicalize(m)
+    # a subspace is its RREF rows; basis is the same rows as a matrix
+    sub = Subspace.from_vectors(field, n, rows)
+    assert Subspace.from_vectors(field, n, moved) == sub
+    assert sub.basis == rref_canonicalize(m)[0]
+    assert sub.basis_rows() == [sub.basis.row(i) for i in range(sub.dim)]
+    ker = kernel(m)
+    assert kernel(m_moved) == ker
+    # the kernel comes out in RREF: reducing its rows again changes nothing
+    assert Subspace.from_vectors(field, n, ker.basis_rows()).basis_rows() == ker.basis_rows()
 
 
 @settings(max_examples=30, deadline=None)
