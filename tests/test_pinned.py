@@ -1,0 +1,80 @@
+"""Outputs that a change of the row representation must not move.
+
+Every value is taken through the public boundary (tuple rows from
+basis_rows(), witness tuples, counts), in the order the library returns
+it, with the guard ticks of each call, and hashed into one constant.
+"""
+
+import hashlib
+import json
+import random
+
+from isospace.altspace import form_rows
+from isospace.bipartite import ncrk_witness_pair
+from isospace.errors import Guard
+from isospace.ffield import Subspace, enumerate_complements, enumerate_subspaces
+from isospace.graphs import Graph, space_from_graph
+from isospace.isotropic import (alpha_exact, chi_brute, chi_maxcover,
+                                enumerate_isotropic_lattice,
+                                enumerate_maximal_branch,
+                                enumerate_maximal_filter, has_isotropic_dim2)
+from util import F2, F3, random_matrix_space, random_space
+
+
+def rows(u: Subspace) -> list:
+    return [list(r) for r in u.basis_rows()]
+
+
+def counted(fn, *args):
+    g = Guard()
+    return fn(*args, guard=g), g.used
+
+
+def space_record(sp) -> list:
+    lat, lat_ticks = counted(enumerate_isotropic_lattice, sp)
+    (alpha, wit), alpha_ticks = counted(alpha_exact, sp)
+    filt, filt_ticks = counted(enumerate_maximal_filter, sp)
+    branch, branch_ticks = counted(enumerate_maximal_branch, sp)
+    cover, cover_ticks = counted(chi_maxcover, sp)
+    (dim2, pair), dim2_ticks = counted(has_isotropic_dim2, sp)
+    rec = [[[rows(u) for u in level] for level in lat.levels],
+           [lat.rad_dims[u.key()] for u in lat.all_spaces()], lat_ticks,
+           alpha, rows(wit), alpha_ticks,
+           [rows(u) for u in filt], filt_ticks,
+           [rows(u) for u in branch], branch_ticks,
+           cover, cover_ticks,
+           dim2, pair and [list(v) for v in pair], dim2_ticks,
+           # rad_A(U) of every maximal space, as the form rows give it
+           [rows(form_rows(sp).kernel(u.rows)) for u in filt]]
+    if sp.field.p ** sp.n <= 3 ** 4:
+        (chi, parts), chi_ticks = counted(chi_brute, sp)
+        rec += [chi, [rows(u) for u in parts], chi_ticks]
+    return rec
+
+
+def complements_record(field, n) -> list:
+    out = []
+    for u in enumerate_subspaces(field, n):
+        comps, ticks = counted(lambda guard: list(enumerate_complements(u, guard=guard)))
+        out.append([rows(u), [rows(w) for w in comps], ticks])
+    return out
+
+
+def test_row_representation_outputs_pinned():
+    rng = random.Random(1010)
+    spaces = [random_space(rng, (F2, F3)[k % 2], rng.randint(1, 5 - k % 2),
+                           rng.randint(0, 4)) for k in range(50)]
+    spaces += [space_from_graph(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                          if rng.random() < 0.5]), (F2, F3)[n % 2])
+               for n in (2, 3, 3, 4, 4, 5, 5, 5, 6, 6)]
+    out = [space_record(sp) for sp in spaces]
+    shapes = [(1, 3), (2, 3), (3, 2), (2, 2), (3, 3), (2, 4)]
+    for k in range(24):
+        field = (F2, F3)[k % 2]
+        s, t = shapes[k % len(shapes)]
+        b = random_matrix_space(rng, field, s, t, rng.randint(1, 3))
+        (u, v), ticks = counted(ncrk_witness_pair, b)
+        out.append([rows(u), rows(v), ticks])
+    out += [complements_record(F2, 4), complements_record(F3, 3)]
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "291e077afe38ba40bc1654314687b931b6137a8b090f4e275e4c1f7fc80313c7"
