@@ -13,7 +13,8 @@ from functools import reduce
 
 from .errors import VerificationError
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combine,
-                     hstack, kernel, projective_vectors, span_basis, vstack)
+                     hstack, kernel, projective_rows, projective_vectors, span_basis,
+                     vstack)
 
 
 def is_alternating(m: Matrix) -> bool:
@@ -122,8 +123,8 @@ def radical_space(space: AltMatrixSpace) -> Subspace:
 
 def form_rows(space: AltMatrixSpace) -> FormRows:
     """The map v -> the rows v^t A over the basis of the space, for a scan
-    that evaluates the forms on many vectors: forms.kernel(rows of U) is
-    rad_A(U) and forms.rank([v]) is deg_A(v)."""
+    that evaluates the forms on many packed vectors: forms.kernel(U.rows)
+    is rad_A(U) and forms.rank([v]) is deg_A(v)."""
     return FormRows(space.field, space.n, space.n, space.basis)
 
 
@@ -136,11 +137,11 @@ def rad_of(space: AltMatrixSpace, target) -> Subspace:
     if isinstance(target, Subspace):
         if target.n != space.n:
             raise ValueError("ambient mismatch")
-        vecs = target.basis_rows()
+        vecs = target.rows
     else:
         if len(target) != space.n:
             raise ValueError("vector length mismatch")
-        vecs = [tuple(target)]
+        vecs = [space.field.pack(target)]
     return form_rows(space).kernel(vecs)
 
 
@@ -154,7 +155,7 @@ def max_degree(space: AltMatrixSpace, guard=None) -> int:
     vector per line is swept, since scaling v leaves deg_A(v) alone."""
     forms = form_rows(space)
     best = 0
-    for v in projective_vectors(space.field, space.n, guard=guard):
+    for v in projective_rows(space.field, space.n, guard=guard):
         d = forms.rank([v])
         if d > best:
             best = d

@@ -98,11 +98,11 @@ def ncrk_witness_pair(b: MatrixSpace, guard=None):
     forms = FormRows(b.field, b.t, b.s, [m.transpose() for m in b.basis])
     best = None
     for v in enumerate_subspaces(b.field, b.t, guard=g):
-        score = v.dim + b.s - forms.rank(v.basis_rows())
+        score = v.dim + b.s - forms.rank(v.rows)
         if best is None or score > best[0]:
             best = (score, v)
     v = best[1]
-    return forms.kernel(v.basis_rows()), v
+    return forms.kernel(v.rows), v
 
 
 def ncrk_brute(b: MatrixSpace, guard=None) -> int:
@@ -225,7 +225,8 @@ def hyperbolic_idempotent_search(adj: AdjointAlgebra, guard=None):
     if c0 is None:
         return None
     ds = [d.entries for d, _ in adj.pairs]     # P = P0 + sum t_j K_j
-    gens = [combine(c, ds, q) for c in [ker.reduce_vector(c0)] + ker.basis_rows()]
+    c0 = field.unpack(ker.reduce_vector(field.pack(c0)), adj.dim)
+    gens = [combine(c, ds, q) for c in [c0] + ker.basis_rows()]
     g.require(q ** ker.dim)
     for t in product(range(q), repeat=ker.dim):
         g.tick()

@@ -25,7 +25,7 @@ from .bipartite import (adjoint_algebra, alpha_bipartite,
                         ncrk_pad_square, two_decomposition_via_adjoint)
 from .errors import (DEFAULT_GUARD, Guard, GuardExceeded, ParseError,
                      VerificationError)
-from .ffield import PrimeField, Subspace, gaussian_binomial, projective_vectors
+from .ffield import PrimeField, Subspace, gaussian_binomial, projective_rows
 from .gadgets import (baer_generators, dim2_gadget, group_closure,
                       right_degree_min, singular_exists_brute)
 from .graphs import (coloring_from_decomposition,
@@ -297,12 +297,24 @@ def cmd_quantum(args, guard):
                  "state": state}
 
 
+def _decimal(n: int) -> str:
+    """The exact decimal digits of n >= 0, converted 1000 digits at a time,
+    so that no conversion reaches the interpreter's limit on int-to-str
+    digits."""
+    block = 10**1000
+    parts = []
+    while n >= block:
+        n, r = divmod(n, block)
+        parts.append(str(r).zfill(1000))
+    return str(n) + "".join(reversed(parts))
+
+
 def cmd_count(args, guard):
     if args.q < 2:
         raise ParseError(f"need q >= 2, got q={args.q}")
     count = gaussian_binomial if args.what == "gaussian" else isotropic_count_formula
     val = count(args.n, args.d, args.q)
-    return "-", {"value": str(val), "n": args.n, "d": args.d, "q": args.q,
+    return "-", {"value": _decimal(val), "n": args.n, "d": args.d, "q": args.q,
                  "what": args.what}
 
 
@@ -311,7 +323,7 @@ def cmd_stats(args, guard):
     forms = form_rows(space)
     degs = {}
     # deg_A is constant on each line, which holds q - 1 nonzero vectors
-    for v in projective_vectors(space.field, space.n, guard=guard):
+    for v in projective_rows(space.field, space.n, guard=guard):
         d = forms.rank([v])
         degs[d] = degs.get(d, 0) + space.field.p - 1
     gm = greedy_maximal(space)
@@ -437,6 +449,8 @@ def run_command(argv) -> dict:
 
 def _report(args) -> dict:
     """Run the subcommand of parsed arguments and return the Report dict."""
+    if args.guard < 0:
+        raise ParseError(f"--guard must be >= 0, got {args.guard}")
     guard = Guard(args.guard)
     t0 = time.time()
     digest, results = args.fn(args, guard)

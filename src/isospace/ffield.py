@@ -1,12 +1,26 @@
 """Exact dense linear algebra over prime fields F_p.
 
-Matrices are immutable row-major tuples of residues; subspaces are kept in
-reduced row echelon form with no zero rows, so equal subspaces are equal
-values and usable as dictionary keys.  All arithmetic is exact.
+Matrices are immutable row-major tuples of residues.  Subspaces are kept in
+reduced row echelon form with no zero rows, each row packed into one Python
+int, so equal subspaces are equal values and usable as dictionary keys.
+All arithmetic is exact.
+
+A packed row of length n holds column j in lane j, the bits [jW, (j+1)W),
+and every lane of a stored row holds its residue in [0, p) with no other
+bit set, so equal rows are equal ints.  Over F_2, W = 1: a row is its bit
+vector, and add and subtract are XOR.  For odd p, W = bit_length(2(p-1)) + 1
+and w = W - 1, so a lane holds the sum of two residues with room to spare.
+With L the row holding 1 in every lane, x + y, or x + pL - y for a
+difference, has lanes in [0, 2p) and is reduced by subtracting p from every
+lane >= p:  s - (((s + (2^w - p) L) >> w) & L) p.  Scaling by p - 1 is
+negation, pL - y reduced; other scalars occur only for p >= 5 and go lane
+by lane.  Vectors enter and leave as tuples (from_vectors, basis_rows,
+PrimeField.pack and unpack); the row loops pass packed rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations, product, repeat
 from operator import add, mul
 
@@ -20,10 +34,28 @@ _SMALL_PRIMES = {
 }
 
 
-class PrimeField:
-    """The field F_p for a prime 2 <= p <= 251, with a cached inverse table."""
+class _LaneConstants(dict):
+    """n -> (L, pL, (2^w - p) L) for packed rows of n lanes, filled on first use."""
 
-    __slots__ = ("p", "_inv")
+    __slots__ = ("p", "width")
+
+    def __init__(self, p: int, width: int):
+        super().__init__()
+        self.p = p
+        self.width = width
+
+    def __missing__(self, n):
+        ones = sum(1 << j * self.width for j in range(n))
+        consts = self[n] = (ones, self.p * ones, ((1 << self.width - 1) - self.p) * ones)
+        return consts
+
+
+class PrimeField:
+    """The field F_p for a prime 2 <= p <= 251, with a cached inverse table
+    and the lane layout of its packed rows: lane width `width`, lane mask
+    `lane` and the per-length constants `ones`."""
+
+    __slots__ = ("p", "_inv", "width", "lane", "ones")
 
     def __init__(self, p: int):
         p = int(p)
@@ -34,12 +66,28 @@ class PrimeField:
         for a in range(1, p):
             inv[a] = pow(a, p - 2, p)
         self._inv = tuple(inv)
+        self.width = 1 if p == 2 else (2 * (p - 1)).bit_length() + 1
+        self.lane = (1 << self.width) - 1
+        self.ones = _LaneConstants(p, self.width)
 
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("no inverse of 0")
         return self._inv[a]
+
+    def pack(self, v) -> int:
+        """The packed row of the vector v (a sequence), its entries taken mod p."""
+        p, width = self.p, self.width
+        x = 0
+        for e in reversed(v):
+            x = x << width | e % p
+        return x
+
+    def unpack(self, x: int, n: int) -> tuple:
+        """The vector of length n held in the packed row x."""
+        lane = self.lane
+        return tuple([x >> s & lane for s in range(0, n * self.width, self.width)])
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
@@ -190,7 +238,8 @@ def vstack(*mats: Matrix) -> Matrix:
 
 
 def combine(coeffs, rows, p) -> tuple:
-    """The linear combination sum_i coeffs[i] * rows[i] mod p, as a tuple.
+    """The linear combination sum_i coeffs[i] * rows[i] mod p of tuples, as
+    a tuple (the matrix entries' combination; packed rows use _combine).
 
     Zero coefficients are skipped; when none is nonzero the result is the
     zero row (the empty tuple if rows is empty).
@@ -205,41 +254,101 @@ def combine(coeffs, rows, p) -> tuple:
     return tuple([a % p for a in acc])
 
 
-def _rref_rows(rows, p, inv):
-    """In-place RREF of a list of rows; returns pivot column list.
+def _scaled(field: PrimeField, x: int, c: int, n: int) -> int:
+    """c x for a packed row x of n lanes and a scalar c not in {1, p - 1},
+    lane by lane (only p >= 5 has such scalars)."""
+    p, lane, width = field.p, field.lane, field.width
+    return sum((c * (x >> s & lane) % p) << s for s in range(0, n * width, width))
 
-    Only the list is changed: a row is replaced by a new list, never
-    written to, so rows may be tuples shared with the caller.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
+
+def _combine(coeffs: int, rows, field: PrimeField, n: int) -> int:
+    """sum_i c_i rows[i] for the packed coefficient row c (one lane per
+    row) and packed rows of n lanes."""
+    p, width, lane = field.p, field.width, field.lane
+    ones, pones, cones = field.ones[n]
+    w = width - 1
+    acc = 0
+    for i, r in enumerate(rows):
+        a = coeffs >> i * width & lane
+        if a:
+            if p == 2:
+                acc ^= r
+            else:
+                acc += r if a == 1 else pones - r if a == p - 1 else _scaled(field, r, a, n)
+                acc -= ((acc + cones) >> w & ones) * p
+    return acc
+
+
+def _combinations(field: PrimeField, n: int, rows, base: int = 0) -> list:
+    """base + sum_i a_i rows[i] for every coefficient vector a, in
+    itertools.product order (a_0 slowest), as packed rows of n lanes."""
+    p = field.p
+    ones, _, cones = field.ones[n]
+    w = field.width - 1
+    out = [base]
+    for r in reversed(rows):
+        if p == 2:
+            out += [r ^ t for t in out]
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        a = rows[r][c]
+        multiples = [r]
+        for _ in range(p - 2):
+            s = multiples[-1] + r
+            multiples.append(s - ((s + cones) >> w & ones) * p)
+        out += [s - ((s + cones) >> w & ones) * p
+                for m in multiples for t in out for s in [m + t]]
+    return out
+
+
+def _rref_rows(rows, field: PrimeField, n: int) -> tuple:
+    """RREF of packed rows of n lanes: (its nonzero rows in pivot order,
+    their pivot columns).
+
+    Each row is reduced by the rows kept so far, scaled to a leading 1 and
+    eliminated from them, so the kept rows are always in RREF.
+    """
+    p, width, lane, inv = field.p, field.width, field.lane, field._inv
+    ones, pones, cones = field.ones[n]
+    w = width - 1
+    out, pivots = [], []
+    for v in rows:
+        for c, r in zip(pivots, out):
+            f = v >> c * width & lane
+            if f:
+                if p == 2:
+                    v ^= r
+                else:
+                    v += pones - r if f == 1 else r if f == p - 1 else _scaled(field, r, p - f, n)
+                    v -= ((v + cones) >> w & ones) * p
+        if not v:
+            continue
+        lead = ((v & -v).bit_length() - 1) // width
+        s = lead * width
+        a = v >> s & lane
         if a != 1:
-            ia = inv[a]
-            rows[r] = [(ia * x) % p for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                rows[i] = [(x - f * y) % p for x, y in zip(ri, prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+            if a == p - 1:
+                v = pones - v
+                v -= ((v + cones) >> w & ones) * p
+            else:
+                v = _scaled(field, v, inv[a], n)
+        for i, r in enumerate(out):
+            f = r >> s & lane
+            if f:
+                if p == 2:
+                    r ^= v
+                else:
+                    r += pones - v if f == 1 else v if f == p - 1 else _scaled(field, v, p - f, n)
+                    r -= ((r + cones) >> w & ones) * p
+                out[i] = r
+        at = bisect_left(pivots, lead)
+        out.insert(at, v)
+        pivots.insert(at, lead)
+        if len(pivots) == n:
+            break       # full rank: every later row reduces to zero
+    return out, pivots
+
+
+def _packed_rows(m: Matrix) -> list:
+    return [m.field.pack(m.row(i)) for i in range(m.rows)]
 
 
 def rref_canonicalize(m: Matrix) -> tuple[Matrix, int]:
@@ -248,16 +357,19 @@ def rref_canonicalize(m: Matrix) -> tuple[Matrix, int]:
     The row space is preserved, and any two matrices with the same row
     space canonicalize to the identical value.
     """
-    rows = m.row_list()
-    pivots = _rref_rows(rows, m.field.p, m.field._inv)
-    rank = len(pivots)
-    flat = tuple(e for r in rows[:rank] for e in r)
-    return Matrix._reduced(m.field, rank, m.cols, flat), rank
+    field = m.field
+    rows, _ = _rref_rows(_packed_rows(m), field, m.cols)
+    flat = tuple(e for r in rows for e in field.unpack(r, m.cols))
+    return Matrix._reduced(field, len(rows), m.cols, flat), len(rows)
 
 
 class Subspace:
-    """A subspace of F_p^n held as its RREF rows (a tuple of tuples, no zero
-    rows), hence canonical."""
+    """A subspace of F_p^n held as its RREF rows (a tuple of packed rows,
+    no zero rows) and their pivot columns, hence canonical.
+
+    The vector arguments and results of the methods are packed rows;
+    from_vectors and basis_rows take and give tuples.
+    """
 
     __slots__ = ("field", "n", "rows", "pivots")
 
@@ -270,17 +382,17 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: PrimeField, n: int, vectors) -> "Subspace":
-        p = field.p
-        rows = [[e % p for e in v] for v in vectors]
-        if any(len(r) != n for r in rows):
+        vectors = [tuple(v) for v in vectors]
+        if any(len(v) != n for v in vectors):
             raise ValueError("vector length != ambient dimension")
-        pivots = _rref_rows(rows, p, field._inv)
-        return cls(field, n, tuple(map(tuple, rows[:len(pivots)])), tuple(pivots))
+        rows, pivots = _rref_rows([field.pack(v) for v in vectors], field, n)
+        return cls(field, n, tuple(rows), tuple(pivots))
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Subspace":
         """Row space of m."""
-        return cls.from_vectors(m.field, m.cols, [m.row(i) for i in range(m.rows)])
+        rows, pivots = _rref_rows(_packed_rows(m), m.field, m.cols)
+        return cls(m.field, m.cols, tuple(rows), tuple(pivots))
 
     @classmethod
     def zero(cls, field: PrimeField, n: int) -> "Subspace":
@@ -294,7 +406,7 @@ class Subspace:
     def coordinate(cls, field: PrimeField, n: int, cols) -> "Subspace":
         """The span of e_j for the ascending columns cols, built in RREF."""
         cols = tuple(cols)
-        return cls(field, n, tuple((0,) * c + (1,) + (0,) * (n - c - 1) for c in cols), cols)
+        return cls(field, n, tuple(1 << c * field.width for c in cols), cols)
 
     @property
     def dim(self) -> int:
@@ -304,24 +416,33 @@ class Subspace:
     def basis(self) -> Matrix:
         """The RREF rows as a dim x n matrix."""
         return Matrix._reduced(self.field, len(self.rows), self.n,
-                               tuple(e for r in self.rows for e in r))
+                               tuple(e for r in self.basis_rows() for e in r))
 
     def key(self) -> tuple:
         """Hashable canonical identity; equal iff the subspaces are equal."""
         return (self.field.p, self.n, self.rows)
 
     def basis_rows(self) -> list:
-        return list(self.rows)
+        """The RREF rows as tuples."""
+        field, n = self.field, self.n
+        return [field.unpack(r, n) for r in self.rows]
 
-    def reduce_vector(self, v) -> tuple:
-        """Residual of v after eliminating this subspace's pivot columns."""
-        p = self.field.p
-        v = [e % p for e in v]
-        for c, row in zip(self.pivots, self.rows):
-            f = v[c]
+    def reduce_vector(self, v: int) -> int:
+        """Residual of the packed row v after eliminating this subspace's
+        pivot columns."""
+        field = self.field
+        p, width, lane = field.p, field.width, field.lane
+        ones, pones, cones = field.ones[self.n]
+        w = width - 1
+        for c, r in zip(self.pivots, self.rows):
+            f = v >> c * width & lane
             if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        return tuple(v)
+                if p == 2:
+                    v ^= r
+                else:
+                    v += pones - r if f == 1 else r if f == p - 1 else _scaled(field, r, p - f, self.n)
+                    v -= ((v + cones) >> w & ones) * p
+        return v
 
     def image(self, outer: "Subspace") -> "Subspace":
         """self, given in the coordinates of outer's basis, lifted into
@@ -332,13 +453,12 @@ class Subspace:
         """
         if self.n != outer.dim or self.field != outer.field:
             raise ValueError("shape or field mismatch in subspace image")
-        p = self.field.p
-        return Subspace(self.field, outer.n,
-                        tuple(combine(r, outer.rows, p) for r in self.rows),
+        field, n, rows = self.field, outer.n, outer.rows
+        return Subspace(field, n, tuple(_combine(r, rows, field, n) for r in self.rows),
                         tuple(outer.pivots[c] for c in self.pivots))
 
-    def contains_vector(self, v) -> bool:
-        return not any(self.reduce_vector(v))
+    def contains_vector(self, v: int) -> bool:
+        return not self.reduce_vector(v)
 
     def contains(self, other: "Subspace") -> bool:
         if self.n != other.n or self.field != other.field:
@@ -355,37 +475,46 @@ class Subspace:
         return u
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked dual (orthogonal) bases."""
+        """Intersection: the kernel of the stacked kernels (orthogonal
+        complements) of the two RREF bases."""
         if self.n != other.n or self.field != other.field:
             raise ValueError("ambient mismatch")
-        da = kernel(self.basis).basis     # rows spanning self-orthogonal space
-        db = kernel(other.basis).basis
-        stacked = vstack(da, db)
-        return kernel(stacked)
+        field, n = self.field, self.n
+        da = _kernel_of_rref(field, n, self.rows, self.pivots)
+        db = _kernel_of_rref(field, n, other.rows, other.pivots)
+        return _kernel_of_rref(field, n, *_rref_rows(da.rows + db.rows, field, n))
 
-    def extend_by_vector(self, v) -> "Subspace":
+    def extend_by_vector(self, v: int) -> "Subspace":
         """Canonical form of self + <v>; no-op if v already lies in self."""
         res = self.reduce_vector(v)
-        lead = next((j for j, e in enumerate(res) if e), None)
-        if lead is None:
+        if not res:
             return self
-        p = self.field.p
-        if res[lead] != 1:
-            ia = self.field._inv[res[lead]]
-            res = tuple((ia * x) % p for x in res)
+        field, n = self.field, self.n
+        p, width, lane = field.p, field.width, field.lane
+        ones, pones, cones = field.ones[n]
+        w = width - 1
+        lead = ((res & -res).bit_length() - 1) // width
+        s = lead * width
+        a = res >> s & lane
+        if a != 1:
+            if a == p - 1:
+                res = pones - res
+                res -= ((res + cones) >> w & ones) * p
+            else:
+                res = _scaled(field, res, field._inv[a], n)
         rows = []
         for r in self.rows:
-            f = r[lead]
+            f = r >> s & lane
             if f:
-                rows.append(tuple((x - f * y) % p for x, y in zip(r, res)))
-            else:
-                rows.append(r)
-        at = 0
-        while at < len(rows) and self.pivots[at] < lead:
-            at += 1
+                if p == 2:
+                    r ^= res
+                else:
+                    r += pones - res if f == 1 else res if f == p - 1 else _scaled(field, res, p - f, n)
+                    r -= ((r + cones) >> w & ones) * p
+            rows.append(r)
+        at = bisect_left(self.pivots, lead)
         rows.insert(at, res)
-        pivots = self.pivots[:at] + (lead,) + self.pivots[at:]
-        return Subspace(self.field, self.n, tuple(rows), pivots)
+        return Subspace(field, n, tuple(rows), self.pivots[:at] + (lead,) + self.pivots[at:])
 
     def coordinate_complement(self) -> "Subspace":
         """The standard complement spanned by e_j over the non-pivot columns."""
@@ -408,24 +537,20 @@ class Subspace:
         acc = sub
         for r in self.rows:
             red = acc.reduce_vector(r)
-            if any(red):
+            if red:
                 rows.append(red)
                 acc = acc.extend_by_vector(red)
-        p = self.field.p
-        for coeffs in projective_vectors(self.field, len(rows), guard=guard):
-            yield combine(coeffs, rows, p)
+        return _lines(self.field, self.n, rows, guard)
 
     def vector_mask(self) -> int:
         """Bitmask over the indices of all vectors of self, the index of v
         being sum v_i p^i."""
-        q = self.field.p
-        rows = self.rows
-        weights = [q**i for i in range(self.n)]
+        field = self.field
+        q, width, lane = field.p, field.width, field.lane
+        weights = [(s, q**i) for i, s in enumerate(range(0, self.n * width, width))]
         mask = 0
-        for coeffs in product(range(q), repeat=len(rows)):
-            # the zero space combines to (), whose index is 0 as well
-            v = combine(coeffs, rows, q)
-            mask |= 1 << sum(w * e for w, e in zip(weights, v))
+        for v in _combinations(field, self.n, self.rows):
+            mask |= 1 << sum((v >> s & lane) * wt for s, wt in weights)
         return mask
 
     def __eq__(self, other):
@@ -444,8 +569,10 @@ class FormRows:
     M_i, and what the rows of several vectors span.
 
     The k rows of w are one combination sum_j w_j S_j of the slices S_j,
-    row j of every M_i side by side, so each vector costs one combine.  The
-    nonzero rows of each distinct w are kept as long as the map lives.
+    row j of every M_i side by side, so each vector costs one combination.
+    Each distinct w's rows are kept in RREF, with their pivots, as long as
+    the map lives, so the rank of one vector is a length and its kernel
+    needs no further reduction.  Vectors are packed rows of n lanes.
     """
 
     __slots__ = ("field", "k", "m", "_slices", "_rows")
@@ -457,33 +584,36 @@ class FormRows:
         self.field = field
         self.k = len(mats)
         self.m = m
-        self._slices = [tuple(e for a in mats for e in a.row(j)) for j in range(n)]
+        self._slices = [field.pack([e for a in mats for e in a.row(j)]) for j in range(n)]
         self._rows = {}
 
-    def rows(self, w) -> list:
-        """The nonzero rows among w^t M_1, ..., w^t M_k (w a tuple)."""
+    def rows(self, w: int) -> tuple:
+        """The RREF (rows, pivots) of the span of w^t M_1, ..., w^t M_k."""
         out = self._rows.get(w)
         if out is None:
-            flat, m = combine(w, self._slices, self.field.p), self.m
-            rows = [flat[i * m:(i + 1) * m] for i in range(self.k)]
-            out = self._rows[w] = [r for r in rows if any(r)]
+            field, k, m = self.field, self.k, self.m
+            flat = _combine(w, self._slices, field, k * m)
+            span = m * field.width
+            mask = (1 << span) - 1
+            out = self._rows[w] = _rref_rows([flat >> i * span & mask for i in range(k)],
+                                             field, m)
         return out
 
-    def _stacked(self, vectors) -> list:
+    def _span(self, vectors) -> tuple:
+        if len(vectors) == 1:
+            return self.rows(vectors[0])
         rows = []
         for w in vectors:
-            rows += self.rows(w)
-        return rows
+            rows += self.rows(w)[0]
+        return _rref_rows(rows, self.field, self.m)
 
     def rank(self, vectors) -> int:
         """The rank of the rows of all the vectors, stacked."""
-        return len(_rref_rows(self._stacked(vectors), self.field.p, self.field._inv))
+        return len(self._span(vectors)[1])
 
     def kernel(self, vectors) -> "Subspace":
         """{u in F^m : r u = 0 for every row r of the vectors}, in RREF."""
-        rows = self._stacked(vectors)
-        pivots = _rref_rows(rows, self.field.p, self.field._inv)
-        return _kernel_of_rref(self.field, self.m, rows, pivots)
+        return _kernel_of_rref(self.field, self.m, *self._span(vectors))
 
 
 def span_basis(field: PrimeField, rows: int, cols: int, mats) -> list:
@@ -491,7 +621,7 @@ def span_basis(field: PrimeField, rows: int, cols: int, mats) -> list:
     canonical RREF of their entry vectors, reshaped, so the pivots are
     deterministic in row-major order."""
     span = Subspace.from_vectors(field, rows * cols, [m.entries for m in mats])
-    return [Matrix._reduced(field, rows, cols, r) for r in span.rows]
+    return [Matrix._reduced(field, rows, cols, r) for r in span.basis_rows()]
 
 
 def are_independent(mats) -> bool:
@@ -503,28 +633,30 @@ def are_independent(mats) -> bool:
 
 
 def _kernel_of_rref(field: PrimeField, ncols: int, rows, pivots) -> Subspace:
-    """Right kernel of a matrix whose RREF rows carry the given pivots in
-    their first ncols columns: one vector per free column, reduced to RREF."""
-    p = field.p
+    """Right kernel of a matrix whose packed RREF rows carry the given
+    pivots in their first ncols columns: one vector per free column,
+    reduced to RREF."""
+    p, width, lane = field.p, field.width, field.lane
     pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
     basis = []
-    for j in free:
-        v = [0] * ncols
-        v[j] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-rows[i][j]) % p
+    for j in range(ncols):
+        if j in pivset:
+            continue
+        s = j * width
+        v = 1 << s
+        for c, r in zip(pivots, rows):
+            e = r >> s & lane
+            if e:
+                v |= (p - e) << c * width
         basis.append(v)
     # the vectors are independent (v_j is 1 at free column j, 0 at the others)
-    kpivots = _rref_rows(basis, p, field._inv)
-    return Subspace(field, ncols, tuple(map(tuple, basis)), tuple(kpivots))
+    krows, kpivots = _rref_rows(basis, field, ncols)
+    return Subspace(field, ncols, tuple(krows), tuple(kpivots))
 
 
 def kernel(m: Matrix) -> Subspace:
     """Right kernel {v : m v = 0} of m, as a subspace of F_p^cols."""
-    rows = m.row_list()
-    pivots = _rref_rows(rows, m.field.p, m.field._inv) if rows else []
-    return _kernel_of_rref(m.field, m.cols, rows, pivots)
+    return _kernel_of_rref(m.field, m.cols, *_rref_rows(_packed_rows(m), m.field, m.cols))
 
 
 def solve_linear(system: Matrix, rhs) -> tuple:
@@ -536,13 +668,13 @@ def solve_linear(system: Matrix, rhs) -> tuple:
     if len(b) != system.rows:
         raise ValueError("rhs shape mismatch")
     field, n = system.field, system.cols
-    aug = [list(system.row(i)) + [b[i] % field.p] for i in range(system.rows)]
-    pivots = _rref_rows(aug, field.p, field._inv)
+    aug, pivots = _rref_rows([field.pack(system.row(i) + (b[i],)) for i in range(system.rows)],
+                             field, n + 1)
     if pivots and pivots[-1] == n:
         return None, _kernel_of_rref(field, n, aug, pivots[:-1])
     x = [0] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
+    for r, c in zip(aug, pivots):
+        x[c] = r >> n * field.width & field.lane
     return tuple(x), _kernel_of_rref(field, n, aug, pivots)
 
 
@@ -550,13 +682,14 @@ def invert(m: Matrix) -> Matrix:
     """Inverse of a square matrix; raises ValueError if singular."""
     if m.rows != m.cols:
         raise ValueError("not square")
-    n = m.rows
-    aug = hstack(m, Matrix.identity(m.field, n))
-    rows = aug.row_list()
-    pivots = _rref_rows(rows, m.field.p, m.field._inv)
-    if len(pivots) != n or pivots != list(range(n)):
+    field, n = m.field, m.rows
+    shift = n * field.width
+    # [m | I]: row i carries e_i in lanes n..2n-1
+    rows, pivots = _rref_rows([r | 1 << shift + i * field.width
+                               for i, r in enumerate(_packed_rows(m))], field, 2 * n)
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix.from_rows(m.field, [r[n:] for r in rows])
+    return Matrix.from_rows(field, [field.unpack(r >> shift, n) for r in rows])
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
@@ -574,17 +707,35 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def projective_vectors(field: PrimeField, n: int, guard=None):
-    """One representative per line of F_p^n: first nonzero coordinate is 1."""
+def _lines(field: PrimeField, n: int, rows, guard):
+    """One packed vector per line of the span of the k independent rows:
+    the combinations whose first nonzero coefficient is 1, by the position
+    of that 1, then the later coefficients in itertools.product order.
+    The guard requires the (p^k - 1)/(p - 1) lines and ticks once per line."""
     g = as_guard(guard)
-    p = field.p
-    if n == 0:
+    k = len(rows)
+    if k == 0:
         return
-    g.require((p**n - 1) // (p - 1))
-    for lead in range(n):
-        for tail in product(range(p), repeat=n - lead - 1):
+    p = field.p
+    g.require((p**k - 1) // (p - 1))
+    for lead in range(k):
+        for v in _combinations(field, n, rows[lead + 1:], rows[lead]):
             g.tick()
-            yield (0,) * lead + (1,) + tail
+            yield v
+
+
+def projective_rows(field: PrimeField, n: int, guard=None):
+    """One packed row per line of F_p^n, its first nonzero coordinate 1
+    (guarded)."""
+    return _lines(field, n, [1 << j * field.width for j in range(n)], guard)
+
+
+def projective_vectors(field: PrimeField, n: int, guard=None):
+    """One representative per line of F_p^n: first nonzero coordinate is 1.
+    The tuples of projective_rows, for callers that use them as
+    coefficients."""
+    for v in projective_rows(field, n, guard=guard):
+        yield field.unpack(v, n)
 
 
 def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=None):
@@ -601,7 +752,7 @@ def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=N
         dims = [d]
     else:
         dims = list(range(n + 1))
-    q = field.p
+    q, width = field.p, field.width
     total = sum(gaussian_binomial(n, k, q) for k in dims)
     g.require(total)
     for k in dims:
@@ -611,20 +762,13 @@ def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=N
             continue
         for pivots in combinations(range(n), k):
             pivset = set(pivots)
-            free_pos = []
-            for i, c in enumerate(pivots):
-                for j in range(c + 1, n):
-                    if j not in pivset:
-                        free_pos.append((i, j))
-            base = [[0] * n for _ in range(k)]
-            for i, c in enumerate(pivots):
-                base[i][c] = 1
-            for vals in product(range(q), repeat=len(free_pos)):
+            # row i is e_c plus any combination of e_j over the free j > c
+            choices = [_combinations(field, n, [1 << j * width for j in range(c + 1, n)
+                                                if j not in pivset], 1 << c * width)
+                       for c in pivots]
+            for rows in product(*choices):
                 g.tick()
-                rows = [r[:] for r in base]
-                for (i, j), v in zip(free_pos, vals):
-                    rows[i][j] = v
-                yield Subspace(field, n, tuple(map(tuple, rows)), pivots)
+                yield Subspace(field, n, rows, pivots)
 
 
 def enumerate_complements(u: Subspace, guard=None):
@@ -647,9 +791,9 @@ def enumerate_complements(u: Subspace, guard=None):
         yield Subspace.zero(field, n)
         return
     g.require(q ** (d * k))
-    # row i of a complement is w_i + (coefficients i) . u
-    lifts = [(w,) + u.rows for w in w0.rows]
-    for coeffs in product(range(q), repeat=d * k):
+    # row i of a complement is w_i plus any combination of u's rows
+    choices = [_combinations(field, n, u.rows, w) for w in w0.rows]
+    for rows in product(*choices):
         g.tick()
-        yield Subspace.from_vectors(field, n, [
-            combine((1,) + coeffs[i * d:(i + 1) * d], lifts[i], q) for i in range(k)])
+        out, pivots = _rref_rows(rows, field, n)
+        yield Subspace(field, n, tuple(out), tuple(pivots))

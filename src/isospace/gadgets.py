@@ -14,7 +14,7 @@ from itertools import combinations
 from .altspace import AltMatrixSpace, block_alternating, elementary_alternating
 from .bipartite import MatrixSpace
 from .errors import as_guard
-from .ffield import FormRows, Matrix, PrimeField, invert, projective_vectors
+from .ffield import FormRows, Matrix, PrimeField, invert, projective_rows, projective_vectors
 
 
 def singular_exists_brute(b: MatrixSpace, guard=None):
@@ -74,7 +74,7 @@ def right_degree_min(bprime, guard=None) -> int:
     # the rows v^t B'_i^t are the vectors B'_i v
     forms = FormRows(field, m, n, [mat.transpose() for mat in bprime])
     best = n
-    for v in projective_vectors(field, m, guard=g):
+    for v in projective_rows(field, m, guard=g):
         r = forms.rank([v])
         if r < best:
             best = r

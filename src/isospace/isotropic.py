@@ -15,7 +15,7 @@ import math
 from .altspace import (AltMatrixSpace, form_rows, is_isotropic, nondegenerate_part,
                        restrict, split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
-from .ffield import Subspace, enumerate_complements, projective_vectors
+from .ffield import Subspace, enumerate_complements, projective_rows
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ def greedy_maximal(space: AltMatrixSpace) -> Subspace:
     forms = form_rows(space)
     u = Subspace.coordinate(field, n, [0])
     while True:
-        rad = forms.kernel(u.basis_rows())
+        rad = forms.kernel(u.rows)
         if rad.dim == u.dim:
             return u
         u = u.extend_by_vector(rad.first_row_outside(u))
@@ -90,7 +90,7 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     while True:
         nxt: dict = {}
         for u in levels[-1]:
-            rad = forms.kernel(u.basis_rows())
+            rad = forms.kernel(u.rows)
             rad_dims[u.key()] = rad.dim
             if rad.dim == u.dim:
                 continue
@@ -139,7 +139,7 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
         # non-degenerate: branch on the closed neighbourhood of a
         # minimum-degree vector
         forms = form_rows(sp)
-        reps = list(projective_vectors(field, n, guard=g))
+        reps = list(projective_rows(field, n, guard=g))
         # deg(v) = rank of v's rows; min keeps the first minimum
         vstar = min(reps, key=lambda v: forms.rank([v]))
         rad_v = forms.kernel([vstar])
@@ -155,7 +155,7 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
                 if ck in found:
                     continue
                 # cand = rad(cand): its rows have rank n - dim cand
-                if forms.rank(cand.basis_rows()) == n - cand.dim:
+                if forms.rank(cand.rows) == n - cand.dim:
                     found[ck] = cand
         return list(found.values())
 
@@ -394,10 +394,10 @@ def has_isotropic_dim2(space: AltMatrixSpace, guard=None):
     g = as_guard(guard)
     field, n = space.field, space.n
     forms = form_rows(space)
-    for v in projective_vectors(field, n, guard=g):
+    for v in projective_rows(field, n, guard=g):
         if forms.rank([v]) <= n - 2:
-            line = Subspace.from_vectors(field, n, [v])
-            return True, (v, forms.kernel([v]).first_row_outside(line))
+            w = forms.kernel([v]).first_row_outside(Subspace.zero(field, n).extend_by_vector(v))
+            return True, (field.unpack(v, n), field.unpack(w, n))
     return False, None
 
 

@@ -159,7 +159,7 @@ def test_adjoint_contains_identity_and_star():
     # (I, I) lies in the span of the pairs (D, D*)
     ident = Matrix.identity(F3, 2)
     flat = Subspace.from_vectors(F3, 8, [d.entries + b.entries for d, b in adj.pairs])
-    assert flat.contains_vector(ident.entries + ident.entries)
+    assert flat.contains_vector(F3.pack(ident.entries + ident.entries))
 
 
 def test_adjoint_rejects_degenerate():
@@ -186,7 +186,7 @@ def test_adjoint_star_involution_random():
             for (d2, b2) in adj.pairs:
                 d12 = d1 @ d2
                 b12 = b2 @ b1
-                assert flat.contains_vector(d12.entries + b12.entries)
+                assert flat.contains_vector(F3.pack(d12.entries + b12.entries))
             # D** = D: the pair (B, D) must satisfy the defining identity
             for a in sp.basis:
                 assert d1.transpose() @ a == a @ b1

@@ -15,7 +15,7 @@ from isospace.cli import main, run_command
 from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
                          parse_mats, parse_space)
 from isospace.errors import ParseError
-from isospace.ffield import Subspace
+from isospace.ffield import Subspace, gaussian_binomial
 from util import F2, F3, random_space
 
 K3_AMS = """# the triangle space over F_2
@@ -331,3 +331,23 @@ def test_degree_and_rank_sweeps_match_all_vectors(tmp_path):
         res = run_command(["--guard", "60", "stats", "-f", str(path)])["results"]
         assert res["degree_histogram"] == {str(d): c for d, c in sorted(hist.items())}
         assert res["max_degree"] == max(hist) and res["max_rank"] == rank
+
+
+def test_count_prints_values_beyond_the_int_to_str_digit_limit(capsys):
+    # [300 choose 150]_3 has over 10,000 decimal digits
+    assert main(["count", "gaussian", "300", "150", "3"]) == 0
+    out = capsys.readouterr().out
+    value = next(line for line in out.splitlines() if line.startswith("value: "))[7:]
+    assert len(value) > 10_000 and value.isdigit() and value[0] != "0"
+    back = 0
+    for i in range(0, len(value), 1000):
+        chunk = value[i:i + 1000]
+        back = back * 10**len(chunk) + int(chunk)
+    assert back == gaussian_binomial(300, 150, 3)
+    assert run_command(["count", "gaussian", "4", "2", "2"])["results"]["value"] == "35"
+
+
+def test_a_negative_guard_is_a_parse_error(files, capsys):
+    assert _fails_cleanly(["alpha", "-f", files["k3.ams"], "--guard", "-5"], capsys) == 2
+    assert _fails_cleanly(["--guard", "-1", "count", "gaussian", "4", "2", "2"], capsys) == 2
+    assert _fails_cleanly(["alpha", "-f", files["k3.ams"], "--guard", "0"], capsys) == 3

@@ -120,7 +120,7 @@ def test_solve_linear_matches_kernel_and_enumeration():
             assert not sols
             continue
         assert x in sols and len(sols) == p ** ker.dim
-        assert all(ker.contains_vector([(a - b) % p for a, b in zip(v, x)])
+        assert all(ker.contains_vector(field.pack([(a - b) % p for a, b in zip(v, x)]))
                    for v in sols)
         red, rank = rref_canonicalize(m)
         pivots = {next(j for j in range(cols) if red[i, j]) for i in range(rank)}

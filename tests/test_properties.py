@@ -14,8 +14,8 @@ from isospace.bipartite import (adjoint_algebra, alpha_bipartite,
                                 bipartite_space_from_blocks,
                                 block_space_from_bipartite,
                                 hyperbolic_idempotent_search, ncrk_brute)
-from isospace.ffield import (FormRows, Matrix, Subspace, combine, invert, kernel,
-                             rref_canonicalize, vstack)
+from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, combine,
+                             invert, kernel, rref_canonicalize, vstack)
 from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
                              space_from_graph)
 from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
@@ -23,7 +23,7 @@ from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover,
                                 enumerate_maximal_branch, enumerate_maximal_filter,
                                 validate_decomposition)
-from util import F2, F3, random_matrix_space, random_space
+from util import F2, F3, random_matrix_space, random_space, rref_rows_reference
 
 
 @st.composite
@@ -73,7 +73,7 @@ def test_forms_match_their_definitions(case):
     inside = [x for x in every
               if all(form(a, x, w) == 0 for a in space.basis for w in ubasis)]
     assert field.p ** rad.dim == len(inside)
-    assert all(rad.contains_vector(x) for x in inside)
+    assert all(rad.contains_vector(field.pack(x)) for x in inside)
     assert is_isotropic(space, u) == all(
         form(a, x, w) == 0 for a in space.basis for x in ubasis for w in ubasis)
     for v in every:
@@ -259,7 +259,7 @@ def test_vector_mask_marks_exactly_the_vectors(pair):
     assert bin(mask).count("1") == q**u.dim
     for v in product(range(q), repeat=n):
         index = sum(e * q**i for i, e in enumerate(v))
-        assert bool(mask >> index & 1) == u.contains_vector(v)
+        assert bool(mask >> index & 1) == u.contains_vector(u.field.pack(v))
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,7 +267,7 @@ def test_vector_mask_marks_exactly_the_vectors(pair):
 def test_first_row_outside(pair):
     outer, inner = pair
     row = outer.first_row_outside(inner)
-    rows = outer.basis_rows()
+    rows = list(outer.rows)
     if inner.contains(outer):
         assert row is None
     else:
@@ -314,16 +314,78 @@ def test_form_rows_are_the_products_w_t_m(field, n, m, k, rng):
     forms = FormRows(field, n, m, mats)
     vectors = [tuple(rng.randrange(field.p) for _ in range(n)) for _ in range(3)]
     vectors += [(0,) * n, vectors[0]]
+    packed = [field.pack(w) for w in vectors]
     products = []
-    for w in vectors:
+    for w, x in zip(vectors, packed):
         row = Matrix(field, 1, n, w)
         explicit = [(row @ a).entries for a in mats]
-        assert forms.rows(w) == [r for r in explicit if any(r)]
+        # the rows of w are kept reduced: the RREF of the products' span
+        rows, pivots = forms.rows(x)
+        span = Subspace.from_vectors(field, m, explicit)
+        assert [field.unpack(r, m) for r in rows] == span.basis_rows()
+        assert tuple(pivots) == span.pivots
+        assert forms.rank([x]) == span.dim
         products += [row @ a for a in mats]
     stacked = vstack(Matrix.zeros(field, 0, m), *products)
-    assert forms.rank(vectors) == stacked.rank()
-    assert forms.kernel(vectors) == kernel(stacked)
+    assert forms.rank(packed) == stacked.rank()
+    assert forms.kernel(packed) == kernel(stacked)
+    assert forms.kernel(packed[:1]) == kernel(vstack(Matrix.zeros(field, 0, m), *products[:k]))
     assert forms.kernel([]) == Subspace.full(field, m)
     if k:
         with pytest.raises(ValueError):
             FormRows(field, n + 1, m, mats)
+
+
+@st.composite
+def lane_cases(draw):
+    """A field of {2, 3, 5, 7, 251}, a length 0..16 and up to 5 vectors of it."""
+    field = PrimeField(draw(st.sampled_from([2, 3, 5, 7, 251])))
+    n = draw(st.integers(0, 16))
+    entry = st.integers(0, field.p - 1)
+    vecs = draw(st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple),
+                         min_size=2, max_size=5))
+    return field, n, vecs, draw(entry)
+
+
+def reference_kernel(field, n, rows):
+    """The RREF rows of the right kernel, from the tuple RREF of rows."""
+    rows = [list(r) for r in rows]
+    pivots = rref_rows_reference(rows, field.p, field._inv)
+    basis = []
+    for j in (j for j in range(n) if j not in pivots):
+        v = [0] * n
+        v[j] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][j] % field.p
+        basis.append(v)
+    rank = len(rref_rows_reference(basis, field.p, field._inv))
+    return [tuple(r) for r in basis[:rank]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lane_cases())
+@example((PrimeField(3), 0, [(), ()], 2))
+@example((PrimeField(251), 3, [(250, 1, 0), (0, 250, 7), (250, 0, 250)], 200))
+def test_packed_rows_follow_the_tuple_arithmetic(case):
+    field, n, vecs, a = case
+    p = field.p
+    x, y = vecs[0], vecs[1]
+    px, py = field.pack(x), field.pack(y)
+    assert field.unpack(px, n) == x
+    assert field.pack([e + p * k - p for k, e in enumerate(x)]) == px
+    # add, subtract and scale: combinations with coefficients (1, 1), (1, -1), (a)
+    assert _combine(field.pack((1, 1)), [px, py], field, n) == field.pack(
+        [(u + v) % p for u, v in zip(x, y)])
+    assert _combine(field.pack((1, p - 1)), [px, py], field, n) == field.pack(
+        [(u - v) % p for u, v in zip(x, y)])
+    assert _combine(field.pack((a,)), [px], field, n) == field.pack([a * u % p for u in x])
+    # the lead lane is the first nonzero column
+    line = Subspace.zero(field, n).extend_by_vector(px)
+    assert line.pivots == tuple(j for j, e in enumerate(x) if e)[:1]
+    # the packed RREF and kernel are the tuple reference's
+    rows = [list(v) for v in vecs]
+    pivots = rref_rows_reference(rows, p, field._inv)
+    span = Subspace.from_vectors(field, n, vecs)
+    assert span.basis_rows() == [tuple(r) for r in rows[:len(pivots)]]
+    assert span.pivots == tuple(pivots)
+    assert kernel(Matrix.from_rows(field, vecs)).basis_rows() == reference_kernel(field, n, vecs)

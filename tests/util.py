@@ -44,3 +44,30 @@ def symplectic_form(field, n):
         ent[i][h + i] = 1
         ent[h + i][i] = (-1) % field.p
     return Matrix.from_rows(field, ent)
+
+
+def rref_rows_reference(rows, p, inv):
+    """Reference RREF of a list of tuple rows, in place; returns the pivot
+    columns.  Column by column: the first row at or below the current one
+    with a nonzero entry is swapped up, scaled to a leading 1 and
+    eliminated from every other row."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), -1)
+        if piv < 0:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        ia = inv[rows[r][c]]
+        rows[r] = prow = [(ia * x) % p for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
