@@ -317,7 +317,8 @@ def _rref_rows(rows, field: PrimeField, n: int) -> tuple:
                 if p == 2:
                     v ^= r
                 else:
-                    v += pones - r if f == 1 else r if f == p - 1 else _scaled(field, r, p - f, n)
+                    v += (pones - r if f == 1 else r if f == p - 1
+                          else _scaled(field, r, p - f, n))
                     v -= ((v + cones) >> w & ones) * p
         if not v:
             continue
@@ -336,7 +337,8 @@ def _rref_rows(rows, field: PrimeField, n: int) -> tuple:
                 if p == 2:
                     r ^= v
                 else:
-                    r += pones - v if f == 1 else v if f == p - 1 else _scaled(field, v, p - f, n)
+                    r += (pones - v if f == 1 else v if f == p - 1
+                          else _scaled(field, v, p - f, n))
                     r -= ((r + cones) >> w & ones) * p
                 out[i] = r
         at = bisect_left(pivots, lead)
@@ -391,8 +393,7 @@ class Subspace:
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Subspace":
         """Row space of m."""
-        rows, pivots = _rref_rows(_packed_rows(m), m.field, m.cols)
-        return cls(m.field, m.cols, tuple(rows), tuple(pivots))
+        return cls.from_vectors(m.field, m.cols, [m.row(i) for i in range(m.rows)])
 
     @classmethod
     def zero(cls, field: PrimeField, n: int) -> "Subspace":
@@ -440,7 +441,8 @@ class Subspace:
                 if p == 2:
                     v ^= r
                 else:
-                    v += pones - r if f == 1 else r if f == p - 1 else _scaled(field, r, p - f, self.n)
+                    v += (pones - r if f == 1 else r if f == p - 1
+                          else _scaled(field, r, p - f, self.n))
                     v -= ((v + cones) >> w & ones) * p
         return v
 
@@ -509,12 +511,14 @@ class Subspace:
                 if p == 2:
                     r ^= res
                 else:
-                    r += pones - res if f == 1 else res if f == p - 1 else _scaled(field, res, p - f, n)
+                    r += (pones - res if f == 1 else res if f == p - 1
+                          else _scaled(field, res, p - f, n))
                     r -= ((r + cones) >> w & ones) * p
             rows.append(r)
         at = bisect_left(self.pivots, lead)
         rows.insert(at, res)
-        return Subspace(field, n, tuple(rows), self.pivots[:at] + (lead,) + self.pivots[at:])
+        pivots = self.pivots[:at] + (lead,) + self.pivots[at:]
+        return Subspace(field, n, tuple(rows), pivots)
 
     def coordinate_complement(self) -> "Subspace":
         """The standard complement spanned by e_j over the non-pivot columns."""

@@ -396,7 +396,8 @@ def has_isotropic_dim2(space: AltMatrixSpace, guard=None):
     forms = form_rows(space)
     for v in projective_rows(field, n, guard=g):
         if forms.rank([v]) <= n - 2:
-            w = forms.kernel([v]).first_row_outside(Subspace.zero(field, n).extend_by_vector(v))
+            line = Subspace.zero(field, n).extend_by_vector(v)
+            w = forms.kernel([v]).first_row_outside(line)
             return True, (field.unpack(v, n), field.unpack(w, n))
     return False, None
 
