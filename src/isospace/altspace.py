@@ -12,33 +12,28 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import VerificationError
-from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combine,
+from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
                      hstack, kernel, projective_rows, projective_vectors, span_basis,
                      vstack)
 
 
 def is_alternating(m: Matrix) -> bool:
+    """Zero diagonal and A + A^t = 0, read row by row."""
     if m.rows != m.cols:
         return False
-    p = m.field.p
-    n = m.rows
-    for i in range(n):
-        if m[i, i] != 0:
-            return False
-        for j in range(i + 1, n):
-            if m[i, j] != (-m[j, i]) % p:
-                return False
-    return True
+    width, lane = m.field.width, m.field.lane
+    return (not any(r >> i * width & lane for i, r in enumerate(m.packed))
+            and (m + m.transpose()).is_zero())
 
 
 def elementary_alternating(field: PrimeField, n: int, i: int, j: int) -> Matrix:
     """e_i e_j^t - e_j e_i^t for i < j."""
     if not (0 <= i < j < n):
         raise ValueError("need 0 <= i < j < n")
-    ent = [0] * (n * n)
-    ent[i * n + j] = 1
-    ent[j * n + i] = field.p - 1
-    return Matrix(field, n, n, ent)
+    rows = [0] * n
+    rows[i] = 1 << j * field.width
+    rows[j] = field.p - 1 << i * field.width
+    return Matrix._reduced(field, n, n, tuple(rows))
 
 
 class AltMatrixSpace:
@@ -66,10 +61,16 @@ class AltMatrixSpace:
                 raise ValueError("generator is not alternating")
             if m.field != field or m.rows != n:
                 raise ValueError("generator has wrong field or shape")
+        return cls._unchecked(field, n, span_basis(field, n, n, mats))
+
+    @classmethod
+    def _unchecked(cls, field: PrimeField, n: int, basis) -> "AltMatrixSpace":
+        """Internal: the span of a basis known to be alternating and
+        independent, built without validate."""
         sp = object.__new__(cls)
         sp.field = field
         sp.n = int(n)
-        sp.basis = tuple(span_basis(field, n, n, mats))
+        sp.basis = tuple(basis)
         return sp
 
     @classmethod
@@ -91,17 +92,14 @@ class AltMatrixSpace:
             raise ValueError("dependent basis")
 
     def combination(self, coeffs) -> Matrix:
-        if not self.basis:
-            return Matrix.zeros(self.field, self.n, self.n)
-        ent = combine(coeffs, [m.entries for m in self.basis], self.field.p)
-        return Matrix._reduced(self.field, self.n, self.n, ent)
+        return combination(self.field, self.n, self.n, self.field.pack(coeffs), self.basis)
 
     def __eq__(self, other):
         return (isinstance(other, AltMatrixSpace) and self.field == other.field
                 and self.n == other.n and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.field.p, self.n, tuple(m.entries for m in self.basis)))
+        return hash((self.field.p, self.n, self.basis))
 
     def __repr__(self):
         return f"AltMatrixSpace(F{self.field.p}, n={self.n}, dim={self.dim})"

@@ -15,7 +15,7 @@ from .altspace import (AltMatrixSpace, block_alternating, is_isotropic,
                        nondegenerate_part, split_zero_space,
                        validate_decomposition)
 from .errors import VerificationError, as_guard
-from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combine,
+from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
                      enumerate_subspaces, kernel, solve_linear, span_basis, vstack)
 
 
@@ -55,10 +55,7 @@ class MatrixSpace:
         return len(self.basis)
 
     def combination(self, coeffs) -> Matrix:
-        if not self.basis:
-            return Matrix.zeros(self.field, self.s, self.t)
-        ent = combine(coeffs, [m.entries for m in self.basis], self.field.p)
-        return Matrix._reduced(self.field, self.s, self.t, ent)
+        return combination(self.field, self.s, self.t, self.field.pack(coeffs), self.basis)
 
     def __repr__(self):
         return f"MatrixSpace(F{self.field.p}, {self.s}x{self.t}, dim={self.dim})"
@@ -123,10 +120,9 @@ def ncrk_pad_square(b: MatrixSpace) -> MatrixSpace:
     field, s, t = b.field, b.s, b.t
     pad = t - s
     top = Matrix.zeros(field, pad, t)
-    # E_{i,j} is row i t + j of the identity on F^{t t}, reshaped to t x t
-    units = Matrix.identity(field, t * t)
+    # E_{i,j} is e_{i t + j} of F^{t t} reshaped to t x t
     gens = ([vstack(top, m) for m in b.basis]
-            + [Matrix._reduced(field, t, t, units.row(k)) for k in range(pad * t)])
+            + [Matrix.from_flat(field, t, t, 1 << k * field.width) for k in range(pad * t)])
     return MatrixSpace.from_generators(field, t, t, gens)
 
 
@@ -178,35 +174,27 @@ def adjoint_algebra(space: AltMatrixSpace) -> AdjointAlgebra:
     """
     n = space.n
     field = space.field
-    p = field.p
+    width, lane = field.width, field.lane
     nn = n * n
-    # unknown vector x = (D row-major, B row-major); equations per basis A:
-    #   (B^t A)_{rc} - (A D)_{rc} = 0
+    # unknown vector x = (D row-major, B row-major), as one packed row of
+    # 2 n^2 lanes; the equation of (r, c) for each basis A,
+    #   (B^t A)_{rc} - (A D)_{rc} = sum_k A_{kc} B_{kr} - sum_k A_{rk} D_{kc} = 0,
+    # has row r of -A at the lanes k n + c and column c of A at nn + k n + r
+    def spread(x):      # lane k of a packed row of n lanes to lane k n
+        return sum((x >> k * width & lane) << k * n * width for k in range(n))
+
     rows = []
     for a in space.basis:
-        for r in range(n):
-            for c in range(n):
-                row = [0] * (2 * nn)
-                # (A D)_{rc} = sum_k A_{rk} D_{kc}
-                for k in range(n):
-                    f = a[r, k]
-                    if f:
-                        row[k * n + c] = (row[k * n + c] - f) % p
-                # (B^t A)_{rc} = sum_k B_{kr} A_{kc}
-                for k in range(n):
-                    f = a[k, c]
-                    if f:
-                        row[nn + k * n + r] = (row[nn + k * n + r] + f) % p
-                rows.append(row)
-    ker = kernel(Matrix(field, len(rows), 2 * nn, [e for r in rows for e in r]))
+        d_side = [spread(r) for r in a.scale(-1).packed]
+        b_side = [spread(r) << nn * width for r in a.transpose().packed]
+        rows += [d_side[r] << c * width | b_side[c] << r * width
+                 for r in range(n) for c in range(n)]
+    ker = kernel(Matrix._reduced(field, len(rows), 2 * nn, tuple(rows)))
     if ker.pivots and ker.pivots[-1] >= nn:
         raise ValueError("adjoint algebra requires a non-degenerate space")
-    pairs = []
-    for sol in ker.basis_rows():
-        d = Matrix(field, n, n, sol[:nn])
-        b = Matrix(field, n, n, sol[nn:])
-        pairs.append((d, b))
-    return AdjointAlgebra(field, n, pairs)
+    return AdjointAlgebra(field, n, [(Matrix.from_flat(field, n, n, x),
+                                      Matrix.from_flat(field, n, n, x >> nn * width))
+                                     for x in ker.rows])
 
 
 def hyperbolic_idempotent_search(adj: AdjointAlgebra, guard=None):
@@ -218,19 +206,19 @@ def hyperbolic_idempotent_search(adj: AdjointAlgebra, guard=None):
     """
     g = as_guard(guard)
     field, n, q = adj.field, adj.n, adj.field.p
-    sums = [combine((1, 1), [d.entries, b.entries], q) for d, b in adj.pairs]
-    system = Matrix._reduced(field, n * n, adj.dim,
-                             tuple(e for col in zip(*sums) for e in col))
+    # column j of the system is D_j + D_j*, row-major
+    sums = tuple((d + b).flat() for d, b in adj.pairs)
+    system = Matrix._reduced(field, adj.dim, n * n, sums).transpose()
     c0, ker = solve_linear(system, Matrix.identity(field, n).entries)
     if c0 is None:
         return None
-    ds = [d.entries for d, _ in adj.pairs]     # P = P0 + sum t_j K_j
-    c0 = field.unpack(ker.reduce_vector(field.pack(c0)), adj.dim)
-    gens = [combine(c, ds, q) for c in [c0] + ker.basis_rows()]
+    ds = [d for d, _ in adj.pairs]     # P = P0 + sum t_j K_j
+    coeffs = [ker.reduce_vector(field.pack(c0))] + list(ker.rows)
+    gens = [combination(field, n, n, c, ds) for c in coeffs]
     g.require(q ** ker.dim)
     for t in product(range(q), repeat=ker.dim):
         g.tick()
-        d = Matrix._reduced(field, n, n, combine((1,) + t, gens, q))
+        d = combination(field, n, n, field.pack((1,) + t), gens)
         if d @ d == d:
             return d
     return None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -42,7 +43,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}")
 
 
@@ -286,12 +287,15 @@ def cmd_quantum(args, guard):
         state = [float(x) for x in args.state.split()]
     except ValueError:
         raise ParseError(f"--state {args.state!r} is not a list of numbers")
+    if not all(map(math.isfinite, state)):
+        raise ParseError(f"--state {args.state!r} has a non-finite entry")
     if len(state) != ch.n:
         raise ParseError(f"--state has {len(state)} entries, the graph has {ch.n} vertices")
-    import math
-    norm = math.sqrt(sum(x * x for x in state))
-    if norm == 0:
+    top = max(map(abs, state), default=0.0)
+    if top == 0:
         raise ParseError("--state must be nonzero")
+    state = [x / top for x in state]        # first, so that the norm cannot overflow
+    norm = math.hypot(*state)
     state = [x / norm for x in state]
     return dig, {"fidelity": fidelity_pure(ch, state), "n": ch.n,
                  "state": state}

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over prime fields F_p.
 
-Matrices are immutable row-major tuples of residues.  Subspaces are kept in
-reduced row echelon form with no zero rows, each row packed into one Python
-int, so equal subspaces are equal values and usable as dictionary keys.
-All arithmetic is exact.
+Matrices and subspaces are tuples of rows, each row packed into one Python
+int.  A Matrix is immutable; a Subspace is kept in reduced row echelon
+form with no zero rows, so equal subspaces are equal values and usable as
+dictionary keys.  All arithmetic is exact.
 
 A packed row of length n holds column j in lane j, the bits [jW, (j+1)W),
 and every lane of a stored row holds its residue in [0, p) with no other
@@ -14,15 +14,16 @@ With L the row holding 1 in every lane, x + y, or x + pL - y for a
 difference, has lanes in [0, 2p) and is reduced by subtracting p from every
 lane >= p:  s - (((s + (2^w - p) L) >> w) & L) p.  Scaling by p - 1 is
 negation, pL - y reduced; other scalars occur only for p >= 5 and go lane
-by lane.  Vectors enter and leave as tuples (from_vectors, basis_rows,
-PrimeField.pack and unpack); the row loops pass packed rows.
+by lane.  Every matrix operation is a row combination (_combine) or a row
+reduction (_rref_rows).  Vectors enter and leave as tuples (Matrix entries,
+from_vectors, basis_rows, PrimeField.pack and unpack); the row loops pass
+packed rows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, product, repeat
-from operator import add, mul
+from itertools import combinations, product
 
 from .errors import as_guard
 
@@ -100,27 +101,35 @@ class PrimeField:
 
 
 class Matrix:
-    """Immutable matrix over a prime field, entries row-major in [0, p)."""
+    """Immutable rows x cols matrix over a prime field, held as a tuple of
+    packed rows of cols lanes (`packed`), each lane in [0, p).
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    The arithmetic runs on whole rows: a product row is a combination of
+    the other factor's rows (_combine), and rank, kernel, solve and inverse
+    reduce the rows with _rref_rows.  `entries`, `row`, `col` and [i, j]
+    read residues out; the constructors take them in.
+    """
+
+    __slots__ = ("field", "rows", "cols", "packed")
 
     def __init__(self, field: PrimeField, rows: int, cols: int, entries):
+        entries = list(entries)
+        if len(entries) != rows * cols:
+            raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
         self.field = field
         self.rows = rows
         self.cols = cols
-        entries = tuple(e % field.p for e in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        self.entries = entries
+        self.packed = tuple([field.pack(entries[i * cols:(i + 1) * cols]) for i in range(rows)])
 
     @classmethod
-    def _reduced(cls, field: PrimeField, rows: int, cols: int, entries: tuple) -> "Matrix":
-        """Internal fast path: entries already a reduced row-major tuple."""
+    def _reduced(cls, field: PrimeField, rows: int, cols: int, packed: tuple) -> "Matrix":
+        """Internal fast path: packed is already a tuple of `rows` packed
+        rows of `cols` lanes, every lane in [0, p)."""
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
         m.cols = cols
-        m.entries = entries
+        m.packed = packed
         return m
 
     @classmethod
@@ -129,92 +138,94 @@ class Matrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        flat = [e for r in rows for e in r]
-        return cls(field, len(rows), ncols, flat)
+        return cls._reduced(field, len(rows), ncols, tuple([field.pack(r) for r in rows]))
+
+    @classmethod
+    def from_flat(cls, field: PrimeField, rows: int, cols: int, x: int) -> "Matrix":
+        """The matrix whose entries, row-major, are the packed row x."""
+        span = cols * field.width
+        mask = (1 << span) - 1
+        return cls._reduced(field, rows, cols, tuple([x >> i * span & mask for i in range(rows)]))
 
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, (0,) * (rows * cols))
+        return cls._reduced(field, rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Matrix":
-        ent = [0] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = 1
-        return cls(field, n, n, ent)
+        return cls._reduced(field, n, n, tuple([1 << i * field.width for i in range(n)]))
+
+    def flat(self) -> int:
+        """The entries, row-major, as one packed row of rows * cols lanes."""
+        span = self.cols * self.field.width
+        return sum(r << i * span for i, r in enumerate(self.packed))
+
+    @property
+    def entries(self) -> tuple:
+        """The entries, row-major, as a tuple of residues."""
+        return self.field.unpack(self.flat(), self.rows * self.cols)
 
     def row(self, i: int) -> tuple:
-        c = self.cols
-        return self.entries[i * c:(i + 1) * c]
+        return self.field.unpack(self.packed[i], self.cols)
 
     def col(self, j: int) -> tuple:
-        c = self.cols
-        return tuple(self.entries[i * c + j] for i in range(self.rows))
+        s, lane = j * self.field.width, self.field.lane
+        return tuple([r >> s & lane for r in self.packed])
 
     def row_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.packed[i] >> j * self.field.width & self.field.lane
 
     def transpose(self) -> "Matrix":
-        r, c, ent = self.rows, self.cols, self.entries
-        return Matrix._reduced(self.field, c, r,
-                               tuple([ent[i * c + j] for j in range(c) for i in range(r)]))
+        field, packed = self.field, self.packed
+        width, lane = field.width, field.lane
+        return Matrix._reduced(field, self.cols, self.rows, tuple([
+            sum((r >> s & lane) << i * width for i, r in enumerate(packed))
+            for s in range(0, self.cols * width, width)]))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows or self.field != other.field:
             raise ValueError("shape or field mismatch in matrix product")
-        p = self.field.p
-        a, b = self.entries, other.entries
-        n, k, m = self.rows, self.cols, other.cols
-        out = [0] * (n * m)
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            orow = out[i * m:(i + 1) * m]
-            for t in range(k):
-                av = arow[t]
-                if av:
-                    brow = b[t * m:(t + 1) * m]
-                    for j in range(m):
-                        orow[j] += av * brow[j]
-            out[i * m:(i + 1) * m] = [x % p for x in orow]
-        return Matrix._reduced(self.field, n, m, tuple(out))
+        field, rows, m = self.field, other.packed, other.cols
+        return Matrix._reduced(field, self.rows, m,
+                               tuple([_combine(a, rows, field, m) for a in self.packed]))
+
+    def _rowwise(self, coeffs: int, other: "Matrix", what: str) -> "Matrix":
+        """c_0 self + c_1 other, row by row, for the packed coefficient row c."""
+        if (self.rows, self.cols) != (other.rows, other.cols) or self.field != other.field:
+            raise ValueError(f"shape or field mismatch in matrix {what}")
+        field, n = self.field, self.cols
+        return Matrix._reduced(field, self.rows, n, tuple([
+            _combine(coeffs, pair, field, n) for pair in zip(self.packed, other.packed)]))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols) or self.field != other.field:
-            raise ValueError("shape or field mismatch in matrix sum")
-        p = self.field.p
-        return Matrix(self.field, self.rows, self.cols,
-                      [(x + y) % p for x, y in zip(self.entries, other.entries)])
+        return self._rowwise(1 | 1 << self.field.width, other, "sum")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols) or self.field != other.field:
-            raise ValueError("shape or field mismatch in matrix difference")
-        p = self.field.p
-        return Matrix(self.field, self.rows, self.cols,
-                      [(x - y) % p for x, y in zip(self.entries, other.entries)])
+        return self._rowwise(1 | (self.field.p - 1) << self.field.width, other, "difference")
 
     def scale(self, a: int) -> "Matrix":
-        p = self.field.p
-        a %= p
-        return Matrix(self.field, self.rows, self.cols,
-                      [(a * x) % p for x in self.entries])
+        field, n = self.field, self.cols
+        a %= field.p
+        return Matrix._reduced(field, self.rows, n,
+                               tuple([_combine(a, (r,), field, n) for r in self.packed]))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.packed)
 
     def rank(self) -> int:
-        return rref_canonicalize(self)[1]
+        return len(_rref_rows(self.packed, self.field, self.cols)[1])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.packed == other.packed)
 
     def __hash__(self):
-        return hash((self.field.p, self.rows, self.cols, self.entries))
+        return hash((self.field.p, self.rows, self.cols, self.packed))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -224,8 +235,9 @@ class Matrix:
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows or a.field != b.field:
         raise ValueError("hstack mismatch")
-    rows = [a.row(i) + b.row(i) for i in range(a.rows)]
-    return Matrix(a.field, a.rows, a.cols + b.cols, [e for r in rows for e in r])
+    s = a.cols * a.field.width
+    return Matrix._reduced(a.field, a.rows, a.cols + b.cols,
+                           tuple([x | y << s for x, y in zip(a.packed, b.packed)]))
 
 
 def vstack(*mats: Matrix) -> Matrix:
@@ -234,24 +246,14 @@ def vstack(*mats: Matrix) -> Matrix:
     if any(m.cols != a.cols or m.field != a.field for m in mats):
         raise ValueError("vstack mismatch")
     return Matrix._reduced(a.field, sum(m.rows for m in mats), a.cols,
-                           tuple(e for m in mats for e in m.entries))
+                           tuple([r for m in mats for r in m.packed]))
 
 
-def combine(coeffs, rows, p) -> tuple:
-    """The linear combination sum_i coeffs[i] * rows[i] mod p of tuples, as
-    a tuple (the matrix entries' combination; packed rows use _combine).
-
-    Zero coefficients are skipped; when none is nonzero the result is the
-    zero row (the empty tuple if rows is empty).
-    """
-    acc = None
-    for c, r in zip(coeffs, rows):
-        if c:
-            term = r if c == 1 else map(mul, repeat(c), r)
-            acc = list(term) if acc is None else list(map(add, acc, term))
-    if acc is None:
-        return (0,) * len(rows[0]) if rows else ()
-    return tuple([a % p for a in acc])
+def combination(field: PrimeField, rows: int, cols: int, coeffs: int, mats) -> Matrix:
+    """sum_i c_i mats[i] for the packed coefficient row c (one lane per
+    matrix) and rows x cols matrices, row by row."""
+    return Matrix._reduced(field, rows, cols, tuple([
+        _combine(coeffs, [m.packed[i] for m in mats], field, cols) for i in range(rows)]))
 
 
 def _scaled(field: PrimeField, x: int, c: int, n: int) -> int:
@@ -349,20 +351,14 @@ def _rref_rows(rows, field: PrimeField, n: int) -> tuple:
     return out, pivots
 
 
-def _packed_rows(m: Matrix) -> list:
-    return [m.field.pack(m.row(i)) for i in range(m.rows)]
-
-
 def rref_canonicalize(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row echelon form with zero rows trimmed, plus the rank.
 
     The row space is preserved, and any two matrices with the same row
     space canonicalize to the identical value.
     """
-    field = m.field
-    rows, _ = _rref_rows(_packed_rows(m), field, m.cols)
-    flat = tuple(e for r in rows for e in field.unpack(r, m.cols))
-    return Matrix._reduced(field, len(rows), m.cols, flat), len(rows)
+    rows, _ = _rref_rows(m.packed, m.field, m.cols)
+    return Matrix._reduced(m.field, len(rows), m.cols, tuple(rows)), len(rows)
 
 
 class Subspace:
@@ -393,7 +389,8 @@ class Subspace:
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Subspace":
         """Row space of m."""
-        return cls.from_vectors(m.field, m.cols, [m.row(i) for i in range(m.rows)])
+        rows, pivots = _rref_rows(m.packed, m.field, m.cols)
+        return cls(m.field, m.cols, tuple(rows), tuple(pivots))
 
     @classmethod
     def zero(cls, field: PrimeField, n: int) -> "Subspace":
@@ -416,8 +413,7 @@ class Subspace:
     @property
     def basis(self) -> Matrix:
         """The RREF rows as a dim x n matrix."""
-        return Matrix._reduced(self.field, len(self.rows), self.n,
-                               tuple(e for r in self.basis_rows() for e in r))
+        return Matrix._reduced(self.field, len(self.rows), self.n, self.rows)
 
     def key(self) -> tuple:
         """Hashable canonical identity; equal iff the subspaces are equal."""
@@ -588,7 +584,9 @@ class FormRows:
         self.field = field
         self.k = len(mats)
         self.m = m
-        self._slices = [field.pack([e for a in mats for e in a.row(j)]) for j in range(n)]
+        span = m * field.width
+        self._slices = [sum(a.packed[j] << i * span for i, a in enumerate(mats))
+                        for j in range(n)]
         self._rows = {}
 
     def rows(self, w: int) -> tuple:
@@ -624,8 +622,8 @@ def span_basis(field: PrimeField, rows: int, cols: int, mats) -> list:
     """An independent basis of the span of rows x cols matrices: the
     canonical RREF of their entry vectors, reshaped, so the pivots are
     deterministic in row-major order."""
-    span = Subspace.from_vectors(field, rows * cols, [m.entries for m in mats])
-    return [Matrix._reduced(field, rows, cols, r) for r in span.basis_rows()]
+    span, _ = _rref_rows([m.flat() for m in mats], field, rows * cols)
+    return [Matrix.from_flat(field, rows, cols, r) for r in span]
 
 
 def are_independent(mats) -> bool:
@@ -660,7 +658,7 @@ def _kernel_of_rref(field: PrimeField, ncols: int, rows, pivots) -> Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Right kernel {v : m v = 0} of m, as a subspace of F_p^cols."""
-    return _kernel_of_rref(m.field, m.cols, *_rref_rows(_packed_rows(m), m.field, m.cols))
+    return _kernel_of_rref(m.field, m.cols, *_rref_rows(m.packed, m.field, m.cols))
 
 
 def solve_linear(system: Matrix, rhs) -> tuple:
@@ -672,7 +670,8 @@ def solve_linear(system: Matrix, rhs) -> tuple:
     if len(b) != system.rows:
         raise ValueError("rhs shape mismatch")
     field, n = system.field, system.cols
-    aug, pivots = _rref_rows([field.pack(system.row(i) + (b[i],)) for i in range(system.rows)],
+    shift = n * field.width
+    aug, pivots = _rref_rows([r | e % field.p << shift for r, e in zip(system.packed, b)],
                              field, n + 1)
     if pivots and pivots[-1] == n:
         return None, _kernel_of_rref(field, n, aug, pivots[:-1])
@@ -690,10 +689,10 @@ def invert(m: Matrix) -> Matrix:
     shift = n * field.width
     # [m | I]: row i carries e_i in lanes n..2n-1
     rows, pivots = _rref_rows([r | 1 << shift + i * field.width
-                               for i, r in enumerate(_packed_rows(m))], field, 2 * n)
+                               for i, r in enumerate(m.packed)], field, 2 * n)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix.from_rows(field, [field.unpack(r >> shift, n) for r in rows])
+    return Matrix._reduced(field, n, n, tuple([r >> shift for r in rows]))
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:

@@ -157,8 +157,8 @@ class MatrixGroupClosure:
             for b, ib in zip(self.elements, inverses):
                 g.tick()
                 c = ((ia @ ib) @ a) @ b
-                if c.entries not in seen:
-                    seen.add(c.entries)
+                if c.packed not in seen:
+                    seen.add(c.packed)
                     comms.append(c)
         return group_closure(comms, guard=g)
 
@@ -178,23 +178,23 @@ class MatrixGroupClosure:
         """
         g = as_guard(guard)
         ident = Matrix.identity(self.field, self.k)
-        triv = frozenset([ident.entries])
+        triv = frozenset([ident.packed])
         seen = {triv}
         frontier = [(triv, (ident,))]
         orders = {1}
-        by_entries = {m.entries: m for m in self.elements}
+        elements = {m.packed for m in self.elements}
         while frontier:
             nxt = []
             for helems, hgens in frontier:
-                cand = [m for m in self.centralizer_of(hgens) if m.entries not in helems]
+                cand = [m for m in self.centralizer_of(hgens) if m.packed not in helems]
                 for m in cand:
                     g.tick()
                     new = group_closure(list(hgens) + [m], guard=g)
-                    key = frozenset(x.entries for x in new.elements)
+                    key = frozenset(x.packed for x in new.elements)
                     if key in seen:
                         continue
                     seen.add(key)
-                    if not all(e in by_entries for e in key):
+                    if not key <= elements:
                         continue
                     if new.is_abelian():
                         orders.add(new.order)
@@ -219,15 +219,15 @@ def group_closure(generators, guard=None) -> MatrixGroupClosure:
     k = generators[0].rows
     ident = Matrix.identity(field, k)
     elements = [ident]
-    seen = {ident.entries}
+    seen = {ident.packed}
     todo = [ident]
     while todo:
         cur = todo.pop()
         for gen in generators:
             g.tick()
             nxt = cur @ gen
-            if nxt.entries not in seen:
-                seen.add(nxt.entries)
+            if nxt.packed not in seen:
+                seen.add(nxt.packed)
                 elements.append(nxt)
                 todo.append(nxt)
     return MatrixGroupClosure(field, generators, elements)

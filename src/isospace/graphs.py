@@ -81,9 +81,10 @@ class Graph:
 
 def space_from_graph(g: Graph, field: PrimeField) -> AltMatrixSpace:
     """A_G: span of the elementary alternating matrices of the edges,
-    basis in edge-sorted order, dim = |E|."""
+    basis in edge-sorted order, dim = |E|.  The edges of a Graph are
+    distinct, so the basis is alternating and independent as built."""
     basis = [elementary_alternating(field, g.n, i, j) for (i, j) in g.edges]
-    return AltMatrixSpace(field, g.n, basis)
+    return AltMatrixSpace._unchecked(field, g.n, basis)
 
 
 def independent_set_from_isotropic(g: Graph, u: Subspace) -> tuple:

@@ -256,7 +256,7 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
         if skey is not None:
             return by_sub[skey]
         sub = restrict(space, u)
-        skey = by_u[ukey] = (sub.n, tuple(m.entries for m in sub.basis))
+        skey = by_u[ukey] = (sub.n, tuple(m.packed for m in sub.basis))
         hit = by_sub.get(skey)
         if hit is not None:
             return hit

@@ -198,7 +198,7 @@ def fidelity_pure(ch: QuantumChannel, u) -> float:
     u = np.asarray(u, dtype=complex).reshape(-1)
     if u.shape[0] != ch.n:
         raise ValueError("ambient mismatch")
-    if abs(np.linalg.norm(u) - 1.0) > UNIT_TOL:
+    if not abs(np.linalg.norm(u) - 1.0) <= UNIT_TOL:      # a NaN fails too
         raise ValueError("fidelity_pure expects a unit vector")
     val = sum(abs(np.vdot(u, k @ u)) ** 2 for k in ch.kraus)
     return float(min(1.0, max(0.0, val)))

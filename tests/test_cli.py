@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isospace.altspace import (degree, max_degree, max_rank_bruteforce,
                                validate_decomposition)
@@ -257,7 +259,10 @@ def test_malformed_arguments_stay_parse_errors(files, tmp_path, capsys):
     notjson.write_text("alpha: 2\n")
     short = tmp_path / "short.json"
     short.write_text(json.dumps({"results": {"field": 2, "witness": [[1, 0]]}}))
-    for argv in (["from-graph", "-f", files["p3.graph"], "--field", "4"],
+    binary = tmp_path / "binary.ams"
+    binary.write_bytes(b"ams 2 1 0\n\xff\n")
+    for argv in (["alpha", "-f", str(binary)],
+                 ["from-graph", "-f", files["p3.graph"], "--field", "4"],
                  ["to-graph-witness", "-f", files["p3.graph"], "--report", str(notjson)],
                  ["to-graph-witness", "-f", files["p3.graph"], "--report", str(short)],
                  ["quantum", "fidelity", "-f", files["c4.graph"], "--state", "1 x 0 0"],
@@ -351,3 +356,81 @@ def test_a_negative_guard_is_a_parse_error(files, capsys):
     assert _fails_cleanly(["alpha", "-f", files["k3.ams"], "--guard", "-5"], capsys) == 2
     assert _fails_cleanly(["--guard", "-1", "count", "gaussian", "4", "2", "2"], capsys) == 2
     assert _fails_cleanly(["alpha", "-f", files["k3.ams"], "--guard", "0"], capsys) == 3
+
+
+def test_quantum_state_entries_must_be_finite(files, capsys):
+    # NaN and infinities are parse errors; huge finite entries normalise
+    # without overflow, and --json stays valid JSON
+    for state in ("nan 1 1", "inf 0 0", "1 -inf 0"):
+        assert _fails_cleanly(["quantum", "fidelity", "-f", files["p3.graph"],
+                               "--state", state, "--json"], capsys) == 2, state
+    for state in ("1e308 1e308 1", "1.7e308 1.7e308 0"):
+        assert main(["quantum", "fidelity", "-f", files["p3.graph"],
+                     "--state", state, "--json"]) == 0
+        res = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)["results"]
+        assert abs(math.hypot(*res["state"]) - 1.0) < 1e-12
+        assert abs(res["fidelity"] - 0.375) < 1e-9
+
+
+F3_FORM_AMS = "ams 3 4 1\n0 1 1 0\n2 0 2 1\n2 1 0 2\n0 2 1 0\n"
+GADGET_MATS = "mats 3 2 2 2\n1 0\n0 1\n0 1\n2 0\n"
+FUZZ_TEXTS = {"ams": (K3_AMS, J3_AMS, F3_FORM_AMS), "graph": (P3_GRAPH, C4_GRAPH),
+              "mats": (B_MATS, GADGET_MATS)}
+# every subcommand that reads a file, by the kind of file it reads
+FUZZ_COMMANDS = {
+    "ams": [["alpha"], ["chi", "--method", "brute"], ["chi", "--method", "lawler"],
+            ["chi", "--method", "maxcover"], ["maximal", "--method", "filter", "--list"],
+            ["maximal", "--method", "branch"], ["decompose", "--method", "greedy-deg"],
+            ["decompose", "--method", "lawler"], ["alpha-bipartite"],
+            ["adjoint", "--find-hyperbolic"], ["dim2"], ["baer", "--verify"], ["stats"]],
+    "graph": [["from-graph", "--field", "3"], ["to-graph-witness", "--report"],
+              ["quantum", "period"], ["quantum", "decide2"],
+              ["quantum", "fidelity", "--state", "1 1 0"]],
+    "mats": [["ncrk", "--pad"], ["gadget-dim2"], ["singular-exists"]],
+}
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A kind and one of its texts with one to three mutations: a flipped
+    byte, a truncated line, or a body entry replaced by one out of range,
+    negative, huge, or any residue (which can break the alternating
+    condition).  Header lines keep their tokens, so every size stays small."""
+    kind = draw(st.sampled_from(sorted(FUZZ_TEXTS)))
+    data = draw(st.sampled_from(FUZZ_TEXTS[kind])).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        lines = data.split(b"\n")
+        how = draw(st.sampled_from(["flip", "truncate", "entry"]))
+        if how == "flip" and data:
+            at = draw(st.integers(0, len(data) - 1))
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        elif how == "truncate":
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+            data = b"\n".join(lines)
+        elif how == "entry" and len(lines) > 1:
+            i = draw(st.integers(1, len(lines) - 1))
+            tokens = lines[i].split()
+            if tokens:
+                tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(
+                    [b"-1", b"0", b"1", b"2", b"3", b"5", b"10" * 15, b"-" + b"9" * 25]))
+                lines[i] = b" ".join(tokens)
+                data = b"\n".join(lines)
+    return kind, data
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_inputs())
+def test_mutated_files_never_escape_the_exit_codes(tmp_path, capsys, case):
+    kind, data = case
+    path = tmp_path / f"fuzz.{kind}"
+    path.write_bytes(data)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"results": {"field": 2, "parts": [
+        [[0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]}}))
+    for cmd in FUZZ_COMMANDS[kind]:
+        extra = [str(report)] if cmd[-1] == "--report" else []
+        code = main(["--guard", "300"] + cmd + extra + ["-f", str(path)])
+        assert code in (0, 2, 3, 4, 5), (cmd, data)
+        assert "Traceback" not in capsys.readouterr().err

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from isospace.errors import Guard, GuardExceeded
-from isospace.ffield import (Matrix, PrimeField, Subspace, combine,
+from isospace.ffield import (Matrix, PrimeField, Subspace,
                              enumerate_complements, enumerate_subspaces,
                              gaussian_binomial, invert, kernel,
                              projective_vectors, rref_canonicalize,
@@ -240,26 +240,6 @@ def test_subspace_canonical_equality_and_hash():
 
 def _random_rows(rng, f, k, n):
     return [tuple(rng.randrange(f.p) for _ in range(n)) for _ in range(k)]
-
-
-def test_combine_matches_matrix_product():
-    # reference: the coefficient row times the stacked rows, via Matrix.__matmul__
-    rng = random.Random(31)
-    for _ in range(60):
-        f = rng.choice([F2, F3])
-        k, n = rng.randint(1, 5), rng.randint(1, 6)
-        rows = _random_rows(rng, f, k, n)
-        coeffs = tuple(rng.randrange(f.p) for _ in range(k))
-        if rng.random() < 0.2:
-            coeffs = (0,) * k
-        want = Matrix.from_rows(f, [coeffs]) @ Matrix.from_rows(f, rows)
-        assert combine(coeffs, rows, f.p) == want.row(0)
-
-
-def test_combine_reduces_and_handles_no_rows():
-    assert combine((4, 1), [(1, 2), (2, 2)], 3) == (0, 1)
-    assert combine((0, 0), [(1, 2), (2, 2)], 3) == (0, 0)
-    assert combine((), [], 2) == ()
 
 
 def test_subspace_image_matches_matrix_product():

@@ -14,7 +14,7 @@ from isospace.bipartite import (adjoint_algebra, alpha_bipartite,
                                 bipartite_space_from_blocks,
                                 block_space_from_bipartite,
                                 hyperbolic_idempotent_search, ncrk_brute)
-from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, combine,
+from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, hstack,
                              invert, kernel, rref_canonicalize, vstack)
 from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
                              space_from_graph)
@@ -23,7 +23,8 @@ from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover,
                                 enumerate_maximal_branch, enumerate_maximal_filter,
                                 validate_decomposition)
-from util import F2, F3, random_matrix_space, random_space, rref_rows_reference
+from util import (F2, F3, combine_reference, invert_reference, matmul_reference,
+                  random_matrix_space, random_space, rref_rows_reference)
 
 
 @st.composite
@@ -171,8 +172,9 @@ def first_hyperbolic_idempotent(adj):
     field, n, q = adj.field, adj.n, adj.field.p
     ident = Matrix.identity(field, n)
     for c in product(range(q), repeat=adj.dim):
-        d = Matrix(field, n, n, combine(c, [d.entries for d, _ in adj.pairs], q))
-        star = Matrix(field, n, n, combine(c, [b.entries for _, b in adj.pairs], q))
+        d = Matrix(field, n, n, combine_reference(c, [d.entries for d, _ in adj.pairs], q, n * n))
+        star = Matrix(field, n, n,
+                      combine_reference(c, [b.entries for _, b in adj.pairs], q, n * n))
         if star == ident - d and d @ d == d:
             return d
     return None
@@ -286,6 +288,15 @@ def graphs(draw):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F3, PrimeField(5)]), graphs())
+def test_the_graph_space_passes_the_checked_constructor(field, g):
+    # space_from_graph skips validate; validate accepts what it builds
+    space = space_from_graph(g, field)
+    assert AltMatrixSpace(field, g.n, space.basis) == space
+    assert space.dim == len(g.edges)
+
+
+@settings(max_examples=40, deadline=None)
 @given(alternating_spaces(min_n=0), block_spaces(), graphs())
 def test_io_formats_survive_a_round_trip(space, b, g):
     assert parse_space(emit_space(space)) == space
@@ -389,3 +400,61 @@ def test_packed_rows_follow_the_tuple_arithmetic(case):
     assert span.basis_rows() == [tuple(r) for r in rows[:len(pivots)]]
     assert span.pivots == tuple(pivots)
     assert kernel(Matrix.from_rows(field, vecs)).basis_rows() == reference_kernel(field, n, vecs)
+
+
+@st.composite
+def matrix_cases(draw):
+    """Over F_2, F_3 or F_5: r x k matrices a and a2, a k x c matrix b, a
+    k x k matrix sq and a scalar, entries drawn from -6..10 so that the
+    constructor reduces them."""
+    field = draw(st.sampled_from([F2, F3, PrimeField(5)]))
+    r, k, c = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def entries(rows, cols):
+        return draw(st.lists(st.integers(-6, 10), min_size=rows * cols, max_size=rows * cols))
+
+    return (field, (r, k, c), entries(r, k), entries(r, k), entries(k, c), entries(k, k),
+            draw(st.integers(-6, 10)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_cases())
+@example((F3, (2, 0, 3), [], [], [], [], 2))
+@example((PrimeField(5), (2, 2, 2), [1, 2, 3, 4], [4, 4, 0, 1], [2, 0, 3, 3], [2, 1, 1, 3], 3))
+def test_packed_matrices_follow_the_tuple_reference(case):
+    field, (r, k, c), ea, ea2, eb, esq, s = case
+    p = field.p
+
+    def rows_of(ent, rows, cols):
+        return [tuple(e % p for e in ent[i * cols:(i + 1) * cols]) for i in range(rows)]
+
+    def flat(rows):
+        return tuple(e for row in rows for e in row)
+
+    a, a2, b, sq = rows_of(ea, r, k), rows_of(ea2, r, k), rows_of(eb, k, c), rows_of(esq, k, k)
+    ma, ma2, mb = Matrix(field, r, k, ea), Matrix(field, r, k, ea2), Matrix(field, k, c, eb)
+    # the constructor reduces: the residues give the same value
+    assert ma.entries == flat(a)
+    assert ma == Matrix(field, r, k, flat(a)) and hash(ma) == hash(Matrix(field, r, k, flat(a)))
+    for i in range(r):
+        assert ma.row(i) == a[i]
+        assert [ma[i, j] for j in range(k)] == list(a[i])
+    for j in range(k):
+        assert ma.col(j) == tuple(row[j] for row in a)
+    t = ma.transpose()
+    assert (t.rows, t.cols, t.entries) == (k, r, flat(zip(*a)))
+    assert (ma @ mb).entries == flat(matmul_reference(a, b, p, c))
+    assert (ma + ma2).entries == flat(combine_reference((1, 1), xy, p, k) for xy in zip(a, a2))
+    assert (ma - ma2).entries == flat(combine_reference((1, -1), xy, p, k) for xy in zip(a, a2))
+    assert ma.scale(s).entries == flat(combine_reference((s,), [x], p, k) for x in a)
+    assert hstack(ma, ma2).entries == flat(x + y for x, y in zip(a, a2))
+    assert vstack(ma, ma2).entries == flat(a) + flat(a2)
+    assert ma.is_zero() == (not any(flat(a)))
+    assert ma.rank() == len(rref_rows_reference([list(x) for x in a], p, field._inv))
+    assert kernel(ma).basis_rows() == reference_kernel(field, k, a)
+    want = invert_reference(sq, p, field._inv)
+    if want is None:
+        with pytest.raises(ValueError):
+            invert(Matrix(field, k, k, esq))
+    else:
+        assert invert(Matrix(field, k, k, esq)).entries == flat(want)

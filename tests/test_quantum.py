@@ -190,3 +190,11 @@ def test_fidelity_characterizes_isotropic():
             v /= np.linalg.norm(v)
             best = max(best, fidelity_pure(ch, v))
         assert best > 1e-6
+
+
+def test_fidelity_rejects_vectors_that_are_not_finite():
+    # NaN compares false with everything, so the unit check must not pass it
+    k2 = channel_from_graph(Graph(2, [(0, 1)]))
+    for u in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError):
+            fidelity_pure(k2, u)

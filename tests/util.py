@@ -71,3 +71,25 @@ def rref_rows_reference(rows, p, inv):
         if r == nrows:
             break
     return pivots
+
+
+def combine_reference(coeffs, rows, p, n):
+    """sum_i coeffs[i] rows[i] mod p over tuple rows of length n, entry by
+    entry."""
+    return tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(n))
+
+
+def matmul_reference(a, b, p, m):
+    """The product of the tuple-row matrices a (r x k) and b (k x m), mod p:
+    row i is the combination of b's rows by row i of a."""
+    return [combine_reference(row, b, p, m) for row in a]
+
+
+def invert_reference(rows, p, inv):
+    """The inverse of a square matrix of tuple rows, from the RREF of
+    [A | I], or None when A is singular."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    if rref_rows_reference(aug, p, inv)[:n] != list(range(n)):
+        return None
+    return [tuple(r[n:]) for r in aug]
