@@ -18,12 +18,17 @@ from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, co
 
 
 def is_alternating(m: Matrix) -> bool:
-    """Zero diagonal and A + A^t = 0, read row by row."""
+    """Zero diagonal and A_ij + A_ji = 0, read from the packed rows."""
     if m.rows != m.cols:
         return False
-    width, lane = m.field.width, m.field.lane
-    return (not any(r >> i * width & lane for i, r in enumerate(m.packed))
-            and (m + m.transpose()).is_zero())
+    p, width, lane = m.field.p, m.field.width, m.field.lane
+    rows = m.packed
+    for i, r in enumerate(rows):
+        if r >> i * width & lane or any(
+                ((r >> j * width & lane) + (rows[j] >> i * width & lane)) % p
+                for j in range(i + 1, m.rows)):
+            return False
+    return True
 
 
 def elementary_alternating(field: PrimeField, n: int, i: int, j: int) -> Matrix:
