@@ -169,6 +169,8 @@ class Matrix:
         return self.field.unpack(self.packed[i], self.cols)
 
     def col(self, j: int) -> tuple:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range")
         s, lane = j * self.field.width, self.field.lane
         return tuple([r >> s & lane for r in self.packed])
 
@@ -177,6 +179,8 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) out of range")
         return self.packed[i] >> j * self.field.width & self.field.lane
 
     def transpose(self) -> "Matrix":

@@ -238,6 +238,18 @@ def test_subspace_canonical_equality_and_hash():
     assert len({a, b, spanned}) == 1
 
 
+def test_matrix_indices_are_checked():
+    # a packed row reads 0 past its last lane, so the indices are checked
+    m = Matrix.from_rows(F3, [[1, 2], [0, 1]])
+    assert (m[1, 1], m.col(1)) == (1, (2, 1))
+    for ij in ((0, 2), (2, 0), (0, -1), (-1, 0)):
+        with pytest.raises(IndexError):
+            m[ij]
+    for j in (2, -1):
+        with pytest.raises(IndexError):
+            m.col(j)
+
+
 def _random_rows(rng, f, k, n):
     return [tuple(rng.randrange(f.p) for _ in range(n)) for _ in range(k)]
 
