@@ -5,6 +5,14 @@ diagonal and A^t = -A (over F_2 that reads: symmetric with zero diagonal).
 The operations here mirror the graph-theoretic vocabulary: radicals play
 the role of non-neighbourhoods, degrees the role of vertex degrees,
 restriction the role of induced subgraphs.
+
+Restriction (B A B^t), isometry (T^t A T), the isotropy test and the block
+extraction of bipartite.py (U1 A U2^t) are all L A R^t over the basis, and
+one routine, _congruence_rows, computes them on packed rows: it yields the
+entries of each L A R^t as one flat row, which restriction, isometry and
+block extraction reduce once to the canonical basis and the isotropy test
+checks for zero.  Those spans are alternating (or, for blocks, independent)
+by construction, so only outside input goes through validate.
 """
 
 from __future__ import annotations
@@ -12,9 +20,9 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import VerificationError
-from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
-                     hstack, kernel, projective_rows, projective_vectors, span_basis,
-                     vstack)
+from .ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, _span_of_flats,
+                     are_independent, combination, hstack, kernel, projective_rows,
+                     projective_vectors, span_basis, vstack)
 
 
 def is_alternating(m: Matrix) -> bool:
@@ -167,14 +175,46 @@ def max_degree(space: AltMatrixSpace, guard=None) -> int:
     return best
 
 
+def _congruence_rows(space: AltMatrixSpace, left, right):
+    """The entries of L A R^t, row-major, as one packed row of a * b lanes,
+    for each basis matrix A of the space in turn (a generator, so the
+    isotropy test stops at the first nonzero one), where L and R are given
+    by their a and b packed rows of n lanes (left, right).
+
+    Row i of every L A at once is one combination, by row i of L, of the
+    slices S_j: row j of every basis matrix side by side, as in FormRows.
+    The chunk of A in that row, row i of L A, then combines the columns of
+    R into row i of L A R^t.
+    """
+    field, n, k = space.field, space.n, space.dim
+    width, lane = field.width, field.lane
+    span = n * width
+    mask = (1 << span) - 1
+    slices = [sum(a.packed[j] << l * span for l, a in enumerate(space.basis))
+              for j in range(n)]
+    rows_of_la = [_combine(x, slices, field, k * n) for x in left]
+    b = len(right)
+    cols = [sum((r >> s & lane) << j * width for j, r in enumerate(right))
+            for s in range(0, span, width)]
+    rspan = b * width
+    for l in range(k):
+        flat, at, s = 0, 0, l * span
+        for la in rows_of_la:
+            row = la >> s & mask
+            if row:
+                flat |= _combine(row, cols, field, b) << at
+            at += rspan
+        yield flat
+
+
 def restrict(space: AltMatrixSpace, u: Subspace) -> AltMatrixSpace:
-    """A|_U via T = transpose of u's RREF basis: span of {T^t A T}."""
+    """A|_U via the RREF basis B of u: the span of {B A B^t}, alternating
+    by construction, so it is not validated."""
     if u.n != space.n:
         raise ValueError("ambient mismatch")
-    b = u.basis              # d x n
-    bt = b.transpose()       # n x d
-    mats = [(b @ m) @ bt for m in space.basis]
-    return AltMatrixSpace.from_generators(space.field, u.dim, mats)
+    field, d = space.field, u.dim
+    return AltMatrixSpace._unchecked(field, d, _span_of_flats(
+        field, d, d, _congruence_rows(space, u.rows, u.rows)))
 
 
 def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
@@ -183,18 +223,17 @@ def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
         raise ValueError("transform shape mismatch")
     if t.rank() != space.n:
         raise ValueError("transform is singular")
-    tt = t.transpose()
-    mats = [(tt @ m) @ t for m in space.basis]
-    return AltMatrixSpace.from_generators(space.field, space.n, mats)
+    field, n = space.field, space.n
+    tt = t.transpose().packed     # the rows of T^t are the columns of T
+    return AltMatrixSpace._unchecked(field, n, _span_of_flats(
+        field, n, n, _congruence_rows(space, tt, tt)))
 
 
 def is_isotropic(space: AltMatrixSpace, u: Subspace) -> bool:
     """True iff B A B^t = 0 for the basis B of u and every basis matrix A."""
     if u.n != space.n:
         raise ValueError("ambient mismatch")
-    b = u.basis
-    bt = b.transpose()
-    return all(((b @ m) @ bt).is_zero() for m in space.basis)
+    return not any(_congruence_rows(space, u.rows, u.rows))
 
 
 def validate_decomposition(space: AltMatrixSpace, parts) -> None:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from itertools import product
 
-from .altspace import (AltMatrixSpace, block_alternating, is_isotropic,
-                       nondegenerate_part, split_zero_space,
-                       validate_decomposition)
+from .altspace import (AltMatrixSpace, _congruence_rows, block_alternating, is_isotropic,
+                       nondegenerate_part, split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
-from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
-                     enumerate_subspaces, kernel, solve_linear, span_basis, vstack)
+from .ffield import (FormRows, Matrix, PrimeField, Subspace, _span_of_flats, are_independent,
+                     combination, enumerate_subspaces, kernel, solve_linear, span_basis,
+                     vstack)
 
 
 class MatrixSpace:
@@ -43,11 +43,17 @@ class MatrixSpace:
         for m in mats:
             if m.field != field or m.rows != s or m.cols != t:
                 raise ValueError("generator has wrong field or shape")
+        return cls._unchecked(field, s, t, span_basis(field, s, t, mats))
+
+    @classmethod
+    def _unchecked(cls, field, s, t, basis) -> "MatrixSpace":
+        """Internal: the span of a basis known to be independent, of s x t
+        matrices over the field, built without the checks."""
         sp = object.__new__(cls)
         sp.field = field
         sp.s = int(s)
         sp.t = int(t)
-        sp.basis = tuple(span_basis(field, s, t, mats))
+        sp.basis = tuple(basis)
         return sp
 
     @property
@@ -72,13 +78,15 @@ def block_space_from_bipartite(space: AltMatrixSpace, u1: Subspace,
     """Extract B <= M(s x t) from a bipartite space via its 2-decomposition.
 
     The blocks are U1 A U2^t for the RREF bases U1, U2 of the parts: entry
-    (i, j) is the form of row i of U1 against row j of U2.  Raises unless
-    (u1, u2) is an isotropic 2-decomposition of the space.
+    (i, j) is the form of row i of U1 against row j of U2.  Their entry
+    rows come from the packed congruence routine of altspace and are
+    reduced to the canonical basis as span_basis reduces them.  Raises
+    unless (u1, u2) is an isotropic 2-decomposition of the space.
     """
     validate_decomposition(space, [u1, u2])
-    u2t = u2.basis.transpose()
-    return MatrixSpace.from_generators(space.field, u1.dim, u2.dim,
-                                       [(u1.basis @ m) @ u2t for m in space.basis])
+    field, s, t = space.field, u1.dim, u2.dim
+    return MatrixSpace._unchecked(field, s, t, _span_of_flats(
+        field, s, t, _congruence_rows(space, u1.rows, u2.rows)))
 
 
 def ncrk_witness_pair(b: MatrixSpace, guard=None):

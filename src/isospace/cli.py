@@ -142,6 +142,8 @@ def cmd_decompose(args, guard):
 def cmd_from_graph(args, guard):
     g, dig = _load(args, formats.parse_graph)
     field = _field(args.field)
+    # the space file holds one n x n block of residues per edge
+    guard.require(len(g.edges) * g.n * g.n)
     space = space_from_graph(g, field)
     return dig, {"space": formats.emit_space(space), "dim": space.dim,
                  "field": field.p, "n": space.n}

@@ -626,7 +626,13 @@ def span_basis(field: PrimeField, rows: int, cols: int, mats) -> list:
     """An independent basis of the span of rows x cols matrices: the
     canonical RREF of their entry vectors, reshaped, so the pivots are
     deterministic in row-major order."""
-    span, _ = _rref_rows([m.flat() for m in mats], field, rows * cols)
+    return _span_of_flats(field, rows, cols, [m.flat() for m in mats])
+
+
+def _span_of_flats(field: PrimeField, rows: int, cols: int, flats) -> list:
+    """span_basis for matrices given as their flat entry rows (packed rows
+    of rows * cols lanes, as Matrix.flat gives them)."""
+    span, _ = _rref_rows(flats, field, rows * cols)
     return [Matrix.from_flat(field, rows, cols, r) for r in span]
 
 

@@ -196,6 +196,17 @@ def _fails_cleanly(argv, capsys):
     return code
 
 
+@pytest.mark.parametrize("guard", [["--guard", "10"], []])
+def test_from_graph_output_is_bounded_by_the_guard(tmp_path, capsys, guard):
+    # 21 bytes in, |E| n^2 = 18,000,000 residues out: over the default 10^7
+    path = tmp_path / "wide.graph"
+    path.write_text("graph 3000\n1 2\n2 3\n")
+    assert main(guard + ["from-graph", "-f", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("guard exceeded") and len(err.strip().splitlines()) == 1
+
+
 def test_to_graph_witness_missing_report(files, tmp_path, capsys):
     missing = str(tmp_path / "no-such-report.json")
     assert _fails_cleanly(["to-graph-witness", "-f", files["p3.graph"],

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from isospace.altspace import (AltMatrixSpace, degree, is_isotropic,
                                isometry_transform, nondegenerate_part, rad_of,
-                               radical_space)
+                               radical_space, restrict)
 from isospace.bipartite import (adjoint_algebra, alpha_bipartite,
                                 bipartite_space_from_blocks,
                                 block_space_from_bipartite,
@@ -25,6 +25,8 @@ from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover
                                 validate_decomposition)
 from util import (F2, F3, combine_reference, invert_reference, matmul_reference,
                   random_matrix_space, random_space, rref_rows_reference)
+
+F5 = PrimeField(5)
 
 
 @st.composite
@@ -105,12 +107,11 @@ def test_alpha_from_the_lattice_equals_alpha_from_ncrk(b):
     assert alpha_bipartite(space, u1, u2)[0] == alpha
 
 
-@settings(max_examples=30, deadline=None)
-@given(block_spaces(), st.randoms(use_true_random=False))
-def test_block_space_of_a_moved_split(b, rng):
-    # a random split F^n = U1 + U2 with RREF bases R1, R2; for R = [R1; R2]
-    # and T = (R^-1)^t, the isometry T^t A T carries the coordinate split of
-    # A = [[0, B], [-B^t, 0]] to (U1, U2), and R1 (T^t A T) R2^t = B
+def moved_split(b, rng):
+    """(T^t A T, U1, U2) for A = [[0, B], [-B^t, 0]] and a random split
+    F^n = U1 + U2 with RREF bases R1, R2: for R = [R1; R2] and
+    T = (R^-1)^t, the isometry carries the coordinate split of A to
+    (U1, U2), and R1 (T^t A T) R2^t = B."""
     field, s, t = b.field, b.s, b.t
     n = s + t
     # an invertible L U with unit triangular factors, its rows shuffled
@@ -123,7 +124,14 @@ def test_block_space_of_a_moved_split(b, rng):
     u1 = Subspace.from_vectors(field, n, rows[:s])
     u2 = Subspace.from_vectors(field, n, rows[s:])
     tm = invert(vstack(u1.basis, u2.basis)).transpose()
-    moved = isometry_transform(bipartite_space_from_blocks(b), tm)
+    return isometry_transform(bipartite_space_from_blocks(b), tm), u1, u2
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_spaces(), st.randoms(use_true_random=False))
+def test_block_space_of_a_moved_split(b, rng):
+    n = b.s + b.t
+    moved, u1, u2 = moved_split(b, rng)
     assert block_space_from_bipartite(moved, u1, u2).basis == b.basis
     assert alpha_bipartite(moved, u1, u2)[0] == n - ncrk_brute(b)
 
@@ -458,3 +466,70 @@ def test_packed_matrices_follow_the_tuple_reference(case):
             invert(Matrix(field, k, k, esq))
     else:
         assert invert(Matrix(field, k, k, esq)).entries == flat(want)
+
+
+def congruence_span(field, left, mats, right):
+    """The canonical basis, as flat entry tuples, of the span of L A R^t
+    over the matrices A, from the tuple references: L and R are lists of
+    tuple rows of length n."""
+    p, n = field.p, mats[0].rows if mats else 0
+    rt = [tuple(r[j] for r in right) for j in range(n)]
+    flats = [[e for row in matmul_reference(matmul_reference(left, a.row_list(), p, n),
+                                            rt, p, len(right)) for e in row]
+             for a in mats]
+    return [tuple(r) for r in flats[:len(rref_rows_reference(flats, p, field._inv))]]
+
+
+@st.composite
+def congruence_cases(draw):
+    """Over F_2, F_3 or F_5: a space spanned by up to 4 random alternating
+    matrices on F^n, n <= 4; a subspace U that is zero, the span of random
+    vectors, or all of F^n; and a random n x n matrix T, singular or not."""
+    field = draw(st.sampled_from([F2, F3, F5]))
+    n = draw(st.integers(0, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    space = random_space(rng, field, n, draw(st.integers(0, 4)))
+    which = draw(st.sampled_from(["zero", "random", "full"]))
+    if which == "full":
+        u = Subspace.full(field, n)
+    else:
+        count = rng.randint(1, 4) if which == "random" else 0
+        u = Subspace.from_vectors(field, n, [[rng.randrange(field.p) for _ in range(n)]
+                                             for _ in range(count)])
+    t = Matrix.from_rows(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)])
+    return space, u, t
+
+
+@settings(max_examples=120, deadline=None)
+@given(congruence_cases())
+def test_congruences_follow_the_tuple_reference(case):
+    space, u, t = case
+    field, n = space.field, space.n
+    ub = u.basis_rows()
+    want = congruence_span(field, ub, space.basis, ub)
+    r = restrict(space, u)
+    assert (r.field, r.n) == (field, u.dim)
+    assert [m.entries for m in r.basis] == want
+    # the restriction skips validation; the checked constructor accepts it
+    assert AltMatrixSpace(field, u.dim, r.basis) == r
+    assert is_isotropic(space, u) == (not want)
+    if t.rank() < n:
+        with pytest.raises(ValueError):
+            isometry_transform(space, t)
+    else:
+        tt = [t.col(j) for j in range(n)]
+        moved = isometry_transform(space, t)
+        assert [m.entries for m in moved.basis] == congruence_span(field, tt, space.basis, tt)
+        assert AltMatrixSpace(field, n, moved.basis) == moved
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F2, F3, F5]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+def test_block_extraction_follows_the_tuple_reference(field, s, t, m, rng):
+    b = random_matrix_space(rng, field, s, t, m)
+    moved, u1, u2 = moved_split(b, rng)
+    got = block_space_from_bipartite(moved, u1, u2)
+    assert (got.s, got.t) == (s, t)
+    assert [x.entries for x in got.basis] == congruence_span(
+        field, u1.basis_rows(), moved.basis, u2.basis_rows())
