@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -445,3 +446,37 @@ def test_mutated_files_never_escape_the_exit_codes(tmp_path, capsys, case):
         code = main(["--guard", "300"] + cmd + extra + ["-f", str(path)])
         assert code in (0, 2, 3, 4, 5), (cmd, data)
         assert "Traceback" not in capsys.readouterr().err
+
+
+# sha256 of every --help text (top level first), at 80 columns; argparse's
+# layout differs between Python versions, and these are Python 3.11's
+HELP_SHA256 = {
+    "": "1add96fb91b3129c5c4246be42b9cca1585a28c6f6eb853e5125a071622cdebb",
+    "alpha": "d9021021949666689a870f24d77cd49f8912369c241bc5055771d5ca895ff132",
+    "chi": "5ed269c3a7b1b39bf7fe07ac170bb273d658886997e8691947b032ddcab650fd",
+    "maximal": "3c6b24b34f8ebf316fac7c492c5260a90614e84325a73e63b2625e9312e88a34",
+    "decompose": "ba343fdf75e4d8727816603186a3048f1be77b1f38aad95649e3dbff98132327",
+    "from-graph": "c0187c68b799722a460342ffdaf69858942365e1d066fed5c76582b54113d26b",
+    "to-graph-witness": "35b7d6e1632df692c7f7b2d4d6d4c3fdef2e3d31eaf2d42ed3ee54eb57098b06",
+    "ncrk": "36ec9d6e090869fba0c0d71eb7237a0efb4eb3e502e10bf174fd491cdea3dc52",
+    "alpha-bipartite": "68ab5ec90751f5d15bc7ad83367ea7dec8fd04c3a5e08947603440a888b55f74",
+    "adjoint": "8069d7e2d8fa0710cb99d0ac0684b1d90de688f3befd8e86f9134f54b0adfd77",
+    "dim2": "b6ca5c5934c628aca28a47d38533164d810be8bc7bc8d88cc1d3f90c90c31b41",
+    "gadget-dim2": "bb1d2773951525de94bcb34b0a0ac17abe4fdb429420981c648e5d992555c6e5",
+    "singular-exists": "e9256234db6a0cd08f8c062a91961defbb8ed8370a39be30276139024ee01712",
+    "baer": "6fb3bcffae18d657205ff926f36db15745bdfbb1c63a8a5ea1186206a8c4d871",
+    "quantum": "990b4e722c4933df6fba18472d68575ef99ed07076890961168aff7425a01500",
+    "count": "d607fca55b1e31c40ede4256c47d4b4696e4a040bddeffa7f79c054e7278e19e",
+    "stats": "60d852c991a8883dd71612197780893d0dff434b77fc37f3aa524474e3f68ab8",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help layout pinned on Python 3.11")
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_texts_are_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(([command] if command else []) + ["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command]
