@@ -8,11 +8,14 @@ restriction the role of induced subgraphs.
 
 Restriction (B A B^t), isometry (T^t A T), the isotropy test and the block
 extraction of bipartite.py (U1 A U2^t) are all L A R^t over the basis, and
-one routine, _congruence_rows, computes them on packed rows: it yields the
-entries of each L A R^t as one flat row, which restriction, isometry and
-block extraction reduce once to the canonical basis and the isotropy test
-checks for zero.  Those spans are alternating (or, for blocks, independent)
-by construction, so only outside input goes through validate.
+one routine, _congruence_rows, computes them with the packed-row operations
+of ffield: the rows of every L A come from the form slices of FormRows, one
+combination per row of L, and one Matrix product with R^t finishes them.
+It gives the entries of each L A R^t as one flat row, which restriction,
+isometry and block extraction reduce once to the canonical basis and the
+isotropy test checks for zero.  Those spans are alternating (or, for
+blocks, independent) by construction, so only outside input goes through
+validate.
 """
 
 from __future__ import annotations
@@ -20,23 +23,14 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import VerificationError
-from .ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, _span_of_flats,
-                     are_independent, combination, hstack, kernel, projective_rows,
-                     projective_vectors, span_basis, vstack)
+from .ffield import (FormRows, Matrix, PrimeField, Subspace, _span_of_flats, are_independent,
+                     combination, hstack, kernel, projective_rows, span_basis, vstack)
 
 
 def is_alternating(m: Matrix) -> bool:
-    """Zero diagonal and A_ij + A_ji = 0, read from the packed rows."""
-    if m.rows != m.cols:
-        return False
-    p, width, lane = m.field.p, m.field.width, m.field.lane
-    rows = m.packed
-    for i, r in enumerate(rows):
-        if r >> i * width & lane or any(
-                ((r >> j * width & lane) + (rows[j] >> i * width & lane)) % p
-                for j in range(i + 1, m.rows)):
-            return False
-    return True
+    """A + A^t = 0 and a zero diagonal (which over F_2 the sum does not imply)."""
+    return (m.rows == m.cols and (m + m.transpose()).is_zero()
+            and not any(m[i, i] for i in range(m.rows)))
 
 
 def elementary_alternating(field: PrimeField, n: int, i: int, j: int) -> Matrix:
@@ -175,36 +169,21 @@ def max_degree(space: AltMatrixSpace, guard=None) -> int:
     return best
 
 
-def _congruence_rows(space: AltMatrixSpace, left, right):
-    """The entries of L A R^t, row-major, as one packed row of a * b lanes,
-    for each basis matrix A of the space in turn (a generator, so the
-    isotropy test stops at the first nonzero one), where L and R are given
-    by their a and b packed rows of n lanes (left, right).
+def _congruence_rows(space: AltMatrixSpace, left: Matrix, rt: Matrix) -> Matrix:
+    """The k x ab matrix whose row j holds the entries of L A_j R^t,
+    row-major (as Matrix.flat gives them), for the basis A_1, ..., A_k of
+    the space, the a x n matrix L (left) and the transpose rt of the b x n
+    matrix R.
 
-    Row i of every L A at once is one combination, by row i of L, of the
-    slices S_j: row j of every basis matrix side by side, as in FormRows.
-    The chunk of A in that row, row i of L A, then combines the columns of
-    R into row i of L A R^t.
+    Row i of every L A_j at once is form_rows(space).unreduced(row i of L),
+    one combination of the form slices.  Stacked by j, those rows make one
+    product with rt, whose row-major entries are the k rows, in order.
     """
-    field, n, k = space.field, space.n, space.dim
-    width, lane = field.width, field.lane
-    span = n * width
-    mask = (1 << span) - 1
-    slices = [sum(a.packed[j] << l * span for l, a in enumerate(space.basis))
-              for j in range(n)]
-    rows_of_la = [_combine(x, slices, field, k * n) for x in left]
-    b = len(right)
-    cols = [sum((r >> s & lane) << j * width for j, r in enumerate(right))
-            for s in range(0, span, width)]
-    rspan = b * width
-    for l in range(k):
-        flat, at, s = 0, 0, l * span
-        for la in rows_of_la:
-            row = la >> s & mask
-            if row:
-                flat |= _combine(row, cols, field, b) << at
-            at += rspan
-        yield flat
+    field, n, k, a = space.field, space.n, space.dim, left.rows
+    forms = form_rows(space)
+    rows_of_la = [forms.unreduced(x) for x in left.packed]
+    la = Matrix._reduced(field, k * a, n, tuple([r[j] for j in range(k) for r in rows_of_la]))
+    return Matrix.from_flat(field, k, a * rt.cols, (la @ rt).flat())
 
 
 def restrict(space: AltMatrixSpace, u: Subspace) -> AltMatrixSpace:
@@ -212,9 +191,9 @@ def restrict(space: AltMatrixSpace, u: Subspace) -> AltMatrixSpace:
     by construction, so it is not validated."""
     if u.n != space.n:
         raise ValueError("ambient mismatch")
-    field, d = space.field, u.dim
+    field, d, b = space.field, u.dim, u.basis
     return AltMatrixSpace._unchecked(field, d, _span_of_flats(
-        field, d, d, _congruence_rows(space, u.rows, u.rows)))
+        field, d, d, _congruence_rows(space, b, b.transpose()).packed))
 
 
 def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
@@ -224,16 +203,16 @@ def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
     if t.rank() != space.n:
         raise ValueError("transform is singular")
     field, n = space.field, space.n
-    tt = t.transpose().packed     # the rows of T^t are the columns of T
     return AltMatrixSpace._unchecked(field, n, _span_of_flats(
-        field, n, n, _congruence_rows(space, tt, tt)))
+        field, n, n, _congruence_rows(space, t.transpose(), t).packed))
 
 
 def is_isotropic(space: AltMatrixSpace, u: Subspace) -> bool:
     """True iff B A B^t = 0 for the basis B of u and every basis matrix A."""
     if u.n != space.n:
         raise ValueError("ambient mismatch")
-    return not any(_congruence_rows(space, u.rows, u.rows))
+    b = u.basis
+    return _congruence_rows(space, b, b.transpose()).is_zero()
 
 
 def validate_decomposition(space: AltMatrixSpace, parts) -> None:
@@ -276,9 +255,10 @@ def nondegenerate_part(space: AltMatrixSpace):
 def max_rank_bruteforce(space: AltMatrixSpace, guard=None) -> int:
     """rk(A): maximum rank over the linear combinations (guarded); one
     coefficient vector per line is swept, since scaling keeps the rank."""
+    field, n = space.field, space.n
     best = 0
-    for coeffs in projective_vectors(space.field, space.dim, guard=guard):
-        r = space.combination(coeffs).rank()
+    for coeffs in projective_rows(field, space.dim, guard=guard):
+        r = combination(field, n, n, coeffs, space.basis).rank()
         if r > best:
             best = r
             if best == space.n:

@@ -86,7 +86,7 @@ def block_space_from_bipartite(space: AltMatrixSpace, u1: Subspace,
     validate_decomposition(space, [u1, u2])
     field, s, t = space.field, u1.dim, u2.dim
     return MatrixSpace._unchecked(field, s, t, _span_of_flats(
-        field, s, t, _congruence_rows(space, u1.rows, u2.rows)))
+        field, s, t, _congruence_rows(space, u1.basis, u2.basis.transpose()).packed))
 
 
 def ncrk_witness_pair(b: MatrixSpace, guard=None):

@@ -56,16 +56,19 @@ def _rows(sub: Subspace):
 
 
 def _field(p) -> PrimeField:
+    # a report's JSON may hold 3.7, "3" or true, which PrimeField would take
+    if type(p) is not int:
+        raise ParseError(f"field {p!r} is not an integer")
     try:
         return PrimeField(p)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ParseError(str(e))
 
 
 def _subspace(field, n, rows) -> Subspace:
     """The span of witness rows from the command line or a report."""
     if not isinstance(rows, list) or not all(
-            isinstance(r, list) and len(r) == n and all(isinstance(x, int) for x in r)
+            isinstance(r, list) and len(r) == n and all(type(x) is int for x in r)
             for r in rows):
         raise ParseError(f"witness rows {rows!r} are not lists of {n} integers")
     return Subspace.from_vectors(field, n, rows)
@@ -83,23 +86,15 @@ def _parse_rows(text: str, field, n) -> Subspace:
     return _subspace(field, n, rows)
 
 
-def _load(args, parse):
-    """parse(text of --file), and the digest of that text."""
-    text = _read(args.file)
-    return parse(text), _digest(text)
-
-
-def cmd_alpha(args, guard):
-    space, dig = _load(args, formats.parse_space)
+def cmd_alpha(args, space, guard):
     a, wit = alpha_exact(space, guard=guard)
     if not is_isotropic(space, wit) or wit.dim != a:
         raise VerificationError("alpha witness failed re-verification")
-    return dig, {"alpha": a, "witness": _rows(wit), "field": space.field.p,
-                 "n": space.n, "method": args.method}
+    return {"alpha": a, "witness": _rows(wit), "field": space.field.p,
+            "n": space.n, "method": args.method}
 
 
-def cmd_chi(args, guard):
-    space, dig = _load(args, formats.parse_space)
+def cmd_chi(args, space, guard):
     if args.method == "brute":
         c, parts = chi_brute(space, guard=guard)
     elif args.method == "lawler":
@@ -111,11 +106,10 @@ def cmd_chi(args, guard):
     if parts is not None:
         validate_decomposition(space, parts)
         res["parts"] = [_rows(u) for u in parts]
-    return dig, res
+    return res
 
 
-def cmd_maximal(args, guard):
-    space, dig = _load(args, formats.parse_space)
+def cmd_maximal(args, space, guard):
     if args.method == "filter":
         out = enumerate_maximal_filter(space, guard=guard)
     else:
@@ -125,32 +119,29 @@ def cmd_maximal(args, guard):
            "dimensions": sorted(u.dim for u in out)}
     if args.list:
         res["spaces"] = sorted((_rows(u) for u in out))
-    return dig, res
+    return res
 
 
-def cmd_decompose(args, guard):
-    space, dig = _load(args, formats.parse_space)
+def cmd_decompose(args, space, guard):
     if args.method == "greedy-deg":
         parts = greedy_deg_decomposition(space)
     else:
         _, parts = chi_lawler(space, guard=guard)
     validate_decomposition(space, parts)
-    return dig, {"parts": [_rows(u) for u in parts], "count": len(parts),
-                 "field": space.field.p, "n": space.n, "method": args.method}
+    return {"parts": [_rows(u) for u in parts], "count": len(parts),
+            "field": space.field.p, "n": space.n, "method": args.method}
 
 
-def cmd_from_graph(args, guard):
-    g, dig = _load(args, formats.parse_graph)
+def cmd_from_graph(args, g, guard):
     field = _field(args.field)
     # the space file holds one n x n block of residues per edge
     guard.require(len(g.edges) * g.n * g.n)
     space = space_from_graph(g, field)
-    return dig, {"space": formats.emit_space(space), "dim": space.dim,
-                 "field": field.p, "n": space.n}
+    return {"space": formats.emit_space(space), "dim": space.dim,
+            "field": field.p, "n": space.n}
 
 
-def cmd_to_graph_witness(args, guard):
-    g, dig = _load(args, formats.parse_graph)
+def cmd_to_graph_witness(args, g, guard):
     text = _read(args.report)
     try:
         report = json.loads(text)
@@ -166,18 +157,17 @@ def cmd_to_graph_witness(args, guard):
             raise ParseError("report 'parts' is not a list")
         parts = [_subspace(field, g.n, rows) for rows in parts]
         blocks = coloring_from_decomposition(g, parts)
-        return dig, {"coloring": [[v + 1 for v in b] for b in blocks],
-                     "count": len(blocks), "field": field.p}
+        return {"coloring": [[v + 1 for v in b] for b in blocks],
+                "count": len(blocks), "field": field.p}
     if "witness" in results:
         u = _subspace(field, g.n, results["witness"])
         verts = independent_set_from_isotropic(g, u)
-        return dig, {"independent_set": [v + 1 for v in verts],
-                     "size": len(verts), "field": field.p}
+        return {"independent_set": [v + 1 for v in verts],
+                "size": len(verts), "field": field.p}
     raise ParseError("report carries neither 'witness' nor 'parts'")
 
 
-def cmd_ncrk(args, guard):
-    b, dig = _load(args, formats.parse_mats)
+def cmd_ncrk(args, b, guard):
     res = {"ncrk": ncrk_brute(b, guard=guard), "s": b.s, "t": b.t,
            "dim": b.dim, "field": b.field.p}
     if args.pad:
@@ -186,11 +176,10 @@ def cmd_ncrk(args, guard):
         c = ncrk_pad_square(b)
         res["padded_ncrk"] = ncrk_brute(c, guard=guard)
         res["padded_dim"] = c.dim
-    return dig, res
+    return res
 
 
-def cmd_alpha_bipartite(args, guard):
-    space, dig = _load(args, formats.parse_space)
+def cmd_alpha_bipartite(args, space, guard):
     if args.u1 and args.u2:
         u1 = _parse_rows(args.u1, space.field, space.n)
         u2 = _parse_rows(args.u2, space.field, space.n)
@@ -201,13 +190,12 @@ def cmd_alpha_bipartite(args, guard):
                                     "2-decomposition found); give --u1/--u2")
         u1, u2 = pair
     a, wit = alpha_bipartite(space, u1, u2, guard=guard)
-    return dig, {"alpha": a, "witness": _rows(wit), "ncrk": space.n - a,
-                 "block_shape": [u1.dim, u2.dim], "field": space.field.p,
-                 "n": space.n}
+    return {"alpha": a, "witness": _rows(wit), "ncrk": space.n - a,
+            "block_shape": [u1.dim, u2.dim], "field": space.field.p,
+            "n": space.n}
 
 
-def cmd_adjoint(args, guard):
-    space, dig = _load(args, formats.parse_space)
+def cmd_adjoint(args, space, guard):
     part, comp, rad = nondegenerate_part(space)
     adj = adjoint_algebra(part)
     res = {"dim": adj.dim, "ambient": adj.n, "field": space.field.p,
@@ -220,11 +208,10 @@ def cmd_adjoint(args, guard):
             res["hyperbolic_idempotent"] = p.row_list()
             pair = decomposition_from_hyperbolic(space, p, comp, rad)
             res["decomposition"] = None if pair is None else [_rows(u) for u in pair]
-    return dig, res
+    return res
 
 
-def cmd_dim2(args, guard):
-    space, dig = _load(args, formats.parse_space)
+def cmd_dim2(args, space, guard):
     ok, wit = has_isotropic_dim2(space, guard=guard)
     res = {"has_isotropic_dim2": ok, "field": space.field.p, "n": space.n}
     if ok:
@@ -233,11 +220,11 @@ def cmd_dim2(args, guard):
         if u.dim != 2 or not is_isotropic(space, u):
             raise VerificationError("dim-2 witness failed re-verification")
         res["witness"] = _rows(u)
-    return dig, res
+    return res
 
 
-def cmd_gadget_dim2(args, guard):
-    (field, mats), dig = _load(args, formats.parse_mats_tuple)
+def cmd_gadget_dim2(args, blocks, guard):
+    field, mats = blocks
     if not mats or mats[0].rows != len(mats):
         raise ParseError("gadget input must be n matrices of shape n x m")
     gadget = dim2_gadget(mats)
@@ -246,23 +233,21 @@ def cmd_gadget_dim2(args, guard):
     n = len(mats)
     if (rdeg < n) != ok:
         raise VerificationError("gadget equivalence failed")
-    return dig, {"right_degree_min": rdeg, "slice_count": n,
-                 "gadget_ambient": gadget.n, "gadget_dim": gadget.dim,
-                 "has_isotropic_dim2": ok, "field": field.p}
+    return {"right_degree_min": rdeg, "slice_count": n,
+            "gadget_ambient": gadget.n, "gadget_dim": gadget.dim,
+            "has_isotropic_dim2": ok, "field": field.p}
 
 
-def cmd_singular_exists(args, guard):
-    b, dig = _load(args, formats.parse_mats)
+def cmd_singular_exists(args, b, guard):
     wit = singular_exists_brute(b, guard=guard)
     res = {"exists": wit is not None, "s": b.s, "t": b.t, "field": b.field.p}
     if wit is not None:
         res["witness"] = wit.row_list()
         res["witness_rank"] = wit.rank()
-    return dig, res
+    return res
 
 
-def cmd_baer(args, guard):
-    space, dig = _load(args, formats.parse_space)
+def cmd_baer(args, space, guard):
     gens = baer_generators(space.basis)
     res = {"generator_count": len(gens), "degree": 1 + space.n + space.dim,
            "field": space.field.p}
@@ -274,17 +259,16 @@ def cmd_baer(args, guard):
         res["abelian"] = closure.is_abelian()
         res["commutator_order"] = comm.order
         res["max_abelian_order"] = closure.max_abelian_order_brute(guard=guard)
-    return dig, res
+    return res
 
 
-def cmd_quantum(args, guard):
-    g, dig = _load(args, formats.parse_graph)
+def cmd_quantum(args, g, guard):
     ch = channel_from_graph(g)
     if args.what == "period":
-        return dig, {"period": period(ch), "n": ch.n, "kraus": len(ch.kraus)}
+        return {"period": period(ch), "n": ch.n, "kraus": len(ch.kraus)}
     if args.what == "decide2":
-        return dig, {"iso_2_decomposition": decide_iso_2_decomposition(ch),
-                     "period": period(ch), "n": ch.n}
+        return {"iso_2_decomposition": decide_iso_2_decomposition(ch),
+                "period": period(ch), "n": ch.n}
     try:
         state = [float(x) for x in args.state.split()]
     except ValueError:
@@ -299,8 +283,8 @@ def cmd_quantum(args, guard):
     state = [x / top for x in state]        # first, so that the norm cannot overflow
     norm = math.hypot(*state)
     state = [x / norm for x in state]
-    return dig, {"fidelity": fidelity_pure(ch, state), "n": ch.n,
-                 "state": state}
+    return {"fidelity": fidelity_pure(ch, state), "n": ch.n,
+            "state": state}
 
 
 def _decimal(n: int) -> str:
@@ -315,17 +299,23 @@ def _decimal(n: int) -> str:
     return str(n) + "".join(reversed(parts))
 
 
-def cmd_count(args, guard):
-    if args.q < 2:
-        raise ParseError(f"need q >= 2, got q={args.q}")
-    count = gaussian_binomial if args.what == "gaussian" else isotropic_count_formula
-    val = count(args.n, args.d, args.q)
-    return "-", {"value": _decimal(val), "n": args.n, "d": args.d, "q": args.q,
-                 "what": args.what}
+def cmd_count(args, _, guard):
+    n, d, q = args.n, args.d, args.q
+    if q < 2:
+        raise ParseError(f"need q >= 2, got q={q}")
+    gaussian = args.what == "gaussian"
+    # The product loop and the decimal conversion both take time quadratic
+    # in the size of the numerator, rounds * n * log2 q bits, where rounds
+    # counts the factors that the formula multiplies: one guard unit per
+    # (1000 bits)^2, about a microsecond.
+    rounds = max(0, min(d, n if gaussian else n // 2))
+    bits = rounds * max(n, 0) * q.bit_length()
+    guard.require(bits * bits // 10**6)
+    val = (gaussian_binomial if gaussian else isotropic_count_formula)(n, d, q)
+    return {"value": _decimal(val), "n": n, "d": d, "q": q, "what": args.what}
 
 
-def cmd_stats(args, guard):
-    space, dig = _load(args, formats.parse_space)
+def cmd_stats(args, space, guard):
     forms = form_rows(space)
     degs = {}
     # deg_A is constant on each line, which holds q - 1 nonzero vectors
@@ -333,12 +323,12 @@ def cmd_stats(args, guard):
         d = forms.rank([v])
         degs[d] = degs.get(d, 0) + space.field.p - 1
     gm = greedy_maximal(space)
-    return dig, {"n": space.n, "dim": space.dim, "field": space.field.p,
-                 "radical_dim": radical_space(space).dim,
-                 "max_degree": max(degs, default=0),
-                 "degree_histogram": {str(k): v for k, v in sorted(degs.items())},
-                 "max_rank": max_rank_bruteforce(space, guard=guard),
-                 "greedy_maximal_dim": gm.dim}
+    return {"n": space.n, "dim": space.dim, "field": space.field.p,
+            "radical_dim": radical_space(space).dim,
+            "max_degree": max(degs, default=0),
+            "degree_histogram": {str(k): v for k, v in sorted(degs.items())},
+            "max_rank": max_rank_bruteforce(space, guard=guard),
+            "greedy_maximal_dim": gm.dim}
 
 
 def _global_options(ap, suppress: bool):
@@ -368,82 +358,74 @@ def build_parser() -> argparse.ArgumentParser:
     _global_options(common, suppress=True)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, parse, **kw):
+        """The subcommand's parser; parse reads its -f/--file (None: no file)."""
         sp = sub.add_parser(name, parents=[common], **kw)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, parse=parse)
+        if parse is not None:
+            sp.add_argument("-f", "--file", required=True)
         return sp
 
-    sp = add("alpha", cmd_alpha, help="isotropic number with witness")
-    sp.add_argument("-f", "--file", required=True)
+    sp = add("alpha", cmd_alpha, formats.parse_space, help="isotropic number with witness")
     sp.add_argument("--method", choices=["lattice"], default="lattice")
 
-    sp = add("chi", cmd_chi, help="isotropic decomposition number")
-    sp.add_argument("-f", "--file", required=True)
+    sp = add("chi", cmd_chi, formats.parse_space, help="isotropic decomposition number")
     sp.add_argument("--method", choices=["brute", "lawler", "maxcover"],
                     default="maxcover")
 
-    sp = add("maximal", cmd_maximal, help="enumerate maximal isotropic spaces")
-    sp.add_argument("-f", "--file", required=True)
+    sp = add("maximal", cmd_maximal, formats.parse_space,
+             help="enumerate maximal isotropic spaces")
     sp.add_argument("--method", choices=["filter", "branch"], default="filter")
     sp.add_argument("--list", action="store_true")
 
-    sp = add("decompose", cmd_decompose, help="produce an isotropic decomposition")
-    sp.add_argument("-f", "--file", required=True)
+    sp = add("decompose", cmd_decompose, formats.parse_space,
+             help="produce an isotropic decomposition")
     sp.add_argument("--method", choices=["greedy-deg", "lawler"],
                     default="greedy-deg")
 
-    sp = add("from-graph", cmd_from_graph, help="build A_G from a graph file")
-    sp.add_argument("-f", "--file", required=True)
+    add("from-graph", cmd_from_graph, formats.parse_graph, help="build A_G from a graph file")
 
-    sp = add("to-graph-witness", cmd_to_graph_witness,
+    sp = add("to-graph-witness", cmd_to_graph_witness, formats.parse_graph,
              help="recover an independent set or coloring from a report")
-    sp.add_argument("-f", "--file", required=True)
     sp.add_argument("--report", required=True)
 
-    sp = add("ncrk", cmd_ncrk, help="non-commutative rank (brute force)")
-    sp.add_argument("-f", "--file", required=True)
+    sp = add("ncrk", cmd_ncrk, formats.parse_mats, help="non-commutative rank (brute force)")
     sp.add_argument("--pad", action="store_true",
                     help="also pad to square and re-compute")
 
-    sp = add("alpha-bipartite", cmd_alpha_bipartite,
+    sp = add("alpha-bipartite", cmd_alpha_bipartite, formats.parse_space,
              help="alpha via the non-commutative rank of the block space")
-    sp.add_argument("-f", "--file", required=True)
     sp.add_argument("--u1", help="semicolon-separated basis rows")
     sp.add_argument("--u2", help="semicolon-separated basis rows")
 
-    sp = add("adjoint", cmd_adjoint, help="adjoint algebra dimension")
-    sp.add_argument("-f", "--file", required=True)
+    sp = add("adjoint", cmd_adjoint, formats.parse_space, help="adjoint algebra dimension")
     sp.add_argument("--find-hyperbolic", action="store_true")
 
-    sp = add("dim2", cmd_dim2, help="decide an isotropic space of dimension 2")
-    sp.add_argument("-f", "--file", required=True)
+    add("dim2", cmd_dim2, formats.parse_space,
+        help="decide an isotropic space of dimension 2")
 
-    sp = add("gadget-dim2", cmd_gadget_dim2,
-             help="right-degree gadget and its dim-2 question")
-    sp.add_argument("-f", "--file", required=True)
+    add("gadget-dim2", cmd_gadget_dim2, formats.parse_mats_tuple,
+        help="right-degree gadget and its dim-2 question")
 
-    sp = add("singular-exists", cmd_singular_exists,
-             help="nonzero singular member of a square matrix space")
-    sp.add_argument("-f", "--file", required=True)
+    add("singular-exists", cmd_singular_exists, formats.parse_mats,
+        help="nonzero singular member of a square matrix space")
 
-    sp = add("baer", cmd_baer, help="Baer group generators from a space")
-    sp.add_argument("-f", "--file", required=True)
+    sp = add("baer", cmd_baer, formats.parse_space, help="Baer group generators from a space")
     sp.add_argument("--verify", action="store_true",
                     help="close the group and verify orders")
 
-    sp = add("quantum", cmd_quantum, help="graph channel computations")
+    sp = add("quantum", cmd_quantum, formats.parse_graph, help="graph channel computations")
     sp.add_argument("what", choices=["period", "decide2", "fidelity"])
-    sp.add_argument("-f", "--file", required=True)
     sp.add_argument("--state", default="", help="state vector for fidelity")
 
-    sp = add("count", cmd_count, help="exact counting formulas")
+    sp = add("count", cmd_count, None, help="exact counting formulas")
     sp.add_argument("what", choices=["gaussian", "iso-formula"])
     sp.add_argument("n", type=int)
     sp.add_argument("d", type=int)
     sp.add_argument("q", type=int)
 
-    sp = add("stats", cmd_stats, help="radical, degrees, max degree, max rank")
-    sp.add_argument("-f", "--file", required=True)
+    add("stats", cmd_stats, formats.parse_space,
+        help="radical, degrees, max degree, max rank")
 
     return ap
 
@@ -459,7 +441,12 @@ def _report(args) -> dict:
         raise ParseError(f"--guard must be >= 0, got {args.guard}")
     guard = Guard(args.guard)
     t0 = time.time()
-    digest, results = args.fn(args, guard)
+    if args.parse is None:
+        data, digest = None, "-"
+    else:
+        text = _read(args.file)
+        data, digest = args.parse(text), _digest(text)
+    results = args.fn(args, data, guard)
     report = {
         "command": args.command,
         "inputs": {"digest": digest},

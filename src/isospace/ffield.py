@@ -274,8 +274,11 @@ def _combine(coeffs: int, rows, field: PrimeField, n: int) -> int:
     ones, pones, cones = field.ones[n]
     w = width - 1
     acc = 0
-    for i, r in enumerate(rows):
-        a = coeffs >> i * width & lane
+    for r in rows:
+        if not coeffs:
+            break       # no coefficients left
+        a = coeffs & lane
+        coeffs >>= width
         if a:
             if p == 2:
                 acc ^= r
@@ -305,17 +308,19 @@ def _combinations(field: PrimeField, n: int, rows, base: int = 0) -> list:
     return out
 
 
-def _rref_rows(rows, field: PrimeField, n: int) -> tuple:
+def _rref_rows(rows, field: PrimeField, n: int, _out=(), _pivots=()) -> tuple:
     """RREF of packed rows of n lanes: (its nonzero rows in pivot order,
     their pivot columns).
 
     Each row is reduced by the rows kept so far, scaled to a leading 1 and
-    eliminated from them, so the kept rows are always in RREF.
+    eliminated from them, so the kept rows are always in RREF.  The kept
+    rows start as _out, with pivots _pivots: an RREF that the rows extend
+    (Subspace.extend_by_vector and Subspace.sum).
     """
     p, width, lane, inv = field.p, field.width, field.lane, field._inv
     ones, pones, cones = field.ones[n]
     w = width - 1
-    out, pivots = [], []
+    out, pivots = list(_out), list(_pivots)
     for v in rows:
         for c, r in zip(pivots, out):
             f = v >> c * width & lane
@@ -468,13 +473,12 @@ class Subspace:
         return all(self.contains_vector(r) for r in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        """The join self + other: other's basis rows adjoined one by one."""
+        """The join self + other: other's basis rows adjoined to self's RREF."""
         if self.n != other.n or self.field.p != other.field.p:
             raise ValueError("ambient mismatch")
-        u = self
-        for r in other.rows:
-            u = u.extend_by_vector(r)
-        return u
+        field, n = self.field, self.n
+        rows, pivots = _rref_rows(other.rows, field, n, self.rows, self.pivots)
+        return Subspace(field, n, tuple(rows), tuple(pivots))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection: the kernel of the stacked kernels (orthogonal
@@ -487,38 +491,10 @@ class Subspace:
         return _kernel_of_rref(field, n, *_rref_rows(da.rows + db.rows, field, n))
 
     def extend_by_vector(self, v: int) -> "Subspace":
-        """Canonical form of self + <v>; no-op if v already lies in self."""
-        res = self.reduce_vector(v)
-        if not res:
-            return self
+        """Canonical form of self + <v>: v reduced on from self's RREF."""
         field, n = self.field, self.n
-        p, width, lane = field.p, field.width, field.lane
-        ones, pones, cones = field.ones[n]
-        w = width - 1
-        lead = ((res & -res).bit_length() - 1) // width
-        s = lead * width
-        a = res >> s & lane
-        if a != 1:
-            if a == p - 1:
-                res = pones - res
-                res -= ((res + cones) >> w & ones) * p
-            else:
-                res = _scaled(field, res, field._inv[a], n)
-        rows = []
-        for r in self.rows:
-            f = r >> s & lane
-            if f:
-                if p == 2:
-                    r ^= res
-                else:
-                    r += (pones - res if f == 1 else res if f == p - 1
-                          else _scaled(field, res, p - f, n))
-                    r -= ((r + cones) >> w & ones) * p
-            rows.append(r)
-        at = bisect_left(self.pivots, lead)
-        rows.insert(at, res)
-        pivots = self.pivots[:at] + (lead,) + self.pivots[at:]
-        return Subspace(field, n, tuple(rows), pivots)
+        rows, pivots = _rref_rows((v,), field, n, self.rows, self.pivots)
+        return Subspace(field, n, tuple(rows), tuple(pivots))
 
     def coordinate_complement(self) -> "Subspace":
         """The standard complement spanned by e_j over the non-pivot columns."""
@@ -533,7 +509,7 @@ class Subspace:
     def quotient_lines(self, sub: "Subspace", guard=None):
         """One vector of self per line of self/sub (sub <= self), guarded.
 
-        The vectors are the projective combinations, in projective_vectors
+        The vectors are the projective combinations, in projective_rows
         order, of a complement of sub in self: the basis rows of self that
         are new modulo sub, reduced against sub and what came before.
         """
@@ -593,16 +569,20 @@ class FormRows:
                         for j in range(n)]
         self._rows = {}
 
+    def unreduced(self, w: int) -> list:
+        """The rows w^t M_1, ..., w^t M_k, zero rows kept: one combination
+        of the slices, cut into k rows of m lanes."""
+        field, k, m = self.field, self.k, self.m
+        flat = _combine(w, self._slices, field, k * m)
+        span = m * field.width
+        mask = (1 << span) - 1
+        return [flat >> i * span & mask for i in range(k)]
+
     def rows(self, w: int) -> tuple:
         """The RREF (rows, pivots) of the span of w^t M_1, ..., w^t M_k."""
         out = self._rows.get(w)
         if out is None:
-            field, k, m = self.field, self.k, self.m
-            flat = _combine(w, self._slices, field, k * m)
-            span = m * field.width
-            mask = (1 << span) - 1
-            out = self._rows[w] = _rref_rows([flat >> i * span & mask for i in range(k)],
-                                             field, m)
+            out = self._rows[w] = _rref_rows(self.unreduced(w), self.field, self.m)
         return out
 
     def _span(self, vectors) -> tuple:
@@ -741,14 +721,6 @@ def projective_rows(field: PrimeField, n: int, guard=None):
     """One packed row per line of F_p^n, its first nonzero coordinate 1
     (guarded)."""
     return _lines(field, n, [1 << j * field.width for j in range(n)], guard)
-
-
-def projective_vectors(field: PrimeField, n: int, guard=None):
-    """One representative per line of F_p^n: first nonzero coordinate is 1.
-    The tuples of projective_rows, for callers that use them as
-    coefficients."""
-    for v in projective_rows(field, n, guard=guard):
-        yield field.unpack(v, n)
 
 
 def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=None):

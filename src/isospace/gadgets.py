@@ -14,7 +14,7 @@ from itertools import combinations
 from .altspace import AltMatrixSpace, block_alternating, elementary_alternating
 from .bipartite import MatrixSpace
 from .errors import as_guard
-from .ffield import FormRows, Matrix, PrimeField, invert, projective_rows, projective_vectors
+from .ffield import FormRows, Matrix, PrimeField, combination, invert, projective_rows
 
 
 def singular_exists_brute(b: MatrixSpace, guard=None):
@@ -26,8 +26,8 @@ def singular_exists_brute(b: MatrixSpace, guard=None):
     if b.s != b.t:
         raise ValueError("existential singularity is asked of square spaces")
     g = as_guard(guard)
-    for coeffs in projective_vectors(b.field, b.dim, guard=g):
-        m = b.combination(coeffs)
+    for coeffs in projective_rows(b.field, b.dim, guard=g):
+        m = combination(b.field, b.s, b.t, coeffs, b.basis)
         if m.rank() < b.s:
             return m
     return None

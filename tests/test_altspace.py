@@ -289,7 +289,7 @@ def test_max_rank_even():
 
 def test_isometry_preserves_invariants():
     # alpha, chi, radical dimension, degree multiset, max rank
-    from isospace.ffield import invert, projective_vectors
+    from isospace.ffield import invert, projective_rows
     from isospace.isotropic import alpha_exact, chi_brute
     rng = random.Random(14)
     for _ in range(10):
@@ -306,8 +306,8 @@ def test_isometry_preserves_invariants():
         assert chi_brute(sp)[0] == chi_brute(moved)[0]
         assert radical_space(sp).dim == radical_space(moved).dim
         assert max_rank_bruteforce(sp) == max_rank_bruteforce(moved)
-        degs = lambda s: sorted(degree(s, v)
-                                for v in projective_vectors(f, n))
+        degs = lambda s: sorted(degree(s, f.unpack(v, n))
+                                for v in projective_rows(f, n))
         assert degs(sp) == degs(moved)
         # and the transform is reversible
         back = isometry_transform(moved, invert(t))

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -273,12 +274,22 @@ def test_malformed_arguments_stay_parse_errors(files, tmp_path, capsys):
     short.write_text(json.dumps({"results": {"field": 2, "witness": [[1, 0]]}}))
     binary = tmp_path / "binary.ams"
     binary.write_bytes(b"ams 2 1 0\n\xff\n")
-    for argv in (["alpha", "-f", str(binary)],
+    argv_list = [["alpha", "-f", str(binary)],
                  ["from-graph", "-f", files["p3.graph"], "--field", "4"],
                  ["to-graph-witness", "-f", files["p3.graph"], "--report", str(notjson)],
                  ["to-graph-witness", "-f", files["p3.graph"], "--report", str(short)],
                  ["quantum", "fidelity", "-f", files["c4.graph"], "--state", "1 x 0 0"],
-                 ["quantum", "fidelity", "-f", files["c4.graph"], "--state", "1 0"]):
+                 ["quantum", "fidelity", "-f", files["c4.graph"], "--state", "1 0"]]
+    # a report's field and witness entries are JSON integers, never bools
+    for k, results in enumerate([{"field": 3.7, "witness": [[1, 0, 0]]},
+                                 {"field": "3", "witness": [[1, 0, 0]]},
+                                 {"field": True, "witness": [[1, 0, 0]]},
+                                 {"field": 2, "witness": [[True, False, False]]},
+                                 {"field": 2, "parts": [[[False, True, False]]]}]):
+        report = tmp_path / f"odd{k}.json"
+        report.write_text(json.dumps({"results": results}))
+        argv_list.append(["to-graph-witness", "-f", files["p3.graph"], "--report", str(report)])
+    for argv in argv_list:
         assert _fails_cleanly(argv, capsys) == 2, argv
 
 
@@ -480,3 +491,17 @@ def test_help_texts_are_pinned(command, capsys, monkeypatch):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command]
+
+
+def test_count_is_bounded_by_the_guard(capsys):
+    # both the product loop and the decimal conversion need the guard first
+    for argv in (["--guard", "10", "count", "gaussian", "200000", "100000", "2"],
+                 ["count", "gaussian", "4000", "2000", "3"],
+                 ["count", "iso-formula", "4000", "2000", "3"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 3, argv
+        assert time.perf_counter() - t0 < 1.0, argv
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1, argv
+    rep = run_command(["--guard", "0", "count", "gaussian", "4", "2", "2"])
+    assert rep["results"]["value"] == "35"

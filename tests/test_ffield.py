@@ -7,7 +7,7 @@ from isospace.errors import Guard, GuardExceeded
 from isospace.ffield import (Matrix, PrimeField, Subspace,
                              enumerate_complements, enumerate_subspaces,
                              gaussian_binomial, invert, kernel,
-                             projective_vectors, rref_canonicalize,
+                             projective_rows, rref_canonicalize,
                              solve_linear)
 
 F2 = PrimeField(2)
@@ -212,9 +212,9 @@ def test_guard_exceeded():
         list(enumerate_subspaces(F3, 5, 2, guard=Guard(10)))
 
 
-def test_projective_vectors_count():
+def test_projective_rows_count():
     for f, n in [(F2, 3), (F3, 3), (F5, 2)]:
-        reps = list(projective_vectors(f, n))
+        reps = [f.unpack(v, n) for v in projective_rows(f, n)]
         assert len(reps) == (f.p**n - 1) // (f.p - 1)
         assert all(r[next(i for i, e in enumerate(r) if e)] == 1 for r in reps)
 

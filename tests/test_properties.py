@@ -237,6 +237,38 @@ def test_sum_is_the_span_of_both_bases(pair):
         u.sum(Subspace.zero(F3 if field.p == 2 else F2, n))
 
 
+def _rref_reference(field, n, vectors) -> tuple:
+    """(RREF rows as tuples, pivots) of the vectors, by rref_rows_reference."""
+    rows = [list(v) for v in vectors]
+    pivots = rref_rows_reference(rows, field.p, field._inv) if rows else []
+    return [tuple(r) for r in rows[:len(pivots)]], tuple(pivots)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, PrimeField(7), PrimeField(251)])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 5), rng=st.randoms(use_true_random=False))
+def test_joins_follow_the_reference_rref(field, n, rng):
+    """sum and extend_by_vector continue an RREF; each case is checked
+    against the reference: p >= 5 (scaled rows), full rank (the early stop)
+    and a vector that already lies in the space."""
+    vec = lambda: tuple(rng.randrange(field.p) for _ in range(n))
+    u = Subspace.from_vectors(field, n, [vec() for _ in range(rng.randint(0, n))])
+    w = Subspace.from_vectors(field, n, [vec() for _ in range(rng.randint(0, n + 1))])
+    full = Subspace.full(field, n)
+    for a, b in ((u, w), (w, u), (u, full), (full, w), (u, u.coordinate_complement())):
+        s = a.sum(b)
+        assert (s.basis_rows(), s.pivots) == _rref_reference(
+            field, n, a.basis_rows() + b.basis_rows())
+    assert u.sum(full) == full.sum(u) == full
+    coeffs = [rng.randrange(field.p) for _ in u.rows]
+    inside = tuple(sum(c * r[j] for c, r in zip(coeffs, u.basis_rows())) % field.p
+                   for j in range(n))
+    for a, v in ((u, vec()), (u, inside), (full, vec()), (w, vec())):
+        s = a.extend_by_vector(field.pack(v))
+        assert (s.basis_rows(), s.pivots) == _rref_reference(field, n, a.basis_rows() + [v])
+    assert u.extend_by_vector(field.pack(inside)) == u
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([F2, F3]), st.integers(0, 5), st.randoms(use_true_random=False))
 def test_coordinate_is_the_span_of_unit_rows(field, n, rng):
