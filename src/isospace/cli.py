@@ -306,10 +306,12 @@ def cmd_count(args, _, guard):
     gaussian = args.what == "gaussian"
     # The product loop and the decimal conversion both take time quadratic
     # in the size of the numerator, rounds * n * log2 q bits, where rounds
-    # counts the factors that the formula multiplies: one guard unit per
-    # (1000 bits)^2, about a microsecond.
-    rounds = max(0, min(d, n if gaussian else n // 2))
-    bits = rounds * max(n, 0) * q.bit_length()
+    # counts the factors that the formula multiplies (none outside its
+    # domain, which stays an input error): one guard unit per (1000 bits)^2,
+    # about a microsecond.
+    top = n if gaussian else n // 2 if n % 2 == 0 else -1
+    rounds = d if 0 <= d <= top else 0
+    bits = rounds * n * q.bit_length()
     guard.require(bits * bits // 10**6)
     val = (gaussian_binomial if gaussian else isotropic_count_formula)(n, d, q)
     return {"value": _decimal(val), "n": n, "d": d, "q": q, "what": args.what}

@@ -276,7 +276,7 @@ def _combine(coeffs: int, rows, field: PrimeField, n: int) -> int:
     acc = 0
     for r in rows:
         if not coeffs:
-            break       # no coefficients left
+            break
         a = coeffs & lane
         coeffs >>= width
         if a:

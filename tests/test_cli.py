@@ -227,6 +227,9 @@ def test_count_outside_the_domain_is_an_input_error(capsys):
     # well-formed arguments with no answer: an odd-dimensional form, d > n
     assert _fails_cleanly(["count", "iso-formula", "3", "1", "2"], capsys) == 5
     assert _fails_cleanly(["count", "gaussian", "2", "3", "2"], capsys) == 5
+    # also where the formula, had it run, would exceed the guard
+    assert _fails_cleanly(["count", "iso-formula", "4001", "2000", "3"], capsys) == 5
+    assert _fails_cleanly(["count", "gaussian", "5000", "6000", "3"], capsys) == 5
 
 
 def test_adjoint_find_hyperbolic_on_a_line(tmp_path):
