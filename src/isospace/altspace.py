@@ -23,8 +23,8 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import VerificationError
-from .ffield import (FormRows, Matrix, PrimeField, Subspace, _span_of_flats, are_independent,
-                     combination, hstack, kernel, projective_rows, span_basis, vstack)
+from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
+                     hstack, kernel, projective_rows, span_basis, vstack)
 
 
 def is_alternating(m: Matrix) -> bool:
@@ -68,7 +68,7 @@ class AltMatrixSpace:
                 raise ValueError("generator is not alternating")
             if m.field != field or m.rows != n:
                 raise ValueError("generator has wrong field or shape")
-        return cls._unchecked(field, n, span_basis(field, n, n, mats))
+        return cls._unchecked(field, n, span_basis(field, n, n, [m.flat() for m in mats]))
 
     @classmethod
     def _unchecked(cls, field: PrimeField, n: int, basis) -> "AltMatrixSpace":
@@ -192,7 +192,7 @@ def restrict(space: AltMatrixSpace, u: Subspace) -> AltMatrixSpace:
     if u.n != space.n:
         raise ValueError("ambient mismatch")
     field, d, b = space.field, u.dim, u.basis
-    return AltMatrixSpace._unchecked(field, d, _span_of_flats(
+    return AltMatrixSpace._unchecked(field, d, span_basis(
         field, d, d, _congruence_rows(space, b, b.transpose()).packed))
 
 
@@ -203,7 +203,7 @@ def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
     if t.rank() != space.n:
         raise ValueError("transform is singular")
     field, n = space.field, space.n
-    return AltMatrixSpace._unchecked(field, n, _span_of_flats(
+    return AltMatrixSpace._unchecked(field, n, span_basis(
         field, n, n, _congruence_rows(space, t.transpose(), t).packed))
 
 

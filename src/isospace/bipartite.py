@@ -14,9 +14,8 @@ from itertools import product
 from .altspace import (AltMatrixSpace, _congruence_rows, block_alternating, is_isotropic,
                        nondegenerate_part, split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
-from .ffield import (FormRows, Matrix, PrimeField, Subspace, _span_of_flats, are_independent,
-                     combination, enumerate_subspaces, kernel, solve_linear, span_basis,
-                     vstack)
+from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
+                     enumerate_subspaces, kernel, solve_linear, span_basis, vstack)
 
 
 class MatrixSpace:
@@ -43,7 +42,7 @@ class MatrixSpace:
         for m in mats:
             if m.field != field or m.rows != s or m.cols != t:
                 raise ValueError("generator has wrong field or shape")
-        return cls._unchecked(field, s, t, span_basis(field, s, t, mats))
+        return cls._unchecked(field, s, t, span_basis(field, s, t, [m.flat() for m in mats]))
 
     @classmethod
     def _unchecked(cls, field, s, t, basis) -> "MatrixSpace":
@@ -79,13 +78,13 @@ def block_space_from_bipartite(space: AltMatrixSpace, u1: Subspace,
 
     The blocks are U1 A U2^t for the RREF bases U1, U2 of the parts: entry
     (i, j) is the form of row i of U1 against row j of U2.  Their entry
-    rows come from the packed congruence routine of altspace and are
-    reduced to the canonical basis as span_basis reduces them.  Raises
+    rows come from the packed congruence routine of altspace and span_basis
+    reduces them to the canonical basis.  Raises
     unless (u1, u2) is an isotropic 2-decomposition of the space.
     """
     validate_decomposition(space, [u1, u2])
     field, s, t = space.field, u1.dim, u2.dim
-    return MatrixSpace._unchecked(field, s, t, _span_of_flats(
+    return MatrixSpace._unchecked(field, s, t, span_basis(
         field, s, t, _congruence_rows(space, u1.basis, u2.basis.transpose()).packed))
 
 

@@ -124,6 +124,8 @@ def cmd_maximal(args, space, guard):
 
 def cmd_decompose(args, space, guard):
     if args.method == "greedy-deg":
+        # the greedy passes take no guard, so their n^3 is required first
+        guard.require(space.n ** 3)
         parts = greedy_deg_decomposition(space)
     else:
         _, parts = chi_lawler(space, guard=guard)
@@ -156,7 +158,7 @@ def cmd_to_graph_witness(args, g, guard):
         if not isinstance(parts, list):
             raise ParseError("report 'parts' is not a list")
         parts = [_subspace(field, g.n, rows) for rows in parts]
-        blocks = coloring_from_decomposition(g, parts)
+        blocks = coloring_from_decomposition(g, parts, guard=guard)
         return {"coloring": [[v + 1 for v in b] for b in blocks],
                 "count": len(blocks), "field": field.p}
     if "witness" in results:
@@ -263,6 +265,8 @@ def cmd_baer(args, space, guard):
 
 
 def cmd_quantum(args, g, guard):
+    # 2|E| dense n x n Kraus operators, then the n^2 x n^2 channel matrix
+    guard.require(2 * len(g.edges) * g.n**2 + g.n**4)
     ch = channel_from_graph(g)
     if args.what == "period":
         return {"period": period(ch), "n": ch.n, "kraus": len(ch.kraus)}

@@ -46,7 +46,7 @@ class _LaneConstants(dict):
         self.width = width
 
     def __missing__(self, n):
-        ones = sum(1 << j * self.width for j in range(n))
+        ones = ((1 << n * self.width) - 1) // ((1 << self.width) - 1)
         consts = self[n] = (ones, self.p * ones, ((1 << self.width - 1) - self.p) * ones)
         return consts
 
@@ -513,6 +513,10 @@ class Subspace:
         order, of a complement of sub in self: the basis rows of self that
         are new modulo sub, reduced against sub and what came before.
         """
+        g = as_guard(guard)
+        p = self.field.p
+        # the lines are required before the complement is reduced
+        g.require((p ** (self.dim - sub.dim) - 1) // (p - 1))
         rows = []
         acc = sub
         for r in self.rows:
@@ -520,7 +524,7 @@ class Subspace:
             if red:
                 rows.append(red)
                 acc = acc.extend_by_vector(red)
-        return _lines(self.field, self.n, rows, guard)
+        return _lines(self.field, self.n, rows, g)
 
     def vector_mask(self) -> int:
         """Bitmask over the indices of all vectors of self, the index of v
@@ -602,16 +606,11 @@ class FormRows:
         return _kernel_of_rref(self.field, self.m, *self._span(vectors))
 
 
-def span_basis(field: PrimeField, rows: int, cols: int, mats) -> list:
-    """An independent basis of the span of rows x cols matrices: the
-    canonical RREF of their entry vectors, reshaped, so the pivots are
-    deterministic in row-major order."""
-    return _span_of_flats(field, rows, cols, [m.flat() for m in mats])
-
-
-def _span_of_flats(field: PrimeField, rows: int, cols: int, flats) -> list:
-    """span_basis for matrices given as their flat entry rows (packed rows
-    of rows * cols lanes, as Matrix.flat gives them)."""
+def span_basis(field: PrimeField, rows: int, cols: int, flats) -> list:
+    """An independent basis of the span of rows x cols matrices given as
+    their flat entry rows (packed rows of rows * cols lanes, as Matrix.flat
+    gives them): the canonical RREF of those rows, reshaped, so the pivots
+    are deterministic in row-major order."""
     span, _ = _rref_rows(flats, field, rows * cols)
     return [Matrix.from_flat(field, rows, cols, r) for r in span]
 
@@ -621,13 +620,15 @@ def are_independent(mats) -> bool:
     if not mats:
         return True
     m0 = mats[0]
-    return len(span_basis(m0.field, m0.rows, m0.cols, mats)) == len(mats)
+    return len(span_basis(m0.field, m0.rows, m0.cols, [m.flat() for m in mats])) == len(mats)
 
 
 def _kernel_of_rref(field: PrimeField, ncols: int, rows, pivots) -> Subspace:
     """Right kernel of a matrix whose packed RREF rows carry the given
     pivots in their first ncols columns: one vector per free column,
     reduced to RREF."""
+    if not pivots:
+        return Subspace.full(field, ncols)
     p, width, lane = field.p, field.width, field.lane
     pivset = set(pivots)
     basis = []
@@ -738,7 +739,12 @@ def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=N
     else:
         dims = list(range(n + 1))
     q, width = field.p, field.width
-    total = sum(gaussian_binomial(n, k, q) for k in dims)
+    # the sum stops once it passes what the guard has left
+    total = 0
+    for k in dims:
+        total += gaussian_binomial(n, k, q)
+        if total > g.limit - g.used:
+            break
     g.require(total)
     for k in dims:
         if k == 0:

@@ -182,10 +182,11 @@ class MatrixGroupClosure:
         seen = {triv}
         frontier = [(triv, (ident,))]
         orders = {1}
-        elements = {m.packed for m in self.elements}
         while frontier:
             nxt = []
             for helems, hgens in frontier:
+                # m commutes with the generators of the abelian H, so the
+                # closure is abelian, and it stays inside the group
                 cand = [m for m in self.centralizer_of(hgens) if m.packed not in helems]
                 for m in cand:
                     g.tick()
@@ -194,11 +195,8 @@ class MatrixGroupClosure:
                     if key in seen:
                         continue
                     seen.add(key)
-                    if not key <= elements:
-                        continue
-                    if new.is_abelian():
-                        orders.add(new.order)
-                        nxt.append((key, new.generators))
+                    orders.add(new.order)
+                    nxt.append((key, new.generators))
             frontier = nxt
         return orders
 

@@ -87,6 +87,12 @@ def space_from_graph(g: Graph, field: PrimeField) -> AltMatrixSpace:
     return AltMatrixSpace._unchecked(field, g.n, basis)
 
 
+def _is_independent(g: Graph, verts) -> bool:
+    """True iff no two of the ascending vertices verts are adjacent in g."""
+    edges = set(g.edges)
+    return not any(pair in edges for pair in combinations(verts, 2))
+
+
 def independent_set_from_isotropic(g: Graph, u: Subspace) -> tuple:
     """Recover a size-dim(u) independent set from an isotropic space of A_G.
 
@@ -97,52 +103,47 @@ def independent_set_from_isotropic(g: Graph, u: Subspace) -> tuple:
     if not is_isotropic(space, u):
         raise VerificationError("not isotropic for this graph's space")
     verts = tuple(u.pivots)
-    edges = set(g.edges)
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            if (verts[a], verts[b]) in edges:
-                raise VerificationError("recovered vertex set is not independent")
+    if not _is_independent(g, verts):
+        raise VerificationError("recovered vertex set is not independent")
     return verts
 
 
-def _part_assignment(parts_cols, remaining, idx, chosen):
+def _part_assignment(parts_cols, remaining, idx, chosen, g):
     """Backtracking core for coloring recovery: assign to part idx a vertex
-    set whose columns in that part's basis are linearly independent."""
+    set whose columns in that part's basis are linearly independent.  Each
+    subset tried ticks the guard d^2, the entries of its d x d rank test."""
     if idx == len(parts_cols):
         return chosen if not remaining else None
     basis, d = parts_cols[idx]
     for combo in combinations(sorted(remaining), d):
+        g.tick(d * d)
         sub = Subspace.from_vectors(basis.field, d, [basis.col(j) for j in combo])
         if sub.dim == d:
             res = _part_assignment(parts_cols, remaining - set(combo), idx + 1,
-                                   chosen + [combo])
+                                   chosen + [combo], g)
             if res is not None:
                 return res
     return None
 
 
-def coloring_from_decomposition(g: Graph, parts) -> list:
+def coloring_from_decomposition(g: Graph, parts, guard=None) -> list:
     """Recover a vertex coloring from an isotropic decomposition of A_G.
 
     Searches for a partition [n] = T_1 + ... + T_c with |T_i| = dim(U_i) and
     the T_i-columns of U_i's basis invertible (such a partition exists by
     Laplace expansion of the full change-of-basis determinant); every block
-    is verified independent.
+    is verified independent.  The search is guarded.
     """
     # no part, no field: the empty list decomposes F^0 alone, over any field
     field = parts[0].field if parts else PrimeField(2)
     validate_decomposition(space_from_graph(g, field), parts)
     parts_cols = [(u.basis, u.dim) for u in parts]
-    res = _part_assignment(parts_cols, set(range(g.n)), 0, [])
+    res = _part_assignment(parts_cols, set(range(g.n)), 0, [], as_guard(guard))
     if res is None:
         raise VerificationError("no rank-feasible row partition found")
     blocks = [tuple(sorted(t)) for t in res]
-    edges = set(g.edges)
-    for t in blocks:
-        for a in range(len(t)):
-            for b in range(a + 1, len(t)):
-                if (t[a], t[b]) in edges:
-                    raise VerificationError("recovered block is not independent")
+    if not all(_is_independent(g, t) for t in blocks):
+        raise VerificationError("recovered block is not independent")
     return blocks
 
 

@@ -38,6 +38,27 @@ def _ints(lineno: int, line: str, expect: int | None = None):
     return vals
 
 
+def _header(text: str, form: str):
+    """(content lines, header line number, header integers) of a file whose
+    first content line has the form `form`: its tag, then one integer per
+    remaining name."""
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("empty file")
+    lineno, header = lines[0]
+    names, parts = form.split(), header.split()
+    if len(parts) != len(names) or parts[0] != names[0]:
+        raise ParseError(f"line {lineno}: expected header '{form}'")
+    return lines, lineno, _ints(lineno, " ".join(parts[1:]))
+
+
+def _field(lineno: int, p: int) -> PrimeField:
+    try:
+        return PrimeField(p)
+    except ValueError as e:
+        raise ParseError(f"line {lineno}: {e}")
+
+
 def _read_blocks(lines, idx, field, rows, cols, count, what):
     mats = []
     for b in range(count):
@@ -60,19 +81,17 @@ def _read_blocks(lines, idx, field, rows, cols, count, what):
     return mats
 
 
+def _emit_blocks(header: str, mats, rows: int) -> str:
+    out = [header]
+    for m in mats:
+        for i in range(rows):
+            out.append(" ".join(str(e) for e in m.row(i)))
+    return "\n".join(out) + "\n"
+
+
 def parse_space(text: str) -> AltMatrixSpace:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("empty file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "ams":
-        raise ParseError(f"line {lineno}: expected header 'ams p n m'")
-    p, n, m = (_ints(lineno, " ".join(parts[1:]), 3))
-    try:
-        field = PrimeField(p)
-    except ValueError as e:
-        raise ParseError(f"line {lineno}: {e}")
+    lines, lineno, (p, n, m) = _header(text, "ams p n m")
+    field = _field(lineno, p)
     if n < 0 or m < 0:
         raise ParseError(f"line {lineno}: need n >= 0 and m >= 0")
     mats = _read_blocks(lines, 1, field, n, n, m, "matrix")
@@ -83,22 +102,11 @@ def parse_space(text: str) -> AltMatrixSpace:
 
 
 def emit_space(space: AltMatrixSpace) -> str:
-    out = [f"ams {space.field.p} {space.n} {space.dim}"]
-    for m in space.basis:
-        for i in range(space.n):
-            out.append(" ".join(str(e) for e in m.row(i)))
-    return "\n".join(out) + "\n"
+    return _emit_blocks(f"ams {space.field.p} {space.n} {space.dim}", space.basis, space.n)
 
 
 def parse_graph(text: str) -> Graph:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("empty file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "graph":
-        raise ParseError(f"line {lineno}: expected header 'graph n'")
-    (n,) = _ints(lineno, parts[1], 1)
+    lines, lineno, (n,) = _header(text, "graph n")
     if n < 0:
         raise ParseError(f"line {lineno}: need n >= 0")
     edges = []
@@ -133,26 +141,12 @@ def parse_mats_tuple(text: str):
 
 def _parse_mats_blocks(text: str):
     """(field, s, t, blocks) of a 'mats p s t m' file, blocks in file order."""
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("empty file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 5 or parts[0] != "mats":
-        raise ParseError(f"line {lineno}: expected header 'mats p s t m'")
-    p, s, t, m = _ints(lineno, " ".join(parts[1:]), 4)
-    try:
-        field = PrimeField(p)
-    except ValueError as e:
-        raise ParseError(f"line {lineno}: {e}")
+    lines, lineno, (p, s, t, m) = _header(text, "mats p s t m")
+    field = _field(lineno, p)
     if s < 1 or t < 1 or m < 0:
         raise ParseError(f"line {lineno}: need s, t >= 1 and m >= 0")
     return field, s, t, _read_blocks(lines, 1, field, s, t, m, "matrix")
 
 
 def emit_mats(b: MatrixSpace) -> str:
-    out = [f"mats {b.field.p} {b.s} {b.t} {b.dim}"]
-    for m in b.basis:
-        for i in range(b.s):
-            out.append(" ".join(str(e) for e in m.row(i)))
-    return "\n".join(out) + "\n"
+    return _emit_blocks(f"mats {b.field.p} {b.s} {b.t} {b.dim}", b.basis, b.s)

@@ -159,10 +159,9 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
                     found[ck] = cand
         return list(found.values())
 
-    out = {}
-    for u in rec(space):
-        out[u.key()] = u
-    return tuple(out.values())
+    # rec's spaces are distinct: keyed when non-degenerate, and lifted
+    # injectively through comp plus rad when degenerate
+    return tuple(rec(space))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,28 @@ def test_parse_errors_carry_location():
         parse_space("ams 2 2 1\n1 1\n1 0\n")  # nonzero diagonal
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_space, "", "empty file"),
+    (parse_space, "# a comment\n\n", "empty file"),
+    (parse_space, "spc 2 2 1\n", "line 1: expected header 'ams p n m'"),
+    (parse_space, "\nams 2 2\n", "line 2: expected header 'ams p n m'"),
+    (parse_space, "ams 4 2 0\n", "line 1: p must be a prime in [2, 251], got 4"),
+    (parse_space, "ams 2 x 0\n", "line 1: expected integers, got '2 x 0'"),
+    (parse_graph, "", "empty file"),
+    (parse_graph, "graph\n", "line 1: expected header 'graph n'"),
+    (parse_graph, "graph 3 1\n", "line 1: expected header 'graph n'"),
+    (parse_graph, "graph -1\n", "line 1: need n >= 0"),
+    (parse_mats, "", "empty file"),
+    (parse_mats, "mats 2 1 2\n", "line 1: expected header 'mats p s t m'"),
+    (parse_mats, "ams 2 1 2 1\n", "line 1: expected header 'mats p s t m'"),
+    (parse_mats, "mats 1 1 1 0\n", "line 1: p must be a prime in [2, 251], got 1"),
+])
+def test_empty_files_and_bad_headers_are_pinned(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_chi_command(files):
     rep = run_command(["chi", "-f", files["k3.ams"], "--method", "maxcover"])
     assert rep["results"]["chi"] == 3
@@ -508,3 +530,36 @@ def test_count_is_bounded_by_the_guard(capsys):
         assert out == "" and len(err.strip().splitlines()) == 1, argv
     rep = run_command(["--guard", "0", "count", "gaussian", "4", "2", "2"])
     assert rep["results"]["value"] == "35"
+
+
+# small inputs whose work before the first guard check grew with n, or that
+# took no guard at all: each must exit 3 with one stderr line, in seconds
+PATH_40 = "graph 40\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 40))
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--guard", "10", "stats"], "ams 2 15000 0\n"),
+    (["--guard", "10", "dim2"], "ams 2 15000 0\n"),
+    (["--guard", "10", "alpha"], "ams 2 4000 0\n"),
+    (["--guard", "10", "chi", "--method", "lawler"], "ams 2 800 0\n"),
+    (["--guard", "10", "alpha-bipartite"], "ams 2 400 0\n"),
+    (["--guard", "10", "decompose", "--method", "greedy-deg"], "ams 2 500 0\n"),
+    (["--guard", "10", "to-graph-witness", "--report"], "graph 22\n"),
+    (["--guard", "1000000", "quantum", "period"], PATH_40),
+], ids=["stats", "dim2", "alpha", "chi-lawler", "alpha-bipartite", "decompose-greedy-deg",
+        "to-graph-witness", "quantum-period"])
+def test_large_inputs_trip_the_guard_at_once(tmp_path, argv, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    if argv[-1] == "--report":
+        # F_2 parts <e_12..e_22>, <e_1..e_11>: the column search tries
+        # every other 11-subset before the last
+        unit = [[int(i == j) for j in range(22)] for i in range(22)]
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"results": {"field": 2, "parts": [unit[11:], unit[:11]]}}))
+        argv = argv + [str(report)]
+    proc = subprocess.run([sys.executable, "-m", "isospace"] + argv + ["-f", str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert proc.stdout == "" and len(lines) == 1 and lines[0].startswith("guard exceeded")

@@ -212,6 +212,12 @@ def test_guard_exceeded():
         list(enumerate_subspaces(F3, 5, 2, guard=Guard(10)))
 
 
+def test_a_huge_estimate_exceeds_the_guard():
+    # 2^15000 has 4,516 digits, past the interpreter's int-to-str limit
+    with pytest.raises(GuardExceeded, match=r"estimated at least 2\^15000 iterations"):
+        Guard(10).require(2**15000)
+
+
 def test_projective_rows_count():
     for f, n in [(F2, 3), (F3, 3), (F5, 2)]:
         reps = [f.unpack(v, n) for v in projective_rows(f, n)]
