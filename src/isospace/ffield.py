@@ -739,13 +739,10 @@ def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=N
     else:
         dims = list(range(n + 1))
     q, width = field.p, field.width
-    # the sum stops once it passes what the guard has left
     total = 0
-    for k in dims:
+    for k in dims:      # stop at the first partial sum past what the guard has left
         total += gaussian_binomial(n, k, q)
-        if total > g.limit - g.used:
-            break
-    g.require(total)
+        g.require(total)
     for k in dims:
         if k == 0:
             g.tick()
