@@ -8,13 +8,11 @@ restriction the role of induced subgraphs.
 
 Restriction (B A B^t), isometry (T^t A T), the isotropy test and the block
 extraction of bipartite.py (U1 A U2^t) are all L A R^t over the basis, and
-one routine, _congruence_rows, computes them with the packed-row operations
-of ffield: the rows of every L A come from the form slices of FormRows, one
-combination per row of L, and one Matrix product with R^t finishes them.
-It gives the entries of each L A R^t as one flat row, which restriction,
-isometry and block extraction reduce once to the canonical basis and the
-isotropy test checks for zero.  Those spans are alternating (or, for
-blocks, independent) by construction, so only outside input goes through
+each is written as that Matrix product, one basis matrix A at a time.
+Restriction, isometry and block extraction reduce the products' flat entry
+rows once to the canonical basis; the isotropy test stops at the first
+nonzero product.  Those spans are alternating (or, for blocks,
+independent) by construction, so only outside input goes through
 validate.
 """
 
@@ -169,31 +167,15 @@ def max_degree(space: AltMatrixSpace, guard=None) -> int:
     return best
 
 
-def _congruence_rows(space: AltMatrixSpace, left: Matrix, rt: Matrix) -> Matrix:
-    """The k x ab matrix whose row j holds the entries of L A_j R^t,
-    row-major (as Matrix.flat gives them), for the basis A_1, ..., A_k of
-    the space, the a x n matrix L (left) and the transpose rt of the b x n
-    matrix R.
-
-    Row i of every L A_j at once is form_rows(space).unreduced(row i of L),
-    one combination of the form slices.  Stacked by j, those rows make one
-    product with rt, whose row-major entries are the k rows, in order.
-    """
-    field, n, k, a = space.field, space.n, space.dim, left.rows
-    forms = form_rows(space)
-    rows_of_la = [forms.unreduced(x) for x in left.packed]
-    la = Matrix._reduced(field, k * a, n, tuple([r[j] for j in range(k) for r in rows_of_la]))
-    return Matrix.from_flat(field, k, a * rt.cols, (la @ rt).flat())
-
-
 def restrict(space: AltMatrixSpace, u: Subspace) -> AltMatrixSpace:
     """A|_U via the RREF basis B of u: the span of {B A B^t}, alternating
     by construction, so it is not validated."""
     if u.n != space.n:
         raise ValueError("ambient mismatch")
     field, d, b = space.field, u.dim, u.basis
+    bt = b.transpose()
     return AltMatrixSpace._unchecked(field, d, span_basis(
-        field, d, d, _congruence_rows(space, b, b.transpose()).packed))
+        field, d, d, [(b @ a @ bt).flat() for a in space.basis]))
 
 
 def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
@@ -202,9 +184,9 @@ def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
         raise ValueError("transform shape mismatch")
     if t.rank() != space.n:
         raise ValueError("transform is singular")
-    field, n = space.field, space.n
+    field, n, tt = space.field, space.n, t.transpose()
     return AltMatrixSpace._unchecked(field, n, span_basis(
-        field, n, n, _congruence_rows(space, t.transpose(), t).packed))
+        field, n, n, [(tt @ a @ t).flat() for a in space.basis]))
 
 
 def is_isotropic(space: AltMatrixSpace, u: Subspace) -> bool:
@@ -212,7 +194,8 @@ def is_isotropic(space: AltMatrixSpace, u: Subspace) -> bool:
     if u.n != space.n:
         raise ValueError("ambient mismatch")
     b = u.basis
-    return _congruence_rows(space, b, b.transpose()).is_zero()
+    bt = b.transpose()
+    return all((b @ a @ bt).is_zero() for a in space.basis)
 
 
 def validate_decomposition(space: AltMatrixSpace, parts) -> None:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .altspace import (AltMatrixSpace, _congruence_rows, block_alternating, is_isotropic,
-                       nondegenerate_part, split_zero_space, validate_decomposition)
+from .altspace import (AltMatrixSpace, block_alternating, is_isotropic, nondegenerate_part,
+                       split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
                      enumerate_subspaces, kernel, solve_linear, span_basis, vstack)
@@ -77,15 +77,15 @@ def block_space_from_bipartite(space: AltMatrixSpace, u1: Subspace,
     """Extract B <= M(s x t) from a bipartite space via its 2-decomposition.
 
     The blocks are U1 A U2^t for the RREF bases U1, U2 of the parts: entry
-    (i, j) is the form of row i of U1 against row j of U2.  Their entry
-    rows come from the packed congruence routine of altspace and span_basis
-    reduces them to the canonical basis.  Raises
-    unless (u1, u2) is an isotropic 2-decomposition of the space.
+    (i, j) is the form of row i of U1 against row j of U2.  span_basis
+    reduces their entry rows to the canonical basis.  Raises unless
+    (u1, u2) is an isotropic 2-decomposition of the space.
     """
     validate_decomposition(space, [u1, u2])
     field, s, t = space.field, u1.dim, u2.dim
+    left, rt = u1.basis, u2.basis.transpose()
     return MatrixSpace._unchecked(field, s, t, span_basis(
-        field, s, t, _congruence_rows(space, u1.basis, u2.basis.transpose()).packed))
+        field, s, t, [(left @ a @ rt).flat() for a in space.basis]))
 
 
 def ncrk_witness_pair(b: MatrixSpace, guard=None):

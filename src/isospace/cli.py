@@ -35,8 +35,7 @@ from .isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover,
                         enumerate_maximal_branch, enumerate_maximal_filter,
                         greedy_deg_decomposition, greedy_maximal,
                         has_isotropic_dim2, isotropic_count_formula)
-from .quantum import (channel_from_graph, decide_iso_2_decomposition,
-                      fidelity_pure, period)
+from .quantum import channel_from_graph, fidelity_pure, period
 
 
 def _read(path: str) -> str:
@@ -265,14 +264,16 @@ def cmd_baer(args, space, guard):
 
 
 def cmd_quantum(args, g, guard):
-    # 2|E| dense n x n Kraus operators, then the n^2 x n^2 channel matrix
-    guard.require(2 * len(g.edges) * g.n**2 + g.n**4)
+    # 2|E| dense n x n Kraus operators, then the n^2 x n^2 channel matrix,
+    # and for a period one dense eigendecomposition of it, (n^2)^3 flops
+    spectrum = g.n**6 // 10**3 if args.what != "fidelity" else 0
+    guard.require(2 * len(g.edges) * g.n**2 + g.n**4 + spectrum)
     ch = channel_from_graph(g)
     if args.what == "period":
         return {"period": period(ch), "n": ch.n, "kraus": len(ch.kraus)}
     if args.what == "decide2":
-        return {"iso_2_decomposition": decide_iso_2_decomposition(ch),
-                "period": period(ch), "n": ch.n}
+        per = period(ch)
+        return {"iso_2_decomposition": per % 2 == 0, "period": per, "n": ch.n}
     try:
         state = [float(x) for x in args.state.split()]
     except ValueError:

@@ -573,20 +573,13 @@ class FormRows:
                         for j in range(n)]
         self._rows = {}
 
-    def unreduced(self, w: int) -> list:
-        """The rows w^t M_1, ..., w^t M_k, zero rows kept: one combination
-        of the slices, cut into k rows of m lanes."""
-        field, k, m = self.field, self.k, self.m
-        flat = _combine(w, self._slices, field, k * m)
-        span = m * field.width
-        mask = (1 << span) - 1
-        return [flat >> i * span & mask for i in range(k)]
-
     def rows(self, w: int) -> tuple:
         """The RREF (rows, pivots) of the span of w^t M_1, ..., w^t M_k."""
         out = self._rows.get(w)
         if out is None:
-            out = self._rows[w] = _rref_rows(self.unreduced(w), self.field, self.m)
+            field, k, m = self.field, self.k, self.m
+            rows = Matrix.from_flat(field, k, m, _combine(w, self._slices, field, k * m)).packed
+            out = self._rows[w] = _rref_rows(rows, field, m)
         return out
 
     def _span(self, vectors) -> tuple:

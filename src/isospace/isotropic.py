@@ -281,6 +281,8 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
 
     if n == 0:
         return 0, []
+    # the first lattice's lines, required before the restriction to F^n
+    g.require((field.p**n - 1) // (field.p - 1))
     u = Subspace.full(field, n)
     c, v, w = rec(u)
     parts = []

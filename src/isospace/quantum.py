@@ -68,14 +68,13 @@ class ComplexSubspace:
 
     @classmethod
     def from_vectors(cls, n: int, vectors) -> "ComplexSubspace":
-        """Orthonormalize a spanning list of vectors (rank revealed by QR)."""
+        """Orthonormalize a spanning list of vectors (rank revealed by SVD)."""
         import numpy as np
         arr = np.array([np.asarray(v, dtype=complex) for v in vectors]).T
         if arr.size == 0:
             return cls(np.zeros((n, 0), dtype=complex))
-        q, r = np.linalg.qr(arr)
-        keep = [j for j in range(r.shape[0]) if abs(r[j, j]) > 1e-12]
-        return cls(q[:, keep])
+        u, sv, _ = np.linalg.svd(arr, full_matrices=False)
+        return cls(u[:, :int(np.sum(sv > 1e-12))])
 
     @property
     def dim(self) -> int:
@@ -117,42 +116,46 @@ def channel_matrix(ch: QuantumChannel) -> np.ndarray:
     return sum(np.kron(k, k.conj()) for k in ch.kraus)
 
 
-def is_irreducible(ch: QuantumChannel):
-    """Check irreducibility; returns (bool, fixed state or None).
+def _spectrum(ch: QuantumChannel):
+    """(eigenvalues, fixed state or None) of one eig of the channel matrix.
 
-    The eigenvalue 1 must have algebraic (hence geometric) multiplicity 1
-    and the fixed point, Hermitized and trace-normalized, must be positive
-    definite.
+    The fixed state exists iff the eigenvalue 1 has algebraic (hence
+    geometric) multiplicity 1 and its eigenvector, Hermitized and
+    trace-normalized, is positive definite.
     """
     import numpy as np
-    m = channel_matrix(ch)
     n = ch.n
-    vals, vecs = np.linalg.eig(m)
+    vals, vecs = np.linalg.eig(channel_matrix(ch))
     close = [i for i in range(len(vals)) if abs(vals[i] - 1.0) < EIG_TOL]
     if len(close) != 1:
-        return False, None
+        return vals, None
     rho = vecs[:, close[0]].reshape(n, n)
     rho = (rho + rho.conj().T) / 2.0
     tr = np.trace(rho).real
     if abs(tr) < PD_TOL:
-        return False, None
+        return vals, None
     rho = rho / tr
-    eigs = np.linalg.eigvalsh(rho)
-    if np.min(eigs) <= PD_TOL:
-        return False, None
-    return True, rho
+    if np.min(np.linalg.eigvalsh(rho)) <= PD_TOL:
+        return vals, None
+    return vals, rho
+
+
+def is_irreducible(ch: QuantumChannel):
+    """Check irreducibility; returns (bool, fixed state or None)."""
+    rho = _spectrum(ch)[1]
+    return rho is not None, rho
 
 
 def period(ch: QuantumChannel) -> int:
-    """Number of magnitude-one eigenvalues of the channel matrix.
+    """Number of magnitude-one eigenvalues of the channel matrix, read from
+    the same decomposition as the irreducibility check.
 
     Defined for irreducible channels only.
     """
     import numpy as np
-    ok, _ = is_irreducible(ch)
-    if not ok:
+    vals, rho = _spectrum(ch)
+    if rho is None:
         raise ValueError("period is defined for irreducible channels")
-    vals = np.linalg.eigvals(channel_matrix(ch))
     return int(np.sum(np.abs(np.abs(vals) - 1.0) < EIG_TOL))
 
 

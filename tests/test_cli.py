@@ -535,6 +535,7 @@ def test_count_is_bounded_by_the_guard(capsys):
 # small inputs whose work before the first guard check grew with n, or that
 # took no guard at all: each must exit 3 with one stderr line, in seconds
 PATH_40 = "graph 40\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 40))
+PATH_48 = "graph 48\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 48))
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -545,9 +546,14 @@ PATH_40 = "graph 40\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 40))
     (["--guard", "10", "alpha-bipartite"], "ams 2 400 0\n"),
     (["--guard", "10", "decompose", "--method", "greedy-deg"], "ams 2 500 0\n"),
     (["--guard", "10", "to-graph-witness", "--report"], "graph 22\n"),
+    (["--guard", "10", "chi", "--method", "lawler"], "ams 2 10000 0\n"),
+    (["--guard", "10", "decompose", "--method", "lawler"], "ams 2 10000 0\n"),
     (["--guard", "1000000", "quantum", "period"], PATH_40),
+    (["quantum", "period"], PATH_48),
+    (["quantum", "decide2"], PATH_48),
 ], ids=["stats", "dim2", "alpha", "chi-lawler", "alpha-bipartite", "decompose-greedy-deg",
-        "to-graph-witness", "quantum-period"])
+        "to-graph-witness", "chi-lawler-restrict", "decompose-lawler", "quantum-period",
+        "quantum-period-spectrum", "quantum-decide2-spectrum"])
 def test_large_inputs_trip_the_guard_at_once(tmp_path, argv, text):
     path = tmp_path / "input"
     path.write_text(text)

@@ -1,0 +1,17 @@
+import ast
+from pathlib import Path
+
+import isospace
+
+PACKAGE = Path(isospace.__file__).resolve().parent
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a leading underscore marks a name private to its module
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                found += [f"{path.name}: {node.module} {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert found == []

@@ -27,6 +27,7 @@ from util import (F2, F3, combine_reference, invert_reference, matmul_reference,
                   random_matrix_space, random_space, rref_rows_reference)
 
 F5 = PrimeField(5)
+F251 = PrimeField(251)
 
 
 @st.composite
@@ -514,10 +515,11 @@ def congruence_span(field, left, mats, right):
 
 @st.composite
 def congruence_cases(draw):
-    """Over F_2, F_3 or F_5: a space spanned by up to 4 random alternating
-    matrices on F^n, n <= 4; a subspace U that is zero, the span of random
-    vectors, or all of F^n; and a random n x n matrix T, singular or not."""
-    field = draw(st.sampled_from([F2, F3, F5]))
+    """Over F_2, F_3, F_5 or F_251 (the widest lanes): a space spanned by up
+    to 4 random alternating matrices on F^n, n <= 4; a subspace U that is
+    zero, the span of random vectors, or all of F^n; and a random n x n
+    matrix T, singular or not."""
+    field = draw(st.sampled_from([F2, F3, F5, F251]))
     n = draw(st.integers(0, 4))
     rng = draw(st.randoms(use_true_random=False))
     space = random_space(rng, field, n, draw(st.integers(0, 4)))
@@ -556,7 +558,7 @@ def test_congruences_follow_the_tuple_reference(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([F2, F3, F5]), st.integers(1, 3), st.integers(1, 3),
+@given(st.sampled_from([F2, F3, F5, F251]), st.integers(1, 3), st.integers(1, 3),
        st.integers(0, 3), st.randoms(use_true_random=False))
 def test_block_extraction_follows_the_tuple_reference(field, s, t, m, rng):
     b = random_matrix_space(rng, field, s, t, m)

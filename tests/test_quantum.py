@@ -133,6 +133,17 @@ def test_isotropic_subspace_from_independent_sets():
                 assert is_isotropic_subspace(ch, ComplexSubspace.from_vectors(g.n, vecs))
 
 
+def test_complex_subspace_keeps_the_rank_of_its_vectors():
+    # an independent vector after a dependent one still counts
+    cases = [(2, [[0, 0], [1, 0]], 1), (3, [[1, 0, 0], [2, 0, 0], [0, 1, 0]], 2),
+             (3, [[0, 0, 0], [0, 0, 0]], 0), (3, [[1, 1j, 0], [0, 1, 1], [1, 1 + 1j, 1]], 2),
+             (3, list(np.eye(3)), 3)]
+    for n, vecs, rank in cases:
+        u = ComplexSubspace.from_vectors(n, vecs)
+        assert (u.n, u.dim) == (n, rank), vecs
+        assert np.linalg.matrix_rank(np.column_stack([u.basis] + [np.asarray(vecs).T])) == rank
+
+
 def test_noiseless():
     ident = QuantumChannel([np.eye(2)])
     u = ComplexSubspace.from_vectors(2, [[1, 0]])
