@@ -578,8 +578,11 @@ class FormRows:
         out = self._rows.get(w)
         if out is None:
             field, k, m = self.field, self.k, self.m
-            rows = Matrix.from_flat(field, k, m, _combine(w, self._slices, field, k * m)).packed
-            out = self._rows[w] = _rref_rows(rows, field, m)
+            flat = _combine(w, self._slices, field, k * m)
+            span = m * field.width
+            mask = (1 << span) - 1
+            out = self._rows[w] = _rref_rows([flat >> i * span & mask for i in range(k)],
+                                             field, m)
         return out
 
     def _span(self, vectors) -> tuple:
