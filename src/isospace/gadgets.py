@@ -187,6 +187,7 @@ class MatrixGroupClosure:
             for helems, hgens in frontier:
                 # m commutes with the generators of the abelian H, so the
                 # closure is abelian, and it stays inside the group
+                g.tick(len(self.elements))
                 cand = [m for m in self.centralizer_of(hgens) if m.packed not in helems]
                 for m in cand:
                     g.tick()

@@ -22,28 +22,31 @@ UNIT_TOL = 1e-9
 
 
 class QuantumChannel:
-    """A finite Kraus family {B_i} with sum B_i^dagger B_i = I."""
+    """A finite Kraus family {B_i} with sum B_i^dagger B_i = I, held as one
+    read-only complex array of shape (m, n, n)."""
 
     __slots__ = ("n", "kraus")
 
     def __init__(self, kraus):
         import numpy as np
-        kraus = [np.asarray(k, dtype=complex) for k in kraus]
-        if not kraus:
+        try:
+            kraus = np.array(kraus, dtype=complex)
+        except ValueError:      # a ragged list: operators of different shapes
+            raise ValueError("Kraus operators must be square of equal size") from None
+        if not len(kraus):
             raise ValueError("need at least one Kraus operator")
-        n = kraus[0].shape[0]
-        for k in kraus:
-            if k.shape != (n, n):
-                raise ValueError("Kraus operators must be square of equal size")
-        total = sum(k.conj().T @ k for k in kraus)
-        if np.max(np.abs(total - np.eye(n))) > CHANNEL_TOL:
+        if kraus.ndim != 3 or kraus.shape[1] != kraus.shape[2]:
+            raise ValueError("Kraus operators must be square of equal size")
+        self.n = kraus.shape[1]
+        total = np.tensordot(kraus.conj(), kraus, axes=([0, 1], [0, 1]))
+        if np.max(np.abs(total - np.eye(self.n))) > CHANNEL_TOL:
             raise ValueError("Kraus operators do not satisfy the "
                              "trace-preservation identity")
-        self.n = n
-        self.kraus = tuple(kraus)
+        kraus.flags.writeable = False
+        self.kraus = kraus
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ k.conj().T for k in self.kraus)
+        return (self.kraus @ rho @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
     def __repr__(self):
         return f"QuantumChannel(n={self.n}, kraus={len(self.kraus)})"
@@ -91,18 +94,16 @@ def channel_from_graph(g: Graph) -> QuantumChannel:
     channel is irreducible with 2|E| Kraus operators.
     """
     import numpy as np
-    if g.n == 0 or not g.is_connected() or any(g.degree(i) == 0 for i in range(g.n)):
+    ends = np.array(g.edges, dtype=int).reshape(-1, 2)
+    degs = np.bincount(ends.ravel(), minlength=g.n)
+    if g.n == 0 or not g.is_connected() or not degs.all():
         raise ValueError("channel construction needs a connected graph "
                          "with every vertex degree >= 1")
-    degs = [g.degree(i) for i in range(g.n)]
-    kraus = []
-    for (i, j) in g.edges:
-        e_ij = np.zeros((g.n, g.n), dtype=complex)
-        e_ij[i, j] = 1.0 / np.sqrt(degs[j])
-        kraus.append(e_ij)
-        e_ji = np.zeros((g.n, g.n), dtype=complex)
-        e_ji[j, i] = 1.0 / np.sqrt(degs[i])
-        kraus.append(e_ji)
+    i, j = ends.T
+    e = 2 * np.arange(len(ends))
+    kraus = np.zeros((2 * len(ends), g.n, g.n), dtype=complex)
+    kraus[e, i, j] = 1.0 / np.sqrt(degs[j])
+    kraus[e + 1, j, i] = 1.0 / np.sqrt(degs[i])
     return QuantumChannel(kraus)
 
 
@@ -110,10 +111,13 @@ def channel_matrix(ch: QuantumChannel) -> np.ndarray:
     """The n^2 x n^2 matrix sum_i B_i (x) conj(B_i).
 
     With row-major vectorization, applying it to vec(rho) equals
-    vec(sum_i B_i rho B_i^dagger).
+    vec(sum_i B_i rho B_i^dagger).  One product of the flattened operators
+    gives the sums over i of B_i[a, b] conj(B_i[c, d]), in the order (a, b, c, d).
     """
-    import numpy as np
-    return sum(np.kron(k, k.conj()) for k in ch.kraus)
+    n = ch.n
+    flat = ch.kraus.reshape(-1, n * n)
+    prod = (flat.T @ flat.conj()).reshape(n, n, n, n)
+    return prod.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def _spectrum(ch: QuantumChannel):
@@ -171,10 +175,7 @@ def is_isotropic_subspace(ch: QuantumChannel, u: ComplexSubspace) -> bool:
     if u.n != ch.n:
         raise ValueError("ambient mismatch")
     b = u.basis
-    for k in ch.kraus:
-        if b.size and np.max(np.abs(b.conj().T @ k @ b)) >= ISO_TOL:
-            return False
-    return True
+    return not (b.size and np.max(np.abs(b.conj().T @ ch.kraus @ b)) >= ISO_TOL)
 
 
 def is_noiseless_subspace(ch: QuantumChannel, u: ComplexSubspace) -> bool:
@@ -185,10 +186,7 @@ def is_noiseless_subspace(ch: QuantumChannel, u: ComplexSubspace) -> bool:
     if u.dim == 0:
         raise ValueError("noiseless subspaces are nonzero by definition")
     b = u.basis
-    for k in ch.kraus:
-        if np.max(np.abs(k @ b - b)) >= ISO_TOL:
-            return False
-    return True
+    return not np.max(np.abs(ch.kraus @ b - b)) >= ISO_TOL
 
 
 def fidelity_pure(ch: QuantumChannel, u) -> float:
@@ -203,5 +201,6 @@ def fidelity_pure(ch: QuantumChannel, u) -> float:
         raise ValueError("ambient mismatch")
     if not abs(np.linalg.norm(u) - 1.0) <= UNIT_TOL:      # a NaN fails too
         raise ValueError("fidelity_pure expects a unit vector")
-    val = sum(abs(np.vdot(u, k @ u)) ** 2 for k in ch.kraus)
+    # a sequential sum over the operators' values, not numpy's pairwise one
+    val = sum(np.abs((ch.kraus @ u) @ u.conj()) ** 2)
     return float(min(1.0, max(0.0, val)))

@@ -536,6 +536,7 @@ def test_count_is_bounded_by_the_guard(capsys):
 # took no guard at all: each must exit 3 with one stderr line, in seconds
 PATH_40 = "graph 40\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 40))
 PATH_48 = "graph 48\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 48))
+K_40 = "graph 40\n" + "".join(f"{i} {j}\n" for i in range(1, 41) for j in range(i + 1, 41))
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -551,9 +552,10 @@ PATH_48 = "graph 48\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 48))
     (["--guard", "1000000", "quantum", "period"], PATH_40),
     (["quantum", "period"], PATH_48),
     (["quantum", "decide2"], PATH_48),
+    (["quantum", "period"], K_40),
 ], ids=["stats", "dim2", "alpha", "chi-lawler", "alpha-bipartite", "decompose-greedy-deg",
         "to-graph-witness", "chi-lawler-restrict", "decompose-lawler", "quantum-period",
-        "quantum-period-spectrum", "quantum-decide2-spectrum"])
+        "quantum-period-spectrum", "quantum-decide2-spectrum", "quantum-period-product"])
 def test_large_inputs_trip_the_guard_at_once(tmp_path, argv, text):
     path = tmp_path / "input"
     path.write_text(text)

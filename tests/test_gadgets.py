@@ -5,11 +5,12 @@ import pytest
 
 from isospace.altspace import AltMatrixSpace
 from isospace.bipartite import MatrixSpace
+from isospace.errors import Guard
 from isospace.ffield import Matrix
-from isospace.gadgets import (baer_generators, dim2_gadget, group_closure,
-                              right_degree_min, singular_exists_brute)
+from isospace.gadgets import (MatrixGroupClosure, baer_generators, dim2_gadget,
+                              group_closure, right_degree_min, singular_exists_brute)
 from isospace.isotropic import alpha_exact, has_isotropic_dim2
-from util import F2, F3, symplectic_form
+from util import F2, F3, random_space, symplectic_form
 
 
 def test_singular_exists_scalars():
@@ -169,3 +170,29 @@ def test_is_abelian_matches_all_pairs_of_elements():
         assert G.is_abelian() == want
         seen.add(want)
     assert seen == {True, False}
+
+
+def test_the_abelian_search_meters_its_centralizer_scans(monkeypatch):
+    # each centralizer_of call compares every group element with the
+    # generators, so the guard takes |G| just before it
+    sp = random_space(random.Random(16), F3, 2, 1)
+    G = group_closure(baer_generators(sp.basis))
+    log = []
+
+    class Recorder(Guard):
+        def tick(self, k=1):
+            log.append(k)
+            super().tick(k)
+
+    scan = MatrixGroupClosure.centralizer_of
+
+    def logged(self, elements):
+        log.append("scan")
+        return scan(self, elements)
+
+    monkeypatch.setattr(MatrixGroupClosure, "centralizer_of", logged)
+    guard = Recorder()
+    assert G.max_abelian_order_brute(guard=guard) == 3 ** (sp.n + sp.dim - 1)
+    scans = [i for i, x in enumerate(log) if x == "scan"]
+    assert scans and all(i and log[i - 1] == len(G.elements) for i in scans)
+    assert guard.used == sum(x for x in log if x != "scan")

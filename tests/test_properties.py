@@ -17,12 +17,13 @@ from isospace.bipartite import (adjoint_algebra, alpha_bipartite,
 from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, hstack,
                              invert, kernel, rref_canonicalize, vstack)
 from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
-                             space_from_graph)
+                             is_bipartite_bfs, space_from_graph)
 from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
                          parse_mats, parse_mats_tuple, parse_space)
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover,
                                 enumerate_maximal_branch, enumerate_maximal_filter,
                                 validate_decomposition)
+from isospace.quantum import channel_from_graph, period
 from util import (F2, F3, combine_reference, invert_reference, matmul_reference,
                   random_matrix_space, random_space, rref_rows_reference)
 
@@ -355,6 +356,16 @@ def test_alpha_and_chi_of_the_graph_space_are_those_of_the_graph(field, g):
     space = space_from_graph(g, field)
     assert alpha_exact(space)[0] == graph_alpha_brute(g)
     assert chi_maxcover(space) == graph_chi_brute(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs())
+@example(Graph.complete(3))
+@example(Graph.cycle(4))
+def test_the_channel_period_is_even_exactly_on_bipartite_graphs(g):
+    # the spectral period and BFS are independent oracles (criterion 13)
+    assume(g.n >= 2 and g.is_connected())
+    assert (period(channel_from_graph(g)) % 2 == 0) == is_bipartite_bfs(g)[0]
 
 
 @settings(max_examples=60, deadline=None)

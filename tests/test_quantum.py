@@ -209,3 +209,69 @@ def test_fidelity_rejects_vectors_that_are_not_finite():
     for u in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [1.0, -np.inf]):
         with pytest.raises(ValueError):
             fidelity_pure(k2, u)
+
+
+def random_kraus_family(rng, n, m):
+    """m random complex n x n operators A_i normalised to B_i = A_i S^(-1/2),
+    S = sum A_i^dagger A_i, so that sum B_i^dagger B_i = I."""
+    ops = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+    w, v = np.linalg.eigh(sum(a.conj().T @ a for a in ops))
+    return [a @ (v / np.sqrt(w)) @ v.conj().T for a in ops]
+
+
+def test_dense_channels_match_the_per_operator_sums():
+    rng = np.random.default_rng(16)
+    for _ in range(30):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        ops = random_kraus_family(rng, n, m)
+        ch = QuantumChannel(ops)
+        assert (ch.n, ch.kraus.shape) == (n, (m, n, n))
+        kron = sum(np.kron(k, k.conj()) for k in ops)
+        assert np.max(np.abs(channel_matrix(ch) - kron)) < 1e-12
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = x @ x.conj().T / np.trace(x @ x.conj().T)
+        want = sum(k @ rho @ k.conj().T for k in ops)
+        assert np.max(np.abs(ch.apply(rho) - want)) < 1e-12
+
+
+def test_graph_channel_matrices_equal_the_kronecker_sums():
+    # one nonzero term per entry, so the product is exact
+    rng = random.Random(16)
+    graphs = [random_connected_graph(rng, nmax=9) for _ in range(20)]
+    for g in graphs + [Graph.complete(16), Graph.cycle(7)]:
+        ch = channel_from_graph(g)
+        assert np.array_equal(channel_matrix(ch), sum(np.kron(k, k.conj()) for k in ch.kraus))
+
+
+def test_channel_rejects_malformed_kraus_families():
+    cases = [([], "need at least one Kraus operator"),
+             ([np.ones((2, 3))], "Kraus operators must be square of equal size"),
+             ([np.eye(2), np.eye(3)], "Kraus operators must be square of equal size"),
+             ([np.eye(2), np.ones((2, 3))], "Kraus operators must be square of equal size"),
+             ([np.eye(2), np.eye(2)], "Kraus operators do not satisfy the "
+                                      "trace-preservation identity")]
+    for kraus, message in cases:
+        with pytest.raises(ValueError) as exc:
+            QuantumChannel(kraus)
+        assert str(exc.value) == message
+
+
+def test_kraus_stack_is_read_only():
+    ops = [np.eye(2)]
+    ch = QuantumChannel(ops)
+    with pytest.raises(ValueError):
+        ch.kraus[0, 0, 0] = 2.0
+    ops[0][0, 0] = 2.0           # the channel holds its own copy
+    assert ch.kraus[0, 0, 0] == 1.0
+    assert [k.shape for k in ch.kraus] == [(2, 2)]
+
+
+def test_subspace_tests_return_python_bools():
+    ch = channel_from_graph(Graph.cycle(4))
+    line = ComplexSubspace.from_vectors(4, [[1, 0, 0, 0]])
+    full = ComplexSubspace.from_vectors(4, list(np.eye(4)))
+    assert is_isotropic_subspace(ch, line) is True
+    assert is_isotropic_subspace(ch, full) is False
+    assert is_isotropic_subspace(ch, ComplexSubspace(np.zeros((4, 0)))) is True
+    assert is_noiseless_subspace(ch, line) is False
+    assert is_noiseless_subspace(QuantumChannel([np.eye(4)]), full) is True
