@@ -264,12 +264,15 @@ def cmd_baer(args, space, guard):
 
 
 def cmd_quantum(args, g, guard):
-    # 2|E| dense n x n Kraus operators, then for a period the n^2 x n^2
-    # channel matrix, one product of 2|E| x n^2 operands (2|E| n^4 flops),
-    # and one dense eigendecomposition of it, (n^2)^3 flops
+    # 2|E| dense n x n Kraus operators; a fidelity is one batched product
+    # over them, while a period builds the n^2 x n^2 channel matrix, one
+    # product of 2|E| x n^2 operands (2|E| n^4 flops), and one dense
+    # eigendecomposition of it, (n^2)^3 flops
     kraus = 2 * len(g.edges)
-    spectrum = (kraus * g.n**4 + g.n**6) // 10**3 if args.what != "fidelity" else 0
-    guard.require(kraus * g.n**2 + g.n**4 + spectrum)
+    if args.what == "fidelity":
+        guard.require(2 * kraus * g.n**2)
+    else:
+        guard.require(kraus * g.n**2 + g.n**4 + (kraus * g.n**4 + g.n**6) // 10**3)
     ch = channel_from_graph(g)
     if args.what == "period":
         return {"period": period(ch), "n": ch.n, "kraus": len(ch.kraus)}

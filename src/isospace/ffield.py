@@ -71,12 +71,6 @@ class PrimeField:
         self.lane = (1 << self.width) - 1
         self.ones = _LaneConstants(p, self.width)
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return self._inv[a]
-
     def pack(self, v) -> int:
         """The packed row of the vector v (a sequence), its entries taken mod p."""
         p, width = self.p, self.width
@@ -703,10 +697,7 @@ def _lines(field: PrimeField, n: int, rows, guard):
     of that 1, then the later coefficients in itertools.product order.
     The guard requires the (p^k - 1)/(p - 1) lines and ticks once per line."""
     g = as_guard(guard)
-    k = len(rows)
-    if k == 0:
-        return
-    p = field.p
+    k, p = len(rows), field.p
     g.require((p**k - 1) // (p - 1))
     for lead in range(k):
         for v in _combinations(field, n, rows[lead + 1:], rows[lead]):
@@ -740,10 +731,6 @@ def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=N
         total += gaussian_binomial(n, k, q)
         g.require(total)
     for k in dims:
-        if k == 0:
-            g.tick()
-            yield Subspace.zero(field, n)
-            continue
         for pivots in combinations(range(n), k):
             pivset = set(pivots)
             # row i is e_c plus any combination of e_j over the free j > c
@@ -763,18 +750,8 @@ def enumerate_complements(u: Subspace, guard=None):
     """
     g = as_guard(guard)
     field, n, d = u.field, u.n, u.dim
-    q = field.p
     w0 = u.coordinate_complement()
-    k = w0.dim
-    if d == 0:
-        g.tick()
-        yield Subspace.full(field, n)
-        return
-    if k == 0:
-        g.tick()
-        yield Subspace.zero(field, n)
-        return
-    g.require(q ** (d * k))
+    g.require(field.p ** (d * w0.dim))
     # row i of a complement is w_i plus any combination of u's rows
     choices = [_combinations(field, n, u.rows, w) for w in w0.rows]
     for rows in product(*choices):

@@ -48,10 +48,9 @@ class IsotropicLattice:
     rad_dims caches dim rad(U), so maximality (U = rad(U)) is a lookup.
     """
 
-    __slots__ = ("space", "levels", "rad_dims")
+    __slots__ = ("levels", "rad_dims")
 
-    def __init__(self, space, levels, rad_dims):
-        self.space = space
+    def __init__(self, levels, rad_dims):
         self.levels = levels          # tuple of tuples of Subspace, by dim
         self.rad_dims = rad_dims      # dict key -> int
 
@@ -100,7 +99,7 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
         if not nxt:
             break
         levels.append(list(nxt.values()))
-    return IsotropicLattice(space, tuple(tuple(l) for l in levels), rad_dims)
+    return IsotropicLattice(tuple(tuple(l) for l in levels), rad_dims)
 
 
 def enumerate_maximal_filter(space: AltMatrixSpace, guard=None) -> tuple:
@@ -178,9 +177,9 @@ def chi_brute(space: AltMatrixSpace, guard=None):
     parts are all isotropic spaces, tried largest dimension first with an
     index ordering that breaks the set symmetry.  A candidate is taken when
     its join with the partial sum is direct, dim(S + U) = dim S + dim U;
-    when q^n <= MASK_VECTORS, precomputed vector bitmasks reject overlaps
-    before the join (trivial intersection iff the masks share only the
-    zero vector).
+    when q^n <= MASK_VECTORS, vector bitmasks, each built when the search
+    first reads it, reject overlaps before the join (trivial intersection
+    iff the masks share only the zero vector).
     """
     g = as_guard(guard)
     field, n = space.field, space.n
@@ -195,7 +194,7 @@ def chi_brute(space: AltMatrixSpace, guard=None):
         cands.extend(level)
     # cands is ordered by decreasing dimension
     use_masks = q**n <= MASK_VECTORS
-    masks = [u.vector_mask() for u in cands] if use_masks else [0] * len(cands)
+    masks = [None] * len(cands)
 
     def extend(acc: Subspace, acc_mask: int, start: int, left: int, parts):
         missing = n - acc.dim
@@ -210,8 +209,11 @@ def chi_brute(space: AltMatrixSpace, guard=None):
                 if u.dim * left < missing:
                     break
                 continue
-            if use_masks and acc_mask & masks[idx] != 1:
-                continue
+            if use_masks:
+                if masks[idx] is None:
+                    masks[idx] = u.vector_mask()
+                if acc_mask & masks[idx] != 1:
+                    continue
             s = acc.sum(u)
             if s.dim != acc.dim + u.dim:
                 continue
@@ -437,8 +439,6 @@ def two_decomposition_brute(space: AltMatrixSpace, guard=None):
     if space.dim == 0:
         return split_zero_space(space.field, n)
     for v in enumerate_maximal_filter(space, guard=g):
-        if v.dim == 0 or v.dim == space.n:
-            continue
         for w in enumerate_complements(v, guard=g):
             if is_isotropic(space, w):
                 return v, w

@@ -18,7 +18,7 @@ from isospace.altspace import (degree, max_degree, max_rank_bruteforce,
 from isospace.cli import main, run_command
 from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
                          parse_mats, parse_space)
-from isospace.errors import ParseError
+from isospace.errors import GuardExceeded, ParseError
 from isospace.ffield import Subspace, gaussian_binomial
 from util import F2, F3, random_space
 
@@ -134,6 +134,20 @@ def test_quantum_period_command(files):
     rep = run_command(["quantum", "fidelity", "-f", files["c4.graph"],
                        "--state", "1 1 0 0"])
     assert 0.0 <= rep["results"]["fidelity"] <= 1.0
+
+
+def test_quantum_fidelity_is_priced_without_the_channel_matrix(tmp_path):
+    # a fidelity is the Kraus stack and one batched product, 2 * 2|E| n^2:
+    # 849,600 on the 60-vertex path, within the default guard (n^4 alone
+    # would be 12,960,000)
+    path = tmp_path / "p60.graph"
+    path.write_text("graph 60\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 60)))
+    argv = ["quantum", "fidelity", "--state", " ".join(["1"] * 60), "-f", str(path)]
+    rep = run_command(argv)
+    assert rep["results"]["n"] == 60 and 0.0 <= rep["results"]["fidelity"] <= 1.0
+    assert run_command(["--guard", "849600"] + argv)["results"] == rep["results"]
+    with pytest.raises(GuardExceeded, match="estimated 849600 iterations"):
+        run_command(["--guard", "849599"] + argv)
 
 
 def test_maximal_and_decompose(files):
@@ -536,6 +550,7 @@ def test_count_is_bounded_by_the_guard(capsys):
 # took no guard at all: each must exit 3 with one stderr line, in seconds
 PATH_40 = "graph 40\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 40))
 PATH_48 = "graph 48\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 48))
+PATH_200 = "graph 200\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 200))
 K_40 = "graph 40\n" + "".join(f"{i} {j}\n" for i in range(1, 41) for j in range(i + 1, 41))
 
 
@@ -553,9 +568,11 @@ K_40 = "graph 40\n" + "".join(f"{i} {j}\n" for i in range(1, 41) for j in range(
     (["quantum", "period"], PATH_48),
     (["quantum", "decide2"], PATH_48),
     (["quantum", "period"], K_40),
+    (["quantum", "fidelity", "--state", " ".join(["1"] * 200)], PATH_200),
 ], ids=["stats", "dim2", "alpha", "chi-lawler", "alpha-bipartite", "decompose-greedy-deg",
         "to-graph-witness", "chi-lawler-restrict", "decompose-lawler", "quantum-period",
-        "quantum-period-spectrum", "quantum-decide2-spectrum", "quantum-period-product"])
+        "quantum-period-spectrum", "quantum-decide2-spectrum", "quantum-period-product",
+        "quantum-fidelity"])
 def test_large_inputs_trip_the_guard_at_once(tmp_path, argv, text):
     path = tmp_path / "input"
     path.write_text(text)

@@ -207,6 +207,27 @@ def test_enumerate_complements_edge_cases():
     assert list(enumerate_complements(zero)) == [Subspace.full(F2, 3)]
 
 
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+def test_the_zero_and_full_cases_take_the_general_path(field):
+    # the empty product is one empty row tuple: no lines, or one subspace
+    # that is required and ticked like any other
+    g = Guard()
+    assert list(projective_rows(field, 0, guard=g)) == [] and g.used == 0
+    for n in range(4):
+        zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+        g = Guard()
+        assert list(enumerate_subspaces(field, n, 0, guard=g)) == [zero] and g.used == 1
+        for u, only in ((zero, full), (full, zero)):
+            g = Guard()
+            comps = list(enumerate_complements(u, guard=g))
+            assert [(c.rows, c.pivots) for c in comps] == [(only.rows, only.pivots)]
+            assert g.used == 1
+            spent = Guard(5)
+            spent.tick(5)
+            with pytest.raises(GuardExceeded, match="estimated 1 iterations, 0 remaining of 5"):
+                list(enumerate_complements(u, guard=spent))
+
+
 def test_guard_exceeded():
     with pytest.raises(GuardExceeded):
         list(enumerate_subspaces(F3, 5, 2, guard=Guard(10)))

@@ -356,6 +356,26 @@ def test_chi_brute_without_masks_gives_the_mask_path_answer(monkeypatch):
     assert run() == with_masks
 
 
+def test_chi_brute_builds_only_the_masks_it_reads(monkeypatch):
+    # a candidate's mask is built when the search first reads it, so the
+    # candidates skipped by dimension or never reached cost no mask; the
+    # count includes the mask of each partial sum the search extends
+    rng = random.Random(1)
+    built = []
+    inner = Subspace.vector_mask
+    monkeypatch.setattr(Subspace, "vector_mask", lambda self: built.append(1) or inner(self))
+    counts = []
+    for n, field in ((5, F2), (6, F2), (6, F2), (5, F3), (4, F3)):
+        sp = space_from_graph(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                        if rng.random() < 0.5]), field)
+        candidates = enumerate_isotropic_lattice(sp).count() - 1
+        built.clear()
+        chi_brute(sp)
+        assert len(built) < candidates
+        counts.append(len(built))
+    assert counts == [10, 10, 35, 71, 13]
+
+
 # ------------------------------------------------------- the Lawler memo
 
 def test_chi_lawler_solves_each_restriction_once(monkeypatch):
