@@ -363,7 +363,12 @@ def test_chi_brute_builds_only_the_masks_it_reads(monkeypatch):
     rng = random.Random(1)
     built = []
     inner = Subspace.vector_mask
-    monkeypatch.setattr(Subspace, "vector_mask", lambda self: built.append(1) or inner(self))
+
+    def counting(self):
+        built.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(Subspace, "vector_mask", counting)
     counts = []
     for n, field in ((5, F2), (6, F2), (6, F2), (5, F3), (4, F3)):
         sp = space_from_graph(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
