@@ -181,7 +181,9 @@ def cmd_ncrk(args, b, guard):
 
 
 def cmd_alpha_bipartite(args, space, guard):
-    if args.u1 and args.u2:
+    if bool(args.u1) != bool(args.u2):
+        raise ParseError("--u1 and --u2 must be given together")
+    if args.u1:
         u1 = _parse_rows(args.u1, space.field, space.n)
         u2 = _parse_rows(args.u2, space.field, space.n)
     else:

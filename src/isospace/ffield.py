@@ -500,25 +500,23 @@ class Subspace:
         """The first basis row of self that inner does not contain, or None."""
         return next((r for r in self.rows if not inner.contains_vector(r)), None)
 
-    def quotient_lines(self, sub: "Subspace", guard=None):
-        """One vector of self per line of self/sub (sub <= self), guarded.
+    def children(self, outer: "Subspace", guard=None):
+        """The subspaces of outer one dimension above self (self <= outer)
+        whose RREF is self's rows plus one last row, guarded.
 
-        The vectors are the projective combinations, in projective_rows
-        order, of a complement of sub in self: the basis rows of self that
-        are new modulo sub, reduced against sub and what came before.
+        That last row v has its pivot c after self's last pivot, so v lies
+        in the span of outer's rows pivoted after it, and c must be a column
+        where self's rows are zero.  The children are the lines of that span
+        whose lead row has such a pivot, in projective_rows order, each
+        already in RREF.
         """
-        g = as_guard(guard)
-        p = self.field.p
-        # the lines are required before the complement is reduced
-        g.require((p ** (self.dim - sub.dim) - 1) // (p - 1))
-        rows = []
-        acc = sub
-        for r in self.rows:
-            red = acc.reduce_vector(r)
-            if red:
-                rows.append(red)
-                acc = acc.extend_by_vector(red)
-        return _lines(self.field, self.n, rows, g)
+        field, n, width = self.field, self.n, self.field.width
+        at = bisect_left(outer.pivots, self.pivots[-1] + 1) if self.pivots else 0
+        leads = [i for i, c in enumerate(outer.pivots[at:])
+                 if not any(r >> c * width & field.lane for r in self.rows)]
+        for v in _lines(field, n, outer.rows[at:], leads, guard):
+            yield Subspace(field, n, self.rows + (v,),
+                           self.pivots + (((v & -v).bit_length() - 1) // width,))
 
     def vector_mask(self) -> int:
         """Bitmask over the indices of all vectors of self, the index of v
@@ -691,15 +689,19 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def _lines(field: PrimeField, n: int, rows, guard):
-    """One packed vector per line of the span of the k independent rows:
-    the combinations whose first nonzero coefficient is 1, by the position
-    of that 1, then the later coefficients in itertools.product order.
-    The guard requires the (p^k - 1)/(p - 1) lines and ticks once per line."""
+def _lines(field: PrimeField, n: int, rows, leads, guard):
+    """One packed vector per line of the span of the k independent rows
+    whose first nonzero coefficient, a 1, is at a row in the ascending
+    leads: by the position of that 1, then the later coefficients in
+    itertools.product order.  The guard requires the lines and ticks once
+    per line."""
     g = as_guard(guard)
     k, p = len(rows), field.p
-    g.require((p**k - 1) // (p - 1))
-    for lead in range(k):
+    count, at = 0, -1       # sum of p^(k-1-lead) over the leads, by Horner's rule
+    for lead in leads:
+        count, at = count * p**(lead - at) + 1, lead
+    g.require(count * p**(k - 1 - at))
+    for lead in leads:
         for v in _combinations(field, n, rows[lead + 1:], rows[lead]):
             g.tick()
             yield v
@@ -708,7 +710,7 @@ def _lines(field: PrimeField, n: int, rows, guard):
 def projective_rows(field: PrimeField, n: int, guard=None):
     """One packed row per line of F_p^n, its first nonzero coordinate 1
     (guarded)."""
-    return _lines(field, n, [1 << j * field.width for j in range(n)], guard)
+    return _lines(field, n, [1 << j * field.width for j in range(n)], range(n), guard)
 
 
 def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=None):

@@ -76,30 +76,23 @@ class IsotropicLattice:
 def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicLattice:
     """Build the lattice of all isotropic spaces bottom-up by dimension.
 
-    Dimension d+1 is reached by adjoining, to each isotropic U of dimension
-    d, one representative per line of rad(U)/U; a space reached from
-    several U is kept once, at its first discovery.
+    Each nonzero isotropic V has one parent, the span of all its RREF rows
+    but the last, which is isotropic and one dimension lower; so level d+1
+    is the children of each U of level d inside rad(U), in the order of
+    their parents, and each space is built once, already in RREF.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
-    zero = Subspace.zero(field, n)
-    levels = [[zero]]
-    rad_dims = {}
     forms = form_rows(space)
-    while True:
-        nxt: dict = {}
+    levels, level, rad_dims = [], [Subspace.zero(field, n)], {}
+    while level:
+        levels.append(tuple(level))
+        level = []
         for u in levels[-1]:
             rad = forms.kernel(u.rows)
             rad_dims[u.key()] = rad.dim
-            if rad.dim == u.dim:
-                continue
-            for line in rad.quotient_lines(u, guard=g):
-                v = u.extend_by_vector(line)
-                nxt.setdefault(v.key(), v)
-        if not nxt:
-            break
-        levels.append(list(nxt.values()))
-    return IsotropicLattice(tuple(tuple(l) for l in levels), rad_dims)
+            level.extend(u.children(rad, guard=g))
+    return IsotropicLattice(tuple(levels), rad_dims)
 
 
 def enumerate_maximal_filter(space: AltMatrixSpace, guard=None) -> tuple:

@@ -306,6 +306,14 @@ def test_alpha_bipartite_malformed_rows_are_a_parse_error(files, capsys):
                            "--u1", "a b", "--u2", "0 1"], capsys) == 2
 
 
+@pytest.mark.parametrize("flag", ["--u1", "--u2"])
+def test_alpha_bipartite_needs_both_blocks(tmp_path, capsys, flag):
+    # one block alone is a parse error, not a silent switch to the adjoint route
+    form = tmp_path / "form.ams"
+    form.write_text("ams 2 2 1\n0 1\n1 0\n")
+    assert _fails_cleanly(["alpha-bipartite", "-f", str(form), flag, "1 1"], capsys) == 2
+
+
 def test_malformed_arguments_stay_parse_errors(files, tmp_path, capsys):
     notjson = tmp_path / "report.txt"
     notjson.write_text("alpha: 2\n")

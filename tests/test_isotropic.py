@@ -77,17 +77,21 @@ def test_lattice_counts_against_subspace_filter():
         n = rng.randint(1, 4)
         f = rng.choice([F2, F3])
         sp = random_space(rng, f, n, rng.randint(0, 3))
-        lat = enumerate_isotropic_lattice(sp)
+        g = Guard()
+        lat = enumerate_isotropic_lattice(sp, guard=g)
         brute = {u.key() for u in enumerate_subspaces(f, n) if is_isotropic(sp, u)}
         assert {u.key() for u in lat.all_spaces()} == brute
+        # each space comes out once, with one tick for each nonzero one
+        assert lat.count() == len(brute)
+        assert g.used == lat.count() - 1
 
 
 def test_lattice_guard():
     with pytest.raises(GuardExceeded):
         enumerate_isotropic_lattice(AltMatrixSpace.zero_space(F3, 6),
                                     guard=Guard(100))
-    # the lines of rad(U)/U are counted against the guard before the sweep,
-    # so a space far beyond the budget fails before any work
+    # the children of each U are counted against the guard before the first
+    # is built, so a space far beyond the budget fails before any work
     g = Guard()
     with pytest.raises(GuardExceeded):
         enumerate_isotropic_lattice(AltMatrixSpace.zero_space(F2, 40), guard=g)
@@ -378,7 +382,7 @@ def test_chi_brute_builds_only_the_masks_it_reads(monkeypatch):
         chi_brute(sp)
         assert len(built) < candidates
         counts.append(len(built))
-    assert counts == [10, 10, 35, 71, 13]
+    assert counts == [10, 10, 35, 74, 13]
 
 
 # ------------------------------------------------------- the Lawler memo

@@ -14,8 +14,10 @@ from isospace.bipartite import (adjoint_algebra, alpha_bipartite,
                                 bipartite_space_from_blocks,
                                 block_space_from_bipartite,
                                 hyperbolic_idempotent_search, ncrk_brute)
-from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, hstack,
-                             invert, kernel, rref_canonicalize, vstack)
+from isospace.errors import Guard, GuardExceeded
+from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine,
+                             enumerate_subspaces, hstack, invert, kernel,
+                             rref_canonicalize, vstack)
 from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
                              is_bipartite_bfs, space_from_graph)
 from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
@@ -284,14 +286,29 @@ def test_coordinate_is_the_span_of_unit_rows(field, n, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(subspace_pairs())
-def test_quotient_lines_pick_one_vector_per_line(pair):
+# a lead allowed before one that is not: sub's row is nonzero at the last pivot
+@example((Subspace.from_vectors(F3, 4, [(1, 0, 0, 1)]), Subspace.full(F3, 4)))
+def test_children_extend_the_rref_by_one_row(pair):
     sub, extra = pair
     outer = sub.sum(extra)
-    q, k = outer.field.p, outer.dim - sub.dim
-    vecs = list(outer.quotient_lines(sub))
-    assert len(vecs) == (q**k - 1) // (q - 1)
-    assert all(outer.contains_vector(v) and not sub.contains_vector(v) for v in vecs)
-    assert len({sub.extend_by_vector(v) for v in vecs}) == len(vecs)
+    field, n = sub.field, sub.n
+    kids = list(sub.children(outer))
+    assert len(set(kids)) == len(kids)
+    # the children are required before the first is built, one tick each
+    exact = Guard(len(kids))
+    assert list(sub.children(outer, guard=exact)) == kids and exact.used == len(kids)
+    short = Guard(len(kids) - 1)
+    with pytest.raises(GuardExceeded):
+        next(sub.children(outer, guard=short))
+    assert short.used == 0
+    for v in kids:
+        canon = Subspace.from_vectors(field, n, v.basis_rows())
+        assert v == canon and v.pivots == canon.pivots
+        assert v.contains(sub) and outer.contains(v) and v.dim == sub.dim + 1
+    # brute: the (dim+1)-subspaces of outer whose RREF rows but the last are sub's
+    brute = [v for v in (enumerate_subspaces(field, n, sub.dim + 1) if sub.dim < n else ())
+             if outer.contains(v) and v.rows[:-1] == sub.rows]
+    assert len(kids) == len(brute)
 
 
 @settings(max_examples=60, deadline=None)
