@@ -146,7 +146,7 @@ def cmd_to_graph_witness(args, g, guard):
     text = _read(args.report)
     try:
         report = json.loads(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:   # RecursionError: nested too deep
         raise ParseError(f"report {args.report} is not JSON: {e}")
     results = report.get("results", {}) if isinstance(report, dict) else None
     if not isinstance(results, dict):

@@ -709,8 +709,10 @@ def _lines(field: PrimeField, n: int, rows, leads, guard):
 
 def projective_rows(field: PrimeField, n: int, guard=None):
     """One packed row per line of F_p^n, its first nonzero coordinate 1
-    (guarded)."""
-    return _lines(field, n, [1 << j * field.width for j in range(n)], range(n), guard)
+    (guarded: the lines are required before the n unit rows are built)."""
+    g = as_guard(guard)
+    g.require((field.p**n - 1) // (field.p - 1))
+    return _lines(field, n, [1 << j * field.width for j in range(n)], range(n), g)
 
 
 def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=None):

@@ -108,22 +108,30 @@ def independent_set_from_isotropic(g: Graph, u: Subspace) -> tuple:
     return verts
 
 
-def _part_assignment(parts_cols, remaining, idx, chosen, g):
-    """Backtracking core for coloring recovery: assign to part idx a vertex
-    set whose columns in that part's basis are linearly independent.  Each
-    subset tried ticks the guard d^2, the entries of its d x d rank test."""
-    if idx == len(parts_cols):
-        return chosen if not remaining else None
-    basis, d = parts_cols[idx]
-    for combo in combinations(sorted(remaining), d):
-        g.tick(d * d)
-        sub = Subspace.from_vectors(basis.field, d, [basis.col(j) for j in combo])
-        if sub.dim == d:
-            res = _part_assignment(parts_cols, remaining - set(combo), idx + 1,
-                                   chosen + [combo], g)
-            if res is not None:
-                return res
-    return None
+def _part_assignment(parts_cols, n, g):
+    """Backtracking core for coloring recovery, a loop with one iterator of
+    untried subsets per part, so any number of parts fits: give each part an
+    ascending vertex set whose columns in its basis are independent, until
+    every part, the dimensions summing to n, has one.  Each subset tried
+    ticks the guard d^2, the entries of its d x d rank test."""
+    remaining, chosen, tries = set(range(n)), [], []
+    while len(chosen) < len(parts_cols):
+        basis, d = parts_cols[len(chosen)]
+        if len(tries) == len(chosen):
+            tries.append(combinations(sorted(remaining), d))
+        for combo in tries[-1]:
+            g.tick(d * d)
+            if Subspace.from_vectors(basis.field, d, [basis.col(j) for j in combo]).dim == d:
+                chosen.append(combo)
+                remaining.difference_update(combo)
+                break
+        else:
+            # no subset left for this part: try the previous part's next one
+            tries.pop()
+            if not chosen:
+                raise VerificationError("no rank-feasible row partition found")
+            remaining.update(chosen.pop())
+    return chosen
 
 
 def coloring_from_decomposition(g: Graph, parts, guard=None) -> list:
@@ -138,10 +146,7 @@ def coloring_from_decomposition(g: Graph, parts, guard=None) -> list:
     field = parts[0].field if parts else PrimeField(2)
     validate_decomposition(space_from_graph(g, field), parts)
     parts_cols = [(u.basis, u.dim) for u in parts]
-    res = _part_assignment(parts_cols, set(range(g.n)), 0, [], as_guard(guard))
-    if res is None:
-        raise VerificationError("no rank-feasible row partition found")
-    blocks = [tuple(sorted(t)) for t in res]
+    blocks = _part_assignment(parts_cols, g.n, as_guard(guard))
     if not all(_is_independent(g, t) for t in blocks):
         raise VerificationError("recovered block is not independent")
     return blocks

@@ -43,16 +43,14 @@ def greedy_maximal(space: AltMatrixSpace) -> Subspace:
 # the isotropic lattice
 
 class IsotropicLattice:
-    """All isotropic spaces of A, bucketed by dimension.
+    """All isotropic spaces of A, bucketed by dimension, and the maximal
+    ones (U = rad(U)), recorded in level order as the lattice grows."""
 
-    rad_dims caches dim rad(U), so maximality (U = rad(U)) is a lookup.
-    """
+    __slots__ = ("levels", "_maximal")
 
-    __slots__ = ("levels", "rad_dims")
-
-    def __init__(self, levels, rad_dims):
+    def __init__(self, levels, maximal):
         self.levels = levels          # tuple of tuples of Subspace, by dim
-        self.rad_dims = rad_dims      # dict key -> int
+        self._maximal = maximal       # tuple of Subspace
 
     def alpha(self) -> int:
         return len(self.levels) - 1
@@ -65,12 +63,7 @@ class IsotropicLattice:
         return sum(len(level) for level in self.levels)
 
     def maximal(self) -> tuple:
-        out = []
-        for level in self.levels:
-            for u in level:
-                if self.rad_dims[u.key()] == u.dim:
-                    out.append(u)
-        return tuple(out)
+        return self._maximal
 
 
 def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicLattice:
@@ -79,20 +72,25 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     Each nonzero isotropic V has one parent, the span of all its RREF rows
     but the last, which is isotropic and one dimension lower; so level d+1
     is the children of each U of level d inside rad(U), in the order of
-    their parents, and each space is built once, already in RREF.
+    their parents, and each space is built once, already in RREF.  U is
+    maximal iff it has no child, i.e. rad(U) = U.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
+    # rad(0) = F^n: its lines, the first level, are required before it is built
+    g.require((field.p**n - 1) // (field.p - 1))
     forms = form_rows(space)
-    levels, level, rad_dims = [], [Subspace.zero(field, n)], {}
+    levels, level, maximal = [], [Subspace.zero(field, n)], []
     while level:
         levels.append(tuple(level))
         level = []
         for u in levels[-1]:
             rad = forms.kernel(u.rows)
-            rad_dims[u.key()] = rad.dim
-            level.extend(u.children(rad, guard=g))
-    return IsotropicLattice(tuple(levels), rad_dims)
+            if rad.dim == u.dim:
+                maximal.append(u)
+            else:
+                level.extend(u.children(rad, guard=g))
+    return IsotropicLattice(tuple(levels), tuple(maximal))
 
 
 def enumerate_maximal_filter(space: AltMatrixSpace, guard=None) -> tuple:
@@ -298,22 +296,16 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
     k' <= k and conversely.  Frontier sets of canonical subspaces per k.
     """
     g = as_guard(guard)
-    field, n = space.field, space.n
+    n = space.n
     if n == 0:
         return 0
     if space.dim == 0:
         return 1
     if mi is None:
         mi = enumerate_maximal_filter(space, guard=g)
-    full = Subspace.full(field, n)
-    seen = set()
-    frontier = []
-    for t in mi:
-        if t.key() not in seen:
-            seen.add(t.key())
-            frontier.append(t)
-    if full.key() in seen:
-        return 1
+    # the maximal spaces are distinct, and none is F^n, as space.dim > 0
+    seen = {t.key() for t in mi}
+    frontier = list(mi)
     k = 1
     while frontier:
         k += 1

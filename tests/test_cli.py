@@ -321,10 +321,13 @@ def test_malformed_arguments_stay_parse_errors(files, tmp_path, capsys):
     short.write_text(json.dumps({"results": {"field": 2, "witness": [[1, 0]]}}))
     binary = tmp_path / "binary.ams"
     binary.write_bytes(b"ams 2 1 0\n\xff\n")
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"results": {"witness": ' + "[" * 100000 + "]" * 100000 + "}}")
     argv_list = [["alpha", "-f", str(binary)],
                  ["from-graph", "-f", files["p3.graph"], "--field", "4"],
                  ["to-graph-witness", "-f", files["p3.graph"], "--report", str(notjson)],
                  ["to-graph-witness", "-f", files["p3.graph"], "--report", str(short)],
+                 ["to-graph-witness", "-f", files["p3.graph"], "--report", str(deep)],
                  ["quantum", "fidelity", "-f", files["c4.graph"], "--state", "1 x 0 0"],
                  ["quantum", "fidelity", "-f", files["c4.graph"], "--state", "1 0"]]
     # a report's field and witness entries are JSON integers, never bools

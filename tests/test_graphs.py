@@ -78,6 +78,13 @@ def test_coloring_from_decomposition_single_part():
     assert blocks == [(0, 1, 2)]
 
 
+def test_coloring_from_decomposition_with_many_parts():
+    # more parts than the interpreter's recursion limit
+    parts = [Subspace.coordinate(F2, 1100, [i]) for i in range(1100)]
+    blocks = coloring_from_decomposition(Graph(1100, []), parts)
+    assert blocks == [(i,) for i in range(1100)]
+
+
 def test_coloring_rejects_bad_input():
     g = Graph.path(3)
     u1 = Subspace.from_vectors(F2, 3, [(1, 0, 0)])

@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from isospace.altspace import AltMatrixSpace, is_isotropic, max_degree, rad_of
 from isospace.errors import Guard, GuardExceeded
-from isospace.ffield import Subspace
+from isospace.ffield import Subspace, projective_rows
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 chi_maxcover, enumerate_isotropic_lattice,
@@ -79,11 +80,33 @@ def test_lattice_counts_against_subspace_filter():
         sp = random_space(rng, f, n, rng.randint(0, 3))
         g = Guard()
         lat = enumerate_isotropic_lattice(sp, guard=g)
-        brute = {u.key() for u in enumerate_subspaces(f, n) if is_isotropic(sp, u)}
+        iso = [u for u in enumerate_subspaces(f, n) if is_isotropic(sp, u)]
+        brute = {u.key() for u in iso}
         assert {u.key() for u in lat.all_spaces()} == brute
         # each space comes out once, with one tick for each nonzero one
         assert lat.count() == len(brute)
         assert g.used == lat.count() - 1
+        # the recorded maximal spaces: those no other isotropic space
+        # strictly contains, found without a radical
+        assert {u.key() for u in lat.maximal()} == {
+            u.key() for u in iso if not any(w.dim > u.dim and w.contains(u) for w in iso)}
+
+
+def test_the_first_level_is_required_before_f_n_is_built():
+    # F^n, the lines' unit rows, takes about 17 MB at n = 8,000 over F_3;
+    # the projective lines and the lattice's first level both require
+    # their (p^n - 1)/(p - 1) lines before building it
+    space = AltMatrixSpace.zero_space(F3, 8000)
+    for call in (lambda g: list(projective_rows(F3, 8000, guard=g)),
+                 lambda g: enumerate_isotropic_lattice(space, guard=g)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceeded):
+                call(Guard(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_lattice_guard():

@@ -38,7 +38,7 @@ def space_record(sp) -> list:
     cover, cover_ticks = counted(chi_maxcover, sp)
     (dim2, pair), dim2_ticks = counted(has_isotropic_dim2, sp)
     rec = [[[rows(u) for u in level] for level in lat.levels],
-           [lat.rad_dims[u.key()] for u in lat.all_spaces()], lat_ticks,
+           [form_rows(sp).kernel(u.rows).dim for u in lat.all_spaces()], lat_ticks,
            alpha, rows(wit), alpha_ticks,
            [rows(u) for u in filt], filt_ticks,
            [rows(u) for u in branch], branch_ticks,
