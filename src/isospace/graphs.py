@@ -109,11 +109,11 @@ def independent_set_from_isotropic(g: Graph, u: Subspace) -> tuple:
 
 
 def _part_assignment(parts_cols, n, g):
-    """Backtracking core for coloring recovery, a loop with one iterator of
-    untried subsets per part, so any number of parts fits: give each part an
-    ascending vertex set whose columns in its basis are independent, until
-    every part, the dimensions summing to n, has one.  Each subset tried
-    ticks the guard d^2, the entries of its d x d rank test."""
+    """Backtracking core for coloring recovery: give each part in turn an
+    ascending vertex set whose columns in the part's basis are independent.
+    A loop keeps one iterator of untried subsets per part, so any number of
+    parts fits; the dimensions sum to n, so every vertex is used.  Each
+    subset tried ticks the guard d^2, the entries of its d x d rank test."""
     remaining, chosen, tries = set(range(n)), [], []
     while len(chosen) < len(parts_cols):
         basis, d = parts_cols[len(chosen)]

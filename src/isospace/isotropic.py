@@ -73,7 +73,7 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     but the last, which is isotropic and one dimension lower; so level d+1
     is the children of each U of level d inside rad(U), in the order of
     their parents, and each space is built once, already in RREF.  U is
-    maximal iff it has no child, i.e. rad(U) = U.
+    maximal iff rad(U) = U, and then it has no child.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
