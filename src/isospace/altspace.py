@@ -190,9 +190,12 @@ def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
 
 
 def is_isotropic(space: AltMatrixSpace, u: Subspace) -> bool:
-    """True iff B A B^t = 0 for the basis B of u and every basis matrix A."""
+    """True iff B A B^t = 0 for the basis B of u and every basis matrix A;
+    on a space with no basis matrices, True before any B^t is built."""
     if u.n != space.n:
         raise ValueError("ambient mismatch")
+    if not space.basis:
+        return True
     b = u.basis
     bt = b.transpose()
     return all((b @ a @ bt).is_zero() for a in space.basis)

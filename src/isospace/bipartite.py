@@ -2,7 +2,8 @@
 
 A bipartite alternating matrix space (one admitting an isotropic
 2-decomposition) is, up to isometry, a space of matrices [[0, B], [-B^t, 0]];
-its isotropic number is n - ncrk(B).  The adjoint-algebra machinery decides
+its isotropic number is n - ncrk(B), found by scanning the subspaces of the
+smaller side of B <= M(s x t).  The adjoint-algebra machinery decides
 2-decomposability of a non-degenerate space by searching for a hyperbolic
 idempotent.
 """
@@ -89,29 +90,36 @@ def block_space_from_bipartite(space: AltMatrixSpace, u1: Subspace,
 
 
 def ncrk_witness_pair(b: MatrixSpace, guard=None):
-    """A maximizing isotropic pair (U, V) for ncrk(B).
+    """A maximizing isotropic pair (U, V) for ncrk(B): U^t B_i V = 0 for
+    every basis matrix B_i, with dim U + dim V largest.
 
-    V runs over the subspaces of F^t; its best partner U is the common left
-    kernel of B(V) = <B w : B in basis, w in V>, so dim U = s - dim B(V).
-    B(V) is spanned by the rows w^t B^t over V's RREF basis rows w, which
-    are one per line, so each line of F^t is combined at most once.  The
-    first V with the largest dim V + dim U wins, and only its kernel is
-    taken.
+    The search runs over the subspaces of the smaller side, q^Theta(min(s,
+    t)^2) of them: U <= F^s when s < t, else V <= F^t (so square spaces
+    scan V).  A scanned U's best partner V is the common kernel of the rows
+    u^t B_i over U's RREF basis rows u, so dim V = t - rank; a scanned V's
+    best partner U is, in the same way, the common kernel of the rows
+    w^t B_i^t, so dim U = s - rank.  The basis rows are one per line, so
+    each line is combined at most once.  Ties go to the first scanned space
+    in enumerate_subspaces order, and only its kernel is taken.
     """
     g = as_guard(guard)
-    forms = FormRows(b.field, b.t, b.s, [m.transpose() for m in b.basis])
+    left = b.s < b.t
+    n, m = (b.s, b.t) if left else (b.t, b.s)
+    forms = FormRows(b.field, n, m, b.basis if left else [x.transpose() for x in b.basis])
     best = None
-    for v in enumerate_subspaces(b.field, b.t, guard=g):
-        score = v.dim + b.s - forms.rank(v.rows)
+    for w in enumerate_subspaces(b.field, n, guard=g):
+        score = w.dim + m - forms.rank(w.rows)
         if best is None or score > best[0]:
-            best = (score, v)
-    v = best[1]
-    return forms.kernel(v.rows), v
+            best = (score, w)
+    w = best[1]
+    partner = forms.kernel(w.rows)
+    return (w, partner) if left else (partner, w)
 
 
 def ncrk_brute(b: MatrixSpace, guard=None) -> int:
-    """Non-commutative rank by enumerating right spaces V <= F^t:
-    ncrk = s + t - max(dim V + dim U) over the pairs of ncrk_witness_pair."""
+    """Non-commutative rank by enumerating the subspaces of the smaller
+    side: ncrk = s + t - max(dim U + dim V) over the pairs of
+    ncrk_witness_pair."""
     u, v = ncrk_witness_pair(b, guard=guard)
     return b.s + b.t - u.dim - v.dim
 
@@ -137,10 +145,11 @@ def alpha_bipartite(space: AltMatrixSpace, u1: Subspace, u2: Subspace,
                     guard=None):
     """alpha(A) = n - ncrk(B) for a bipartite space, with a verified witness.
 
-    The witness is built from a maximizing isotropic pair (U, V) of the
-    block space, whose dimensions also give ncrk(B) = s + t - dim U - dim V:
-    U carried into u1 and V into u2 span an isotropic space of dimension
-    n - ncrk(B).
+    The witness is built from the maximizing isotropic pair (U, V) that
+    ncrk_witness_pair finds on the smaller side of the s x t block space
+    (s = dim u1, t = dim u2), whose dimensions also give ncrk(B) =
+    s + t - dim U - dim V: U carried into u1 and V into u2 span an
+    isotropic space of dimension n - ncrk(B), re-verified here.
     """
     b = block_space_from_bipartite(space, u1, u2)
     n = space.n

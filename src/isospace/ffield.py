@@ -520,12 +520,18 @@ class Subspace:
 
     def vector_mask(self) -> int:
         """Bitmask over the indices of all vectors of self, the index of v
-        being sum v_i p^i."""
+        being sum v_i p^i.  Over F_2 lanes are one bit wide, so a packed
+        row is its own index."""
         field = self.field
         q, width, lane = field.p, field.width, field.lane
-        weights = [(s, q**i) for i, s in enumerate(range(0, self.n * width, width))]
+        vectors = _combinations(field, self.n, self.rows)
         mask = 0
-        for v in _combinations(field, self.n, self.rows):
+        if q == 2:
+            for v in vectors:
+                mask |= 1 << v
+            return mask
+        weights = [(s, q**i) for i, s in enumerate(range(0, self.n * width, width))]
+        for v in vectors:
             mask |= 1 << sum((v >> s & lane) * wt for s, wt in weights)
         return mask
 

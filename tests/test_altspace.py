@@ -192,6 +192,23 @@ def test_is_isotropic():
     assert is_isotropic(p3, u)
 
 
+def test_is_isotropic_on_the_zero_space_builds_no_transpose(monkeypatch):
+    calls = []
+    inner = Matrix.transpose
+
+    def counting(self):
+        calls.append(self.rows)
+        return inner(self)
+
+    n = 300
+    zero, sp = AltMatrixSpace.zero_space(F2, n), AltMatrixSpace(F3, 2, [J2_F3])
+    monkeypatch.setattr(Matrix, "transpose", counting)
+    validate_decomposition(zero, [Subspace.coordinate(F2, n, [j]) for j in range(n)])
+    assert calls == []
+    assert not is_isotropic(sp, Subspace.full(F3, 2))
+    assert calls == [2]
+
+
 def test_rad_of_subspace_double_radical():
     rng = random.Random(2)
     for _ in range(30):

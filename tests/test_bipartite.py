@@ -264,15 +264,21 @@ def test_two_decomposition_via_adjoint_degenerate_reduction():
 
 
 def stacked_product_witness_pair(b, guard):
-    """Reference scan: B(V) as the stacked products V B_i^t, first maximum."""
-    bts = [m.transpose() for m in b.basis] or [Matrix.zeros(b.field, b.t, b.s)]
+    """Reference scan over the smaller side, first maximum: for s < t the
+    stacked products U B_i, whose kernel is V; else the stacked products
+    V B_i^t, whose kernel is U."""
+    left = b.s < b.t
+    n, m = (b.s, b.t) if left else (b.t, b.s)
+    mats = (list(b.basis) if left else [x.transpose() for x in b.basis]) \
+        or [Matrix.zeros(b.field, n, m)]
     best = None
-    for v in enumerate_subspaces(b.field, b.t, guard=guard):
-        image = vstack(*[v.basis @ m for m in bts])
-        score = v.dim + b.s - image.rank()
+    for w in enumerate_subspaces(b.field, n, guard=guard):
+        image = vstack(*[w.basis @ x for x in mats])
+        score = w.dim + m - image.rank()
         if best is None or score > best[0]:
-            best = (score, image, v)
-    return kernel(best[1]), best[2]
+            best = (score, image, w)
+    partner = kernel(best[1])
+    return (best[2], partner) if left else (partner, best[2])
 
 
 def test_ncrk_witness_pair_matches_the_stacked_product_scan():

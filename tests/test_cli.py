@@ -20,7 +20,7 @@ from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
                          parse_mats, parse_space)
 from isospace.errors import GuardExceeded, ParseError
 from isospace.ffield import Subspace, gaussian_binomial
-from util import F2, F3, random_space
+from util import F2, F3, random_matrix_space, random_space
 
 K3_AMS = """# the triangle space over F_2
 ams 2 3 3
@@ -563,6 +563,10 @@ PATH_40 = "graph 40\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 40))
 PATH_48 = "graph 48\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 48))
 PATH_200 = "graph 200\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 200))
 K_40 = "graph 40\n" + "".join(f"{i} {j}\n" for i in range(1, 41) for j in range(i + 1, 41))
+# e_1..e_30 and e_31..e_60 of F_2^60: a 30 x 30 block space, whose scan
+# of F^30 is priced before it starts
+UNIT_60 = [" ".join(str(int(i == j)) for j in range(60)) for i in range(60)]
+HALVES_60 = ["--u1", ";".join(UNIT_60[:30]), "--u2", ";".join(UNIT_60[30:])]
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -570,7 +574,7 @@ K_40 = "graph 40\n" + "".join(f"{i} {j}\n" for i in range(1, 41) for j in range(
     (["--guard", "10", "dim2"], "ams 2 15000 0\n"),
     (["--guard", "10", "alpha"], "ams 2 4000 0\n"),
     (["--guard", "10", "chi", "--method", "lawler"], "ams 2 800 0\n"),
-    (["--guard", "10", "alpha-bipartite"], "ams 2 400 0\n"),
+    (["--guard", "10", "alpha-bipartite"] + HALVES_60, "ams 2 60 0\n"),
     (["--guard", "10", "decompose", "--method", "greedy-deg"], "ams 2 500 0\n"),
     (["--guard", "10", "to-graph-witness", "--report"], "graph 22\n"),
     (["--guard", "10", "chi", "--method", "lawler"], "ams 2 10000 0\n"),
@@ -599,3 +603,24 @@ def test_large_inputs_trip_the_guard_at_once(tmp_path, argv, text):
     assert proc.returncode == 3, proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert proc.stdout == "" and len(lines) == 1 and lines[0].startswith("guard exceeded")
+
+
+def test_ncrk_scans_the_smaller_side(tmp_path, capsys):
+    # 2 x 12 over F_2 under the default guard: the 5 subspaces of F^2,
+    # where F^12 has about 4 x 10^8
+    b = random_matrix_space(random.Random(12), F2, 2, 12, 3)
+    path = tmp_path / "b.mats"
+    path.write_text(emit_mats(b))
+    assert main(["ncrk", "-f", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["ncrk"] == 2
+
+
+def test_alpha_bipartite_on_a_large_zero_space(tmp_path):
+    # the adjoint route splits off <e_1>, so the block space is 1 x 399
+    path = tmp_path / "zero.ams"
+    path.write_text("ams 2 400 0\n")
+    proc = subprocess.run([sys.executable, "-m", "isospace", "--guard", "10",
+                           "alpha-bipartite", "-f", str(path), "--json"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["alpha"] == 400

@@ -301,3 +301,17 @@ def test_subspace_image_matches_matrix_product():
     assert Subspace.zero(F3, 2).image(outer) == Subspace.zero(F3, 3)
     with pytest.raises(ValueError):
         Subspace.zero(F3, 3).image(outer)
+
+
+def test_f2_vector_mask_equals_the_lane_decoded_mask():
+    rng = random.Random(21)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        u = Subspace.from_vectors(F2, n, [tuple(rng.randrange(2) for _ in range(n))
+                                          for _ in range(rng.randint(0, n))])
+        rows = u.basis_rows()
+        decoded = 0
+        for coeffs in product(range(2), repeat=len(rows)):
+            v = [sum(c * r[j] for c, r in zip(coeffs, rows)) % 2 for j in range(n)]
+            decoded |= 1 << sum(e << j for j, e in enumerate(v))
+        assert u.vector_mask() == decoded

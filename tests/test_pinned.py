@@ -77,4 +77,4 @@ def test_row_representation_outputs_pinned():
         out.append([rows(u), rows(v), ticks])
     out += [complements_record(F2, 4), complements_record(F3, 3)]
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
-    assert digest == "9641aef7b71f8ff7424f44d0d8a0cb7671800f16191fe3dbbee3edb0641ff84d"
+    assert digest == "57988f4bf8bcbc8fb1b9f1b0db280dfba8ee7ccbc3d7a58c2d49c531789f59da"

@@ -10,10 +10,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from isospace.altspace import (AltMatrixSpace, degree, is_isotropic,
                                isometry_transform, nondegenerate_part, rad_of,
                                radical_space, restrict)
-from isospace.bipartite import (adjoint_algebra, alpha_bipartite,
+from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 bipartite_space_from_blocks,
                                 block_space_from_bipartite,
-                                hyperbolic_idempotent_search, ncrk_brute)
+                                hyperbolic_idempotent_search, ncrk_brute,
+                                ncrk_witness_pair)
 from isospace.errors import Guard, GuardExceeded
 from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine,
                              enumerate_subspaces, hstack, invert, kernel,
@@ -109,6 +110,18 @@ def test_alpha_from_the_lattice_equals_alpha_from_ncrk(b):
     alpha = alpha_exact(space)[0]
     assert alpha == n - ncrk_brute(b)
     assert alpha_bipartite(space, u1, u2)[0] == alpha
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_spaces())
+def test_ncrk_of_the_transpose(b):
+    bt = MatrixSpace(b.field, b.t, b.s, [m.transpose() for m in b.basis])
+    assert ncrk_brute(bt) == ncrk_brute(b)
+    if b.s != b.t:
+        # both scan the subspaces of the same smaller side, through the
+        # same rows u^t B_i, so the pair only swaps
+        u, v = ncrk_witness_pair(b)
+        assert ncrk_witness_pair(bt) == (v, u)
 
 
 def moved_split(b, rng):
