@@ -79,11 +79,14 @@ def block_space_from_bipartite(space: AltMatrixSpace, u1: Subspace,
 
     The blocks are U1 A U2^t for the RREF bases U1, U2 of the parts: entry
     (i, j) is the form of row i of U1 against row j of U2.  span_basis
-    reduces their entry rows to the canonical basis.  Raises unless
-    (u1, u2) is an isotropic 2-decomposition of the space.
+    reduces their entry rows to the canonical basis.  The zero space gives
+    the zero s x t space before U2^t is built.  Raises unless (u1, u2) is
+    an isotropic 2-decomposition of the space.
     """
     validate_decomposition(space, [u1, u2])
     field, s, t = space.field, u1.dim, u2.dim
+    if not space.basis:
+        return MatrixSpace._unchecked(field, s, t, ())
     left, rt = u1.basis, u2.basis.transpose()
     return MatrixSpace._unchecked(field, s, t, span_basis(
         field, s, t, [(left @ a @ rt).flat() for a in space.basis]))

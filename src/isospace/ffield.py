@@ -18,6 +18,13 @@ by lane.  Every matrix operation is a row combination (_combine) or a row
 reduction (_rref_rows).  Vectors enter and leave as tuples (Matrix entries,
 from_vectors, basis_rows, PrimeField.pack and unpack); the row loops pass
 packed rows.
+
+A kernel read off an RREF (_kernel_of_rref) needs a second reduction, since
+its vector of free column j also has entries at the pivots before j.
+FormRows, which every radical rad_A(U) goes through, keeps its rows with
+the lanes reversed instead: the pivots are then the last nonzero columns,
+each kernel vector has entries after its free column only, and the kernel
+is written in RREF from the one reduction of the rows.
 """
 
 from __future__ import annotations
@@ -552,9 +559,14 @@ class FormRows:
 
     The k rows of w are one combination sum_j w_j S_j of the slices S_j,
     row j of every M_i side by side, so each vector costs one combination.
+    The slices are stored with their lanes reversed (_reversed_lanes), so
+    the rows come out reversed too: column c of w^t M_i is in lane m - 1 - c
+    (and the k rows in reverse order, which leaves their span as it is).
     Each distinct w's rows are kept in RREF, with their pivots, as long as
-    the map lives, so the rank of one vector is a length and its kernel
-    needs no further reduction.  Vectors are packed rows of n lanes.
+    the map lives, so the rank of one vector is a length.  Pivots counted
+    from the reversed side are the last nonzero columns of the rows in
+    natural order, which is what lets kernel write its vectors in RREF
+    without a second reduction.  Vectors are packed rows of n lanes.
     """
 
     __slots__ = ("field", "k", "m", "_slices", "_rows")
@@ -567,12 +579,14 @@ class FormRows:
         self.k = len(mats)
         self.m = m
         span = m * field.width
-        self._slices = [sum(a.packed[j] << i * span for i, a in enumerate(mats))
+        self._slices = [_reversed_lanes(field, sum(a.packed[j] << i * span
+                                                   for i, a in enumerate(mats)), self.k * m)
                         for j in range(n)]
         self._rows = {}
 
     def rows(self, w: int) -> tuple:
-        """The RREF (rows, pivots) of the span of w^t M_1, ..., w^t M_k."""
+        """The RREF (rows, pivots) of the span of w^t M_1, ..., w^t M_k,
+        lanes reversed: column c of the products is lane m - 1 - c."""
         out = self._rows.get(w)
         if out is None:
             field, k, m = self.field, self.k, self.m
@@ -596,8 +610,45 @@ class FormRows:
         return len(self._span(vectors)[1])
 
     def kernel(self, vectors) -> "Subspace":
-        """{u in F^m : r u = 0 for every row r of the vectors}, in RREF."""
-        return _kernel_of_rref(self.field, self.m, *self._span(vectors))
+        """{u in F^m : r u = 0 for every row r of the vectors}, in RREF.
+
+        Read off the reversed RREF of the rows: free lane c is column
+        j = m - 1 - c, and its kernel vector is e_j minus lane c of each row,
+        put at that row's pivot lane d, column m - 1 - d.  A row is zero
+        below its pivot lane, so d < c and the entries sit after column j:
+        the vectors, ascending in j, are the RREF of the kernel as they are.
+        """
+        rows, pivots = self._span(vectors)
+        field, m = self.field, self.m
+        p, width, lane = field.p, field.width, field.lane
+        pivset = set(pivots)
+        basis, free = [], []
+        for j in range(m):
+            c = m - 1 - j
+            if c in pivset:
+                continue
+            s = c * width
+            v = 1 << j * width
+            for d, r in zip(pivots, rows):
+                e = r >> s & lane
+                if e:
+                    v |= (p - e) << (m - 1 - d) * width
+            basis.append(v)
+            free.append(j)
+        return Subspace(field, m, tuple(basis), tuple(free))
+
+
+def _reversed_lanes(field: PrimeField, x: int, n: int) -> int:
+    """The packed row x of n lanes with lane j moved to lane n - 1 - j, by
+    one string reversal: a lane of width 1 or 4 is one binary or hex digit;
+    a lane of another width has its bits reversed with the row's and put
+    back in order by one mask per bit."""
+    width = field.width
+    if width in (1, 4):
+        return int(format(x, f"0{n}{'b' if width == 1 else 'x'}")[::-1], 1 << width)
+    x = int(format(x, f"0{n * width}b")[::-1], 2)
+    ones = field.ones[n][0]
+    return sum((x >> b & ones) << width - 1 - b for b in range(width))
 
 
 def span_basis(field: PrimeField, rows: int, cols: int, flats) -> list:

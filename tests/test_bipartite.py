@@ -41,6 +41,26 @@ def test_block_space_zero():
     assert b.dim == 0
 
 
+def test_block_space_of_the_zero_space_builds_no_transpose(monkeypatch):
+    calls = []
+    inner = Matrix.transpose
+
+    def counting(self):
+        calls.append(self.rows)
+        return inner(self)
+
+    n = 300
+    u1, u2 = Subspace.coordinate(F2, n, [0]), Subspace.coordinate(F2, n, range(1, n))
+    monkeypatch.setattr(Matrix, "transpose", counting)
+    b = block_space_from_bipartite(AltMatrixSpace.zero_space(F2, n), u1, u2)
+    assert (b.s, b.t, b.dim) == (1, n - 1, 0)
+    assert calls == []
+    sp = space_from_graph(Graph(3, [(0, 1), (0, 2)]), F2)
+    b = block_space_from_bipartite(sp, *e_split(F2, 3, 1))
+    assert (b.s, b.t, b.dim) == (1, 2, 2)
+    assert calls == [1, 2, 2]
+
+
 def test_block_space_c4():
     sp = space_from_graph(Graph.cycle(4), F3)
     u1 = Subspace.from_vectors(F3, 4, [(1, 0, 0, 0), (0, 0, 1, 0)])

@@ -3,12 +3,13 @@ from itertools import product
 
 import pytest
 
+from isospace import ffield
 from isospace.errors import Guard, GuardExceeded
-from isospace.ffield import (Matrix, PrimeField, Subspace,
+from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace,
                              enumerate_complements, enumerate_subspaces,
                              gaussian_binomial, invert, kernel,
                              projective_rows, rref_canonicalize,
-                             solve_linear)
+                             solve_linear, vstack)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -315,3 +316,35 @@ def test_f2_vector_mask_equals_the_lane_decoded_mask():
             v = [sum(c * r[j] for c, r in zip(coeffs, rows)) % 2 for j in range(n)]
             decoded |= 1 << sum(e << j for j, e in enumerate(v))
         assert u.vector_mask() == decoded
+
+
+def test_a_form_rows_kernel_is_one_reduction(monkeypatch):
+    """The kernel of several vectors reduces their stacked cached rows once
+    and is written from that RREF; the kernel of one cached vector reduces
+    nothing."""
+    rng = random.Random(21)
+    inner = ffield._rref_rows
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return inner(*args)
+
+    for field, n, m in [(F2, 5, 6), (F3, 4, 5), (F5, 6, 3)]:
+        mats = [Matrix(field, n, m, [rng.randrange(field.p) for _ in range(n * m)])
+                for _ in range(3)]
+        vectors = [[rng.randrange(field.p) for _ in range(n)] for _ in range(3)]
+        packed = [field.pack(w) for w in vectors]
+        forms = FormRows(field, n, m, mats)
+        for w in packed:
+            forms.rows(w)
+        monkeypatch.setattr(ffield, "_rref_rows", counting)
+        calls.clear()
+        got = forms.kernel(packed)
+        assert calls == [m]
+        one = forms.kernel(packed[:1])
+        assert calls == [m]
+        monkeypatch.undo()
+        products = [Matrix(field, 1, n, w) @ a for w in vectors for a in mats]
+        assert got == kernel(vstack(*products))
+        assert one == kernel(vstack(*products[:3]))

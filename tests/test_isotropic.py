@@ -4,9 +4,11 @@ import tracemalloc
 
 import pytest
 
-from isospace.altspace import AltMatrixSpace, is_isotropic, max_degree, rad_of
+from isospace.altspace import (AltMatrixSpace, elementary_alternating, is_isotropic,
+                               max_degree, rad_of)
 from isospace.errors import Guard, GuardExceeded
-from isospace.ffield import Subspace, projective_rows
+from isospace.ffield import (Subspace, combination, enumerate_subspaces, gaussian_binomial,
+                             projective_rows)
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 chi_maxcover, enumerate_isotropic_lattice,
@@ -336,6 +338,27 @@ def test_isotropic_count_formula_vs_lattice():
             for d in range(n // 2 + 1):
                 got = len(lat.levels[d]) if d < len(lat.levels) else 0
                 assert got == isotropic_count_formula(n, d, q)
+
+
+@pytest.mark.parametrize("field, n", [(F2, 3), (F3, 3), (F2, 4)], ids=["F2-3", "F3-3", "F2-4"])
+def test_lattice_levels_summed_over_every_space_match_the_closed_form(field, n):
+    """Sum over every S <= Lambda(n, q) of #{isotropic U of dim d} =
+    [n, d]_q * sum_k [N - d(d-1)/2, k]_q, N = n(n-1)/2: each U of dim d is
+    isotropic for exactly the subspaces of the forms vanishing on U x U, a
+    subspace of codimension d(d-1)/2."""
+    q, big = field.p, n * (n - 1) // 2
+    elementary = [elementary_alternating(field, n, i, j)
+                  for i in range(n) for j in range(i + 1, n)]
+    totals = [0] * (n + 1)
+    for s in enumerate_subspaces(field, big):
+        space = AltMatrixSpace._unchecked(field, n, [
+            combination(field, n, n, r, elementary) for r in s.rows])
+        for d, level in enumerate(enumerate_isotropic_lattice(space).levels):
+            totals[d] += len(level)
+    assert totals == [
+        gaussian_binomial(n, d, q) * sum(gaussian_binomial(big - d * (d - 1) // 2, k, q)
+                                         for k in range(big - d * (d - 1) // 2 + 1))
+        for d in range(n + 1)]
 
 
 def test_two_decomposition_brute():

@@ -399,7 +399,7 @@ def test_the_channel_period_is_even_exactly_on_bipartite_graphs(g):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([F2, F3]), st.integers(0, 4), st.integers(0, 4), st.integers(0, 3),
+@given(st.sampled_from([F2, F3, F5]), st.integers(0, 6), st.integers(0, 6), st.integers(0, 3),
        st.randoms(use_true_random=False))
 def test_form_rows_are_the_products_w_t_m(field, n, m, k, rng):
     mats = [Matrix(field, n, m, [rng.randrange(field.p) for _ in range(n * m)])
@@ -412,9 +412,10 @@ def test_form_rows_are_the_products_w_t_m(field, n, m, k, rng):
     for w, x in zip(vectors, packed):
         row = Matrix(field, 1, n, w)
         explicit = [(row @ a).entries for a in mats]
-        # the rows of w are kept reduced: the RREF of the products' span
+        # the rows of w are kept reduced, lanes reversed: the RREF of the
+        # span of the products with their columns in reverse order
         rows, pivots = forms.rows(x)
-        span = Subspace.from_vectors(field, m, explicit)
+        span = Subspace.from_vectors(field, m, [e[::-1] for e in explicit])
         assert [field.unpack(r, m) for r in rows] == span.basis_rows()
         assert tuple(pivots) == span.pivots
         assert forms.rank([x]) == span.dim
