@@ -640,12 +640,9 @@ class FormRows:
 
 def _reversed_lanes(field: PrimeField, x: int, n: int) -> int:
     """The packed row x of n lanes with lane j moved to lane n - 1 - j, by
-    one string reversal: a lane of width 1 or 4 is one binary or hex digit;
-    a lane of another width has its bits reversed with the row's and put
-    back in order by one mask per bit."""
+    one string reversal of its bits, which reverses the bits inside each
+    lane too; one mask per bit of a lane puts them back in order."""
     width = field.width
-    if width in (1, 4):
-        return int(format(x, f"0{n}{'b' if width == 1 else 'x'}")[::-1], 1 << width)
     x = int(format(x, f"0{n * width}b")[::-1], 2)
     ones = field.ones[n][0]
     return sum((x >> b & ones) << width - 1 - b for b in range(width))
