@@ -7,13 +7,15 @@ the role of non-neighbourhoods, degrees the role of vertex degrees,
 restriction the role of induced subgraphs.
 
 Restriction (B A B^t), isometry (T^t A T), the isotropy test and the block
-extraction of bipartite.py (U1 A U2^t) are all L A R^t over the basis, and
-each is written as that Matrix product, one basis matrix A at a time.
-Restriction, isometry and block extraction reduce the products' flat entry
-rows once to the canonical basis; the isotropy test stops at the first
-nonzero product.  Those spans are alternating (or, for blocks,
-independent) by construction, so only outside input goes through
-validate.
+extraction of bipartite.py (U1 A U2^t) are all L A R^t over the basis.
+Restriction, isometry and block extraction take every product at once
+from ffield.congruences (per row of L, one combination of the form slices
+gives that row of every L A, and one combination per A takes it through
+R^t) and reduce the flat entry rows once to the canonical basis.  The
+isotropy test keeps one Matrix product per basis matrix: it stops at the
+first nonzero product, where a batched test would build them all.  Those
+spans are alternating (or, for blocks, independent) by construction, so
+only outside input goes through validate.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import reduce
 
 from .errors import VerificationError
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
-                     hstack, kernel, projective_rows, span_basis, vstack)
+                     congruences, hstack, kernel, projective_rows, span_basis, vstack)
 
 
 def is_alternating(m: Matrix) -> bool:
@@ -173,9 +175,8 @@ def restrict(space: AltMatrixSpace, u: Subspace) -> AltMatrixSpace:
     if u.n != space.n:
         raise ValueError("ambient mismatch")
     field, d, b = space.field, u.dim, u.basis
-    bt = b.transpose()
     return AltMatrixSpace._unchecked(field, d, span_basis(
-        field, d, d, [(b @ a @ bt).flat() for a in space.basis]))
+        field, d, d, congruences(b, space.basis, b)))
 
 
 def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
@@ -186,7 +187,7 @@ def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
         raise ValueError("transform is singular")
     field, n, tt = space.field, space.n, t.transpose()
     return AltMatrixSpace._unchecked(field, n, span_basis(
-        field, n, n, [(tt @ a @ t).flat() for a in space.basis]))
+        field, n, n, congruences(tt, space.basis, tt)))
 
 
 def is_isotropic(space: AltMatrixSpace, u: Subspace) -> bool:

@@ -16,7 +16,8 @@ from .altspace import (AltMatrixSpace, block_alternating, is_isotropic, nondegen
                        split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
-                     enumerate_subspaces, kernel, solve_linear, span_basis, vstack)
+                     congruences, enumerate_subspaces, kernel, solve_linear, span_basis,
+                     vstack)
 
 
 class MatrixSpace:
@@ -87,9 +88,8 @@ def block_space_from_bipartite(space: AltMatrixSpace, u1: Subspace,
     field, s, t = space.field, u1.dim, u2.dim
     if not space.basis:
         return MatrixSpace._unchecked(field, s, t, ())
-    left, rt = u1.basis, u2.basis.transpose()
     return MatrixSpace._unchecked(field, s, t, span_basis(
-        field, s, t, [(left @ a @ rt).flat() for a in space.basis]))
+        field, s, t, congruences(u1.basis, space.basis, u2.basis)))
 
 
 def ncrk_witness_pair(b: MatrixSpace, guard=None):

@@ -229,25 +229,28 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     Top-down over the reachable subspaces U, memoized by the restricted
     space A|_U: the search at U depends on A|_U alone, so each distinct
     restriction is solved once per call, in the coordinates of U's RREF
-    basis.  (An RREF coordinate basis times U's RREF basis is again in
-    RREF, so W = w . U has A|_W = (A|_U)|_w with the same canonical basis.)
-    Maximal spaces are tried largest first, and the search stops once the
-    dimension lower bound ceil(dim U / alpha(A|_U)) is attained.  Returns
-    (chi, certificate).
+    basis.  An RREF coordinate basis times U's RREF basis is again in
+    RREF, so W = w . U has A|_W = (A|_U)|_w with the same canonical basis:
+    a newly reached W is restricted from its parent's restriction, a
+    dim U x dim U space, not from A, while the memo stays keyed by W in
+    F^n.  Maximal spaces are tried largest first, and the search stops
+    once the dimension lower bound ceil(dim U / alpha(A|_U)) is attained.
+    Returns (chi, certificate).
     """
     g = as_guard(guard)
     field, n = space.field, space.n
     by_u: dict = {}      # U.key() -> key of A|_U
     by_sub: dict = {}    # key of A|_U -> (chi, V, W), V and W in U's coordinates
 
-    def rec(u: Subspace):
+    def rec(u: Subspace, parent: AltMatrixSpace, local: Subspace):
+        """The memo entry of u = local . U_parent, where parent = A|_{U_parent}."""
         if u.dim == 0:
             return 0, None, None
         ukey = u.key()
         skey = by_u.get(ukey)
         if skey is not None:
             return by_sub[skey]
-        sub = restrict(space, u)
+        sub = restrict(parent, local)
         skey = by_u[ukey] = (sub.n, tuple(m.packed for m in sub.basis))
         hit = by_sub.get(skey)
         if hit is not None:
@@ -262,7 +265,7 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
             if best is not None and 1 + -(-(u.dim - v.dim) // alpha_u) >= best[0]:
                 continue
             for w in enumerate_complements(v, guard=g):
-                cw, _, _ = rec(w.image(u))
+                cw, _, _ = rec(w.image(u), sub, w)
                 if best is None or 1 + cw < best[0]:
                     best = (1 + cw, v, w)
                     if best[0] == lb:
@@ -277,12 +280,13 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     # the first lattice's lines, required before the restriction to F^n
     g.require((field.p**n - 1) // (field.p - 1))
     u = Subspace.full(field, n)
-    c, v, w = rec(u)
+    c, v, w = rec(u, space, u)
     parts = []
     while v is not None:
         parts.append(v.image(u))
+        # every U on the certificate's path is memoized, so rec restricts nothing
         u = w.image(u)
-        _, v, w = rec(u)
+        _, v, w = rec(u, None, None)
     validate_decomposition(space, parts)
     return c, parts
 
@@ -293,7 +297,14 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
     f(k, W) = 1 iff W is the span of a union of k maximal isotropic spaces;
     chi(A) is the first k with f(k, F^n) = 1, since a spanning family of k
     maximal isotropic spaces shrinks to an isotropic k'-decomposition with
-    k' <= k and conversely.  Frontier sets of canonical subspaces per k.
+    k' <= k and conversely.  Level k is a frontier of canonical spans, each
+    first reached with k spaces, and each with the least index of a last
+    space that reaches it: it is joined only with the spaces after that
+    index, and spans of earlier levels are skipped.  That is exact: a
+    smallest family i_1 < ... < i_k spanning W has no prefix span at an
+    earlier level (else a smaller family would span W), so by induction
+    its j-th prefix span is on level j with an index <= i_j, and level k
+    reaches W.
     """
     g = as_guard(guard)
     n = space.n
@@ -305,23 +316,27 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
         mi = enumerate_maximal_filter(space, guard=g)
     # the maximal spaces are distinct, and none is F^n, as space.dim > 0
     seen = {t.key() for t in mi}
-    frontier = list(mi)
+    frontier = [(t, i) for i, t in enumerate(mi)]
     k = 1
     while frontier:
         k += 1
-        nxt = []
-        for w in frontier:
-            for t in mi:
+        level: dict = {}     # key -> [span, least index of its last space]
+        for w, last in frontier:
+            for j in range(last + 1, len(mi)):
                 g.tick()
-                u = w.sum(t)
+                u = w.sum(mi[j])
                 uk = u.key()
                 if uk in seen:
                     continue
                 if u.dim == n:
                     return k
-                seen.add(uk)
-                nxt.append(u)
-        frontier = nxt
+                hit = level.get(uk)
+                if hit is None:
+                    level[uk] = [u, j]
+                elif j < hit[1]:
+                    hit[1] = j
+        seen.update(level)
+        frontier = list(level.values())
     raise VerificationError("maximal isotropic spaces never span F^n")  # unreachable
 
 

@@ -20,6 +20,7 @@ from isospace.bipartite import (adjoint_algebra, alpha_bipartite,
                                 decomposition_from_idempotent,
                                 hyperbolic_idempotent_search, ncrk_brute,
                                 ncrk_pad_square)
+from isospace.errors import Guard
 from isospace.ffield import enumerate_subspaces, gaussian_binomial
 from isospace.gadgets import (baer_generators, dim2_gadget, group_closure,
                               right_degree_min)
@@ -37,8 +38,8 @@ from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
 from isospace.quantum import (CHANNEL_TOL, channel_from_graph,
                               decide_iso_2_decomposition, fidelity_pure,
                               period)
-from util import (F2, F3, random_graph, random_matrix_space, random_space,
-                  symplectic_form)
+from util import (F2, F3, chi_maxcover_reference, every_space, random_graph,
+                  random_matrix_space, random_space, symplectic_form)
 
 SEED = 20260810
 FIELDS = {2: F2, 3: F3}
@@ -226,6 +227,20 @@ def test_criterion_04_chi_oracle_triangle():
     _report(4, dt < 600.0,
             f"chi_brute = chi_lawler = chi_maxcover on {checked} instances "
             f"(100 random Lambda(4,q) + all graphs n <= 5) in {dt:.1f}s (< 600s)")
+
+
+def test_ordered_maxcover_frontier_matches_the_unordered_one():
+    """chi_maxcover joins a span only with the maximal spaces after its
+    last one; the unordered frontier of tests/util.py joins it with all of
+    them.  Same chi on every space of Lambda(3, q) and on criterion 04's
+    instances, and never more guard ticks."""
+    spaces = [sp for f in (F2, F3) for sp in every_space(f, 3)]
+    spaces += [sp for _, sp in random_space_suite_lam4()]
+    spaces += [space_from_graph(g, FIELDS[q]) for g in small_graphs_all() for q in (2, 3)]
+    for sp in spaces:
+        g_new, g_ref = Guard(), Guard()
+        assert chi_maxcover(sp, guard=g_new) == chi_maxcover_reference(sp, g_ref), sp
+        assert g_new.used <= g_ref.used, sp
 
 
 def test_criterion_05_maximal_enumeration_equivalence():

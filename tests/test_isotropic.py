@@ -4,11 +4,9 @@ import tracemalloc
 
 import pytest
 
-from isospace.altspace import (AltMatrixSpace, elementary_alternating, is_isotropic,
-                               max_degree, rad_of)
+from isospace.altspace import AltMatrixSpace, is_isotropic, max_degree, rad_of
 from isospace.errors import Guard, GuardExceeded
-from isospace.ffield import (Subspace, combination, enumerate_subspaces, gaussian_binomial,
-                             projective_rows)
+from isospace.ffield import Subspace, enumerate_subspaces, gaussian_binomial, projective_rows
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 chi_maxcover, enumerate_isotropic_lattice,
@@ -19,7 +17,7 @@ from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 isotropic_count_formula,
                                 two_decomposition_brute,
                                 validate_decomposition)
-from util import F2, F3, random_space, symplectic_form
+from util import F2, F3, every_space, random_space, symplectic_form
 
 
 def k3(field=F2):
@@ -74,7 +72,6 @@ def test_lattice_symplectic_4_dim2_count():
 
 def test_lattice_counts_against_subspace_filter():
     # independent oracle: filter all subspaces by the isotropy test
-    from isospace.ffield import enumerate_subspaces
     rng = random.Random(21)
     for _ in range(12):
         n = rng.randint(1, 4)
@@ -347,12 +344,8 @@ def test_lattice_levels_summed_over_every_space_match_the_closed_form(field, n):
     isotropic for exactly the subspaces of the forms vanishing on U x U, a
     subspace of codimension d(d-1)/2."""
     q, big = field.p, n * (n - 1) // 2
-    elementary = [elementary_alternating(field, n, i, j)
-                  for i in range(n) for j in range(i + 1, n)]
     totals = [0] * (n + 1)
-    for s in enumerate_subspaces(field, big):
-        space = AltMatrixSpace._unchecked(field, n, [
-            combination(field, n, n, r, elementary) for r in s.rows])
+    for space in every_space(field, n):
         for d, level in enumerate(enumerate_isotropic_lattice(space).levels):
             totals[d] += len(level)
     assert totals == [

@@ -77,4 +77,4 @@ def test_row_representation_outputs_pinned():
         out.append([rows(u), rows(v), ticks])
     out += [complements_record(F2, 4), complements_record(F3, 3)]
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
-    assert digest == "57988f4bf8bcbc8fb1b9f1b0db280dfba8ee7ccbc3d7a58c2d49c531789f59da"
+    assert digest == "b3cb687be29089a842f6dafcd712f212e2faef3ed75b39b43f9df5b1d7ec5a28"

@@ -1,5 +1,6 @@
 """Cross-oracle identities on generated inputs (hypothesis)."""
 
+import random
 from itertools import product
 
 import pytest
@@ -16,7 +17,7 @@ from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 hyperbolic_idempotent_search, ncrk_brute,
                                 ncrk_witness_pair)
 from isospace.errors import Guard, GuardExceeded
-from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine,
+from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, congruences,
                              enumerate_subspaces, hstack, invert, kernel,
                              rref_canonicalize, vstack)
 from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
@@ -597,6 +598,35 @@ def test_congruences_follow_the_tuple_reference(case):
         moved = isometry_transform(space, t)
         assert [m.entries for m in moved.basis] == congruence_span(field, tt, space.basis, tt)
         assert AltMatrixSpace(field, n, moved.basis) == moved
+
+
+@settings(max_examples=120, deadline=None)
+@given(congruence_cases(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_a_restriction_of_a_restriction_is_the_restriction_to_the_image(case, count, rng):
+    # chi_lawler restricts W = w . U from A|_U: the same canonical basis as from A
+    space, u, _ = case
+    w = Subspace.from_vectors(space.field, u.dim, [
+        [rng.randrange(space.field.p) for _ in range(u.dim)] for _ in range(count)])
+    inner, outer = restrict(restrict(space, u), w), restrict(space, w.image(u))
+    assert (inner.n, inner.basis) == (outer.n, outer.basis)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([F2, F3, F5, F251]), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+       st.randoms(use_true_random=False))
+@example(F3, 2, 3, 4, 1, 0, random.Random(0))
+@example(F251, 1, 4, 3, 2, 3, random.Random(1))
+def test_congruences_are_the_per_matrix_products(field, s, n, m, t, k, rng):
+    def rand(rows, cols):
+        return Matrix(field, rows, cols, [rng.randrange(field.p) for _ in range(rows * cols)])
+
+    left, right, mats = rand(s, n), rand(t, m), [rand(n, m) for _ in range(k)]
+    assert congruences(left, mats, right) == [
+        (left @ a @ right.transpose()).flat() for a in mats]
+    if k:
+        with pytest.raises(ValueError):
+            congruences(left, mats, rand(t, m + 1))
 
 
 @settings(max_examples=60, deadline=None)

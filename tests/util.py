@@ -1,9 +1,10 @@
 """Shared generators for the seeded random test suites."""
 
-from isospace.altspace import AltMatrixSpace
+from isospace.altspace import AltMatrixSpace, elementary_alternating
 from isospace.bipartite import MatrixSpace
-from isospace.ffield import Matrix, PrimeField
+from isospace.ffield import Matrix, PrimeField, combination, enumerate_subspaces
 from isospace.graphs import Graph
+from isospace.isotropic import enumerate_maximal_filter
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -33,6 +34,16 @@ def random_matrix_space(rng, field, s, t, m):
 def random_graph(rng, n, p=0.5):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < p])
+
+
+def every_space(field, n):
+    """Every subspace of Lambda(n, q), in the coordinates of the elementary
+    alternating matrices, in enumerate_subspaces order."""
+    elementary = [elementary_alternating(field, n, i, j)
+                  for i in range(n) for j in range(i + 1, n)]
+    for s in enumerate_subspaces(field, len(elementary)):
+        yield AltMatrixSpace._unchecked(field, n, [
+            combination(field, n, n, r, elementary) for r in s.rows])
 
 
 def symplectic_form(field, n):
@@ -93,3 +104,26 @@ def invert_reference(rows, p, inv):
     if rref_rows_reference(aug, p, inv)[:n] != list(range(n)):
         return None
     return [tuple(r[n:]) for r in aug]
+
+
+def chi_maxcover_reference(space, guard):
+    """chi(A) by the unordered max-cover frontier: every span of a level is
+    joined with every maximal space, and spans already seen are skipped;
+    one guard tick per join, as chi_maxcover ticks."""
+    n = space.n
+    if n == 0 or space.dim == 0:
+        return min(n, 1)
+    mi = enumerate_maximal_filter(space, guard=guard)
+    seen, frontier, k = {t.key() for t in mi}, list(mi), 1
+    while True:
+        k, nxt = k + 1, []
+        for w in frontier:
+            for t in mi:
+                guard.tick()
+                u = w.sum(t)
+                if u.key() not in seen:
+                    if u.dim == n:
+                        return k
+                    seen.add(u.key())
+                    nxt.append(u)
+        frontier = nxt
