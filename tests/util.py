@@ -111,8 +111,10 @@ def chi_maxcover_reference(space, guard):
     joined with every maximal space, and spans already seen are skipped;
     one guard tick per join, as chi_maxcover ticks."""
     n = space.n
-    if n == 0 or space.dim == 0:
-        return min(n, 1)
+    if n == 0:
+        return 0
+    if space.dim == 0:
+        return 1
     mi = enumerate_maximal_filter(space, guard=guard)
     seen, frontier, k = {t.key() for t in mi}, list(mi), 1
     while True:
