@@ -7,11 +7,11 @@ the role of non-neighbourhoods, degrees the role of vertex degrees,
 restriction the role of induced subgraphs.
 
 Restriction (B A B^t), isometry (T^t A T), the isotropy test and the block
-extraction of bipartite.py (U1 A U2^t) are all L A R^t over the basis.
+extraction of bipartite.py (U1 A U2^t) are all L A R over the basis.
 Restriction, isometry and block extraction take every product at once
 from ffield.congruences (per row of L, one combination of the form slices
 gives that row of every L A, and one combination per A takes it through
-R^t) and reduce the flat entry rows once to the canonical basis.  The
+R) and reduce the flat entry rows once to the canonical basis.  The
 isotropy test keeps one Matrix product per basis matrix: it stops at the
 first nonzero product, where a batched test would build them all.  Those
 spans are alternating (or, for blocks, independent) by construction, so
@@ -176,7 +176,7 @@ def restrict(space: AltMatrixSpace, u: Subspace) -> AltMatrixSpace:
         raise ValueError("ambient mismatch")
     field, d, b = space.field, u.dim, u.basis
     return AltMatrixSpace._unchecked(field, d, span_basis(
-        field, d, d, congruences(b, space.basis, b)))
+        field, d, d, congruences(b, space.basis, b.transpose())))
 
 
 def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
@@ -185,9 +185,9 @@ def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
         raise ValueError("transform shape mismatch")
     if t.rank() != space.n:
         raise ValueError("transform is singular")
-    field, n, tt = space.field, space.n, t.transpose()
+    field, n = space.field, space.n
     return AltMatrixSpace._unchecked(field, n, span_basis(
-        field, n, n, congruences(tt, space.basis, tt)))
+        field, n, n, congruences(t.transpose(), space.basis, t)))
 
 
 def is_isotropic(space: AltMatrixSpace, u: Subspace) -> bool:

@@ -89,7 +89,7 @@ def block_space_from_bipartite(space: AltMatrixSpace, u1: Subspace,
     if not space.basis:
         return MatrixSpace._unchecked(field, s, t, ())
     return MatrixSpace._unchecked(field, s, t, span_basis(
-        field, s, t, congruences(u1.basis, space.basis, u2.basis)))
+        field, s, t, congruences(u1.basis, space.basis, u2.basis.transpose())))
 
 
 def ncrk_witness_pair(b: MatrixSpace, guard=None):

@@ -649,27 +649,27 @@ def _reversed_lanes(field: PrimeField, x: int, n: int) -> int:
 
 
 def congruences(left: Matrix, mats, right: Matrix) -> list:
-    """The flat entry rows (as Matrix.flat gives them) of L M R^t for every
-    n x m matrix M of mats, with L s x n and R t x m, in the order of mats.
+    """The flat entry rows (as Matrix.flat gives them) of L M R for every
+    n x m matrix M of mats, with L s x n and R m x t, in the order of mats.
 
     Row j of every L M at once is one combination of the slices, row i of
-    every M side by side; each of its k pieces times R^t is one combination
-    of the rows of R^t, and lands as row j of that matrix's flat row.
+    every M side by side; each of its k pieces times R is one combination
+    of the rows of R, and lands as row j of that matrix's flat row.
     """
     mats = list(mats)
-    field, s, t, n, m = left.field, left.rows, right.rows, left.cols, right.cols
+    field, s, t, n, m = left.field, left.rows, right.cols, left.cols, right.rows
     if (right.field != field or any(a.field != field or a.rows != n or a.cols != m
                                     for a in mats)):
         raise ValueError("shape or field mismatch in congruences")
     k, width = len(mats), field.width
     span, tspan = m * width, t * width
     slices = [sum(a.packed[i] << c * span for c, a in enumerate(mats)) for i in range(n)]
-    rt, mask = right.transpose().packed, (1 << span) - 1
+    rows, mask = right.packed, (1 << span) - 1
     flats = [0] * k
     for j, x in enumerate(left.packed):
         y = _combine(x, slices, field, k * m)
         for c in range(k):
-            flats[c] |= _combine(y >> c * span & mask, rt, field, t) << j * tspan
+            flats[c] |= _combine(y >> c * span & mask, rows, field, t) << j * tspan
     return flats
 
 

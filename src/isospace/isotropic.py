@@ -229,28 +229,25 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     Top-down over the reachable subspaces U, memoized by the restricted
     space A|_U: the search at U depends on A|_U alone, so each distinct
     restriction is solved once per call, in the coordinates of U's RREF
-    basis.  An RREF coordinate basis times U's RREF basis is again in
-    RREF, so W = w . U has A|_W = (A|_U)|_w with the same canonical basis:
-    a newly reached W is restricted from its parent's restriction, a
-    dim U x dim U space, not from A, while the memo stays keyed by W in
-    F^n.  Maximal spaces are tried largest first, and the search stops
-    once the dimension lower bound ceil(dim U / alpha(A|_U)) is attained.
-    Returns (chi, certificate).
+    basis.  (An RREF coordinate basis times U's RREF basis is again in
+    RREF, so W = w . U has A|_W = (A|_U)|_w with the same canonical basis.)
+    Maximal spaces are tried largest first, and the search stops once the
+    dimension lower bound ceil(dim U / alpha(A|_U)) is attained.  Returns
+    (chi, certificate).
     """
     g = as_guard(guard)
     field, n = space.field, space.n
     by_u: dict = {}      # U.key() -> key of A|_U
     by_sub: dict = {}    # key of A|_U -> (chi, V, W), V and W in U's coordinates
 
-    def rec(u: Subspace, parent: AltMatrixSpace, local: Subspace):
-        """The memo entry of u = local . U_parent, where parent = A|_{U_parent}."""
+    def rec(u: Subspace):
         if u.dim == 0:
             return 0, None, None
         ukey = u.key()
         skey = by_u.get(ukey)
         if skey is not None:
             return by_sub[skey]
-        sub = restrict(parent, local)
+        sub = restrict(space, u)
         skey = by_u[ukey] = (sub.n, tuple(m.packed for m in sub.basis))
         hit = by_sub.get(skey)
         if hit is not None:
@@ -265,7 +262,7 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
             if best is not None and 1 + -(-(u.dim - v.dim) // alpha_u) >= best[0]:
                 continue
             for w in enumerate_complements(v, guard=g):
-                cw, _, _ = rec(w.image(u), sub, w)
+                cw, _, _ = rec(w.image(u))
                 if best is None or 1 + cw < best[0]:
                     best = (1 + cw, v, w)
                     if best[0] == lb:
@@ -280,13 +277,12 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     # the first lattice's lines, required before the restriction to F^n
     g.require((field.p**n - 1) // (field.p - 1))
     u = Subspace.full(field, n)
-    c, v, w = rec(u, space, u)
+    c, v, w = rec(u)
     parts = []
     while v is not None:
         parts.append(v.image(u))
-        # every U on the certificate's path is memoized, so rec restricts nothing
         u = w.image(u)
-        _, v, w = rec(u, None, None)
+        _, v, w = rec(u)
     validate_decomposition(space, parts)
     return c, parts
 

@@ -445,6 +445,20 @@ def test_chi_lawler_solves_each_restriction_once(monkeypatch):
         assert seen and len(seen) == len(set(seen)), sp
 
 
+def test_chi_lawler_certificates_leave_the_first_descent():
+    # Lambda(6, F_2) spaces, six of chi 4; five of those certificates pass
+    # through a space the search met only as a memo hit on an equal
+    # restriction, so the walk meets a U it has not restricted yet
+    checked = 0
+    for seed in range(12):
+        sp = random_space(random.Random(seed), F2, 6, 7)
+        c, parts = chi_lawler(sp)
+        validate_decomposition(sp, parts)
+        assert len(parts) == c == chi_maxcover(sp), seed
+        checked += c == 4
+    assert checked == 6
+
+
 def test_chi_lawler_certificates_pinned():
     # chi and the parts of every certificate, bit for bit as computed by
     # the recursion memoized by U, on the criterion-04 random spaces and

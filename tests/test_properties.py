@@ -603,7 +603,7 @@ def test_congruences_follow_the_tuple_reference(case):
 @settings(max_examples=120, deadline=None)
 @given(congruence_cases(), st.integers(0, 3), st.randoms(use_true_random=False))
 def test_a_restriction_of_a_restriction_is_the_restriction_to_the_image(case, count, rng):
-    # chi_lawler restricts W = w . U from A|_U: the same canonical basis as from A
+    # W = w . U has A|_W = (A|_U)|_w with the same canonical basis (chi_lawler's docstring)
     space, u, _ = case
     w = Subspace.from_vectors(space.field, u.dim, [
         [rng.randrange(space.field.p) for _ in range(u.dim)] for _ in range(count)])
@@ -621,12 +621,11 @@ def test_congruences_are_the_per_matrix_products(field, s, n, m, t, k, rng):
     def rand(rows, cols):
         return Matrix(field, rows, cols, [rng.randrange(field.p) for _ in range(rows * cols)])
 
-    left, right, mats = rand(s, n), rand(t, m), [rand(n, m) for _ in range(k)]
-    assert congruences(left, mats, right) == [
-        (left @ a @ right.transpose()).flat() for a in mats]
+    left, right, mats = rand(s, n), rand(m, t), [rand(n, m) for _ in range(k)]
+    assert congruences(left, mats, right) == [(left @ a @ right).flat() for a in mats]
     if k:
         with pytest.raises(ValueError):
-            congruences(left, mats, rand(t, m + 1))
+            congruences(left, mats, rand(m + 1, t))
 
 
 @settings(max_examples=60, deadline=None)
