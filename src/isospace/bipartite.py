@@ -61,9 +61,6 @@ class MatrixSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def combination(self, coeffs) -> Matrix:
-        return combination(self.field, self.s, self.t, self.field.pack(coeffs), self.basis)
-
     def __repr__(self):
         return f"MatrixSpace(F{self.field.p}, {self.s}x{self.t}, dim={self.dim})"
 

@@ -482,14 +482,19 @@ class Subspace:
         return Subspace(field, n, tuple(rows), tuple(pivots))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection: the kernel of the stacked kernels (orthogonal
-        complements) of the two RREF bases."""
+        """The meet, by Zassenhaus: one reduction over 2n lanes of the rows
+        (w, 0) of other onto the rows (u, u) of self, already in RREF.  The
+        rows pivoted at lane n or later carry the RREF of the meet in their
+        upper n lanes."""
         if self.n != other.n or self.field != other.field:
             raise ValueError("ambient mismatch")
         field, n = self.field, self.n
-        da = _kernel_of_rref(field, n, self.rows, self.pivots)
-        db = _kernel_of_rref(field, n, other.rows, other.pivots)
-        return _kernel_of_rref(field, n, *_rref_rows(da.rows + db.rows, field, n))
+        shift = n * field.width
+        rows, pivots = _rref_rows(other.rows, field, 2 * n,
+                                  [u | u << shift for u in self.rows], self.pivots)
+        at = bisect_left(pivots, n)
+        return Subspace(field, n, tuple([r >> shift for r in rows[at:]]),
+                        tuple([c - n for c in pivots[at:]]))
 
     def extend_by_vector(self, v: int) -> "Subspace":
         """Canonical form of self + <v>: v reduced on from self's RREF."""

@@ -196,9 +196,9 @@ def chi_brute(space: AltMatrixSpace, guard=None):
         g.tick(len(cands) - start)
         for idx in range(start, len(cands)):
             u = cands[idx]
-            if u.dim > missing or u.dim * left < missing:
-                if u.dim * left < missing:
-                    break
+            if u.dim * left < missing:
+                break
+            if u.dim > missing:
                 continue
             if use_masks:
                 if masks[idx] is None:
@@ -228,30 +228,34 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
 
     Top-down over the reachable subspaces U, memoized by the restricted
     space A|_U: the search at U depends on A|_U alone, so each distinct
-    restriction is solved once per call, in the coordinates of U's RREF
-    basis.  (An RREF coordinate basis times U's RREF basis is again in
-    RREF, so W = w . U has A|_W = (A|_U)|_w with the same canonical basis.)
-    Maximal spaces are tried largest first, and the search stops once the
-    dimension lower bound ceil(dim U / alpha(A|_U)) is attained.  Returns
-    (chi, certificate).
+    restriction is solved once per call, and the memo holds each answer
+    with its certificate in the coordinates of U's RREF basis.  (An RREF
+    coordinate basis times U's RREF basis is again in RREF, so W = w . U
+    has A|_W = (A|_U)|_w with the same canonical basis, and W's parts lift
+    into U's coordinates through w.)  Maximal spaces are tried largest
+    first, and the search stops once the dimension lower bound
+    ceil(dim U / alpha(A|_U)) is attained.  Returns (chi, certificate).
     """
     g = as_guard(guard)
     field, n = space.field, space.n
-    by_u: dict = {}      # U.key() -> key of A|_U
-    by_sub: dict = {}    # key of A|_U -> (chi, V, W), V and W in U's coordinates
+    by_u: dict = {}      # U.key() -> (chi, parts in U's coordinates)
+    by_sub: dict = {}    # key of A|_U -> the same answer
 
     def rec(u: Subspace):
         if u.dim == 0:
-            return 0, None, None
+            return 0, []
         ukey = u.key()
-        skey = by_u.get(ukey)
-        if skey is not None:
-            return by_sub[skey]
-        sub = restrict(space, u)
-        skey = by_u[ukey] = (sub.n, tuple(m.packed for m in sub.basis))
-        hit = by_sub.get(skey)
-        if hit is not None:
-            return hit
+        hit = by_u.get(ukey)
+        if hit is None:
+            sub = restrict(space, u)
+            skey = (sub.n, tuple(m.packed for m in sub.basis))
+            hit = by_sub.get(skey)
+            if hit is None:
+                hit = by_sub[skey] = search(u, sub)
+            by_u[ukey] = hit
+        return hit
+
+    def search(u: Subspace, sub: AltMatrixSpace):
         g.tick()
         mis = sorted(enumerate_maximal_filter(sub, guard=g), key=lambda s: -s.dim)
         alpha_u = mis[0].dim
@@ -262,27 +266,16 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
             if best is not None and 1 + -(-(u.dim - v.dim) // alpha_u) >= best[0]:
                 continue
             for w in enumerate_complements(v, guard=g):
-                cw, _, _ = rec(w.image(u))
+                cw, parts = rec(w.image(u))
                 if best is None or 1 + cw < best[0]:
-                    best = (1 + cw, v, w)
+                    best = (1 + cw, [v] + [p.image(w) for p in parts])
                     if best[0] == lb:
-                        break
-            if best is not None and best[0] == lb:
-                break
-        by_sub[skey] = best
+                        return best
         return best
 
-    if n == 0:
-        return 0, []
     # the first lattice's lines, required before the restriction to F^n
     g.require((field.p**n - 1) // (field.p - 1))
-    u = Subspace.full(field, n)
-    c, v, w = rec(u)
-    parts = []
-    while v is not None:
-        parts.append(v.image(u))
-        u = w.image(u)
-        _, v, w = rec(u)
+    c, parts = rec(Subspace.full(field, n))
     validate_decomposition(space, parts)
     return c, parts
 

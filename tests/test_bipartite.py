@@ -283,6 +283,20 @@ def test_two_decomposition_via_adjoint_degenerate_reduction():
     assert is_isotropic(sp, u1) and is_isotropic(sp, u2)
 
 
+@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("n", range(5))
+def test_zero_space_two_decompositions(field, n):
+    # the zero space splits as <e_1> + <e_2, ..., e_n> once n >= 2, by both routes
+    sp = AltMatrixSpace.zero_space(field, n)
+    brute, via_adjoint = two_decomposition_brute(sp), two_decomposition_via_adjoint(sp)
+    if n < 2:
+        assert brute is None and via_adjoint is None
+        return
+    split = (Subspace.coordinate(field, n, [0]), Subspace.coordinate(field, n, range(1, n)))
+    assert brute == via_adjoint == split
+    validate_decomposition(sp, list(brute))
+
+
 def stacked_product_witness_pair(b, guard):
     """Reference scan over the smaller side, first maximum: for s < t the
     stacked products U B_i, whose kernel is V; else the stacked products

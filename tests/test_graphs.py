@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from isospace.errors import VerificationError
+from isospace.errors import Guard, VerificationError
 from isospace.ffield import PrimeField, Subspace
 from isospace.graphs import (Graph, coloring_from_decomposition,
                              graph_alpha_brute, graph_chi_brute,
@@ -83,6 +83,20 @@ def test_coloring_from_decomposition_with_many_parts():
     parts = [Subspace.coordinate(F2, 1100, [i]) for i in range(1100)]
     blocks = coloring_from_decomposition(Graph(1100, []), parts)
     assert blocks == [(i,) for i in range(1100)]
+
+
+@pytest.mark.parametrize("field, g, parts, blocks, ticks", [
+    (F2, Graph(2, []), [[(1, 1)], [(1, 0)]], [(1,), (0,)], 4),
+    (F3, Graph(4, [(0, 1), (2, 3)]),
+     [[(1, 0, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)], [(0, 1, 0, 0)]], [(2,), (0, 3), (1,)], 24),
+])
+def test_coloring_recovery_backtracks(field, g, parts, blocks, ticks):
+    # the first part's first feasible vertex set leaves a later part none,
+    # so the search goes back and gives the first part its next set
+    guard = Guard()
+    parts = [Subspace.from_vectors(field, g.n, p) for p in parts]
+    assert coloring_from_decomposition(g, parts, guard=guard) == blocks
+    assert guard.used == ticks
 
 
 def test_coloring_rejects_bad_input():

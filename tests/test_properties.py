@@ -255,6 +255,31 @@ def test_sum_is_the_span_of_both_bases(pair):
         u.sum(Subspace.zero(F3 if field.p == 2 else F2, n))
 
 
+@pytest.mark.parametrize("field", [F2, F3, F5])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 4), rng=st.randoms(use_true_random=False))
+def test_intersect_is_the_span_of_the_common_vectors(field, n, rng):
+    """The meet is the canonical span of the vectors of F^n in both spaces,
+    for random spans, their join (so the meet is not zero) and the zero and
+    full spaces."""
+    span = lambda: Subspace.from_vectors(field, n, [
+        tuple(rng.randrange(field.p) for _ in range(n)) for _ in range(rng.randint(0, n + 1))])
+    u, w = span(), span()
+    zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+    every = [field.pack(v) for v in product(range(field.p), repeat=n)]
+    for a, b in ((u, w), (w, u), (u, u.sum(w)), (u.sum(w), w), (u, u),
+                 (u, zero), (zero, w), (full, w), (u, full), (full, full)):
+        common = [field.unpack(v, n) for v in every
+                  if a.contains_vector(v) and b.contains_vector(v)]
+        want = Subspace.from_vectors(field, n, common)
+        got = a.intersect(b)
+        assert got == want and got.pivots == want.pivots
+    with pytest.raises(ValueError):
+        u.intersect(Subspace.zero(field, n + 1))
+    with pytest.raises(ValueError):
+        u.intersect(Subspace.zero(F3 if field.p == 2 else F2, n))
+
+
 def _rref_reference(field, n, vectors) -> tuple:
     """(RREF rows as tuples, pivots) of the vectors, by rref_rows_reference."""
     rows = [list(v) for v in vectors]
