@@ -19,12 +19,10 @@ reduction (_rref_rows).  Vectors enter and leave as tuples (Matrix entries,
 from_vectors, basis_rows, PrimeField.pack and unpack); the row loops pass
 packed rows.
 
-A kernel read off an RREF (_kernel_of_rref) needs a second reduction, since
-its vector of free column j also has entries at the pivots before j.
-FormRows, which every radical rad_A(U) goes through, keeps its rows with
-the lanes reversed instead: the pivots are then the last nonzero columns,
-each kernel vector has entries after its free column only, and the kernel
-is written in RREF from the one reduction of the rows.
+Every kernel is read off an RREF whose pivots are the last nonzero columns
+of its rows (_rref_rows with last=True): each kernel vector then has
+entries after its free column only, so the kernel is written in RREF from
+the one reduction (_kernel_of_last).
 """
 
 from __future__ import annotations
@@ -309,13 +307,15 @@ def _combinations(field: PrimeField, n: int, rows, base: int = 0) -> list:
     return out
 
 
-def _rref_rows(rows, field: PrimeField, n: int, _out=(), _pivots=()) -> tuple:
+def _rref_rows(rows, field: PrimeField, n: int, _out=(), _pivots=(), last=False) -> tuple:
     """RREF of packed rows of n lanes: (its nonzero rows in pivot order,
     their pivot columns).
 
     Each row is reduced by the rows kept so far, scaled to a leading 1 and
-    eliminated from them, so the kept rows are always in RREF.  The kept
-    rows start as _out, with pivots _pivots: an RREF that the rows extend
+    eliminated from them, so the kept rows are always in RREF.  A row's
+    pivot is its first nonzero column, or with last its last one (the RREF
+    of the columns in reverse order, for kernels).  The kept rows start as
+    _out, with pivots _pivots: an RREF that the rows extend
     (Subspace.extend_by_vector and Subspace.sum).
     """
     p, width, lane, inv = field.p, field.width, field.lane, field._inv
@@ -334,7 +334,7 @@ def _rref_rows(rows, field: PrimeField, n: int, _out=(), _pivots=()) -> tuple:
                     v -= ((v + cones) >> w & ones) * p
         if not v:
             continue
-        lead = ((v & -v).bit_length() - 1) // width
+        lead = ((v if last else v & -v).bit_length() - 1) // width
         s = lead * width
         a = v >> s & lane
         if a != 1:
@@ -564,14 +564,10 @@ class FormRows:
 
     The k rows of w are one combination sum_j w_j S_j of the slices S_j,
     row j of every M_i side by side, so each vector costs one combination.
-    The slices are stored with their lanes reversed (_reversed_lanes), so
-    the rows come out reversed too: column c of w^t M_i is in lane m - 1 - c
-    (and the k rows in reverse order, which leaves their span as it is).
-    Each distinct w's rows are kept in RREF, with their pivots, as long as
-    the map lives, so the rank of one vector is a length.  Pivots counted
-    from the reversed side are the last nonzero columns of the rows in
-    natural order, which is what lets kernel write its vectors in RREF
-    without a second reduction.  Vectors are packed rows of n lanes.
+    Each distinct w's rows are kept in RREF pivoted on their last nonzero
+    columns, with their pivots, as long as the map lives, so the rank of
+    one vector is a length and kernel reads its vectors off that RREF.
+    Vectors are packed rows of n lanes.
     """
 
     __slots__ = ("field", "k", "m", "_slices", "_rows")
@@ -584,14 +580,13 @@ class FormRows:
         self.k = len(mats)
         self.m = m
         span = m * field.width
-        self._slices = [_reversed_lanes(field, sum(a.packed[j] << i * span
-                                                   for i, a in enumerate(mats)), self.k * m)
+        self._slices = [sum(a.packed[j] << i * span for i, a in enumerate(mats))
                         for j in range(n)]
         self._rows = {}
 
     def rows(self, w: int) -> tuple:
         """The RREF (rows, pivots) of the span of w^t M_1, ..., w^t M_k,
-        lanes reversed: column c of the products is lane m - 1 - c."""
+        pivoted on the last nonzero columns."""
         out = self._rows.get(w)
         if out is None:
             field, k, m = self.field, self.k, self.m
@@ -599,7 +594,7 @@ class FormRows:
             span = m * field.width
             mask = (1 << span) - 1
             out = self._rows[w] = _rref_rows([flat >> i * span & mask for i in range(k)],
-                                             field, m)
+                                             field, m, last=True)
         return out
 
     def _span(self, vectors) -> tuple:
@@ -608,49 +603,40 @@ class FormRows:
         rows = []
         for w in vectors:
             rows += self.rows(w)[0]
-        return _rref_rows(rows, self.field, self.m)
+        return _rref_rows(rows, self.field, self.m, last=True)
 
     def rank(self, vectors) -> int:
         """The rank of the rows of all the vectors, stacked."""
         return len(self._span(vectors)[1])
 
     def kernel(self, vectors) -> "Subspace":
-        """{u in F^m : r u = 0 for every row r of the vectors}, in RREF.
-
-        Read off the reversed RREF of the rows: free lane c is column
-        j = m - 1 - c, and its kernel vector is e_j minus lane c of each row,
-        put at that row's pivot lane d, column m - 1 - d.  A row is zero
-        below its pivot lane, so d < c and the entries sit after column j:
-        the vectors, ascending in j, are the RREF of the kernel as they are.
-        """
-        rows, pivots = self._span(vectors)
-        field, m = self.field, self.m
-        p, width, lane = field.p, field.width, field.lane
-        pivset = set(pivots)
-        basis, free = [], []
-        for j in range(m):
-            c = m - 1 - j
-            if c in pivset:
-                continue
-            s = c * width
-            v = 1 << j * width
-            for d, r in zip(pivots, rows):
-                e = r >> s & lane
-                if e:
-                    v |= (p - e) << (m - 1 - d) * width
-            basis.append(v)
-            free.append(j)
-        return Subspace(field, m, tuple(basis), tuple(free))
+        """{u in F^m : r u = 0 for every row r of the vectors}, in RREF."""
+        return _kernel_of_last(self.field, self.m, *self._span(vectors))
 
 
-def _reversed_lanes(field: PrimeField, x: int, n: int) -> int:
-    """The packed row x of n lanes with lane j moved to lane n - 1 - j, by
-    one string reversal of its bits, which reverses the bits inside each
-    lane too; one mask per bit of a lane puts them back in order."""
-    width = field.width
-    x = int(format(x, f"0{n * width}b")[::-1], 2)
-    ones = field.ones[n][0]
-    return sum((x >> b & ones) << width - 1 - b for b in range(width))
+def _kernel_of_last(field: PrimeField, m: int, rows, pivots) -> Subspace:
+    """The right kernel of packed rows of m lanes in RREF pivoted on their
+    last nonzero columns (_rref_rows with last=True), in RREF.
+
+    Free column j gives e_j minus column j of each row, put at that row's
+    pivot.  A row is zero after its pivot, so the entries sit after column
+    j: the vectors, ascending in j, are the RREF of the kernel as they are.
+    """
+    p, width, lane = field.p, field.width, field.lane
+    pivset = set(pivots)
+    basis, free = [], []
+    for j in range(m):
+        if j in pivset:
+            continue
+        s = j * width
+        v = 1 << s
+        for d, r in zip(pivots, rows):
+            e = r >> s & lane
+            if e:
+                v |= (p - e) << d * width
+        basis.append(v)
+        free.append(j)
+    return Subspace(field, m, tuple(basis), tuple(free))
 
 
 def congruences(left: Matrix, mats, right: Matrix) -> list:
@@ -695,39 +681,15 @@ def are_independent(mats) -> bool:
     return len(span_basis(m0.field, m0.rows, m0.cols, [m.flat() for m in mats])) == len(mats)
 
 
-def _kernel_of_rref(field: PrimeField, ncols: int, rows, pivots) -> Subspace:
-    """Right kernel of a matrix whose packed RREF rows carry the given
-    pivots in their first ncols columns: one vector per free column,
-    reduced to RREF."""
-    if not pivots:
-        return Subspace.full(field, ncols)
-    p, width, lane = field.p, field.width, field.lane
-    pivset = set(pivots)
-    basis = []
-    for j in range(ncols):
-        if j in pivset:
-            continue
-        s = j * width
-        v = 1 << s
-        for c, r in zip(pivots, rows):
-            e = r >> s & lane
-            if e:
-                v |= (p - e) << c * width
-        basis.append(v)
-    # the vectors are independent (v_j is 1 at free column j, 0 at the others)
-    krows, kpivots = _rref_rows(basis, field, ncols)
-    return Subspace(field, ncols, tuple(krows), tuple(kpivots))
-
-
 def kernel(m: Matrix) -> Subspace:
     """Right kernel {v : m v = 0} of m, as a subspace of F_p^cols."""
-    return _kernel_of_rref(m.field, m.cols, *_rref_rows(m.packed, m.field, m.cols))
+    return _kernel_of_last(m.field, m.cols, *_rref_rows(m.packed, m.field, m.cols, last=True))
 
 
 def solve_linear(system: Matrix, rhs) -> tuple:
     """Solve system @ x = rhs for a vector rhs; returns (particular solution
-    or None, kernel).  The kernel, returned in every case, is read off the
-    first cols columns of the augmented RREF.
+    or None, kernel(system)).  The particular solution is read off the
+    augmented RREF: the last column's entry at each pivot, 0 elsewhere.
     """
     b = [int(e) for e in rhs]
     if len(b) != system.rows:
@@ -737,11 +699,11 @@ def solve_linear(system: Matrix, rhs) -> tuple:
     aug, pivots = _rref_rows([r | e % field.p << shift for r, e in zip(system.packed, b)],
                              field, n + 1)
     if pivots and pivots[-1] == n:
-        return None, _kernel_of_rref(field, n, aug, pivots[:-1])
+        return None, kernel(system)
     x = [0] * n
     for r, c in zip(aug, pivots):
         x[c] = r >> n * field.width & field.lane
-    return tuple(x), _kernel_of_rref(field, n, aug, pivots)
+    return tuple(x), kernel(system)
 
 
 def invert(m: Matrix) -> Matrix:

@@ -191,8 +191,6 @@ def chi_brute(space: AltMatrixSpace, guard=None):
         missing = n - acc.dim
         if missing == 0:
             return list(parts)
-        if left == 0 or left > missing:
-            return None
         g.tick(len(cands) - start)
         for idx in range(start, len(cands)):
             u = cands[idx]

@@ -321,14 +321,14 @@ def test_f2_vector_mask_equals_the_lane_decoded_mask():
 def test_a_form_rows_kernel_is_one_reduction(monkeypatch):
     """The kernel of several vectors reduces their stacked cached rows once
     and is written from that RREF; the kernel of one cached vector reduces
-    nothing."""
+    nothing, and kernel(m) of the stacked products reduces once."""
     rng = random.Random(21)
     inner = ffield._rref_rows
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args[2])
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     for field, n, m in [(F2, 5, 6), (F3, 4, 5), (F5, 6, 3)]:
         mats = [Matrix(field, n, m, [rng.randrange(field.p) for _ in range(n * m)])
@@ -344,7 +344,10 @@ def test_a_form_rows_kernel_is_one_reduction(monkeypatch):
         assert calls == [m]
         one = forms.kernel(packed[:1])
         assert calls == [m]
-        monkeypatch.undo()
         products = [Matrix(field, 1, n, w) @ a for w in vectors for a in mats]
-        assert got == kernel(vstack(*products))
+        stacked = vstack(*products)
+        calls.clear()
+        assert got == kernel(stacked)
+        assert calls == [m]
+        monkeypatch.undo()
         assert one == kernel(vstack(*products[:3]))

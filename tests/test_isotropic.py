@@ -447,8 +447,9 @@ def test_chi_lawler_solves_each_restriction_once(monkeypatch):
 
 def test_chi_lawler_certificates_leave_the_first_descent():
     # Lambda(6, F_2) spaces, six of chi 4; five of those certificates pass
-    # through a space the search met only as a memo hit on an equal
-    # restriction, so the walk meets a U it has not restricted yet
+    # through a space the search answered from the memo of an equal
+    # restriction, whose parts were found under another U and must lift
+    # through this U's basis
     checked = 0
     for seed in range(12):
         sp = random_space(random.Random(seed), F2, 6, 7)

@@ -17,8 +17,8 @@ from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 hyperbolic_idempotent_search, ncrk_brute,
                                 ncrk_witness_pair)
 from isospace.errors import Guard, GuardExceeded
-from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, congruences,
-                             enumerate_subspaces, hstack, invert, kernel,
+from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, _rref_rows,
+                             congruences, enumerate_subspaces, hstack, invert, kernel,
                              rref_canonicalize, vstack)
 from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
                              is_bipartite_bfs, space_from_graph)
@@ -438,12 +438,13 @@ def test_form_rows_are_the_products_w_t_m(field, n, m, k, rng):
     for w, x in zip(vectors, packed):
         row = Matrix(field, 1, n, w)
         explicit = [(row @ a).entries for a in mats]
-        # the rows of w are kept reduced, lanes reversed: the RREF of the
-        # span of the products with their columns in reverse order
+        # the rows of w are kept reduced, pivoted on their last nonzero
+        # columns: the RREF of the span of the products with their columns
+        # in reverse order, reversed back
         rows, pivots = forms.rows(x)
         span = Subspace.from_vectors(field, m, [e[::-1] for e in explicit])
-        assert [field.unpack(r, m) for r in rows] == span.basis_rows()
-        assert tuple(pivots) == span.pivots
+        assert [field.unpack(r, m) for r in rows] == [r[::-1] for r in reversed(span.basis_rows())]
+        assert tuple(pivots) == tuple(m - 1 - c for c in reversed(span.pivots))
         assert forms.rank([x]) == span.dim
         products += [row @ a for a in mats]
     stacked = vstack(Matrix.zeros(field, 0, m), *products)
@@ -508,6 +509,14 @@ def test_packed_rows_follow_the_tuple_arithmetic(case):
     span = Subspace.from_vectors(field, n, vecs)
     assert span.basis_rows() == [tuple(r) for r in rows[:len(pivots)]]
     assert span.pivots == tuple(pivots)
+    # pivoted on the last nonzero columns: the reference RREF of the rows
+    # with their columns reversed, reversed back
+    flipped = [list(v[::-1]) for v in vecs]
+    flipped_pivots = rref_rows_reference(flipped, p, field._inv)
+    got, got_pivots = _rref_rows([field.pack(v) for v in vecs], field, n, last=True)
+    assert [field.unpack(r, n) for r in got] == [
+        tuple(r[::-1]) for r in reversed(flipped[:len(flipped_pivots)])]
+    assert got_pivots == [n - 1 - c for c in reversed(flipped_pivots)]
     assert kernel(Matrix.from_rows(field, vecs)).basis_rows() == reference_kernel(field, n, vecs)
 
 
