@@ -6,16 +6,15 @@ The operations here mirror the graph-theoretic vocabulary: radicals play
 the role of non-neighbourhoods, degrees the role of vertex degrees,
 restriction the role of induced subgraphs.
 
-Restriction (B A B^t), isometry (T^t A T), the isotropy test and the block
-extraction of bipartite.py (U1 A U2^t) are all L A R over the basis.
-Restriction, isometry and block extraction take every product at once
-from ffield.congruences (per row of L, one combination of the form slices
-gives that row of every L A, and one combination per A takes it through
-R) and reduce the flat entry rows once to the canonical basis.  The
-isotropy test keeps one Matrix product per basis matrix: it stops at the
-first nonzero product, where a batched test would build them all.  Those
-spans are alternating (or, for blocks, independent) by construction, so
-only outside input goes through validate.
+Restriction (B A B^t) reads its basis off FormRows.restriction: the
+entries w_a^t A w_b, a < b, of the rows w_a of B, from the form rows
+w_a^t A, reduced once to the canonical upper triangles.  Isometry
+(T^t A T) and the block extraction of bipartite.py (U1 A U2^t) take every
+product L A R at once from ffield.congruences and reduce the flat entry
+rows once.  The isotropy test keeps one Matrix product per basis matrix:
+it stops at the first nonzero product, where a batched test would build
+them all.  Those spans are alternating (or, for blocks, independent) by
+construction, so only outside input goes through validate.
 """
 
 from __future__ import annotations
@@ -79,6 +78,25 @@ class AltMatrixSpace:
         sp.n = int(n)
         sp.basis = tuple(basis)
         return sp
+
+    @classmethod
+    def from_upper(cls, field: PrimeField, n: int, rows) -> "AltMatrixSpace":
+        """The span of the alternating matrices whose entries (i, l),
+        i < l, row-major, are the lanes of the packed rows of an RREF, as
+        FormRows.restriction gives them; not validated."""
+        p, width, lane = field.p, field.width, field.lane
+        pairs = [(i, l) for i in range(n) for l in range(i + 1, n)]
+        basis = []
+        for r in rows:
+            mat = [0] * n
+            for i, l in pairs:
+                e = r & lane
+                r >>= width
+                if e:
+                    mat[i] |= e << l * width
+                    mat[l] |= p - e << i * width
+            basis.append(Matrix._reduced(field, n, n, tuple(mat)))
+        return cls._unchecked(field, n, basis)
 
     @classmethod
     def zero_space(cls, field: PrimeField, n: int) -> "AltMatrixSpace":
@@ -170,13 +188,13 @@ def max_degree(space: AltMatrixSpace, guard=None) -> int:
 
 
 def restrict(space: AltMatrixSpace, u: Subspace) -> AltMatrixSpace:
-    """A|_U via the RREF basis B of u: the span of {B A B^t}, alternating
-    by construction, so it is not validated."""
+    """A|_U via the RREF basis B of u: the span of {B A B^t}, read off the
+    upper triangles (FormRows.restriction) and not validated."""
     if u.n != space.n:
         raise ValueError("ambient mismatch")
-    field, d, b = space.field, u.dim, u.basis
-    return AltMatrixSpace._unchecked(field, d, span_basis(
-        field, d, d, congruences(b, space.basis, b.transpose())))
+    if u.field != space.field:
+        raise ValueError("field mismatch")
+    return AltMatrixSpace.from_upper(space.field, u.dim, form_rows(space).restriction(u.rows))
 
 
 def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:

@@ -567,10 +567,12 @@ class FormRows:
     Each distinct w's rows are kept in RREF pivoted on their last nonzero
     columns, with their pivots, as long as the map lives, so the rank of
     one vector is a length and kernel reads its vectors off that RREF.
-    Vectors are packed rows of n lanes.
+    The raw rows are kept too, and for square maps restriction reads the
+    span of the B M_i B^t off those of B's rows.  Vectors are packed rows
+    of n lanes.
     """
 
-    __slots__ = ("field", "k", "m", "_slices", "_rows")
+    __slots__ = ("field", "k", "m", "_slices", "_rows", "_products_of")
 
     def __init__(self, field: PrimeField, n: int, m: int, mats):
         mats = list(mats)
@@ -583,18 +585,25 @@ class FormRows:
         self._slices = [sum(a.packed[j] << i * span for i, a in enumerate(mats))
                         for j in range(n)]
         self._rows = {}
+        self._products_of = {}
 
     def rows(self, w: int) -> tuple:
         """The RREF (rows, pivots) of the span of w^t M_1, ..., w^t M_k,
         pivoted on the last nonzero columns."""
         out = self._rows.get(w)
         if out is None:
+            out = self._rows[w] = _rref_rows(self._products(w), self.field, self.m, last=True)
+        return out
+
+    def _products(self, w: int) -> list:
+        """The rows w^t M_1, ..., w^t M_k, kept as long as the map lives."""
+        out = self._products_of.get(w)
+        if out is None:
             field, k, m = self.field, self.k, self.m
             flat = _combine(w, self._slices, field, k * m)
             span = m * field.width
             mask = (1 << span) - 1
-            out = self._rows[w] = _rref_rows([flat >> i * span & mask for i in range(k)],
-                                             field, m, last=True)
+            out = self._products_of[w] = [flat >> i * span & mask for i in range(k)]
         return out
 
     def _span(self, vectors) -> tuple:
@@ -612,6 +621,31 @@ class FormRows:
     def kernel(self, vectors) -> "Subspace":
         """{u in F^m : r u = 0 for every row r of the vectors}, in RREF."""
         return _kernel_of_last(self.field, self.m, *self._span(vectors))
+
+    def restriction(self, rows) -> tuple:
+        """For square maps and a basis B with the rows w_a: the RREF rows of
+        the span of the B M_i B^t, each matrix as its entries w_a^t M_i w_b,
+        a < b, row-major, in one packed row of d(d-1)/2 lanes; on
+        alternating M_i, the upper triangles of the row-major canonical
+        basis.  Each w_a's rows w_a^t M_i are kept as long as the map
+        lives, and an entry is their dot product with w_b."""
+        if len(rows) < 2:
+            return ()       # no entries: the span is zero
+        field = self.field
+        p, width, lane = field.p, field.width, field.lane
+        span = self.m * width
+        out, s = [0] * self.k, 0
+        for a, piece in enumerate([self._products(w) for w in rows]):
+            for w in rows[a + 1:]:
+                if p == 2:
+                    for c, y in enumerate(piece):
+                        out[c] |= ((y & w).bit_count() & 1) << s
+                else:
+                    terms = [(t, w >> t & lane) for t in range(0, span, width) if w >> t & lane]
+                    for c, y in enumerate(piece):
+                        out[c] |= sum([(y >> t & lane) * e for t, e in terms]) % p << s
+                s += width
+        return tuple(_rref_rows(out, field, s // width)[0])
 
 
 def _kernel_of_last(field: PrimeField, m: int, rows, pivots) -> Subspace:

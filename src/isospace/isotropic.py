@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .altspace import (AltMatrixSpace, form_rows, is_isotropic, nondegenerate_part,
-                       restrict, split_zero_space, validate_decomposition)
+                       split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import Subspace, enumerate_complements, projective_rows
 
@@ -138,7 +138,8 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
         for w in branch:
             g.tick()
             rw = forms.kernel([w])
-            sub = restrict(sp, rw)
+            # A|_rad(w) from the rows of the lines that forms already holds
+            sub = AltMatrixSpace.from_upper(field, rw.dim, forms.restriction(rw.rows))
             for m in rec(sub):
                 cand = m.image(rw)
                 ck = cand.key()
@@ -224,47 +225,48 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     """chi(A) by the memoized recursion chi(U) = 1 + min over maximal
     isotropic V of A|_U and complements W of V inside U of chi(W).
 
-    Top-down over the reachable subspaces U, memoized by the restricted
-    space A|_U: the search at U depends on A|_U alone, so each distinct
-    restriction is solved once per call, and the memo holds each answer
-    with its certificate in the coordinates of U's RREF basis.  (An RREF
-    coordinate basis times U's RREF basis is again in RREF, so W = w . U
-    has A|_W = (A|_U)|_w with the same canonical basis, and W's parts lift
-    into U's coordinates through w.)  Maximal spaces are tried largest
-    first, and the search stops once the dimension lower bound
+    The recursion sees only restricted spaces, each in the coordinates of
+    its own RREF basis: a complement w of V in F^(dim U) has (A|_U)|_w =
+    A|_(w.U) with the same canonical basis, and its key, the upper
+    triangles of that basis, is read off the products cached in A|_U's
+    FormRows.  One memo maps a key to its answer with its certificate in
+    those coordinates, so each distinct restriction is solved once per
+    call, and an improving child's parts lift into U's coordinates through
+    w.  A search tries each complement once: a repeat gives the same chi,
+    which cannot beat the best it already set.  Maximal spaces are tried
+    largest first, and the search stops once the dimension lower bound
     ceil(dim U / alpha(A|_U)) is attained.  Returns (chi, certificate).
     """
     g = as_guard(guard)
     field, n = space.field, space.n
-    by_u: dict = {}      # U.key() -> (chi, parts in U's coordinates)
-    by_sub: dict = {}    # key of A|_U -> the same answer
+    memo: dict = {}      # (dim, restriction key) -> (chi, parts in its coordinates)
 
-    def rec(u: Subspace):
-        if u.dim == 0:
+    def rec(d: int, key: tuple):
+        if d == 0:
             return 0, []
-        ukey = u.key()
-        hit = by_u.get(ukey)
+        hit = memo.get((d, key))
         if hit is None:
-            sub = restrict(space, u)
-            skey = (sub.n, tuple(m.packed for m in sub.basis))
-            hit = by_sub.get(skey)
-            if hit is None:
-                hit = by_sub[skey] = search(u, sub)
-            by_u[ukey] = hit
+            hit = memo[d, key] = search(AltMatrixSpace.from_upper(field, d, key))
         return hit
 
-    def search(u: Subspace, sub: AltMatrixSpace):
+    def search(sub: AltMatrixSpace):
         g.tick()
+        d = sub.n
         mis = sorted(enumerate_maximal_filter(sub, guard=g), key=lambda s: -s.dim)
         alpha_u = mis[0].dim
-        lb = -(-u.dim // alpha_u)
+        lb = -(-d // alpha_u)
+        forms = form_rows(sub)
+        tried = set()
         best = None
         for v in mis:
             # no decomposition through v can beat 1 + ceil((dim U - dim V)/alpha)
-            if best is not None and 1 + -(-(u.dim - v.dim) // alpha_u) >= best[0]:
+            if best is not None and 1 + -(-(d - v.dim) // alpha_u) >= best[0]:
                 continue
             for w in enumerate_complements(v, guard=g):
-                cw, parts = rec(w.image(u))
+                if w.rows in tried:
+                    continue
+                tried.add(w.rows)
+                cw, parts = rec(w.dim, forms.restriction(w.rows))
                 if best is None or 1 + cw < best[0]:
                     best = (1 + cw, [v] + [p.image(w) for p in parts])
                     if best[0] == lb:
@@ -273,7 +275,7 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
 
     # the first lattice's lines, required before the restriction to F^n
     g.require((field.p**n - 1) // (field.p - 1))
-    c, parts = rec(Subspace.full(field, n))
+    c, parts = rec(n, form_rows(space).restriction(Subspace.full(field, n).rows))
     validate_decomposition(space, parts)
     return c, parts
 

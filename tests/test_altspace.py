@@ -153,6 +153,14 @@ def test_restrict_k3_plane():
     assert r.dim == 1 and r.n == 2
 
 
+def test_restrict_rejects_another_ambient_or_field():
+    sp = k3_space(F2)
+    with pytest.raises(ValueError, match="ambient"):
+        restrict(sp, Subspace.full(F2, 2))
+    with pytest.raises(ValueError, match="field"):
+        restrict(sp, Subspace.full(F3, 3))
+
+
 def test_isometry_identity_and_inverse():
     sp = k3_space(F3)
     assert isometry_transform(sp, Matrix.identity(F3, 3)).basis == sp.basis

@@ -6,7 +6,8 @@ import pytest
 
 from isospace.altspace import AltMatrixSpace, is_isotropic, max_degree, rad_of
 from isospace.errors import Guard, GuardExceeded
-from isospace.ffield import Subspace, enumerate_subspaces, gaussian_binomial, projective_rows
+from isospace.ffield import (FormRows, Subspace, enumerate_subspaces, gaussian_binomial,
+                             projective_rows)
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 chi_maxcover, enumerate_isotropic_lattice,
@@ -443,6 +444,29 @@ def test_chi_lawler_solves_each_restriction_once(monkeypatch):
         seen.clear()
         chi_lawler(sp)
         assert seen and len(seen) == len(set(seen)), sp
+
+
+def test_chi_lawler_keys_each_complement_once_per_search(monkeypatch):
+    # each search has its own FormRows and skips a complement it has
+    # already tried, so no (search, complement) pair is keyed twice; a
+    # skip ticks nothing, and 7,581 is the total without the tried set
+    from test_acceptance import random_space_suite_lam4
+    keyed = []
+    inner = FormRows.restriction
+
+    def recording(self, rows):
+        keyed.append((self, rows))
+        return inner(self, rows)
+
+    monkeypatch.setattr(FormRows, "restriction", recording)
+    ticks = 0
+    for _, sp in random_space_suite_lam4():
+        keyed.clear()
+        g = Guard()
+        chi_lawler(sp, guard=g)
+        ticks += g.used
+        assert keyed and len(keyed) == len(set(keyed)), sp
+    assert ticks == 7581
 
 
 def test_chi_lawler_certificates_leave_the_first_descent():

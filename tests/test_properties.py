@@ -645,6 +645,60 @@ def test_a_restriction_of_a_restriction_is_the_restriction_to_the_image(case, co
     assert (inner.n, inner.basis) == (outer.n, outer.basis)
 
 
+@st.composite
+def restriction_cases(draw):
+    """(space, U): a random alternating space on F^n, n <= 7, over F_2,
+    F_3, F_5 or F_251, and U the zero space, a line, a random span or the
+    full space."""
+    field = draw(st.sampled_from([F2, F3, F5, F251]))
+    n = draw(st.integers(0, 7))
+    rng = draw(st.randoms(use_true_random=False))
+    space = random_space(rng, field, n, draw(st.integers(0, 5)))
+    which = draw(st.sampled_from(["zero", "line", "random", "full"]))
+    if which == "full":
+        return space, Subspace.full(field, n)
+    count = {"zero": 0, "line": 1, "random": rng.randint(1, n + 1)}[which]
+    return space, Subspace.from_vectors(field, n, [[rng.randrange(field.p) for _ in range(n)]
+                                                   for _ in range(count)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(restriction_cases())
+@example((random_space(random.Random(2), F251, 7, 5), Subspace.full(F251, 7)))
+@example((random_space(random.Random(3), F2, 1, 0), Subspace.full(F2, 1)))
+def test_restrict_is_the_span_of_the_products(case):
+    # read off the upper triangles, the basis is that of the explicit
+    # products B A B^t reduced by the checked constructor, basis for basis
+    space, u = case
+    b = u.basis
+    want = AltMatrixSpace.from_generators(space.field, u.dim,
+                                          [b @ a @ b.transpose() for a in space.basis])
+    got = restrict(space, u)
+    assert (got.field, got.n, got.basis) == (want.field, want.n, want.basis)
+
+
+@st.composite
+def restriction_pairs(draw):
+    """Two (space, U) on one F^n, n <= 4, the second space often the first."""
+    field = draw(st.sampled_from([F2, F3]))
+    n = draw(st.integers(0, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    a = random_space(rng, field, n, draw(st.integers(0, 3)))
+    b = a if draw(st.booleans()) else random_space(rng, field, n, draw(st.integers(0, 3)))
+    return [(sp, Subspace.from_vectors(field, n, [[rng.randrange(field.p) for _ in range(n)]
+                                                  for _ in range(rng.randint(0, n))]))
+            for sp in (a, b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(restriction_pairs())
+def test_equal_restriction_keys_are_equal_restrictions(pair):
+    # chi_lawler's memo compares (dim U, key) of restrictions from different parents
+    keys = [(u.dim, FormRows(sp.field, sp.n, sp.n, sp.basis).restriction(u.rows))
+            for sp, u in pair]
+    assert (keys[0] == keys[1]) == (restrict(*pair[0]) == restrict(*pair[1]))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from([F2, F3, F5, F251]), st.integers(0, 4), st.integers(0, 4),
        st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
