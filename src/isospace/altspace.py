@@ -19,7 +19,7 @@ construction, so only outside input goes through validate.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import VerificationError
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
@@ -144,10 +144,16 @@ def radical_space(space: AltMatrixSpace) -> Subspace:
     return kernel(vstack(*space.basis))
 
 
+@lru_cache(maxsize=1)
 def form_rows(space: AltMatrixSpace) -> FormRows:
     """The map v -> the rows v^t A over the basis of the space, for a scan
     that evaluates the forms on many packed vectors: forms.kernel(U.rows)
-    is rad_A(U) and forms.rank([v]) is deg_A(v)."""
+    is rad_A(U) and forms.rank([v]) is deg_A(v).
+
+    The last map built is kept, keyed by the space's value, so back-to-back
+    scans of one space (or of an equal one) share its rows and line
+    radicals; a call on another space replaces it.  One entry only: every
+    space held elsewhere would otherwise keep its map alive."""
     return FormRows(space.field, space.n, space.n, space.basis)
 
 
@@ -155,7 +161,9 @@ def rad_of(space: AltMatrixSpace, target) -> Subspace:
     """rad_A(target): all u with u^t A v = 0 for every v in the target.
 
     target may be a vector or a Subspace; for a subspace the constraints
-    range over its basis.  The constraint rows are v^t A = -(A v)^t.
+    range over its basis.  The constraint rows are v^t A = -(A v)^t.  The
+    rows come from form_rows(space), so repeated calls on one space share
+    them, and a vector's radical is built once while that map is kept.
     """
     if isinstance(target, Subspace):
         if target.n != space.n:

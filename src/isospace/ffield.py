@@ -566,13 +566,16 @@ class FormRows:
     row j of every M_i side by side, so each vector costs one combination.
     Each distinct w's rows are kept in RREF pivoted on their last nonzero
     columns, with their pivots, as long as the map lives, so the rank of
-    one vector is a length and kernel reads its vectors off that RREF.
-    The raw rows are kept too, and for square maps restriction reads the
-    span of the B M_i B^t off those of B's rows.  Vectors are packed rows
-    of n lanes.
+    one vector is a length and kernel reads its vectors off that RREF; the
+    kernel of one vector is kept as well.  The raw rows are kept too, and
+    for square maps restriction reads the span of the B M_i B^t off those
+    of B's rows.  Vectors are packed rows of n lanes.  The map lives as
+    long as a caller holds it; what it keeps depends on the M_i alone, so
+    one map may serve every scan of the same M_i, and altspace.form_rows
+    keeps the last map it built, one entry only, for the next scan.
     """
 
-    __slots__ = ("field", "k", "m", "_slices", "_rows", "_products_of")
+    __slots__ = ("field", "k", "m", "_slices", "_rows", "_products_of", "_kernels")
 
     def __init__(self, field: PrimeField, n: int, m: int, mats):
         mats = list(mats)
@@ -586,6 +589,7 @@ class FormRows:
                         for j in range(n)]
         self._rows = {}
         self._products_of = {}
+        self._kernels = {}
 
     def rows(self, w: int) -> tuple:
         """The RREF (rows, pivots) of the span of w^t M_1, ..., w^t M_k,
@@ -619,7 +623,15 @@ class FormRows:
         return len(self._span(vectors)[1])
 
     def kernel(self, vectors) -> "Subspace":
-        """{u in F^m : r u = 0 for every row r of the vectors}, in RREF."""
+        """{u in F^m : r u = 0 for every row r of the vectors}, in RREF; the
+        kernel of one vector is kept as long as the map lives, and the same
+        object is returned for it each time."""
+        if len(vectors) == 1:
+            w = vectors[0]
+            out = self._kernels.get(w)
+            if out is None:
+                out = self._kernels[w] = _kernel_of_last(self.field, self.m, *self.rows(w))
+            return out
         return _kernel_of_last(self.field, self.m, *self._span(vectors))
 
     def restriction(self, rows) -> tuple:

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from isospace.altspace import (AltMatrixSpace, degree, elementary_alternating,
-                               is_isotropic, isometry_transform, max_degree,
+                               form_rows, is_isotropic, isometry_transform, max_degree,
                                max_rank_bruteforce, nondegenerate_part,
                                rad_of, radical_space, restrict,
                                validate_decomposition)
 from isospace.errors import VerificationError
-from isospace.ffield import Matrix, PrimeField, Subspace
+from isospace.ffield import FormRows, Matrix, PrimeField, Subspace, projective_rows
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -129,6 +129,30 @@ def test_degree():
 def test_max_degree():
     assert max_degree(k3_space(F2)) == 2
     assert max_degree(AltMatrixSpace.zero_space(F3, 3)) == 0
+
+
+def test_form_rows_keeps_one_map_and_one_radical_per_vector():
+    # one entry, keyed by the space's value: an equal copy shares the map,
+    # another space replaces it; a vector's kernel is one object per map
+    # and equals the kernel a fresh FormRows builds
+    rng = random.Random(26)
+    for field, n, m in ((F2, 5, 3), (F3, 4, 2)):
+        sp = random_space(rng, field, n, m)
+        other = random_space(rng, field, n, m + 1)
+        assert other != sp
+        forms = form_rows(sp)
+        assert form_rows(sp) is forms
+        copy = AltMatrixSpace.from_generators(field, n, sp.basis)
+        assert copy is not sp and form_rows(copy) is forms
+        assert form_rows(other) is not forms
+        again = form_rows(sp)
+        assert again is not forms and form_rows(sp) is again
+        fresh = FormRows(field, n, n, sp.basis)
+        for v in projective_rows(field, n):
+            k = again.kernel([v])
+            assert again.kernel([v]) is k and rad_of(sp, field.unpack(v, n)) is k
+            assert k == fresh.kernel([v])
+        assert form_rows(sp) is again
 
 
 def test_restrict_full_is_same_span():

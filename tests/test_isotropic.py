@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from isospace.altspace import AltMatrixSpace, is_isotropic, max_degree, rad_of
+from isospace.altspace import AltMatrixSpace, form_rows, is_isotropic, max_degree, rad_of
 from isospace.errors import Guard, GuardExceeded
 from isospace.ffield import (FormRows, Subspace, enumerate_subspaces, gaussian_binomial,
                              projective_rows)
@@ -499,3 +499,50 @@ def test_chi_lawler_certificates_pinned():
         out.append((c, [(p.field.p, p.n, p.basis.entries) for p in parts]))
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == "85114d2371124f0ac36c54dd61a00f679883b03b8020dbc42a30cb6bd08d21b9"
+
+
+# ------------------------------------------------------- the form-rows memo
+
+def _lattice(sp, guard):
+    lat = enumerate_isotropic_lattice(sp, guard=guard)
+    return lat.levels, lat.maximal()
+
+
+SCANS = {
+    "lattice": _lattice,
+    "alpha_exact": lambda sp, g: alpha_exact(sp, guard=g),
+    "chi_brute": lambda sp, g: chi_brute(sp, guard=g),
+    "chi_lawler": lambda sp, g: chi_lawler(sp, guard=g),
+    "branch": lambda sp, g: enumerate_maximal_branch(sp, guard=g),
+    "dim2": lambda sp, g: has_isotropic_dim2(sp, guard=g),
+    "greedy_maximal": lambda sp, g: greedy_maximal(sp),
+    "max_degree": lambda sp, g: max_degree(sp, guard=g),
+}
+
+
+def _scan(name, sp):
+    g = Guard()
+    return SCANS[name](sp, g), g.used
+
+
+@pytest.mark.parametrize("field, n, m, seed", [(F2, 5, 3, 1), (F2, 6, 2, 2),
+                                               (F3, 4, 2, 3), (F3, 5, 1, 4)])
+def test_the_form_rows_memo_cannot_be_seen(field, n, m, seed):
+    # each scan gives the same answer and guard ticks cold, right after
+    # every other scan of the space, and on an equal copy of the space;
+    # the scans that end on restricted spaces run first, so the last map
+    # kept is the space's own, with the radicals the others built
+    sp = random_space(random.Random(seed), field, n, m)
+    copy = AltMatrixSpace.from_generators(field, n, sp.basis)
+    assert copy == sp and copy is not sp
+    for name in SCANS:
+        form_rows.cache_clear()
+        cold = _scan(name, sp)
+        others = sorted((o for o in SCANS if o != name),
+                        key=lambda o: o not in ("chi_lawler", "branch"))
+        for target in (sp, copy):
+            for o in others:
+                _scan(o, sp)
+            kept = form_rows(sp)
+            assert kept._kernels and form_rows(target) is kept, name
+            assert _scan(name, target) == cold, name
