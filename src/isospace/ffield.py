@@ -23,12 +23,18 @@ Every kernel is read off an RREF whose pivots are the last nonzero columns
 of its rows (_rref_rows with last=True): each kernel vector then has
 entries after its free column only, so the kernel is written in RREF from
 the one reduction (_kernel_of_last).
+
+Scans over the lines of a small F_p^n meet sets of lines as bitmasks
+over the LineTable of (p, n), PrimeField.lines[n]: FormRows.line_mask
+gives a line's kernel as the AND of the hyperplane masks of its rows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import reduce
 from itertools import combinations, product
+from operator import and_, or_
 
 from .errors import as_guard
 
@@ -56,12 +62,27 @@ class _LaneConstants(dict):
         return consts
 
 
+class _LineTables(dict):
+    """n -> the LineTable of F_p^n, filled on first use."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: "PrimeField"):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, n):
+        table = self[n] = LineTable(self.field, n)
+        return table
+
+
 class PrimeField:
     """The field F_p for a prime 2 <= p <= 251, with a cached inverse table
     and the lane layout of its packed rows: lane width `width`, lane mask
-    `lane` and the per-length constants `ones`."""
+    `lane` and the per-length constants `ones`; `lines[n]` is the
+    LineTable of F_p^n, also built on first use."""
 
-    __slots__ = ("p", "_inv", "width", "lane", "ones")
+    __slots__ = ("p", "_inv", "width", "lane", "ones", "lines")
 
     def __init__(self, p: int):
         p = int(p)
@@ -75,6 +96,7 @@ class PrimeField:
         self.width = 1 if p == 2 else (2 * (p - 1)).bit_length() + 1
         self.lane = (1 << self.width) - 1
         self.ones = _LaneConstants(p, self.width)
+        self.lines = _LineTables(self)
 
     def pack(self, v) -> int:
         """The packed row of the vector v (a sequence), its entries taken mod p."""
@@ -558,6 +580,77 @@ class Subspace:
         return f"Subspace(F{self.field.p}^{self.n}, dim {self.dim})"
 
 
+class LineTable:
+    """The lines of F_p^n as the bits of an int, for scans that meet sets
+    of lines with one AND.
+
+    `lines` holds one packed row per line, its first nonzero coordinate 1,
+    in projective_rows order; line i is bit i of a mask.  `leads` holds
+    their lead columns and `index` maps each row to its position.  The
+    lines led at column c are a run, so `blocks[c]`, their mask, is one
+    range of bits, and `full` is the mask of every line.  `coords[j][a]`
+    is the mask of the lines whose row holds a at coordinate j.  From
+    those, `hyperplane(r)` gives the lines u with r.u = 0: the residue of
+    r.u is bit-sliced as p masks, the lines where it is s, and a term
+    r_j u_j is added by a residue adder of ANDs and ORs.  The residues of
+    every row on the first n // 2 coordinates and of every row on the
+    others are built once, so a hyperplane is one meet of two.
+    """
+
+    __slots__ = ("field", "n", "lines", "leads", "index", "blocks", "full", "coords",
+                 "_split", "_low", "_high")
+
+    def __init__(self, field: PrimeField, n: int):
+        p, width, lane = field.p, field.width, field.lane
+        self.field, self.n = field, n
+        units = [1 << j * width for j in range(n)]
+        lines, leads, blocks = [], [], []
+        for c in range(n):
+            run = _combinations(field, n, units[c + 1:], units[c])
+            blocks.append((1 << len(run)) - 1 << len(lines))
+            lines += run
+            leads += [c] * len(run)
+        self.lines, self.leads, self.blocks = tuple(lines), tuple(leads), tuple(blocks)
+        self.index = {v: i for i, v in enumerate(lines)}
+        self.full = (1 << len(lines)) - 1
+        coords = [[0] * p for _ in range(n)]
+        for i, v in enumerate(lines):
+            for col in coords:
+                col[v & lane] |= 1 << i
+                v >>= width
+        self.coords = tuple(tuple(col) for col in coords)
+        half = n // 2
+        self._split = (1 << half * width) - 1
+        self._low = self._residues(range(half), 1)
+        self._high = self._residues(range(half, n), -1)
+
+    def _residues(self, cols, sign: int) -> dict:
+        """Every packed row r supported on cols -> [the mask of the lines u
+        with r.u = sign s, for s in [0, p)]."""
+        p, width, inv = self.field.p, self.field.width, self.field._inv
+        out = {0: [self.full] + [0] * (p - 1)}
+        for j in cols:
+            col, before = self.coords[j], list(out.items())
+            for c in range(1, p):
+                # t[s]: the lines with c u_j = sign s
+                t = [col[sign * s * inv[c] % p] for s in range(p)]
+                for r, z in before:
+                    out[r | c << j * width] = t if not r else [
+                        reduce(or_, [z[a] & t[s - a] for a in range(p)]) for s in range(p)]
+        return out
+
+    def hyperplane(self, r: int) -> int:
+        """The mask of the lines u with r.u = 0, for a packed row r of n
+        lanes: the lines where r's low part gives s and its high part -s."""
+        low, high = self._low[r & self._split], self._high[r & ~self._split]
+        p = self.field.p
+        if p == 2:
+            return low[0] & high[0] | low[1] & high[1]
+        if p == 3:
+            return low[0] & high[0] | low[1] & high[1] | low[2] & high[2]
+        return reduce(or_, map(and_, low, high))
+
+
 class FormRows:
     """The map w -> the rows w^t M_1, ..., w^t M_k for fixed n x m matrices
     M_i, and what the rows of several vectors span.
@@ -569,13 +662,16 @@ class FormRows:
     one vector is a length and kernel reads its vectors off that RREF; the
     kernel of one vector is kept as well.  The raw rows are kept too, and
     for square maps restriction reads the span of the B M_i B^t off those
-    of B's rows.  Vectors are packed rows of n lanes.  The map lives as
+    of B's rows, and line_mask reads the lines of a line's kernel off the
+    LineTable as the meet of its rows' hyperplanes, with no reduction, and
+    keeps that mask.  Vectors are packed rows of n lanes.  The map lives as
     long as a caller holds it; what it keeps depends on the M_i alone, so
     one map may serve every scan of the same M_i, and altspace.form_rows
     keeps the last map it built, one entry only, for the next scan.
     """
 
-    __slots__ = ("field", "k", "m", "_slices", "_rows", "_products_of", "_kernels")
+    __slots__ = ("field", "k", "m", "_slices", "_rows", "_products_of", "_kernels",
+                 "_line_masks")
 
     def __init__(self, field: PrimeField, n: int, m: int, mats):
         mats = list(mats)
@@ -590,6 +686,7 @@ class FormRows:
         self._rows = {}
         self._products_of = {}
         self._kernels = {}
+        self._line_masks = {}
 
     def rows(self, w: int) -> tuple:
         """The RREF (rows, pivots) of the span of w^t M_1, ..., w^t M_k,
@@ -633,6 +730,24 @@ class FormRows:
                 out = self._kernels[w] = _kernel_of_last(self.field, self.m, *self.rows(w))
             return out
         return _kernel_of_last(self.field, self.m, *self._span(vectors))
+
+    def line_mask(self, v: int) -> int:
+        """For square maps and the row v of a line of F^m in
+        field.lines[m]: the mask of the lines of kernel([v]), the meet of
+        the hyperplanes of v's rows, which stops once it is v's line alone
+        (on alternating M_i, v is in its own kernel).  Each line's mask is
+        kept as long as the map lives; a hyperplane is one meet in the
+        table and is not kept."""
+        out = self._line_masks.get(v)
+        if out is None:
+            table = self.field.lines[self.m]
+            own, out = 1 << table.index[v], table.full
+            for r in self._products(v):
+                out &= table.hyperplane(r)
+                if out == own:
+                    break
+            self._line_masks[v] = out
+        return out
 
     def restriction(self, rows) -> tuple:
         """For square maps and a basis B with the rows w_a: the RREF rows of

@@ -42,6 +42,10 @@ def greedy_maximal(space: AltMatrixSpace) -> Subspace:
 # ---------------------------------------------------------------------------
 # the isotropic lattice
 
+# the lattice reads radicals off bitmasks of lines when q^n is at most this
+LINE_MASK_VECTORS = 3**8
+
+
 class IsotropicLattice:
     """All isotropic spaces of A, bucketed by dimension, and the maximal
     ones (U = rad(U)), recorded in level order as the lattice grows."""
@@ -73,13 +77,20 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     but the last, which is isotropic and one dimension lower; so level d+1
     is the children of each U of level d inside rad(U), in the order of
     their parents, and each space is built once, already in RREF.  U is
-    maximal iff rad(U) = U, and then it has no child.
+    maximal iff rad(U) = U, and then it has no child.  When q^n is at most
+    LINE_MASK_VECTORS, rad(U) is a bitmask of lines (_lattice_of_masks);
+    above it, forms.kernel reduces U's rows and U.children reads the lines
+    of rad(U).  Both give the same levels in the same order and tick the
+    guard alike: the children of U are required, then ticked, one per
+    child.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
     # rad(0) = F^n: its lines, the first level, are required before it is built
     g.require((field.p**n - 1) // (field.p - 1))
     forms = form_rows(space)
+    if field.p**n <= LINE_MASK_VECTORS:
+        return _lattice_of_masks(field.lines[n], forms, g)
     levels, level, maximal = [], [Subspace.zero(field, n)], []
     while level:
         levels.append(tuple(level))
@@ -90,6 +101,52 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
                 maximal.append(u)
             else:
                 level.extend(u.children(rad, guard=g))
+    return IsotropicLattice(tuple(levels), tuple(maximal))
+
+
+def _lattice_of_masks(table, forms, g) -> IsotropicLattice:
+    """The lattice with rad(U) as a mask over the lines of table, with no
+    row reduction.
+
+    Each RREF row of U is its line's row in the table, so rad(U) is the
+    AND of the line masks of U's rows, and U (with (q^d - 1)/(q - 1) lines
+    in dimension d) is maximal iff rad(U) has as many.  A child adds the
+    row of a line of rad(U) led at a column after U's last pivot where
+    U's rows are zero: the set bits of rad(U) in those columns' blocks, in
+    index order, which is the order of U.children.
+    """
+    field, n = table.field, table.n
+    q, width, lane = field.p, field.width, field.lane
+    lines, leads, blocks, full = table.lines, table.leads, table.blocks, table.full
+    masks = {v: forms.line_mask(v) for v in lines}
+    levels, level, maximal = [], [Subspace.zero(field, n)], []
+    size = 0        # the lines of a space of the level
+    while level:
+        levels.append(tuple(level))
+        level = []
+        for u in levels[-1]:
+            rows, pivots = u.rows, u.pivots
+            rad, support = full, 0
+            for r in rows:
+                rad &= masks[r]
+                support |= r
+            if rad.bit_count() == size:
+                maximal.append(u)
+                continue
+            free = 0
+            for c in range(pivots[-1] + 1 if pivots else 0, n):
+                if not support >> c * width & lane:
+                    free |= blocks[c]
+            free &= rad
+            k = free.bit_count()
+            g.require(k)
+            g.tick(k)
+            while free:
+                low = free & -free
+                free ^= low
+                i = low.bit_length() - 1
+                level.append(Subspace(field, n, rows + (lines[i],), pivots + (leads[i],)))
+        size = size * q + 1
     return IsotropicLattice(tuple(levels), tuple(maximal))
 
 

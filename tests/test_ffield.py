@@ -351,3 +351,59 @@ def test_a_form_rows_kernel_is_one_reduction(monkeypatch):
         assert calls == [m]
         monkeypatch.undo()
         assert one == kernel(vstack(*products[:3]))
+
+
+# ------------------------------------------------------------ line tables
+
+def test_a_line_table_holds_the_lines_in_projective_order():
+    for field, n in [(F2, 0), (F2, 1), (F2, 5), (F3, 4), (F5, 3), (PrimeField(251), 1)]:
+        table = field.lines[n]
+        assert field.lines[n] is table and table.n == n
+        assert list(table.lines) == list(projective_rows(field, n))
+        assert table.full == (1 << len(table.lines)) - 1
+        assert all(table.index[v] == i for i, v in enumerate(table.lines))
+        # the lead-column blocks partition the lines, each block a run
+        union = 0
+        for c, block in enumerate(table.blocks):
+            assert union & block == 0
+            union |= block
+            members = [i for i in range(len(table.lines)) if block >> i & 1]
+            assert members == [i for i, lead in enumerate(table.leads) if lead == c]
+            assert members == list(range(members[0], members[-1] + 1))
+            for i in members:
+                v = field.unpack(table.lines[i], n)
+                assert v[:c] == (0,) * c and v[c] == 1
+        assert union == table.full
+        for j, col in enumerate(table.coords):
+            for a, mask in enumerate(col):
+                assert mask == sum(1 << i for i, v in enumerate(table.lines)
+                                   if field.unpack(v, n)[j] == a)
+
+
+def test_a_hyperplane_is_the_lines_orthogonal_to_its_row():
+    for field, top in [(F2, 4), (F3, 4), (F5, 3)]:
+        for n in range(1, top + 1):
+            table = field.lines[n]
+            vectors = [field.unpack(v, n) for v in table.lines]
+            for r in product(range(field.p), repeat=n):
+                if any(r):
+                    scan = sum(1 << i for i, u in enumerate(vectors)
+                               if sum(a * b for a, b in zip(r, u)) % field.p == 0)
+                    assert table.hyperplane(field.pack(r)) == scan, (field, r)
+
+
+def test_a_line_mask_is_the_lines_of_the_line_kernel():
+    from util import random_space
+    rng = random.Random(27)
+    for field, n, m in [(F2, 5, 1), (F2, 6, 3), (F3, 4, 2), (F3, 5, 0), (F5, 3, 1)]:
+        for _ in range(3):
+            space = random_space(rng, field, n, m)
+            forms = FormRows(field, n, n, space.basis)
+            table = field.lines[n]
+            for v in table.lines:
+                kernel_lines = forms.kernel([v]).vector_mask()
+                want = sum(1 << i for i, u in enumerate(table.lines)
+                           if kernel_lines >> sum(e * field.p**j for j, e
+                                                  in enumerate(field.unpack(u, n))) & 1)
+                assert forms.line_mask(v) == want
+                assert forms.line_mask(v) is forms.line_mask(v)

@@ -3,11 +3,13 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from isospace import ffield, isotropic
 from isospace.altspace import AltMatrixSpace, form_rows, is_isotropic, max_degree, rad_of
 from isospace.errors import Guard, GuardExceeded
-from isospace.ffield import (FormRows, Subspace, enumerate_subspaces, gaussian_binomial,
-                             projective_rows)
+from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, enumerate_subspaces,
+                             gaussian_binomial, projective_rows)
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 chi_maxcover, enumerate_isotropic_lattice,
@@ -119,6 +121,78 @@ def test_lattice_guard():
     with pytest.raises(GuardExceeded):
         enumerate_isotropic_lattice(AltMatrixSpace.zero_space(F2, 40), guard=g)
     assert g.used == 0
+
+
+def test_the_first_level_is_required_before_the_line_table_is_built():
+    # a fresh field has no line table yet; one tick short of the 121 lines
+    # of F_3^5, the lattice trips before the table of (3, 5) exists
+    field = PrimeField(3)
+    space = random_space(random.Random(4), field, 5, 2)
+    g = Guard(120)
+    with pytest.raises(GuardExceeded, match="estimated 121 iterations"):
+        enumerate_isotropic_lattice(space, guard=g)
+    assert g.used == 0 and 5 not in field.lines
+    enumerate_isotropic_lattice(space, guard=Guard(121 + 10**4))
+    assert 5 in field.lines
+
+
+def test_the_mask_lattice_reduces_no_row(monkeypatch):
+    inner, calls = ffield._rref_rows, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    for space in (random_space(random.Random(8), F3, 5, 1), sympl(F2, 6)):
+        form_rows.cache_clear()
+        monkeypatch.setattr(ffield, "_rref_rows", counting)
+        lat = enumerate_isotropic_lattice(space)
+        monkeypatch.undo()
+        assert lat.count() > 100 and calls == []
+
+
+def _lattice_record(space, limit=None):
+    """The levels and the maximal spaces, each space as (rows, pivots), and
+    the guard ticks; or the GuardExceeded message and the ticks."""
+    g = Guard() if limit is None else Guard(limit)
+    try:
+        lat = enumerate_isotropic_lattice(space, guard=g)
+    except GuardExceeded as exc:
+        return str(exc), g.used
+    return ([[(u.rows, u.pivots) for u in level] for level in lat.levels],
+            [(u.rows, u.pivots) for u in lat.maximal()], g.used)
+
+
+@st.composite
+def lattice_spaces(draw):
+    """Up to 4 random forms on F^n, F_2 with n <= 6 or F_3 with n <= 5,
+    whose last `pad` coordinates lie in the radical."""
+    field = draw(st.sampled_from([F2, F3]))
+    n = draw(st.integers(0, 6 if field.p == 2 else 5))
+    pad = draw(st.integers(0, n))
+    core = random_space(draw(st.randoms(use_true_random=False)), field, n - pad,
+                        draw(st.integers(0, 4)))
+    return AltMatrixSpace.from_generators(field, n, [
+        Matrix.from_rows(field, [a.row(i) + (0,) * pad for i in range(n - pad)]
+                         + [(0,) * n] * pad) for a in core.basis])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_spaces())
+@example(random_space(random.Random(5), PrimeField(5), 4, 2))
+@example(AltMatrixSpace.zero_space(F3, 4))
+@example(AltMatrixSpace.zero_space(F2, 0))
+def test_the_mask_lattice_is_the_kernel_lattice(space):
+    # with no room for line masks every radical is a kernel of U's rows;
+    # the levels, maximal spaces, ticks and guard trips stay the same
+    full = _lattice_record(space)
+    used = full[-1]
+    short = [_lattice_record(space, used - 1), _lattice_record(space, used // 2)]
+    assert isinstance(short[0][0], str)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isotropic, "LINE_MASK_VECTORS", 0)
+        assert _lattice_record(space) == full
+        assert [_lattice_record(space, used - 1), _lattice_record(space, used // 2)] == short
 
 
 # ----------------------------------------------------- maximal: filter, branch
@@ -379,7 +453,6 @@ def test_maximal_count_thm18_slack():
 def test_chi_brute_without_masks_gives_the_mask_path_answer(monkeypatch):
     # with no room for masks every candidate is tested by the dimension of
     # its join alone; chi, the parts and the guard ticks stay the same
-    from isospace import isotropic
     rng = random.Random(18)
     spaces = [random_space(rng, (F2, F3)[k % 2], rng.randint(1, 5 - k % 2),
                            rng.randint(0, 4)) for k in range(30)]
@@ -430,7 +503,6 @@ def test_chi_brute_builds_only_the_masks_it_reads(monkeypatch):
 def test_chi_lawler_solves_each_restriction_once(monkeypatch):
     # the search at U depends on A|_U alone, so no restricted space is
     # enumerated twice within one call
-    from isospace import isotropic
     from test_acceptance import random_space_suite_lam4
     seen = []
     inner = isotropic.enumerate_maximal_filter
