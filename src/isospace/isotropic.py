@@ -42,8 +42,11 @@ def greedy_maximal(space: AltMatrixSpace) -> Subspace:
 # ---------------------------------------------------------------------------
 # the isotropic lattice
 
-# the lattice reads radicals off bitmasks of lines when q^n is at most this
-LINE_MASK_VECTORS = 3**8
+# the lattice reads radicals off bitmasks of lines when F^n has at most this
+# many lines: its masks take lines^2 bits, 8 MB here.  On 2 cores, F_3^9
+# (9,841 lines, 8 forms) read 1.17x the kernel route's peak RSS, and from
+# about 3^10 lines (F_3^10, F_2^15) the masks are no faster (BENCH_27.json)
+LINE_MASK_LINES = 2**13
 
 
 class IsotropicLattice:
@@ -77,19 +80,20 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     but the last, which is isotropic and one dimension lower; so level d+1
     is the children of each U of level d inside rad(U), in the order of
     their parents, and each space is built once, already in RREF.  U is
-    maximal iff rad(U) = U, and then it has no child.  When q^n is at most
-    LINE_MASK_VECTORS, rad(U) is a bitmask of lines (_lattice_of_masks);
-    above it, forms.kernel reduces U's rows and U.children reads the lines
-    of rad(U).  Both give the same levels in the same order and tick the
+    maximal iff rad(U) = U, and then it has no child.  When F^n has at
+    most LINE_MASK_LINES lines, rad(U) is a bitmask of lines
+    (_lattice_of_masks); above it, forms.kernel reduces U's rows and
+    U.children reads the lines of rad(U).  Both give the same levels in the same order and tick the
     guard alike: the children of U are required, then ticked, one per
     child.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
     # rad(0) = F^n: its lines, the first level, are required before it is built
-    g.require((field.p**n - 1) // (field.p - 1))
+    lines = (field.p**n - 1) // (field.p - 1)
+    g.require(lines)
     forms = form_rows(space)
-    if field.p**n <= LINE_MASK_VECTORS:
+    if lines <= LINE_MASK_LINES:
         return _lattice_of_masks(field.lines[n], forms, g)
     levels, level, maximal = [], [Subspace.zero(field, n)], []
     while level:
@@ -118,7 +122,7 @@ def _lattice_of_masks(table, forms, g) -> IsotropicLattice:
     field, n = table.field, table.n
     q, width, lane = field.p, field.width, field.lane
     lines, leads, blocks, full = table.lines, table.leads, table.blocks, table.full
-    masks = {v: forms.line_mask(v) for v in lines}
+    masks = {v: forms.line_mask(v) for v in lines}     # the map's masks, not copies
     levels, level, maximal = [], [Subspace.zero(field, n)], []
     size = 0        # the lines of a space of the level
     while level:

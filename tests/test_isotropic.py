@@ -151,6 +151,28 @@ def test_the_mask_lattice_reduces_no_row(monkeypatch):
         assert lat.count() > 100 and calls == []
 
 
+def test_the_line_mask_cap_counts_lines(monkeypatch):
+    # F_3^5 has 121 lines: a cap of 121 reads its radicals off masks, one of
+    # 120 reduces rows
+    inner, calls = ffield._rref_rows, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    space = random_space(random.Random(8), F3, 5, 1)
+    seen = []
+    for cap in (121, 120):
+        form_rows.cache_clear()
+        calls.clear()
+        monkeypatch.setattr(isotropic, "LINE_MASK_LINES", cap)
+        monkeypatch.setattr(ffield, "_rref_rows", counting)
+        count = enumerate_isotropic_lattice(space).count()
+        monkeypatch.undo()
+        seen.append((count, len(calls) > 0))
+    assert seen[0][0] == seen[1][0] > 100 and [s[1] for s in seen] == [False, True]
+
+
 def _lattice_record(space, limit=None):
     """The levels and the maximal spaces, each space as (rows, pivots), and
     the guard ticks; or the GuardExceeded message and the ticks."""
@@ -183,14 +205,15 @@ def lattice_spaces(draw):
 @example(AltMatrixSpace.zero_space(F3, 4))
 @example(AltMatrixSpace.zero_space(F2, 0))
 def test_the_mask_lattice_is_the_kernel_lattice(space):
-    # with no room for line masks every radical is a kernel of U's rows;
-    # the levels, maximal spaces, ticks and guard trips stay the same
+    # with no room for line masks (not even the none of F^0) every radical
+    # is a kernel of U's rows; the levels, maximal spaces, ticks and guard
+    # trips stay the same
     full = _lattice_record(space)
     used = full[-1]
     short = [_lattice_record(space, used - 1), _lattice_record(space, used // 2)]
     assert isinstance(short[0][0], str)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(isotropic, "LINE_MASK_VECTORS", 0)
+        mp.setattr(isotropic, "LINE_MASK_LINES", -1)
         assert _lattice_record(space) == full
         assert [_lattice_record(space, used - 1), _lattice_record(space, used // 2)] == short
 
