@@ -24,9 +24,11 @@ of its rows (_rref_rows with last=True): each kernel vector then has
 entries after its free column only, so the kernel is written in RREF from
 the one reduction (_kernel_of_last).
 
-Scans over the lines of a small F_p^n meet sets of lines as bitmasks
-over the LineTable of (p, n), PrimeField.lines[n]: FormRows.line_mask
-gives a line's kernel as the AND of the hyperplane masks of its rows.
+Scans over the lines of F_p^n meet sets of lines as bitmasks over the
+LineTable of (p, n), PrimeField.lines[n]: FormRows.line_mask gives a
+line's kernel as the AND of the hyperplane masks of its rows, and
+LineTable.annihilator gives a span W as the lines of W^perp, so that a
+join W + V is one AND and W = F^n iff its mask is 0.
 """
 
 from __future__ import annotations
@@ -552,23 +554,6 @@ class Subspace:
             yield Subspace(field, n, self.rows + (v,),
                            self.pivots + (((v & -v).bit_length() - 1) // width,))
 
-    def vector_mask(self) -> int:
-        """Bitmask over the indices of all vectors of self, the index of v
-        being sum v_i p^i.  Over F_2 lanes are one bit wide, so a packed
-        row is its own index."""
-        field = self.field
-        q, width, lane = field.p, field.width, field.lane
-        vectors = _combinations(field, self.n, self.rows)
-        mask = 0
-        if q == 2:
-            for v in vectors:
-                mask |= 1 << v
-            return mask
-        weights = [(s, q**i) for i, s in enumerate(range(0, self.n * width, width))]
-        for v in vectors:
-            mask |= 1 << sum((v >> s & lane) * wt for s, wt in weights)
-        return mask
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
                 and self.n == other.n and self.rows == other.rows)
@@ -594,7 +579,10 @@ class LineTable:
     r.u is bit-sliced as p masks, the lines where it is s, and a term
     r_j u_j is added by a residue adder of ANDs and ORs.  The residues of
     every row on the first n // 2 coordinates and of every row on the
-    others are built once, so a hyperplane is one meet of two.
+    others are built once, so a hyperplane is one meet of two, and
+    `annihilator(rows)` is the meet of the rows' hyperplanes: the lines of
+    W^perp for W their span.  A mask determines its span, so spans compare
+    and hash as ints, and (W + V)^perp is the AND of their masks.
     """
 
     __slots__ = ("field", "n", "lines", "leads", "index", "blocks", "full", "coords",
@@ -651,6 +639,15 @@ class LineTable:
         if p == 3:
             return low[0] & high[0] | low[1] & high[1] | low[2] & high[2]
         return reduce(or_, map(and_, low, high))
+
+    def annihilator(self, rows) -> int:
+        """The mask of the lines u with r.u = 0 for every packed row r of
+        rows: W^perp for W their span, with (q^(n - dim W) - 1)/(q - 1)
+        lines, and 0 iff W = F^n."""
+        out = self.full
+        for r in rows:
+            out &= self.hyperplane(r)
+        return out
 
 
 class FormRows:

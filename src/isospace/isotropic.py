@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .altspace import (AltMatrixSpace, form_rows, is_isotropic, nondegenerate_part,
+from .altspace import (AltMatrixSpace, form_rows, nondegenerate_part,
                        split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import Subspace, enumerate_complements, projective_rows
@@ -219,20 +219,17 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
 # ---------------------------------------------------------------------------
 # chi: three independent computations
 
-# chi_brute keeps a bitmask of each candidate's vectors when q^n is at most this
-MASK_VECTORS = 1 << 18
-
-
 def chi_brute(space: AltMatrixSpace, guard=None):
     """Minimal part count by depth-first search over isotropic parts.
 
     Reference oracle: iterative deepening on the part count; candidate
     parts are all isotropic spaces, tried largest dimension first with an
-    index ordering that breaks the set symmetry.  A candidate is taken when
-    its join with the partial sum is direct, dim(S + U) = dim S + dim U;
-    when q^n <= MASK_VECTORS, vector bitmasks, each built when the search
-    first reads it, reject overlaps before the join (trivial intersection
-    iff the masks share only the zero vector).
+    index ordering that breaks the set symmetry.  A candidate U is taken
+    when its join with the partial sum S is direct, dim(S + U) = dim S +
+    dim U.  S is held as (S^perp, dim S), S^perp a mask over the lines of
+    F^n (LineTable.annihilator), and each candidate's mask is built when
+    the search first reads it: (S + U)^perp is their AND, and the join is
+    direct iff it has the lines of an (n - dim S - dim U)-space.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
@@ -246,11 +243,12 @@ def chi_brute(space: AltMatrixSpace, guard=None):
     for level in reversed(lat.levels[1:]):
         cands.extend(level)
     # cands is ordered by decreasing dimension
-    use_masks = q**n <= MASK_VECTORS
+    table = field.lines[n]
     masks = [None] * len(cands)
+    lines = [(q**d - 1) // (q - 1) for d in range(n + 1)]   # of a d-space
 
-    def extend(acc: Subspace, acc_mask: int, start: int, left: int, parts):
-        missing = n - acc.dim
+    def extend(acc: int, dim: int, start: int, left: int, parts):
+        missing = n - dim
         if missing == 0:
             return list(parts)
         g.tick(len(cands) - start)
@@ -260,23 +258,19 @@ def chi_brute(space: AltMatrixSpace, guard=None):
                 break
             if u.dim > missing:
                 continue
-            if use_masks:
-                if masks[idx] is None:
-                    masks[idx] = u.vector_mask()
-                if acc_mask & masks[idx] != 1:
-                    continue
-            s = acc.sum(u)
-            if s.dim != acc.dim + u.dim:
+            m = masks[idx]
+            if m is None:
+                m = masks[idx] = table.annihilator(u.rows)
+            s = acc & m
+            if s.bit_count() != lines[missing - u.dim]:
                 continue
-            res = extend(s, s.vector_mask() if use_masks else 0,
-                         idx + 1, left - 1, parts + [u])
+            res = extend(s, dim + u.dim, idx + 1, left - 1, parts + [u])
             if res is not None:
                 return res
         return None
 
-    zero = Subspace.zero(field, n)
     for c in range(2, n + 1):
-        res = extend(zero, 1, 0, c, [])
+        res = extend(table.full, 0, 0, c, [])
         if res is not None:
             return c, res
     raise VerificationError("no decomposition found up to n parts")  # unreachable
@@ -354,7 +348,8 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
     smallest family i_1 < ... < i_k spanning W has no prefix span at an
     earlier level (else a smaller family would span W), so by induction
     its j-th prefix span is on level j with an index <= i_j, and level k
-    reaches W.
+    reaches W.  A span W is held as W^perp, a mask over the lines of F^n
+    (LineTable.annihilator): a join is one AND, and W = F^n iff it is 0.
     """
     g = as_guard(guard)
     n = space.n
@@ -364,29 +359,28 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
         return 1
     if mi is None:
         mi = enumerate_maximal_filter(space, guard=g)
+    table = space.field.lines[n]
+    masks = [table.annihilator(t.rows) for t in mi]
     # the maximal spaces are distinct, and none is F^n, as space.dim > 0
-    seen = {t.key() for t in mi}
-    frontier = [(t, i) for i, t in enumerate(mi)]
+    seen = set(masks)
+    frontier = [(m, i) for i, m in enumerate(masks)]
     k = 1
     while frontier:
         k += 1
-        level: dict = {}     # key -> [span, least index of its last space]
+        level: dict = {}     # span mask -> least index of its last space
         for w, last in frontier:
             for j in range(last + 1, len(mi)):
                 g.tick()
-                u = w.sum(mi[j])
-                uk = u.key()
-                if uk in seen:
+                u = w & masks[j]
+                if u in seen:
                     continue
-                if u.dim == n:
+                if not u:
                     return k
-                hit = level.get(uk)
-                if hit is None:
-                    level[uk] = [u, j]
-                elif j < hit[1]:
-                    hit[1] = j
+                hit = level.get(u)
+                if hit is None or j < hit:
+                    level[u] = j
         seen.update(level)
-        frontier = list(level.values())
+        frontier = list(level.items())
     raise VerificationError("maximal isotropic spaces never span F^n")  # unreachable
 
 
@@ -478,18 +472,33 @@ def isotropic_count_formula(n: int, d: int, q: int) -> int:
 def two_decomposition_brute(space: AltMatrixSpace, guard=None):
     """Search for an isotropic 2-decomposition by brute force.
 
-    Scans maximal isotropic spaces V and all complements W of V, looking
-    for an isotropic W; returns (V, W) or None.  (If any 2-decomposition
-    exists, one of this shape exists.)
+    Scans the maximal isotropic spaces V and the isotropic spaces W of
+    dimension n - dim V, one tick per pair, for a pair with V + W = F^n,
+    read as annihilator(V) & annihilator(W) == 0 over the lines of F^n;
+    returns (V, W) or None.  If any 2-decomposition U1 + U2 exists, one of
+    this shape exists: extend U1 to a maximal V = U1 + (V meet U2), and
+    take for W a complement of V meet U2 inside U2.
     """
     g = as_guard(guard)
-    n = space.n
+    field, n = space.field, space.n
     if n < 2:
         return None
     if space.dim == 0:
-        return split_zero_space(space.field, n)
-    for v in enumerate_maximal_filter(space, guard=g):
-        for w in enumerate_complements(v, guard=g):
-            if is_isotropic(space, w):
+        return split_zero_space(field, n)
+    lat = enumerate_isotropic_lattice(space, guard=g)
+    table = field.lines[n]
+    masks: dict = {}     # level -> the masks of its spaces, each built when first read
+    for v in lat.maximal():
+        d = n - v.dim
+        if d >= len(lat.levels):
+            continue
+        level = lat.levels[d]
+        ms = masks.setdefault(d, [None] * len(level))
+        mv = table.annihilator(v.rows)
+        for i, w in enumerate(level):
+            g.tick()
+            if ms[i] is None:
+                ms[i] = table.annihilator(w.rows)
+            if not mv & ms[i]:
                 return v, w
     return None

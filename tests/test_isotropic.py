@@ -462,6 +462,17 @@ def test_two_decomposition_brute():
     assert u1.sum(u2).dim == 2 and u1.dim + u2.dim == 2
 
 
+def test_two_decomposition_brute_scans_lattice_pairs_within_a_small_guard():
+    # the pairs come from the lattice, so the seed-0 F_3^6 space of two forms
+    # decomposes in a few thousand ticks, not millions of complements
+    sp = random_space(random.Random(0), F3, 6, 2)
+    g = Guard(10**5)
+    pair = two_decomposition_brute(sp, guard=g)
+    assert pair is not None
+    validate_decomposition(sp, list(pair))
+    assert g.used < 10**5
+
+
 def test_maximal_count_thm18_slack():
     # log_q(#maximal) <= n^2/6 + 6n on random instances
     rng = random.Random(71)
@@ -473,42 +484,19 @@ def test_maximal_count_thm18_slack():
         assert math.log(cnt, f.p) <= n * n / 6.0 + 6 * n
 
 
-def test_chi_brute_without_masks_gives_the_mask_path_answer(monkeypatch):
-    # with no room for masks every candidate is tested by the dimension of
-    # its join alone; chi, the parts and the guard ticks stay the same
-    rng = random.Random(18)
-    spaces = [random_space(rng, (F2, F3)[k % 2], rng.randint(1, 5 - k % 2),
-                           rng.randint(0, 4)) for k in range(30)]
-    spaces += [space_from_graph(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                                          if rng.random() < 0.5]), (F2, F3)[n % 2])
-               for n in (2, 3, 4, 4, 5, 5)]
-
-    def run():
-        out = []
-        for sp in spaces:
-            g = Guard()
-            c, parts = chi_brute(sp, guard=g)
-            out.append((c, [p.key() for p in parts], g.used))
-        return out
-
-    with_masks = run()
-    monkeypatch.setattr(isotropic, "MASK_VECTORS", 0)
-    assert run() == with_masks
-
-
 def test_chi_brute_builds_only_the_masks_it_reads(monkeypatch):
     # a candidate's mask is built when the search first reads it, so the
-    # candidates skipped by dimension or never reached cost no mask; the
-    # count includes the mask of each partial sum the search extends
+    # candidates skipped by dimension or never reached cost no mask; a
+    # partial sum is the AND of its parts' masks and builds none
     rng = random.Random(1)
     built = []
-    inner = Subspace.vector_mask
+    inner = ffield.LineTable.annihilator
 
-    def counting(self):
-        built.append(self)
-        return inner(self)
+    def counting(self, rows):
+        built.append(rows)
+        return inner(self, rows)
 
-    monkeypatch.setattr(Subspace, "vector_mask", counting)
+    monkeypatch.setattr(ffield.LineTable, "annihilator", counting)
     counts = []
     for n, field in ((5, F2), (6, F2), (6, F2), (5, F3), (4, F3)):
         sp = space_from_graph(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -518,7 +506,38 @@ def test_chi_brute_builds_only_the_masks_it_reads(monkeypatch):
         chi_brute(sp)
         assert len(built) < candidates
         counts.append(len(built))
-    assert counts == [10, 10, 35, 74, 13]
+    assert counts == [8, 6, 22, 72, 11]
+
+
+def test_the_span_searches_make_no_join_once_the_lattice_is_built(monkeypatch):
+    # chi_maxcover and chi_brute join spans as masks of lines alone, so
+    # they answer with Subspace.sum refused once their lattice is built
+    rng = random.Random(28)
+    spaces = [random_space(rng, (F2, F3)[k % 2], rng.randint(2, 5 - k % 2),
+                           rng.randint(1, 4)) for k in range(16)]
+    spaces = [sp for sp in spaces if sp.dim > 0]     # chi >= 2: the searches join
+    want = [(chi_maxcover(sp), chi_brute(sp)) for sp in spaces]
+    joined, lattice, built = Subspace.sum, isotropic.enumerate_isotropic_lattice, []
+
+    def refuse(self, other):
+        raise AssertionError("Subspace.sum after the lattice")
+
+    def lattice_then_no_sum(space, guard=None):
+        built.append(space)
+        lat = lattice(space, guard=guard)
+        monkeypatch.setattr(Subspace, "sum", refuse)
+        return lat
+
+    monkeypatch.setattr(isotropic, "enumerate_isotropic_lattice", lattice_then_no_sum)
+    for sp, (c, brute) in zip(spaces, want):
+        assert c >= 2
+        got = chi_maxcover(sp)
+        monkeypatch.setattr(Subspace, "sum", joined)
+        assert got == c
+        got = chi_brute(sp)
+        monkeypatch.setattr(Subspace, "sum", joined)
+        assert got == brute and brute[0] == c
+    assert len(built) == 2 * len(spaces)
 
 
 # ------------------------------------------------------- the Lawler memo

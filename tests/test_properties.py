@@ -352,14 +352,19 @@ def test_children_extend_the_rref_by_one_row(pair):
 
 @settings(max_examples=60, deadline=None)
 @given(subspace_pairs())
-def test_vector_mask_marks_exactly_the_vectors(pair):
-    u, _ = pair
-    q, n = u.field.p, u.n
-    mask = u.vector_mask()
-    assert bin(mask).count("1") == q**u.dim
-    for v in product(range(q), repeat=n):
-        index = sum(e * q**i for i, e in enumerate(v))
-        assert bool(mask >> index & 1) == u.contains_vector(u.field.pack(v))
+def test_an_annihilator_is_the_lines_orthogonal_to_the_span(pair):
+    u, w = pair
+    field, n = u.field, u.n
+    q, table = field.p, field.lines[n]
+    join = u.sum(w)
+    mask = table.annihilator(join.rows)
+    assert mask == table.annihilator(u.rows) & table.annihilator(w.rows)
+    assert mask.bit_count() == (q ** (n - join.dim) - 1) // (q - 1)
+    rows = [field.unpack(r, n) for r in join.rows]
+    for i, line in enumerate(table.lines):
+        ell = field.unpack(line, n)
+        orthogonal = all(sum(a * b for a, b in zip(r, ell)) % q == 0 for r in rows)
+        assert bool(mask >> i & 1) == orthogonal
 
 
 @settings(max_examples=60, deadline=None)
