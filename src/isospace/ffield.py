@@ -28,7 +28,10 @@ Scans over the lines of F_p^n meet sets of lines as bitmasks over the
 LineTable of (p, n), PrimeField.lines[n]: FormRows.line_mask gives a
 line's kernel as the AND of the hyperplane masks of its rows, and
 LineTable.annihilator gives a span W as the lines of W^perp, so that a
-join W + V is one AND and W = F^n iff its mask is 0.
+join W + V is one AND and W = F^n iff its mask is 0.  Besides its lines
+and their index, a table holds the n p masks of its coordinates, and its
+residue tables only where those are small; without them a mask is built
+from its rows alone.
 """
 
 from __future__ import annotations
@@ -565,33 +568,53 @@ class Subspace:
         return f"Subspace(F{self.field.p}^{self.n}, dim {self.dim})"
 
 
+# the residue tables of a LineTable hold (p^ceil(n/2) + p^floor(n/2)) p
+# masks of its lines and cost about p ANDs each; they are built when that
+# is at most RESIDUE_BITS bits (8 MB) and RESIDUE_ANDS ANDs: F_p^n up to
+# F_2^16, F_3^10, F_5^6, F_7^5, F_11^4, F_17^4 and F_23^3
+RESIDUE_BITS = 2**26
+RESIDUE_ANDS = 2**19
+# one line read off a kernel costs about as much as LINE_WORDS 64-bit words
+# of an AND: 310-1,750 ns a line against 0.6-3 ns a word, F_2^18 to F_251^3
+LINE_WORDS = 500
+
+
 class LineTable:
     """The lines of F_p^n as the bits of an int, for scans that meet sets
     of lines with one AND.
 
     `lines` holds one packed row per line, its first nonzero coordinate 1,
-    in projective_rows order; line i is bit i of a mask.  `leads` holds
-    their lead columns and `index` maps each row to its position.  The
-    lines led at column c are a run, so `blocks[c]`, their mask, is one
-    range of bits, and `full` is the mask of every line.  `coords[j][a]`
-    is the mask of the lines whose row holds a at coordinate j.  From
-    those, `hyperplane(r)` gives the lines u with r.u = 0: the residue of
-    r.u is bit-sliced as p masks, the lines where it is s, and a term
-    r_j u_j is added by a residue adder of ANDs and ORs.  The residues of
-    every row on the first n // 2 coordinates and of every row on the
-    others are built once, so a hyperplane is one meet of two, and
-    `annihilator(rows)` is the meet of the rows' hyperplanes: the lines of
-    W^perp for W their span.  A mask determines its span, so spans compare
-    and hash as ints, and (W + V)^perp is the AND of their masks.
+    in projective_rows order; line i is bit i of a mask, and a mask takes
+    `words` 64-bit words.  `leads` holds their lead columns and `index`
+    maps each row to its position.  The lines led at column c are a run,
+    so `blocks[c]`, their mask, is one range of bits, and `full` is the
+    mask of every line.  `coords[j][a]` is the mask of the lines whose row
+    holds a at coordinate j: inside the run of a column c < j, runs of
+    p^(n-1-j) bits repeated with period p^(n-j), built by doubling.
+
+    `hyperplane(r)` gives the lines u with r.u = 0: the residue of r.u is
+    bit-sliced as p masks, the lines where it is s, and a term r_j u_j is
+    added by a residue adder of ANDs and ORs over coords[j].  When they
+    are small enough (RESIDUE_BITS, RESIDUE_ANDS), the residues of every
+    row on the first n // 2 coordinates and of every row on the others are
+    built with the table, so a hyperplane is one meet of two.  Without
+    them the adder runs over r's nonzero coordinates, about p^2 ANDs per
+    coordinate, unless reading the hyperplane's (q^(n-1) - 1)/(q - 1)
+    lines off r's kernel costs less (LINE_WORDS), as it does for large p.
+    `annihilator(rows)` is the meet of the rows' hyperplanes, or, without
+    the tables, the lines of the rows' kernel read off at once when those
+    cost less: the lines of W^perp for W their span.  A mask determines
+    its span, so spans compare and hash as ints, and (W + V)^perp is the
+    AND of their masks.
     """
 
     __slots__ = ("field", "n", "lines", "leads", "index", "blocks", "full", "coords",
-                 "_split", "_low", "_high")
+                 "words", "_split", "_low", "_high")
 
     def __init__(self, field: PrimeField, n: int):
-        p, width, lane = field.p, field.width, field.lane
+        p = field.p
         self.field, self.n = field, n
-        units = [1 << j * width for j in range(n)]
+        units = [1 << j * field.width for j in range(n)]
         lines, leads, blocks = [], [], []
         for c in range(n):
             run = _combinations(field, n, units[c + 1:], units[c])
@@ -602,15 +625,26 @@ class LineTable:
         self.index = {v: i for i, v in enumerate(lines)}
         self.full = (1 << len(lines)) - 1
         coords = [[0] * p for _ in range(n)]
-        for i, v in enumerate(lines):
-            for col in coords:
-                col[v & lane] |= 1 << i
-                v >>= width
+        at = 0
+        for c in range(n):
+            for j in range(c + 1, n):
+                run = p**(n - 1 - j)
+                for a in range(p):
+                    coords[j][a] |= _repeat((1 << run) - 1 << a * run, run * p,
+                                            p**(j - c - 1)) << at
+            coords[c][1] |= blocks[c]
+            for j in range(c):
+                coords[j][0] |= blocks[c]
+            at += p**(n - 1 - c)
         self.coords = tuple(tuple(col) for col in coords)
+        self.words = len(lines) + 63 >> 6
         half = n // 2
-        self._split = (1 << half * width) - 1
-        self._low = self._residues(range(half), 1)
-        self._high = self._residues(range(half, n), -1)
+        entries = p**half + p**(n - half)
+        self._low = self._high = None
+        if entries * p * len(lines) <= RESIDUE_BITS and entries * p * p <= RESIDUE_ANDS:
+            self._split = (1 << half * field.width) - 1
+            self._low = self._residues(range(half), 1)
+            self._high = self._residues(range(half, n), -1)
 
     def _residues(self, cols, sign: int) -> dict:
         """Every packed row r supported on cols -> [the mask of the lines u
@@ -629,8 +663,12 @@ class LineTable:
 
     def hyperplane(self, r: int) -> int:
         """The mask of the lines u with r.u = 0, for a packed row r of n
-        lanes: the lines where r's low part gives s and its high part -s."""
-        low, high = self._low[r & self._split], self._high[r & ~self._split]
+        lanes: from the tables, the lines where r's low part gives s and
+        its high part -s."""
+        low = self._low
+        if low is None:
+            return self._unsliced((r,)) if r else self.full
+        low, high = low[r & self._split], self._high[r & ~self._split]
         p = self.field.p
         # unrolled for p = 2 and 3: with the general line alone graph-bridge
         # read 5.5 % and 8.0 % fewer inst_per_s (seeds 1 and 7, BENCH_27.json)
@@ -644,10 +682,82 @@ class LineTable:
         """The mask of the lines u with r.u = 0 for every packed row r of
         rows: W^perp for W their span, with (q^(n - dim W) - 1)/(q - 1)
         lines, and 0 iff W = F^n."""
+        if self._low is None and rows:
+            return self._unsliced(rows)
         out = self.full
         for r in rows:
             out &= self.hyperplane(r)
         return out
+
+    def _unsliced(self, rows) -> int:
+        """annihilator(rows) for nonempty rows with no residue tables: the
+        meet of the rows' hyperplanes by the residue adder, or the lines of
+        the rows' kernel read off one by one when that costs less, with d
+        rows taken to span a d-space (their kernel has at least its lines)."""
+        if sum(map(self._adder_cost, rows)) >= self._lines_of(len(rows)):
+            return self._kernel_lines(rows)
+        out = self.full
+        for r in rows:
+            out &= self._adder(r)
+        return out
+
+    def _lines_of(self, d: int) -> int:
+        """The lines of a subspace of codimension d < n."""
+        p = self.field.p
+        return (p**max(self.n - d, 1) - 1) // (p - 1)
+
+    def _adder_cost(self, r: int) -> int:
+        """The cost of _adder(r) in lines read off a kernel: about p^2 ANDs
+        per nonzero coordinate of r after the first."""
+        p, width, lane = self.field.p, self.field.width, self.field.lane
+        terms = sum(1 for j in range(self.n) if r >> j * width & lane)
+        # an AND costs about 16 words more than its own, for the call
+        return (max(terms - 1, 0) * p * p + 1) * (self.words + 16) // LINE_WORDS
+
+    def _adder(self, r: int) -> int:
+        """The mask of the lines u with r.u = 0 by the residue adder over
+        the nonzero coordinates of r: z[s] holds the lines where the terms
+        so far sum to s, and the last term must give -s."""
+        p, width, lane, inv = self.field.p, self.field.width, self.field.lane, self.field._inv
+        terms = [(self.coords[j], r >> j * width & lane) for j in range(self.n)
+                 if r >> j * width & lane]
+        if not terms:
+            return self.full
+        col, c = terms[0]
+        z = [col[s * inv[c] % p] for s in range(p)]
+        for col, c in terms[1:-1]:
+            t = [col[s * inv[c] % p] for s in range(p)]
+            z = [reduce(or_, [z[a] & t[s - a] for a in range(p)]) for s in range(p)]
+        if len(terms) == 1:
+            return z[0]
+        col, c = terms[-1]
+        return reduce(or_, [z[s] & col[-s * inv[c] % p] for s in range(p)])
+
+    def _kernel_lines(self, rows) -> int:
+        """The mask of the lines of the kernel of rows, each looked up in
+        index: the kernel's RREF rows lead with a 1, so the combinations
+        whose first nonzero coefficient is a 1 are the lines' rows."""
+        field, n, index = self.field, self.n, self.index
+        kernel = _kernel_of_last(field, n, *_rref_rows(rows, field, n, last=True)).rows
+        bits = bytearray(len(self.lines) + 7 >> 3)
+        for lead in range(len(kernel)):
+            for v in _combinations(field, n, kernel[lead + 1:], kernel[lead]):
+                i = index[v]
+                bits[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(bits, "little")
+
+
+def _repeat(x: int, period: int, times: int) -> int:
+    """The sum of x << t period over t < times, by doubling."""
+    out = shift = 0
+    while times:
+        if times & 1:
+            out |= x << shift
+            shift += period
+        x |= x << period
+        period <<= 1
+        times >>= 1
+    return out
 
 
 class FormRows:

@@ -229,7 +229,8 @@ def chi_brute(space: AltMatrixSpace, guard=None):
     dim U.  S is held as (S^perp, dim S), S^perp a mask over the lines of
     F^n (LineTable.annihilator), and each candidate's mask is built when
     the search first reads it: (S + U)^perp is their AND, and the join is
-    direct iff it has the lines of an (n - dim S - dim U)-space.
+    direct iff it has the lines of an (n - dim S - dim U)-space.  The
+    words of the masks kept are required from the guard as they are built.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
@@ -245,9 +246,11 @@ def chi_brute(space: AltMatrixSpace, guard=None):
     # cands is ordered by decreasing dimension
     table = field.lines[n]
     masks = [None] * len(cands)
+    kept = 0        # the words of the masks built
     lines = [(q**d - 1) // (q - 1) for d in range(n + 1)]   # of a d-space
 
     def extend(acc: int, dim: int, start: int, left: int, parts):
+        nonlocal kept
         missing = n - dim
         if missing == 0:
             return list(parts)
@@ -260,6 +263,8 @@ def chi_brute(space: AltMatrixSpace, guard=None):
                 continue
             m = masks[idx]
             if m is None:
+                kept += table.words
+                g.require(kept)
                 m = masks[idx] = table.annihilator(u.rows)
             s = acc & m
             if s.bit_count() != lines[missing - u.dim]:
@@ -350,6 +355,8 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
     its j-th prefix span is on level j with an index <= i_j, and level k
     reaches W.  A span W is held as W^perp, a mask over the lines of F^n
     (LineTable.annihilator): a join is one AND, and W = F^n iff it is 0.
+    The words of the masks of mi are required from the guard before they
+    are built.
     """
     g = as_guard(guard)
     n = space.n
@@ -360,6 +367,7 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
     if mi is None:
         mi = enumerate_maximal_filter(space, guard=g)
     table = space.field.lines[n]
+    g.require(len(mi) * table.words)
     masks = [table.annihilator(t.rows) for t in mi]
     # the maximal spaces are distinct, and none is F^n, as space.dim > 0
     seen = set(masks)
@@ -474,10 +482,11 @@ def two_decomposition_brute(space: AltMatrixSpace, guard=None):
 
     Scans the maximal isotropic spaces V and the isotropic spaces W of
     dimension n - dim V, one tick per pair, for a pair with V + W = F^n,
-    read as annihilator(V) & annihilator(W) == 0 over the lines of F^n;
-    returns (V, W) or None.  If any 2-decomposition U1 + U2 exists, one of
-    this shape exists: extend U1 to a maximal V = U1 + (V meet U2), and
-    take for W a complement of V meet U2 inside U2.
+    read as annihilator(V) & annihilator(W) == 0 over the lines of F^n,
+    each W's mask built when first read and its words required from the
+    guard; returns (V, W) or None.  If any 2-decomposition U1 + U2
+    exists, one of this shape exists: extend U1 to a maximal V = U1 +
+    (V meet U2), and take for W a complement of V meet U2 inside U2.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
@@ -488,6 +497,7 @@ def two_decomposition_brute(space: AltMatrixSpace, guard=None):
     lat = enumerate_isotropic_lattice(space, guard=g)
     table = field.lines[n]
     masks: dict = {}     # level -> the masks of its spaces, each built when first read
+    kept = 0             # the words of the masks built
     for v in lat.maximal():
         d = n - v.dim
         if d >= len(lat.levels):
@@ -498,6 +508,8 @@ def two_decomposition_brute(space: AltMatrixSpace, guard=None):
         for i, w in enumerate(level):
             g.tick()
             if ms[i] is None:
+                kept += table.words
+                g.require(kept)
                 ms[i] = table.annihilator(w.rows)
             if not mv & ms[i]:
                 return v, w

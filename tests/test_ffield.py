@@ -378,6 +378,54 @@ def test_a_hyperplane_is_the_lines_orthogonal_to_its_row():
                     assert table.hyperplane(field.pack(r)) == scan, (field, r)
 
 
+def test_masks_without_residue_tables_are_the_sliced_masks(monkeypatch):
+    # with no residue tables a mask comes from the residue adder over its
+    # rows or from the lines of its kernel, as LINE_WORDS weighs them;
+    # either gives the mask of the sliced tables
+    rng = random.Random(28)
+    for field, n in [(F2, 5), (F3, 4), (F5, 3), (PrimeField(7), 3)]:
+        sliced = ffield.LineTable(field, n)
+        monkeypatch.setattr(ffield, "RESIDUE_BITS", 0)
+        bare = ffield.LineTable(field, n)
+        monkeypatch.undo()
+        assert bare.lines == sliced.lines and bare.coords == sliced.coords
+        spaces = [Subspace.from_vectors(field, n, [[rng.randrange(field.p) for _ in range(n)]
+                                                   for _ in range(rng.randint(1, n))])
+                  for _ in range(30)]
+        rows = [field.pack(r) for r in product(range(field.p), repeat=n)]
+        for line_words in (1, 40, 10**9):      # kernel lines always, mixed, adder always
+            monkeypatch.setattr(ffield, "LINE_WORDS", line_words)
+            assert [bare.hyperplane(r) for r in rows] == [sliced.hyperplane(r) for r in rows]
+            for u in spaces:
+                assert bare.annihilator(u.rows) == sliced.annihilator(u.rows), (field, u)
+            assert bare.annihilator(()) == bare.full
+        monkeypatch.undo()
+
+
+def test_a_large_field_builds_its_masks_from_their_rows():
+    # the residue tables of F_101^3 would hold 10^10 bits: the table keeps
+    # its lines and coordinates, and each mask is read off its rows
+    field = PrimeField(101)
+    table = field.lines[3]
+    assert len(table.lines) == 10303 and table.words == 161
+    vectors = [field.unpack(v, 3) for v in table.lines]
+    rng = random.Random(101)
+    for _ in range(3):
+        r = [rng.randrange(101) for _ in range(3)]
+        scan = sum(1 << i for i, u in enumerate(vectors)
+                   if sum(a * b for a, b in zip(r, u)) % 101 == 0)
+        assert table.hyperplane(field.pack(r)) == scan
+        assert scan.bit_count() == (102 if any(r) else 10303)
+    for d in (1, 2, 3):
+        u = Subspace.from_vectors(field, 3, [[rng.randrange(101) for _ in range(3)]
+                                             for _ in range(d)])
+        want = sum(1 << i for i, v in enumerate(vectors)
+                   if all(sum(a * b for a, b in zip(field.unpack(r, 3), v)) % 101 == 0
+                          for r in u.rows))
+        assert table.annihilator(u.rows) == want
+        assert want.bit_count() == (101**(3 - u.dim) - 1) // 100
+
+
 def test_a_line_mask_is_the_lines_of_the_line_kernel():
     from util import random_space
     rng = random.Random(27)

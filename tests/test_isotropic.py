@@ -540,6 +540,43 @@ def test_the_span_searches_make_no_join_once_the_lattice_is_built(monkeypatch):
     assert len(built) == 2 * len(spaces)
 
 
+def test_the_span_searches_answer_on_a_large_field():
+    # F_101^3 has 10,303 lines and F_89^3 8,011, under LINE_MASK_LINES; the
+    # residue tables of either would hold about 10^9 bits or more, and
+    # without them every search answers, also within a small guard
+    for field, forms in ((PrimeField(101), 1), (PrimeField(101), 2), (PrimeField(89), 1)):
+        sp = random_space(random.Random(0), field, 3, forms)
+        c, parts = chi_brute(sp, guard=Guard(10**5))
+        validate_decomposition(sp, parts)
+        assert c == len(parts) == 2
+        if forms == 1:      # 2 forms: the next test
+            assert chi_maxcover(sp) == 2
+        pair = two_decomposition_brute(sp, guard=Guard(10**5))
+        validate_decomposition(sp, list(pair))
+    assert alpha_exact(sp)[0] == 2
+
+
+def test_the_masks_a_search_keeps_are_required_from_the_guard(monkeypatch):
+    # chi_maxcover on F_101^3 with 2 forms keeps 10,303 masks of 161 words,
+    # past a guard of 10^5: it stops before building them
+    sp = random_space(random.Random(0), PrimeField(101), 3, 2)
+    mi = enumerate_maximal_filter(sp)
+    assert len(mi) * PrimeField(101).lines[3].words > 10**5
+    built = []
+    inner = ffield.LineTable.annihilator
+
+    def counting(self, rows):
+        built.append(rows)
+        return inner(self, rows)
+
+    monkeypatch.setattr(ffield.LineTable, "annihilator", counting)
+    with pytest.raises(GuardExceeded, match="estimated"):
+        chi_maxcover(sp, guard=Guard(10**5), mi=mi)
+    assert built == []
+    assert chi_maxcover(sp, mi=mi) == 2
+    assert len(built) == len(mi)
+
+
 # ------------------------------------------------------- the Lawler memo
 
 def test_chi_lawler_solves_each_restriction_once(monkeypatch):
