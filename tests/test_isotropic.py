@@ -557,7 +557,7 @@ def test_the_span_searches_answer_on_a_large_field():
 
 
 def test_the_masks_a_search_keeps_are_required_from_the_guard(monkeypatch):
-    # chi_maxcover on F_101^3 with 2 forms keeps 10,303 masks of 161 words,
+    # chi_maxcover on F_101^3 with 2 forms keeps 10,202 masks of 161 words,
     # past a guard of 10^5: it stops before building them
     sp = random_space(random.Random(0), PrimeField(101), 3, 2)
     mi = enumerate_maximal_filter(sp)
