@@ -847,8 +847,9 @@ class FormRows:
         (on alternating M_i, v is in its own kernel).  Each line's mask is
         kept as long as the map lives, so back-to-back lattices of the same
         M_i build it once (rebuilding it per lattice read 11.5 % and 7.2 % fewer
-        graph-bridge inst_per_s); a hyperplane is one meet in the table and
-        is not kept."""
+        graph-bridge inst_per_s); a hyperplane is one meet in the residue
+        tables, or is built from its row where the table has none, and is
+        not kept."""
         out = self._line_masks.get(v)
         if out is None:
             table = self.field.lines[self.m]
