@@ -38,15 +38,16 @@ class Guard:
                 f"combinatorial guard exceeded ({self.used} > {self.limit} iterations)"
             )
 
-    def require(self, estimate: int) -> None:
-        """Fail fast when a known work estimate already exceeds the budget."""
+    def require(self, estimate: int, what: str = "iterations") -> None:
+        """Fail fast when a known work estimate, in units of what, already
+        exceeds the budget."""
         if estimate > self.limit - self.used:
             # past 4,300 digits int-to-str raises ValueError, so a huge
             # estimate is shown by its bit length
             shown = (estimate if estimate.bit_length() <= 64
                      else f"at least 2^{estimate.bit_length() - 1}")
             raise GuardExceeded(
-                f"combinatorial guard exceeded (estimated {shown} iterations, "
+                f"combinatorial guard exceeded (estimated {shown} {what}, "
                 f"{self.limit - self.used} remaining of {self.limit})"
             )
 

@@ -1065,19 +1065,39 @@ def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=N
                 yield Subspace(field, n, rows, pivots)
 
 
-def enumerate_complements(u: Subspace, guard=None):
-    """All complements of u in F_p^n, exactly once each (q^{d(n-d)} total).
+def enumerate_complements(u: Subspace, guard=None, skip=()):
+    """All complements of u in F_p^n, exactly once each (q^{d(n-d)} total),
+    but those that are also complements of a subspace in skip.
 
     Complements are the graphs of linear maps from the coordinate complement
-    of u into u; the map coefficients run in odometer order.
+    of u into u; the map coefficients run in odometer order, so the last
+    row varies fastest: each prefix of the other rows is reduced at most
+    once and its RREF extended by each last row.  skip holds the
+    annihilator masks (LineTable.annihilator) of subspaces of dimension
+    u.dim; a complement W of u meets such an S in 0 iff ann(W) & ann(S)
+    == 0, with ann(W) the prefix's mask ANDed with the hyperplane of the
+    last row.  A skipped complement is ticked but neither reduced nor
+    yielded.
     """
     g = as_guard(guard)
     field, n, d = u.field, u.n, u.dim
     w0 = u.coordinate_complement()
     g.require(field.p ** (d * w0.dim))
-    # row i of a complement is w_i plus any combination of u's rows
-    choices = [_combinations(field, n, u.rows, w) for w in w0.rows]
-    for rows in product(*choices):
-        g.tick()
-        out, pivots = _rref_rows(rows, field, n)
-        yield Subspace(field, n, tuple(out), tuple(pivots))
+    # row i of a complement is w_i plus any combination of u's rows; F^n's
+    # one complement, 0, is a zero last row
+    *head, tail = [_combinations(field, n, u.rows, w) for w in w0.rows] or [[0]]
+    table = field.lines[n] if skip else None
+    planes = [table.hyperplane(r) for r in tail] if skip else [0] * len(tail)
+    for prefix in product(*head):
+        mask = table.annihilator(prefix) if skip else 0
+        out = None      # the prefix's RREF, once a complement needs it
+        for r, plane in zip(tail, planes):
+            g.tick()
+            if skip:
+                plane &= mask
+                if any(not plane & s for s in skip):
+                    continue
+            if out is None:
+                out, pivots = _rref_rows(prefix, field, n)
+            rows, leads = _rref_rows((r,), field, n, out, pivots)
+            yield Subspace(field, n, tuple(rows), tuple(leads))

@@ -174,9 +174,13 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
     Reduce by the radical (every maximal isotropic space contains rad(A)),
     pick a minimum-degree vector v, branch over one representative w per
     line of the closed neighbourhood of v, recurse on A|_rad(w), lift, and
-    keep the lifted candidates with U = rad(U).
+    keep the lifted candidates with U = rad(U).  Branches share restricted
+    spaces: a memo keyed by (dim rad(w), restriction key), as chi_lawler's
+    is, solves each once per call, and a hit reuses its list of maximal
+    spaces and ticks nothing.
     """
     g = as_guard(guard)
+    memo: dict = {}      # (dim, restriction key) -> rec's list, never mutated
 
     def rec(sp: AltMatrixSpace) -> list:
         g.tick()
@@ -200,8 +204,11 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
             g.tick()
             rw = forms.kernel([w])
             # A|_rad(w) from the rows of the lines that forms already holds
-            sub = AltMatrixSpace.from_upper(field, rw.dim, forms.restriction(rw.rows))
-            for m in rec(sub):
+            key = (rw.dim, forms.restriction(rw.rows))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = rec(AltMatrixSpace.from_upper(field, *key))
+            for m in hit:
                 cand = m.image(rw)
                 ck = cand.key()
                 if ck in found:
@@ -264,7 +271,7 @@ def chi_brute(space: AltMatrixSpace, guard=None):
             m = masks[idx]
             if m is None:
                 kept += table.words
-                g.require(kept)
+                g.require(kept, "mask words")
                 m = masks[idx] = table.annihilator(u.rows)
             s = acc & m
             if s.bit_count() != lines[missing - u.dim]:
@@ -292,10 +299,16 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     FormRows.  One memo maps a key to its answer with its certificate in
     those coordinates, so each distinct restriction is solved once per
     call, and an improving child's parts lift into U's coordinates through
-    w.  A search tries each complement once: a repeat gives the same chi,
-    which cannot beat the best it already set.  Maximal spaces are tried
-    largest first, and the search stops once the dimension lower bound
-    ceil(dim U / alpha(A|_U)) is attained.  Returns (chi, certificate).
+    w.  Maximal spaces are tried largest first, and the search stops once
+    the dimension lower bound ceil(dim U / alpha(A|_U)) is attained.  A
+    search tries each complement once: a repeat gives the same chi, which
+    cannot beat the best it already set.  As best only falls, every earlier
+    V' of V's dimension was searched in full, so a complement W of V is a
+    repeat iff W meets some such V' in 0; enumerate_complements skips it by
+    the annihilator masks of those V' before reducing it.  A search keeps
+    the mask of a V searched in full only if a later V has its dimension,
+    and requires the words it keeps from the guard as it keeps them.
+    Returns (chi, certificate).
     """
     g = as_guard(guard)
     field, n = space.field, space.n
@@ -316,21 +329,26 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
         alpha_u = mis[0].dim
         lb = -(-d // alpha_u)
         forms = form_rows(sub)
-        tried = set()
+        searched: dict = {}      # dim V -> the annihilator masks of the V searched
+        kept = 0
         best = None
-        for v in mis:
+        for i, v in enumerate(mis):
             # no decomposition through v can beat 1 + ceil((dim U - dim V)/alpha)
             if best is not None and 1 + -(-(d - v.dim) // alpha_u) >= best[0]:
                 continue
-            for w in enumerate_complements(v, guard=g):
-                if w.rows in tried:
-                    continue
-                tried.add(w.rows)
+            done = searched.setdefault(v.dim, [])
+            for w in enumerate_complements(v, guard=g, skip=done):
                 cw, parts = rec(w.dim, forms.restriction(w.rows))
                 if best is None or 1 + cw < best[0]:
                     best = (1 + cw, [v] + [p.image(w) for p in parts])
                     if best[0] == lb:
                         return best
+            # only a later V of v's dimension (mis is sorted) reads its mask
+            if i + 1 < len(mis) and mis[i + 1].dim == v.dim:
+                table = field.lines[d]
+                kept += table.words
+                g.require(kept, "mask words")
+                done.append(table.annihilator(v.rows))
         return best
 
     # the first lattice's lines, required before the restriction to F^n
@@ -367,7 +385,7 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
     if mi is None:
         mi = enumerate_maximal_filter(space, guard=g)
     table = space.field.lines[n]
-    g.require(len(mi) * table.words)
+    g.require(len(mi) * table.words, "mask words")
     masks = [table.annihilator(t.rows) for t in mi]
     # the maximal spaces are distinct, and none is F^n, as space.dim > 0
     seen = set(masks)
@@ -509,7 +527,7 @@ def two_decomposition_brute(space: AltMatrixSpace, guard=None):
             g.tick()
             if ms[i] is None:
                 kept += table.words
-                g.require(kept)
+                g.require(kept, "mask words")
                 ms[i] = table.annihilator(w.rows)
             if not mv & ms[i]:
                 return v, w

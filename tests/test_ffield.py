@@ -208,6 +208,27 @@ def test_enumerate_complements_edge_cases():
     assert list(enumerate_complements(zero)) == [Subspace.full(F2, 3)]
 
 
+def test_a_skipped_complement_is_one_of_a_skipped_space():
+    # chi_lawler's searches pass the masks of the maximal spaces of the
+    # same dimension searched before: exactly the complements that meet
+    # every one of them come out, in order, with every complement ticked
+    rng = random.Random(29)
+    for field, top in ((F2, 5), (F3, 4)):
+        for n in range(top + 1):
+            table = field.lines[n]
+            for _ in range(12):
+                subs = list(enumerate_subspaces(field, n, rng.randint(0, n)))
+                u = rng.choice(subs)
+                others = rng.sample(subs, rng.randint(1, min(3, len(subs))))
+                g, kept = Guard(), Guard()
+                want = [(w.rows, w.pivots) for w in enumerate_complements(u, guard=g)
+                        if all(w.intersect(s).dim for s in others)]
+                skip = [table.annihilator(s.rows) for s in others]
+                got = [(w.rows, w.pivots)
+                       for w in enumerate_complements(u, guard=kept, skip=skip)]
+                assert got == want and kept.used == g.used, (field.p, u.rows)
+
+
 @pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
 def test_the_zero_and_full_cases_take_the_general_path(field):
     # the empty product is one empty row tuple: no lines, or one subspace

@@ -543,12 +543,14 @@ def test_the_span_searches_make_no_join_once_the_lattice_is_built(monkeypatch):
 def test_the_span_searches_answer_on_a_large_field():
     # F_101^3 has 10,303 lines and F_89^3 8,011, under LINE_MASK_LINES; the
     # residue tables of either would hold about 10^9 bits or more, and
-    # without them every search answers, also within a small guard
+    # without them every search answers, also within a small guard (a
+    # chi_lawler search answered at its first maximal space keeps no mask)
     for field, forms in ((PrimeField(101), 1), (PrimeField(101), 2), (PrimeField(89), 1)):
         sp = random_space(random.Random(0), field, 3, forms)
-        c, parts = chi_brute(sp, guard=Guard(10**5))
-        validate_decomposition(sp, parts)
-        assert c == len(parts) == 2
+        for chi in (chi_brute, chi_lawler):
+            c, parts = chi(sp, guard=Guard(10**5))
+            validate_decomposition(sp, parts)
+            assert c == len(parts) == 2
         if forms == 1:      # 2 forms: the next test
             assert chi_maxcover(sp) == 2
         pair = two_decomposition_brute(sp, guard=Guard(10**5))
@@ -570,7 +572,7 @@ def test_the_masks_a_search_keeps_are_required_from_the_guard(monkeypatch):
         return inner(self, rows)
 
     monkeypatch.setattr(ffield.LineTable, "annihilator", counting)
-    with pytest.raises(GuardExceeded, match="estimated"):
+    with pytest.raises(GuardExceeded, match="estimated 1642522 mask words, 100000 remaining"):
         chi_maxcover(sp, guard=Guard(10**5), mi=mi)
     assert built == []
     assert chi_maxcover(sp, mi=mi) == 2
@@ -600,23 +602,33 @@ def test_chi_lawler_solves_each_restriction_once(monkeypatch):
 def test_chi_lawler_keys_each_complement_once_per_search(monkeypatch):
     # each search has its own FormRows and skips a complement it has
     # already tried, so no (search, complement) pair is keyed twice; a
-    # skip ticks nothing, and 7,581 is the total without the tried set
+    # skip ticks nothing, and 7,581 is the total without the tried set.
+    # The skip comes inside enumerate_complements, so every complement that
+    # comes out is keyed; the one other key is the whole space's
     from test_acceptance import random_space_suite_lam4
-    keyed = []
-    inner = FormRows.restriction
+    keyed, yields = [], []
+    inner, complements = FormRows.restriction, isotropic.enumerate_complements
 
     def recording(self, rows):
         keyed.append((self, rows))
         return inner(self, rows)
 
+    def yielding(u, **kwargs):
+        for w in complements(u, **kwargs):
+            yields.append(w)
+            yield w
+
     monkeypatch.setattr(FormRows, "restriction", recording)
+    monkeypatch.setattr(isotropic, "enumerate_complements", yielding)
     ticks = 0
     for _, sp in random_space_suite_lam4():
         keyed.clear()
+        yields.clear()
         g = Guard()
         chi_lawler(sp, guard=g)
         ticks += g.used
         assert keyed and len(keyed) == len(set(keyed)), sp
+        assert len(keyed) == len(yields) + 1, sp
     assert ticks == 7581
 
 
@@ -650,6 +662,25 @@ def test_chi_lawler_certificates_pinned():
         out.append((c, [(p.field.p, p.n, p.basis.entries) for p in parts]))
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == "85114d2371124f0ac36c54dd61a00f679883b03b8020dbc42a30cb6bd08d21b9"
+
+
+def test_the_branch_enumeration_solves_each_restriction_once(monkeypatch):
+    # the branches of enumerate_maximal_branch share restricted spaces
+    # A|_rad(w); one call builds each of them once and reuses its list
+    # (nondegenerate_part builds its own through altspace.restrict)
+    from types import SimpleNamespace
+    from test_acceptance import random_space_suite_lam4, random_space_suite_lam5
+    built = []
+
+    def recording(field, n, rows):
+        built.append((field.p, n, tuple(rows)))
+        return AltMatrixSpace.from_upper(field, n, rows)
+
+    monkeypatch.setattr(isotropic, "AltMatrixSpace", SimpleNamespace(from_upper=recording))
+    for sp in [sp for _, sp in random_space_suite_lam4()] + random_space_suite_lam5():
+        built.clear()
+        enumerate_maximal_branch(sp)
+        assert len(built) == len(set(built)), sp
 
 
 # ------------------------------------------------------- the form-rows memo

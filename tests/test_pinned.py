@@ -77,4 +77,4 @@ def test_row_representation_outputs_pinned():
         out.append([rows(u), rows(v), ticks])
     out += [complements_record(F2, 4), complements_record(F3, 3)]
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
-    assert digest == "b3cb687be29089a842f6dafcd712f212e2faef3ed75b39b43f9df5b1d7ec5a28"
+    assert digest == "8c67b02e514d5808332a086f4f5d3043828576a043992ea17945992eec078100"
