@@ -18,6 +18,7 @@ from .errors import VerificationError, as_guard
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
                      congruences, enumerate_subspaces, kernel, solve_linear, span_basis,
                      vstack)
+from .isotropic import LINE_MASK_LINES
 
 
 class MatrixSpace:
@@ -101,14 +102,39 @@ def ncrk_witness_pair(b: MatrixSpace, guard=None):
     w^t B_i^t, so dim U = s - rank.  The basis rows are one per line, so
     each line is combined at most once.  Ties go to the first scanned space
     in enumerate_subspaces order, and only its kernel is taken.
+
+    When the partner's side F^m has at most LINE_MASK_LINES lines (the
+    lattice's cap), the partner's dimension is read off masks of lines of
+    F^m instead of a row reduction per subspace: the kernel of a basis row
+    is the annihilator, in field.lines[m], of the RREF of its rows, kept
+    per row for the call; the kernel of a space is the AND over its basis
+    rows, and a d-space has (q^d - 1)/(q - 1) lines.  FormRows.line_mask
+    is not used: its early stop holds only on alternating maps, and the
+    padded squares of ncrk_pad_square are not alternating.  Both routes
+    scan, tick and break ties alike, so they give the same pair.
     """
     g = as_guard(guard)
+    field = b.field
     left = b.s < b.t
     n, m = (b.s, b.t) if left else (b.t, b.s)
-    forms = FormRows(b.field, n, m, b.basis if left else [x.transpose() for x in b.basis])
+    forms = FormRows(field, n, m, b.basis if left else [x.transpose() for x in b.basis])
+    q = field.p
+    table = field.lines[m] if (q**m - 1) // (q - 1) <= LINE_MASK_LINES else None
+    if table is not None:
+        dims = {(q**d - 1) // (q - 1): d for d in range(m + 1)}
+        masks = {}
     best = None
-    for w in enumerate_subspaces(b.field, n, guard=g):
-        score = w.dim + m - forms.rank(w.rows)
+    for w in enumerate_subspaces(field, n, guard=g):
+        if table is None:
+            score = w.dim + m - forms.rank(w.rows)
+        else:
+            ker = table.full
+            for r in w.rows:
+                mask = masks.get(r)
+                if mask is None:
+                    mask = masks[r] = table.annihilator(forms.rows(r)[0])
+                ker &= mask
+            score = w.dim + dims[ker.bit_count()]
         if best is None or score > best[0]:
             best = (score, w)
     w = best[1]

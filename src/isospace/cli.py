@@ -5,7 +5,8 @@ digest, the results with witnesses as RREF row lists, the timing, and the
 seed/guard settings.  Witnesses re-verify through the library.  Exit
 codes: 0 ok, 2 parse error (malformed file or argument), 3 guard exceeded,
 4 verification failure, 5 input error (well-formed input outside a
-command's domain, such as a disconnected graph for `quantum`).
+command's domain, such as a disconnected graph for `quantum`), 6 output
+error (stdout closed before the report was written).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -488,15 +490,24 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 5
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        res = report["results"]
-        if "space" in res:
-            sys.stdout.write(res["space"])
+    try:
+        if args.json:
+            print(json.dumps(report, sort_keys=True))
         else:
-            for k in sorted(res):
-                print(f"{k}: {res[k]}")
+            res = report["results"]
+            if "space" in res:
+                sys.stdout.write(res["space"])
+            else:
+                for k in sorted(res):
+                    print(f"{k}: {res[k]}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left in its buffer goes to
+        # devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output error: stdout was closed before the report was written",
+              file=sys.stderr)
+        return 6
     return 0
 
 

@@ -26,12 +26,12 @@ the one reduction (_kernel_of_last).
 
 Scans over the lines of F_p^n meet sets of lines as bitmasks over the
 LineTable of (p, n), PrimeField.lines[n]: FormRows.line_mask gives a
-line's kernel as the AND of the hyperplane masks of its rows, and
-LineTable.annihilator gives a span W as the lines of W^perp, so that a
-join W + V is one AND and W = F^n iff its mask is 0.  Besides its lines
-and their index, a table holds the n p masks of its coordinates, and its
-residue tables only where those are small; without them a mask is built
-from its rows alone.
+line's kernel under an alternating map as the AND of the hyperplane masks
+of its rows, and LineTable.annihilator gives a span W as the lines of
+W^perp, so that a join W + V is one AND and W = F^n iff its mask is 0.
+Besides its lines and their index, a table holds the n p masks of its
+coordinates, and its residue tables only where those are small; without
+them a mask is built from its rows alone.
 """
 
 from __future__ import annotations
@@ -771,12 +771,13 @@ class FormRows:
     one vector is a length and kernel reads its vectors off that RREF; the
     kernel of one vector is kept as well.  The raw rows are kept too, and
     for square maps restriction reads the span of the B M_i B^t off those
-    of B's rows, and line_mask reads the lines of a line's kernel off the
-    LineTable as the meet of its rows' hyperplanes, with no reduction, and
-    keeps that mask.  Vectors are packed rows of n lanes.  The map lives as
-    long as a caller holds it; what it keeps depends on the M_i alone, so
-    one map may serve every scan of the same M_i, and altspace.form_rows
-    keeps the last map it built, one entry only, for the next scan.
+    of B's rows; for alternating maps line_mask reads the lines of a
+    line's kernel off the LineTable as the meet of its rows' hyperplanes,
+    with no reduction, and keeps that mask.  Vectors are packed rows of n
+    lanes.  The map lives as long as a caller holds it; what it keeps
+    depends on the M_i alone, so one map may serve every scan of the same
+    M_i, and altspace.form_rows keeps the last map it built, one entry
+    only, for the next scan.
     """
 
     __slots__ = ("field", "k", "m", "_slices", "_rows", "_products_of", "_kernels",
@@ -841,10 +842,13 @@ class FormRows:
         return _kernel_of_last(self.field, self.m, *self._span(vectors))
 
     def line_mask(self, v: int) -> int:
-        """For square maps and the row v of a line of F^m in
+        """For alternating M_i and the row v of a line of F^m in
         field.lines[m]: the mask of the lines of kernel([v]), the meet of
-        the hyperplanes of v's rows, which stops once it is v's line alone
-        (on alternating M_i, v is in its own kernel).  Each line's mask is
+        the hyperplanes of v's rows, which stops once it is v's line alone.
+        The stop holds because v^t M_i v = 0 puts v in its own kernel; on
+        a square map that is not alternating v may lie outside it, and the
+        mask would wrongly keep v's line (so ncrk_witness_pair meets the
+        rows with LineTable.annihilator instead).  Each line's mask is
         kept as long as the map lives, so back-to-back lattices of the same
         M_i build it once (rebuilding it per lattice read 11.5 % and 7.2 % fewer
         graph-bridge inst_per_s); a hyperplane is one meet in the residue

@@ -42,10 +42,12 @@ def greedy_maximal(space: AltMatrixSpace) -> Subspace:
 # ---------------------------------------------------------------------------
 # the isotropic lattice
 
-# the lattice reads radicals off bitmasks of lines when F^n has at most this
-# many lines: its masks take lines^2 bits, 8 MB here.  On 2 cores, F_3^9
-# (9,841 lines, 8 forms) read 1.17x the kernel route's peak RSS, and from
-# about 3^10 lines (F_3^10, F_2^15) the masks are no faster (BENCH_27.json)
+# the lattice reads radicals, and bipartite.ncrk_witness_pair the kernels of
+# the spaces it scans, off bitmasks of lines when F^n has at most this many
+# lines: the masks, at most one per line, take lines^2 bits, 8 MB here.  On
+# 2 cores, F_3^9 (9,841 lines, 8 forms) read 1.17x the kernel route's peak
+# RSS in the lattice, and from about 3^10 lines (F_3^10, F_2^15) its masks
+# are no faster (BENCH_27.json)
 LINE_MASK_LINES = 2**13
 
 

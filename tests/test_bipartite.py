@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from isospace import bipartite
 from isospace.altspace import (AltMatrixSpace, is_isotropic, radical_space,
                                validate_decomposition)
 from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
@@ -11,11 +12,14 @@ from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 hyperbolic_idempotent_search, ncrk_brute,
                                 ncrk_pad_square, ncrk_witness_pair,
                                 two_decomposition_via_adjoint)
-from isospace.errors import Guard, VerificationError
-from isospace.ffield import Matrix, Subspace, enumerate_subspaces, kernel, vstack
+from isospace.errors import Guard, GuardExceeded, VerificationError
+from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, enumerate_subspaces,
+                              kernel, vstack)
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import alpha_exact, two_decomposition_brute
 from util import F2, F3, random_matrix_space, random_space, symplectic_form
+
+F5, F31 = PrimeField(5), PrimeField(31)
 
 
 def e_split(field, n, s):
@@ -328,3 +332,68 @@ def test_ncrk_witness_pair_matches_the_stacked_product_scan():
         g_new, g_ref = Guard(), Guard()
         assert ncrk_witness_pair(b, guard=g_new) == stacked_product_witness_pair(b, g_ref)
         assert g_new.used == g_ref.used
+
+
+def _ncrk_record(b, limit=None):
+    """The pair as (rows, pivots) of each side and the guard ticks; or the
+    GuardExceeded message and the ticks."""
+    g = Guard() if limit is None else Guard(limit)
+    try:
+        u, v = ncrk_witness_pair(b, guard=g)
+    except GuardExceeded as exc:
+        return str(exc), g.used
+    return (u.rows, u.pivots, v.rows, v.pivots), g.used
+
+
+def _ncrk_route_inputs():
+    rng = random.Random(30)
+    out = []
+    for field, shapes in ((F2, [(2, 5), (4, 4), (5, 3)]), (F3, [(2, 3), (3, 3), (4, 2)]),
+                          (F5, [(2, 3), (3, 3)]), (F31, [(3, 3)])):
+        for s, t in shapes:
+            out += [random_matrix_space(rng, field, s, t, k) for k in (1, 2, 3)]
+    out += [MatrixSpace(F2, 1, 3, ()), MatrixSpace(F3, 3, 2, ()), MatrixSpace(F31, 3, 3, ())]
+    for field, shapes in ((F2, [(1, 2), (2, 3), (2, 4)]), (F3, [(1, 2), (1, 3), (2, 3)]),
+                          (F5, [(2, 3)])):
+        for s, t in shapes:
+            out += [ncrk_pad_square(random_matrix_space(rng, field, s, t, k)) for k in (1, 2)]
+    out.append(ncrk_pad_square(MatrixSpace(F3, 1, 3, ())))
+    # padded <(0 1)> is <E_11, E_12, E_22>: for the line of e_2, the
+    # hyperplane of E_12 e_2 = e_1 is already e_2's own line, but E_22 e_2
+    # != 0, so its kernel is 0; FormRows.line_mask, whose early stop holds
+    # only on alternating maps, would keep e_2's line
+    e12 = Matrix.from_rows(F2, [[0, 1]])
+    out.append(ncrk_pad_square(MatrixSpace.from_generators(F2, 1, 2, [e12])))
+    return out
+
+
+def test_the_line_mask_ncrk_scan_is_the_rank_scan(monkeypatch):
+    # under the cap the scan reads dim ker(W) off line masks and never ranks
+    # rows; with no room for masks it ranks them; the pairs, ticks and guard
+    # trips stay the same, on F_5^3 with residue tables, on F_31^3 without
+    # them, and on padded squares, which are not alternating
+    assert F5.lines[3]._low is not None and F31.lines[3]._low is None
+    ranks = []
+    inner = FormRows.rank
+
+    def counting(self, vectors):
+        ranks.append(vectors)
+        return inner(self, vectors)
+
+    monkeypatch.setattr(FormRows, "rank", counting)
+    for b in _ncrk_route_inputs():
+        ranks.clear()
+        full = _ncrk_record(b)
+        used = full[-1]
+        short = [_ncrk_record(b, used - 1), _ncrk_record(b, used // 2)]
+        assert ranks == [] and isinstance(short[0][0], str)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bipartite, "LINE_MASK_LINES", -1)
+            assert _ncrk_record(b) == full and len(ranks) == used
+            assert [_ncrk_record(b, used - 1), _ncrk_record(b, used // 2)] == short
+    # F_2^13 has 8,191 lines, under the cap, and F_2^14 16,383: only the
+    # first gets a line table
+    field = PrimeField(2)
+    for t in (13, 14):
+        ncrk_witness_pair(MatrixSpace(field, 1, t, ()))
+    assert sorted(field.lines) == [13]

@@ -624,3 +624,19 @@ def test_alpha_bipartite_on_a_large_zero_space(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["alpha"] == 400
+
+
+def test_a_closed_stdout_exits_6_without_a_traceback():
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails, whatever the timing
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "isospace", "count", "gaussian",
+                               "4", "2", "2", "--json"],
+                              stdout=w, stderr=subprocess.PIPE, text=True, timeout=30)
+    finally:
+        os.close(w)
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 6, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("output error")
