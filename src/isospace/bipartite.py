@@ -16,9 +16,8 @@ from .altspace import (AltMatrixSpace, block_alternating, is_isotropic, nondegen
                        split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
-                     congruences, enumerate_subspaces, kernel, solve_linear, span_basis,
-                     vstack)
-from .isotropic import LINE_MASK_LINES
+                     congruences, enumerate_subspaces, kernel, line_masks_pay, solve_linear,
+                     span_basis, vstack)
 
 
 class MatrixSpace:
@@ -103,8 +102,10 @@ def ncrk_witness_pair(b: MatrixSpace, guard=None):
     each line is combined at most once.  Ties go to the first scanned space
     in enumerate_subspaces order, and only its kernel is taken.
 
-    When the partner's side F^m has at most LINE_MASK_LINES lines (the
-    lattice's cap), the partner's dimension is read off masks of lines of
+    Where line masks of the partner's side F^m pay (ffield.line_masks_pay,
+    asked with F^m's own line count, so that on fields with residue tables
+    the masks run where F^m has at most 2^13 lines, the range measured in
+    BENCH_30.json), the partner's dimension is read off masks of lines of
     F^m instead of a row reduction per subspace: the kernel of a basis row
     is the annihilator, in field.lines[m], of the RREF of its rows, kept
     per row for the call; the kernel of a space is the AND over its basis
@@ -119,7 +120,7 @@ def ncrk_witness_pair(b: MatrixSpace, guard=None):
     n, m = (b.s, b.t) if left else (b.t, b.s)
     forms = FormRows(field, n, m, b.basis if left else [x.transpose() for x in b.basis])
     q = field.p
-    table = field.lines[m] if (q**m - 1) // (q - 1) <= LINE_MASK_LINES else None
+    table = field.lines[m] if line_masks_pay(q, m, (q**m - 1) // (q - 1)) else None
     if table is not None:
         dims = {(q**d - 1) // (q - 1): d for d in range(m + 1)}
         masks = {}

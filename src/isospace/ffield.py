@@ -31,7 +31,9 @@ of its rows, and LineTable.annihilator gives a span W as the lines of
 W^perp, so that a join W + V is one AND and W = F^n iff its mask is 0.
 Besides its lines and their index, a table holds the n p masks of its
 coordinates, and its residue tables only where those are small; without
-them a mask is built from its rows alone.
+them a mask is built from its rows alone.  line_masks_pay is the one rule
+for where a scan runs on masks: only where F_p^n has residue tables, and
+its masks fit their budget.
 """
 
 from __future__ import annotations
@@ -539,23 +541,23 @@ class Subspace:
         """The first basis row of self that inner does not contain, or None."""
         return next((r for r in self.rows if not inner.contains_vector(r)), None)
 
-    def children(self, outer: "Subspace", guard=None):
-        """The subspaces of outer one dimension above self (self <= outer)
-        whose RREF is self's rows plus one last row, guarded.
-
-        That last row v has its pivot c after self's last pivot, so v lies
-        in the span of outer's rows pivoted after it, and c must be a column
-        where self's rows are zero.  The children are the lines of that span
-        whose lead row has such a pivot, in projective_rows order, each
-        already in RREF.
-        """
-        field, n, width = self.field, self.n, self.field.width
-        at = bisect_left(outer.pivots, self.pivots[-1] + 1) if self.pivots else 0
-        leads = [i for i, c in enumerate(outer.pivots[at:])
-                 if not any(r >> c * width & field.lane for r in self.rows)]
-        for v in _lines(field, n, outer.rows[at:], leads, guard):
-            yield Subspace(field, n, self.rows + (v,),
-                           self.pivots + (((v & -v).bit_length() - 1) // width,))
+    def lines(self, leads, guard=None):
+        """One packed row per line of self whose first nonzero coefficient,
+        a 1, is at a row of self in the ascending leads (indices into
+        self.rows): by the position of that 1, then the later coefficients
+        in itertools.product order.  Self's rows are in RREF, so each row's
+        first nonzero coordinate is a 1, at its lead row's pivot.  The
+        guard requires the lines, then ticks once per line."""
+        g = as_guard(guard)
+        rows, p = self.rows, self.field.p
+        count, at = 0, -1       # sum of p^(k-1-lead) over the leads, by Horner's rule
+        for lead in leads:
+            count, at = count * p**(lead - at) + 1, lead
+        g.require(count * p**(len(rows) - 1 - at))
+        for lead in leads:
+            for v in _combinations(self.field, self.n, rows[lead + 1:], rows[lead]):
+                g.tick()
+                yield v
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -579,6 +581,22 @@ RESIDUE_ANDS = 2**19
 LINE_WORDS = 500
 
 
+def line_masks_pay(p: int, n: int, masks: int) -> bool:
+    """Whether a scan that keeps up to `masks` masks of the lines of F_p^n
+    runs on them, computed without building a table: only where F_p^n has
+    residue tables, so that a hyperplane is one meet of two, and the masks
+    fit the tables' own budget of RESIDUE_BITS bits.  Without the tables a
+    mask costs an adder or a kernel read per row, and the lattice and the
+    ncrk scan run faster on row reductions (a single-form lattice on
+    F_89^3: 0.11 s against 0.53 s on masks, 2 cores, BENCH_31.json).  With
+    masks = 0 it says whether F_p^n has residue tables, as LineTable
+    builds them."""
+    lines = (p**n - 1) // (p - 1)
+    half = n // 2
+    entries = p**half + p**(n - half)
+    return max(entries * p, masks) * lines <= RESIDUE_BITS and entries * p * p <= RESIDUE_ANDS
+
+
 class LineTable:
     """The lines of F_p^n as the bits of an int, for scans that meet sets
     of lines with one AND.
@@ -595,7 +613,7 @@ class LineTable:
     `hyperplane(r)` gives the lines u with r.u = 0: the residue of r.u is
     bit-sliced as p masks, the lines where it is s, and a term r_j u_j is
     added by a residue adder of ANDs and ORs over coords[j].  When they
-    are small enough (RESIDUE_BITS, RESIDUE_ANDS), the residues of every
+    are small enough (line_masks_pay with no masks), the residues of every
     row on the first n // 2 coordinates and of every row on the others are
     built with the table, so a hyperplane is one meet of two.  Without
     them the adder runs over r's nonzero coordinates, about p^2 ANDs per
@@ -639,9 +657,8 @@ class LineTable:
         self.coords = tuple(tuple(col) for col in coords)
         self.words = len(lines) + 63 >> 6
         half = n // 2
-        entries = p**half + p**(n - half)
         self._low = self._high = None
-        if entries * p * len(lines) <= RESIDUE_BITS and entries * p * p <= RESIDUE_ANDS:
+        if line_masks_pay(p, n, 0):
             self._split = (1 << half * field.width) - 1
             self._low = self._residues(range(half), 1)
             self._high = self._residues(range(half, n), -1)
@@ -853,7 +870,8 @@ class FormRows:
         M_i build it once (rebuilding it per lattice read 11.5 % and 7.2 % fewer
         graph-bridge inst_per_s); a hyperplane is one meet in the residue
         tables, or is built from its row where the table has none, and is
-        not kept."""
+        not kept.  The lattice asks for line masks only where
+        line_masks_pay, so its hyperplanes are all meets in the tables."""
         out = self._line_masks.get(v)
         if out is None:
             table = self.field.lines[self.m]
@@ -1012,30 +1030,12 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def _lines(field: PrimeField, n: int, rows, leads, guard):
-    """One packed vector per line of the span of the k independent rows
-    whose first nonzero coefficient, a 1, is at a row in the ascending
-    leads: by the position of that 1, then the later coefficients in
-    itertools.product order.  The guard requires the lines and ticks once
-    per line."""
-    g = as_guard(guard)
-    k, p = len(rows), field.p
-    count, at = 0, -1       # sum of p^(k-1-lead) over the leads, by Horner's rule
-    for lead in leads:
-        count, at = count * p**(lead - at) + 1, lead
-    g.require(count * p**(k - 1 - at))
-    for lead in leads:
-        for v in _combinations(field, n, rows[lead + 1:], rows[lead]):
-            g.tick()
-            yield v
-
-
 def projective_rows(field: PrimeField, n: int, guard=None):
     """One packed row per line of F_p^n, its first nonzero coordinate 1
     (guarded: the lines are required before the n unit rows are built)."""
     g = as_guard(guard)
     g.require((field.p**n - 1) // (field.p - 1))
-    return _lines(field, n, [1 << j * field.width for j in range(n)], range(n), g)
+    return Subspace.full(field, n).lines(range(n), g)
 
 
 def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=None):

@@ -11,11 +11,12 @@ enumerations of all maximal isotropic spaces.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .altspace import (AltMatrixSpace, form_rows, nondegenerate_part,
                        split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
-from .ffield import Subspace, enumerate_complements, projective_rows
+from .ffield import Subspace, enumerate_complements, line_masks_pay, projective_rows
 
 
 # ---------------------------------------------------------------------------
@@ -41,15 +42,6 @@ def greedy_maximal(space: AltMatrixSpace) -> Subspace:
 
 # ---------------------------------------------------------------------------
 # the isotropic lattice
-
-# the lattice reads radicals, and bipartite.ncrk_witness_pair the kernels of
-# the spaces it scans, off bitmasks of lines when F^n has at most this many
-# lines: the masks, at most one per line, take lines^2 bits, 8 MB here.  On
-# 2 cores, F_3^9 (9,841 lines, 8 forms) read 1.17x the kernel route's peak
-# RSS in the lattice, and from about 3^10 lines (F_3^10, F_2^15) its masks
-# are no faster (BENCH_27.json)
-LINE_MASK_LINES = 2**13
-
 
 class IsotropicLattice:
     """All isotropic spaces of A, bucketed by dimension, and the maximal
@@ -82,49 +74,33 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     but the last, which is isotropic and one dimension lower; so level d+1
     is the children of each U of level d inside rad(U), in the order of
     their parents, and each space is built once, already in RREF.  U is
-    maximal iff rad(U) = U, and then it has no child.  When F^n has at
-    most LINE_MASK_LINES lines, rad(U) is a bitmask of lines
-    (_lattice_of_masks); above it, forms.kernel reduces U's rows and
-    U.children reads the lines of rad(U).  Both give the same levels in the same order and tick the
-    guard alike: the children of U are required, then ticked, one per
-    child.
+    maximal iff rad(U) = U, and then it has no child.  A child adds the
+    row of a line of rad(U) led at a column after U's last pivot where
+    U's rows are zero, in projective_rows order; the children of U are
+    required, then ticked, one per child.  Only the source of rad(U)
+    depends on the field: where line masks pay (ffield.line_masks_pay,
+    one mask kept per line of F^n), rad(U) is the AND of the line masks
+    of U's rows, with no row reduction, U (with (q^d - 1)/(q - 1) lines
+    in dimension d) is maximal iff rad(U) has as many, and the children
+    are its set bits in those columns' blocks of field.lines[n], in index
+    order; elsewhere forms.kernel reduces U's rows, U is maximal iff the
+    kernel has U's dimension, and the children are read off the kernel's
+    rows pivoted after U's last pivot (Subspace.lines), with no line
+    table.  Both give the same levels in the same order and tick the
+    guard alike.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
-    # rad(0) = F^n: its lines, the first level, are required before it is built
-    lines = (field.p**n - 1) // (field.p - 1)
-    g.require(lines)
-    forms = form_rows(space)
-    if lines <= LINE_MASK_LINES:
-        return _lattice_of_masks(field.lines[n], forms, g)
-    levels, level, maximal = [], [Subspace.zero(field, n)], []
-    while level:
-        levels.append(tuple(level))
-        level = []
-        for u in levels[-1]:
-            rad = forms.kernel(u.rows)
-            if rad.dim == u.dim:
-                maximal.append(u)
-            else:
-                level.extend(u.children(rad, guard=g))
-    return IsotropicLattice(tuple(levels), tuple(maximal))
-
-
-def _lattice_of_masks(table, forms, g) -> IsotropicLattice:
-    """The lattice with rad(U) as a mask over the lines of table, with no
-    row reduction.
-
-    Each RREF row of U is its line's row in the table, so rad(U) is the
-    AND of the line masks of U's rows, and U (with (q^d - 1)/(q - 1) lines
-    in dimension d) is maximal iff rad(U) has as many.  A child adds the
-    row of a line of rad(U) led at a column after U's last pivot where
-    U's rows are zero: the set bits of rad(U) in those columns' blocks, in
-    index order, which is the order of U.children.
-    """
-    field, n = table.field, table.n
     q, width, lane = field.p, field.width, field.lane
-    lines, leads, blocks, full = table.lines, table.leads, table.blocks, table.full
-    masks = {v: forms.line_mask(v) for v in lines}     # the map's masks, not copies
+    # rad(0) = F^n: its lines, the first level, are required before any is built
+    count = (q**n - 1) // (q - 1)
+    g.require(count)
+    forms = form_rows(space)
+    masks = None
+    if line_masks_pay(q, n, count):
+        table = field.lines[n]
+        lines, leads, blocks, full = table.lines, table.leads, table.blocks, table.full
+        masks = {v: forms.line_mask(v) for v in lines}     # the map's masks, not copies
     levels, level, maximal = [], [Subspace.zero(field, n)], []
     size = 0        # the lines of a space of the level
     while level:
@@ -132,7 +108,23 @@ def _lattice_of_masks(table, forms, g) -> IsotropicLattice:
         level = []
         for u in levels[-1]:
             rows, pivots = u.rows, u.pivots
-            rad, support = full, 0
+            start = pivots[-1] + 1 if pivots else 0
+            support = 0
+            if masks is None:
+                rad = forms.kernel(rows)
+                if rad.dim == len(rows):
+                    maximal.append(u)
+                    continue
+                for r in rows:
+                    support |= r
+                at = bisect_left(rad.pivots, start)
+                after = Subspace(field, n, rad.rows[at:], rad.pivots[at:])
+                free = [i for i, c in enumerate(after.pivots) if not support >> c * width & lane]
+                for v in after.lines(free, g):
+                    level.append(Subspace(field, n, rows + (v,),
+                                          pivots + (((v & -v).bit_length() - 1) // width,)))
+                continue
+            rad = full
             for r in rows:
                 rad &= masks[r]
                 support |= r
@@ -140,7 +132,7 @@ def _lattice_of_masks(table, forms, g) -> IsotropicLattice:
                 maximal.append(u)
                 continue
             free = 0
-            for c in range(pivots[-1] + 1 if pivots else 0, n):
+            for c in range(start, n):
                 if not support >> c * width & lane:
                     free |= blocks[c]
             free &= rad

@@ -14,7 +14,7 @@ from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 two_decomposition_via_adjoint)
 from isospace.errors import Guard, GuardExceeded, VerificationError
 from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, enumerate_subspaces,
-                              kernel, vstack)
+                              kernel, line_masks_pay, vstack)
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import alpha_exact, two_decomposition_brute
 from util import F2, F3, random_matrix_space, random_space, symplectic_form
@@ -368,10 +368,11 @@ def _ncrk_route_inputs():
 
 
 def test_the_line_mask_ncrk_scan_is_the_rank_scan(monkeypatch):
-    # under the cap the scan reads dim ker(W) off line masks and never ranks
-    # rows; with no room for masks it ranks them; the pairs, ticks and guard
-    # trips stay the same, on F_5^3 with residue tables, on F_31^3 without
-    # them, and on padded squares, which are not alternating
+    # where line masks pay, the scan reads dim ker(W) off them and never
+    # ranks rows; on F_31^3, with no residue tables, it ranks them; forced
+    # onto the other route, the pairs, ticks and guard trips stay the same,
+    # on F_5^3 with residue tables, on F_31^3 without them, and on padded
+    # squares, which are not alternating
     assert F5.lines[3]._low is not None and F31.lines[3]._low is None
     ranks = []
     inner = FormRows.rank
@@ -386,14 +387,17 @@ def test_the_line_mask_ncrk_scan_is_the_rank_scan(monkeypatch):
         full = _ncrk_record(b)
         used = full[-1]
         short = [_ncrk_record(b, used - 1), _ncrk_record(b, used // 2)]
-        assert ranks == [] and isinstance(short[0][0], str)
+        masked = ranks == []
+        assert masked == (b.field != F31) and isinstance(short[0][0], str)
+        ranks.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bipartite, "LINE_MASK_LINES", -1)
-            assert _ncrk_record(b) == full and len(ranks) == used
+            mp.setattr(bipartite, "line_masks_pay", lambda p, n, masks: not masked)
+            assert _ncrk_record(b) == full and len(ranks) == (used if masked else 0)
             assert [_ncrk_record(b, used - 1), _ncrk_record(b, used // 2)] == short
-    # F_2^13 has 8,191 lines, under the cap, and F_2^14 16,383: only the
-    # first gets a line table
+    # the scan asks with F^m's own line count: F_2^13's 8,191 masks of
+    # 8,191 lines fit the 2^26-bit budget, F_2^14's 16,383 do not, so only
+    # the first gets a line table, though F_2^14 has residue tables
     field = PrimeField(2)
     for t in (13, 14):
         ncrk_witness_pair(MatrixSpace(field, 1, t, ()))
-    assert sorted(field.lines) == [13]
+    assert sorted(field.lines) == [13] and line_masks_pay(2, 14, 0)

@@ -15,3 +15,15 @@ def test_no_module_imports_a_private_name_of_another():
                 found += [f"{path.name}: {node.module} {a.name}"
                           for a in node.names if a.name.startswith("_")]
     assert found == []
+
+
+def test_bipartite_imports_nothing_from_isotropic():
+    # the ncrk scan takes its route from ffield.line_masks_pay, as the
+    # lattice does, and uses no isotropic code
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "bipartite.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            found += [f"{module} {a.name}" for a in node.names
+                      if "isotropic" in f"{module}.{a.name}".split(".")]
+    assert found == []

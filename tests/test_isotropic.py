@@ -7,9 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from isospace import ffield, isotropic
 from isospace.altspace import AltMatrixSpace, form_rows, is_isotropic, max_degree, rad_of
+from isospace.bipartite import ncrk_witness_pair
 from isospace.errors import Guard, GuardExceeded
 from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, enumerate_subspaces,
-                             gaussian_binomial, projective_rows)
+                             gaussian_binomial, line_masks_pay, projective_rows)
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 chi_maxcover, enumerate_isotropic_lattice,
@@ -20,7 +21,7 @@ from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 isotropic_count_formula,
                                 two_decomposition_brute,
                                 validate_decomposition)
-from util import F2, F3, every_space, random_space, symplectic_form
+from util import F2, F3, every_space, random_matrix_space, random_space, symplectic_form
 
 
 def k3(field=F2):
@@ -151,9 +152,10 @@ def test_the_mask_lattice_reduces_no_row(monkeypatch):
         assert lat.count() > 100 and calls == []
 
 
-def test_the_line_mask_cap_counts_lines(monkeypatch):
-    # F_3^5 has 121 lines: a cap of 121 reads its radicals off masks, one of
-    # 120 reduces rows
+def test_the_line_mask_budget_counts_lines(monkeypatch):
+    # F_3^5 has 121 lines, so the lattice keeps 121 masks of 121 bits: a
+    # budget of 121^2 bits reads its radicals off masks, one bit less
+    # reduces rows
     inner, calls = ffield._rref_rows, []
 
     def counting(*args, **kwargs):
@@ -162,10 +164,10 @@ def test_the_line_mask_cap_counts_lines(monkeypatch):
 
     space = random_space(random.Random(8), F3, 5, 1)
     seen = []
-    for cap in (121, 120):
+    for bits in (121**2, 121**2 - 1):
         form_rows.cache_clear()
         calls.clear()
-        monkeypatch.setattr(isotropic, "LINE_MASK_LINES", cap)
+        monkeypatch.setattr(ffield, "RESIDUE_BITS", bits)
         monkeypatch.setattr(ffield, "_rref_rows", counting)
         count = enumerate_isotropic_lattice(space).count()
         monkeypatch.undo()
@@ -205,7 +207,7 @@ def lattice_spaces(draw):
 @example(AltMatrixSpace.zero_space(F3, 4))
 @example(AltMatrixSpace.zero_space(F2, 0))
 def test_the_mask_lattice_is_the_kernel_lattice(space):
-    # with no room for line masks (not even the none of F^0) every radical
+    # with no bits for line masks (not even the none of F^0) every radical
     # is a kernel of U's rows; the levels, maximal spaces, ticks and guard
     # trips stay the same
     full = _lattice_record(space)
@@ -213,9 +215,39 @@ def test_the_mask_lattice_is_the_kernel_lattice(space):
     short = [_lattice_record(space, used - 1), _lattice_record(space, used // 2)]
     assert isinstance(short[0][0], str)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(isotropic, "LINE_MASK_LINES", -1)
+        mp.setattr(ffield, "RESIDUE_BITS", -1)
         assert _lattice_record(space) == full
         assert [_lattice_record(space, used - 1), _lattice_record(space, used // 2)] == short
+
+
+def test_without_residue_tables_the_scans_reduce_rows(monkeypatch):
+    # F_31^3 and F_89^3 have no residue tables, so line masks do not pay:
+    # the lattice builds no line mask and no line table, and gives the levels, maximal spaces
+    # and ticks it gives with masks forced on it; the ncrk scan ranks rows
+    built, ranks = [], []
+
+    def counting(inner, calls):
+        def wrapper(self, arg):
+            calls.append(arg)
+            return inner(self, arg)
+        return wrapper
+
+    monkeypatch.setattr(FormRows, "line_mask", counting(FormRows.line_mask, built))
+    monkeypatch.setattr(FormRows, "rank", counting(FormRows.rank, ranks))
+    for p in (31, 89):
+        field = PrimeField(p)
+        assert not line_masks_pay(p, 3, 0)
+        space = random_space(random.Random(0), field, 3, 1)
+        record = _lattice_record(space)
+        assert built == [] and field.lines == {} and record[-1] > 1000
+        if p == 31:     # forced masks take 0.5 s on F_89^3
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(isotropic, "line_masks_pay", lambda p, n, masks: True)
+                assert _lattice_record(space) == record and built
+        ncrk_witness_pair(random_matrix_space(random.Random(0), field, 3, 3, 1))
+        assert ranks
+        built.clear()
+        ranks.clear()
 
 
 # ----------------------------------------------------- maximal: filter, branch
@@ -541,10 +573,11 @@ def test_the_span_searches_make_no_join_once_the_lattice_is_built(monkeypatch):
 
 
 def test_the_span_searches_answer_on_a_large_field():
-    # F_101^3 has 10,303 lines and F_89^3 8,011, under LINE_MASK_LINES; the
-    # residue tables of either would hold about 10^9 bits or more, and
-    # without them every search answers, also within a small guard (a
-    # chi_lawler search answered at its first maximal space keeps no mask)
+    # neither F_101^3 nor F_89^3 has residue tables (about 10^9 bits or
+    # more), so the lattice reads radicals off kernels and the span searches
+    # build their masks without tables; every search answers, also within a
+    # small guard (a chi_lawler search answered at its first maximal space
+    # keeps no mask)
     for field, forms in ((PrimeField(101), 1), (PrimeField(101), 2), (PrimeField(89), 1)):
         sp = random_space(random.Random(0), field, 3, forms)
         for chi in (chi_brute, chi_lawler):

@@ -18,7 +18,7 @@ from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 ncrk_witness_pair)
 from isospace.errors import Guard, GuardExceeded
 from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, _rref_rows,
-                             congruences, enumerate_subspaces, hstack, invert, kernel,
+                             congruences, hstack, invert, kernel,
                              rref_canonicalize, vstack)
 from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
                              is_bipartite_bfs, space_from_graph)
@@ -324,30 +324,34 @@ def test_coordinate_is_the_span_of_unit_rows(field, n, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(subspace_pairs())
-# a lead allowed before one that is not: sub's row is nonzero at the last pivot
-@example((Subspace.from_vectors(F3, 4, [(1, 0, 0, 1)]), Subspace.full(F3, 4)))
-def test_children_extend_the_rref_by_one_row(pair):
-    sub, extra = pair
-    outer = sub.sum(extra)
-    field, n = sub.field, sub.n
-    kids = list(sub.children(outer))
-    assert len(set(kids)) == len(kids)
-    # the children are required before the first is built, one tick each
+@given(subspace_pairs(), st.integers(0, 15))
+# a lead allowed before one that is not, and one after it
+@example((Subspace.full(F3, 4), Subspace.zero(F3, 4)), 0b0101)
+def test_lines_are_the_lines_led_at_the_chosen_rows(pair, choose):
+    sub = pair[0].sum(pair[1])
+    field, n, p = sub.field, sub.n, sub.field.p
+    leads = [i for i in range(sub.dim) if choose >> i & 1]
+    kids = list(sub.lines(leads))
+    # the lines are required before the first is built, one tick each
     exact = Guard(len(kids))
-    assert list(sub.children(outer, guard=exact)) == kids and exact.used == len(kids)
-    short = Guard(len(kids) - 1)
-    with pytest.raises(GuardExceeded):
-        next(sub.children(outer, guard=short))
-    assert short.used == 0
-    for v in kids:
-        canon = Subspace.from_vectors(field, n, v.basis_rows())
-        assert v == canon and v.pivots == canon.pivots
-        assert v.contains(sub) and outer.contains(v) and v.dim == sub.dim + 1
-    # brute: the (dim+1)-subspaces of outer whose RREF rows but the last are sub's
-    brute = [v for v in (enumerate_subspaces(field, n, sub.dim + 1) if sub.dim < n else ())
-             if outer.contains(v) and v.rows[:-1] == sub.rows]
-    assert len(kids) == len(brute)
+    assert list(sub.lines(leads, exact)) == kids and exact.used == len(kids)
+    if kids:
+        short = Guard(len(kids) - 1)
+        with pytest.raises(GuardExceeded):
+            next(sub.lines(leads, short))
+        assert short.used == 0
+    # brute: the vectors of sub whose first nonzero coordinate is a 1 at
+    # the pivot of a chosen row, by that row, then the coordinates at the
+    # pivots in product order
+    rows = sub.basis_rows()
+    chosen = [sub.pivots[i] for i in leads]
+    brute = []
+    for coeffs in product(range(p), repeat=sub.dim):
+        v = tuple(sum(a * r[j] for a, r in zip(coeffs, rows)) % p for j in range(n))
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead in chosen and v[lead] == 1:
+            brute.append(((lead, [v[c] for c in sub.pivots]), field.pack(v)))
+    assert kids == [v for _, v in sorted(brute)]
 
 
 @settings(max_examples=60, deadline=None)
