@@ -6,7 +6,8 @@ seed/guard settings.  Witnesses re-verify through the library.  Exit
 codes: 0 ok, 2 parse error (malformed file or argument), 3 guard exceeded,
 4 verification failure, 5 input error (well-formed input outside a
 command's domain, such as a disconnected graph for `quantum`), 6 output
-error (stdout closed before the report was written).
+error (stdout closed before the report was written), 7 memory error (the
+process ran out of memory before the guard stopped the work).
 """
 
 from __future__ import annotations
@@ -474,6 +475,17 @@ def _report(args) -> dict:
     return report
 
 
+def _release(e: BaseException) -> str:
+    """Drop the tracebacks of e and of the exceptions it chains, and with
+    them the frames of the work and the memory they hold; returns e's
+    message."""
+    err = e
+    while err is not None and err.__traceback__ is not None:
+        err.__traceback__ = None
+        err = err.__context__
+    return str(e) or "out of memory"
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -490,6 +502,10 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 5
+    except MemoryError as e:
+        message = _release(e)
+        print(f"memory error: {message} (try a lower --guard)", file=sys.stderr)
+        return 7
     try:
         if args.json:
             print(json.dumps(report, sort_keys=True))

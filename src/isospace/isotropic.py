@@ -293,8 +293,16 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     FormRows.  One memo maps a key to its answer with its certificate in
     those coordinates, so each distinct restriction is solved once per
     call, and an improving child's parts lift into U's coordinates through
-    w.  Maximal spaces are tried largest first, and the search stops once
-    the dimension lower bound ceil(dim U / alpha(A|_U)) is attained.  A
+    w.  Maximal spaces, read off the lattice of A|_U, are tried largest
+    first, and the search stops once the dimension lower bound
+    ceil(dim U / alpha(A|_U)) is attained.  A search whose bound is 2 keeps
+    its lattice until its best first reaches 3, then scans it once for an
+    isotropic 2-decomposition (pairs of a maximal V and a space W of
+    dimension dim U - dim V whose annihilator masks meet in 0, as
+    two_decomposition_brute does); if there is none, 3 cannot be beaten
+    and the search stops with the complement that reached it, as the full
+    search would keep: this is the recursion at the chi(W) = 1 layer, read
+    off masks instead of reducing and keying each complement.  A
     search tries each complement once: a repeat gives the same chi, which
     cannot beat the best it already set.  As best only falls, every earlier
     V' of V's dimension was searched in full, so a complement W of V is a
@@ -319,9 +327,12 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     def search(sub: AltMatrixSpace):
         g.tick()
         d = sub.n
-        mis = sorted(enumerate_maximal_filter(sub, guard=g), key=lambda s: -s.dim)
+        lat = enumerate_isotropic_lattice(sub, guard=g)
+        mis = sorted(lat.maximal(), key=lambda s: -s.dim)
         alpha_u = mis[0].dim
         lb = -(-d // alpha_u)
+        if lb != 2:
+            lat = None      # only a search that may stop at 3 scans its lattice
         forms = form_rows(sub)
         searched: dict = {}      # dim V -> the annihilator masks of the V searched
         kept = 0
@@ -337,6 +348,11 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
                     best = (1 + cw, [v] + [p.image(w) for p in parts])
                     if best[0] == lb:
                         return best
+                    if best[0] == 3 and lat is not None:
+                        # lb = 2: with no 2-decomposition, 3 cannot be beaten
+                        if _two_split(lat, g) is None:
+                            return best
+                        lat = None
             # only a later V of v's dimension (mis is sorted) reads its mask
             if i + 1 < len(mis) and mis[i + 1].dim == v.dim:
                 table = field.lines[d]
@@ -368,7 +384,8 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
     reaches W.  A span W is held as W^perp, a mask over the lines of F^n
     (LineTable.annihilator): a join is one AND, and W = F^n iff it is 0.
     The words of the masks of mi are required from the guard before they
-    are built.
+    are built.  One tick per join, paid after each span's row of joins
+    (the joins made, where the row reaches F^n).
     """
     g = as_guard(guard)
     n = space.n
@@ -390,15 +407,16 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
         level: dict = {}     # span mask -> least index of its last space
         for w, last in frontier:
             for j in range(last + 1, len(mi)):
-                g.tick()
                 u = w & masks[j]
                 if u in seen:
                     continue
                 if not u:
+                    g.tick(j - last)
                     return k
                 hit = level.get(u)
                 if hit is None or j < hit:
                     level[u] = j
+            g.tick(len(mi) - last - 1)
         seen.update(level)
         frontier = list(level.items())
     raise VerificationError("maximal isotropic spaces never span F^n")  # unreachable
@@ -492,11 +510,10 @@ def isotropic_count_formula(n: int, d: int, q: int) -> int:
 def two_decomposition_brute(space: AltMatrixSpace, guard=None):
     """Search for an isotropic 2-decomposition by brute force.
 
-    Scans the maximal isotropic spaces V and the isotropic spaces W of
-    dimension n - dim V, one tick per pair, for a pair with V + W = F^n,
-    read as annihilator(V) & annihilator(W) == 0 over the lines of F^n,
-    each W's mask built when first read and its words required from the
-    guard; returns (V, W) or None.  If any 2-decomposition U1 + U2
+    Scans the lattice's maximal isotropic spaces V and its isotropic spaces
+    W of dimension n - dim V (_two_split, which chi_lawler's searches share)
+    for a pair with V + W = F^n; returns (V, W) or None.  If any
+    2-decomposition U1 + U2
     exists, one of this shape exists: extend U1 to a maximal V = U1 +
     (V meet U2), and take for W a complement of V meet U2 inside U2.
     """
@@ -506,8 +523,17 @@ def two_decomposition_brute(space: AltMatrixSpace, guard=None):
         return None
     if space.dim == 0:
         return split_zero_space(field, n)
-    lat = enumerate_isotropic_lattice(space, guard=g)
-    table = field.lines[n]
+    return _two_split(enumerate_isotropic_lattice(space, guard=g), g)
+
+
+def _two_split(lat: IsotropicLattice, g):
+    """The first pair (V, W) of a maximal V of the lattice and a space W of
+    it of dimension n - dim V with V + W = F^n, or None; one tick per pair,
+    V + W = F^n read as annihilator(V) & annihilator(W) == 0, each W's mask
+    built when first read and its words required from the guard g."""
+    zero = lat.levels[0][0]
+    n = zero.n
+    table = zero.field.lines[n]
     masks: dict = {}     # level -> the masks of its spaces, each built when first read
     kept = 0             # the words of the masks built
     for v in lat.maximal():

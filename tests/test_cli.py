@@ -640,3 +640,21 @@ def test_a_closed_stdout_exits_6_without_a_traceback():
     lines = proc.stderr.strip().splitlines()
     assert proc.returncode == 6, proc.stderr
     assert len(lines) == 1 and lines[0].startswith("output error")
+
+
+def test_running_out_of_memory_exits_7_without_a_traceback(tmp_path):
+    # alpha on F_3^8 with one form builds a lattice far past 150 MB of
+    # address space long before it reaches the default guard
+    import resource
+    path = tmp_path / "big.ams"
+    path.write_text(emit_space(random_space(random.Random(0), F3, 8, 1)))
+    cap = 150 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run([sys.executable, "-m", "isospace", "alpha", "-f", str(path)],
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 7, proc.stderr
+    assert proc.stdout == "" and len(lines) == 1 and lines[0].startswith("memory error")

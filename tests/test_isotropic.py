@@ -619,13 +619,13 @@ def test_chi_lawler_solves_each_restriction_once(monkeypatch):
     # enumerated twice within one call
     from test_acceptance import random_space_suite_lam4
     seen = []
-    inner = isotropic.enumerate_maximal_filter
+    inner = isotropic.enumerate_isotropic_lattice
 
     def recording(sub, guard=None):
         seen.append((sub.field.p, sub.n, tuple(m.entries for m in sub.basis)))
         return inner(sub, guard=guard)
 
-    monkeypatch.setattr(isotropic, "enumerate_maximal_filter", recording)
+    monkeypatch.setattr(isotropic, "enumerate_isotropic_lattice", recording)
     for _, sp in random_space_suite_lam4():
         seen.clear()
         chi_lawler(sp)
@@ -634,10 +634,12 @@ def test_chi_lawler_solves_each_restriction_once(monkeypatch):
 
 def test_chi_lawler_keys_each_complement_once_per_search(monkeypatch):
     # each search has its own FormRows and skips a complement it has
-    # already tried, so no (search, complement) pair is keyed twice; a
-    # skip ticks nothing, and 7,581 is the total without the tried set.
-    # The skip comes inside enumerate_complements, so every complement that
-    # comes out is keyed; the one other key is the whole space's
+    # already tried, so no (search, complement) pair is keyed twice.  The
+    # skip comes inside enumerate_complements, so every complement that
+    # comes out is keyed; the one other key is the whole space's.  7,304
+    # ticks: a search with lower bound 2 that reaches 3 scans its lattice
+    # for a 2-decomposition, one tick per pair, and stops when there is
+    # none, so its remaining complements are never enumerated
     from test_acceptance import random_space_suite_lam4
     keyed, yields = [], []
     inner, complements = FormRows.restriction, isotropic.enumerate_complements
@@ -662,7 +664,78 @@ def test_chi_lawler_keys_each_complement_once_per_search(monkeypatch):
         ticks += g.used
         assert keyed and len(keyed) == len(set(keyed)), sp
         assert len(keyed) == len(yields) + 1, sp
-    assert ticks == 7581
+    assert ticks == 7304
+
+
+def _chi3_lb2_spaces():
+    # the criterion-04/05 spaces whose top search has lower bound
+    # ceil(n / alpha) = 2 but chi = 3
+    from test_acceptance import random_space_suite_lam4, random_space_suite_lam5
+    spaces = [sp for _, sp in random_space_suite_lam4()] + random_space_suite_lam5()
+    return [sp for sp in spaces
+            if -(-sp.n // alpha_exact(sp)[0]) == 2 and chi_lawler(sp)[0] == 3]
+
+
+def test_chi_lawler_stops_at_3_without_a_2_decomposition(monkeypatch):
+    # a search with lower bound 2 that reaches 3 scans its lattice for a
+    # 2-decomposition; with none it stops, with the certificate and chi the
+    # full search keeps, having keyed fewer complements
+    spaces = _chi3_lb2_spaces()
+    assert len(spaces) == 7
+    keyed = [0]
+    inner, split = FormRows.restriction, isotropic._two_split
+
+    def recording(self, rows):
+        keyed[0] += 1
+        return inner(self, rows)
+
+    def run(sp):
+        keyed[0] = 0
+        c, parts = chi_lawler(sp)
+        return (c, [p.basis.entries for p in parts]), keyed[0]
+
+    monkeypatch.setattr(FormRows, "restriction", recording)
+    for sp in spaces:
+        got, fewer = run(sp)
+        monkeypatch.setattr(isotropic, "_two_split", lambda lat, g: (None, None))
+        want, full = run(sp)
+        monkeypatch.setattr(isotropic, "_two_split", split)
+        assert got == want and got[0] == 3, sp
+        assert fewer < full, sp
+
+
+def test_a_guard_trips_inside_the_split_scan(monkeypatch, tmp_path):
+    # the scan ticks once per pair and requires its mask words from the
+    # search's guard: a guard that lasts until the scan, and no longer, stops
+    # the search inside it, and the CLI exits 3 there
+    from isospace.cli import main
+    from isospace.io import emit_space
+    split, inside = isotropic._two_split, []
+
+    def recording(lat, g):
+        try:
+            return split(lat, g)
+        except GuardExceeded:
+            inside.append(g.limit)
+            raise
+
+    monkeypatch.setattr(isotropic, "_two_split", recording)
+    tripped = []
+    for sp in _chi3_lb2_spaces():
+        total = Guard()
+        chi_lawler(sp, guard=total)
+        for limit in range(total.used):
+            with pytest.raises(GuardExceeded):
+                chi_lawler(sp, guard=Guard(limit))
+            if inside:
+                tripped.append((sp, limit))
+                inside.clear()
+    assert len(tripped) == 4
+    sp, limit = tripped[0]
+    path = tmp_path / "space.ams"
+    path.write_text(emit_space(sp))
+    assert main(["--guard", str(limit), "chi", "-f", str(path), "--method", "lawler"]) == 3
+    assert inside == [limit]
 
 
 def test_chi_lawler_certificates_leave_the_first_descent():
