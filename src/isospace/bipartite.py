@@ -103,16 +103,15 @@ def ncrk_witness_pair(b: MatrixSpace, guard=None):
     in enumerate_subspaces order, and only its kernel is taken.
 
     Where line masks of the partner's side F^m pay (ffield.line_masks_pay,
-    asked with F^m's own line count, so that on fields with residue tables
-    the masks run where F^m has at most 2^13 lines, the range measured in
+    one mask per line of F^m, so that on fields with residue tables the
+    masks run where F^m has at most 2^13 lines, the range measured in
     BENCH_30.json), the partner's dimension is read off masks of lines of
     F^m instead of a row reduction per subspace: the kernel of a basis row
-    is the annihilator, in field.lines[m], of the RREF of its rows, kept
-    per row for the call; the kernel of a space is the AND over its basis
-    rows, and a d-space has (q^d - 1)/(q - 1) lines.  FormRows.line_mask
-    is not used: its early stop holds only on alternating maps, and the
-    padded squares of ncrk_pad_square are not alternating.  Both routes
-    scan, tick and break ties alike, so they give the same pair.
+    is its FormRows.line_mask, built once per row for the call, on the
+    padded squares of ncrk_pad_square too, which are not alternating; the
+    kernel of a space is the AND over its basis rows, and a d-space has
+    (q^d - 1)/(q - 1) lines.  Both routes scan, tick and break ties alike,
+    so they give the same pair.
     """
     g = as_guard(guard)
     field = b.field
@@ -120,10 +119,9 @@ def ncrk_witness_pair(b: MatrixSpace, guard=None):
     n, m = (b.s, b.t) if left else (b.t, b.s)
     forms = FormRows(field, n, m, b.basis if left else [x.transpose() for x in b.basis])
     q = field.p
-    table = field.lines[m] if line_masks_pay(q, m, (q**m - 1) // (q - 1)) else None
+    table = field.lines[m] if line_masks_pay(q, m) else None
     if table is not None:
         dims = {(q**d - 1) // (q - 1): d for d in range(m + 1)}
-        masks = {}
     best = None
     for w in enumerate_subspaces(field, n, guard=g):
         if table is None:
@@ -131,10 +129,7 @@ def ncrk_witness_pair(b: MatrixSpace, guard=None):
         else:
             ker = table.full
             for r in w.rows:
-                mask = masks.get(r)
-                if mask is None:
-                    mask = masks[r] = table.annihilator(forms.rows(r)[0])
-                ker &= mask
+                ker &= forms.line_mask(r)
             score = w.dim + dims[ker.bit_count()]
         if best is None or score > best[0]:
             best = (score, w)

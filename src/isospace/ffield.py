@@ -25,15 +25,15 @@ entries after its free column only, so the kernel is written in RREF from
 the one reduction (_kernel_of_last).
 
 Scans over the lines of F_p^n meet sets of lines as bitmasks over the
-LineTable of (p, n), PrimeField.lines[n]: FormRows.line_mask gives a
-line's kernel under an alternating map as the AND of the hyperplane masks
-of its rows, and LineTable.annihilator gives a span W as the lines of
-W^perp, so that a join W + V is one AND and W = F^n iff its mask is 0.
-Besides its lines and their index, a table holds the n p masks of its
-coordinates, and its residue tables only where those are small; without
-them a mask is built from its rows alone.  line_masks_pay is the one rule
-for where a scan runs on masks: only where F_p^n has residue tables, and
-its masks fit their budget.
+LineTable of (p, n), PrimeField.lines[n].  LineTable.annihilator is the
+one builder of masks: it gives a span W as the lines of W^perp, so that a
+join W + V is one AND and W = F^n iff its mask is 0, and FormRows.line_mask
+keeps, per vector, the annihilator of that vector's rows under a map, the
+lines of its kernel.  Besides its lines and their index, a table holds the
+n p masks of its coordinates, and its residue tables only where those are
+small; without them a mask is built from its rows alone.  line_masks_pay
+is the one rule for where a scan runs on masks: only where F_p^n has
+residue tables, and one mask per line fits their budget.
 """
 
 from __future__ import annotations
@@ -581,20 +581,25 @@ RESIDUE_ANDS = 2**19
 LINE_WORDS = 500
 
 
-def line_masks_pay(p: int, n: int, masks: int) -> bool:
-    """Whether a scan that keeps up to `masks` masks of the lines of F_p^n
-    runs on them, computed without building a table: only where F_p^n has
-    residue tables, so that a hyperplane is one meet of two, and the masks
-    fit the tables' own budget of RESIDUE_BITS bits.  Without the tables a
-    mask costs an adder or a kernel read per row, and the lattice and the
-    ncrk scan run faster on row reductions (a single-form lattice on
-    F_89^3: 0.11 s against 0.53 s on masks, 2 cores, BENCH_31.json).  With
-    masks = 0 it says whether F_p^n has residue tables, as LineTable
-    builds them."""
+def _tables_fit(p: int, n: int) -> bool:
+    """Whether the LineTable of F_p^n builds its residue tables: their
+    masks fit RESIDUE_BITS bits and their building RESIDUE_ANDS ANDs."""
     lines = (p**n - 1) // (p - 1)
     half = n // 2
-    entries = p**half + p**(n - half)
-    return max(entries * p, masks) * lines <= RESIDUE_BITS and entries * p * p <= RESIDUE_ANDS
+    entries = (p**half + p**(n - half)) * p
+    return entries * lines <= RESIDUE_BITS and entries * p <= RESIDUE_ANDS
+
+
+def line_masks_pay(p: int, n: int) -> bool:
+    """Whether a scan that keeps one mask per line of F_p^n runs on masks,
+    computed without building a table: only where F_p^n has residue
+    tables, so that a row's mask is one meet of two, and the lines^2 bits
+    of the masks fit the tables' own budget of RESIDUE_BITS.  Without the
+    tables a mask costs an adder or a kernel read per row, and the lattice
+    and the ncrk scan run faster on row reductions (a single-form lattice
+    on F_89^3: 0.11 s against 0.53 s on masks, 2 cores, BENCH_31.json)."""
+    lines = (p**n - 1) // (p - 1)
+    return lines * lines <= RESIDUE_BITS and _tables_fit(p, n)
 
 
 class LineTable:
@@ -610,20 +615,19 @@ class LineTable:
     holds a at coordinate j: inside the run of a column c < j, runs of
     p^(n-1-j) bits repeated with period p^(n-j), built by doubling.
 
-    `hyperplane(r)` gives the lines u with r.u = 0: the residue of r.u is
-    bit-sliced as p masks, the lines where it is s, and a term r_j u_j is
-    added by a residue adder of ANDs and ORs over coords[j].  When they
-    are small enough (line_masks_pay with no masks), the residues of every
-    row on the first n // 2 coordinates and of every row on the others are
-    built with the table, so a hyperplane is one meet of two.  Without
-    them the adder runs over r's nonzero coordinates, about p^2 ANDs per
-    coordinate, unless reading the hyperplane's (q^(n-1) - 1)/(q - 1)
-    lines off r's kernel costs less (LINE_WORDS), as it does for large p.
-    `annihilator(rows)` is the meet of the rows' hyperplanes, or, without
-    the tables, the lines of the rows' kernel read off at once when those
-    cost less: the lines of W^perp for W their span.  A mask determines
-    its span, so spans compare and hash as ints, and (W + V)^perp is the
-    AND of their masks.
+    `annihilator(rows)` is the one builder of masks: the lines u with
+    r.u = 0 for every row r, W^perp for W the rows' span.  The residue of
+    r.u is bit-sliced as p masks, the lines where it is s, and a term
+    r_j u_j is added by a residue adder of ANDs and ORs over coords[j].
+    When they are small enough (_tables_fit), the residues of every row
+    on the first n // 2 coordinates and of every row on the others are
+    built with the table, so the lines of one row are one meet of two,
+    and the mask is the AND of those meets.  Without them the adder runs
+    over each row's nonzero coordinates, about p^2 ANDs per coordinate,
+    unless reading the lines of the rows' kernel off at once costs less
+    (LINE_WORDS), as it does for large p.  A mask determines its span, so
+    spans compare and hash as ints, and (W + V)^perp is the AND of their
+    masks.
     """
 
     __slots__ = ("field", "n", "lines", "leads", "index", "blocks", "full", "coords",
@@ -658,7 +662,7 @@ class LineTable:
         self.words = len(lines) + 63 >> 6
         half = n // 2
         self._low = self._high = None
-        if line_masks_pay(p, n, 0):
+        if _tables_fit(p, n):
             self._split = (1 << half * field.width) - 1
             self._low = self._residues(range(half), 1)
             self._high = self._residues(range(half, n), -1)
@@ -678,14 +682,21 @@ class LineTable:
                         reduce(or_, [z[a] & t[s - a] for a in range(p)]) for s in range(p)]
         return out
 
-    def hyperplane(self, r: int) -> int:
-        """The mask of the lines u with r.u = 0, for a packed row r of n
-        lanes: from the tables, the lines where r's low part gives s and
-        its high part -s."""
-        low = self._low
-        if low is None:
-            return self._unsliced((r,)) if r else self.full
-        low, high = low[r & self._split], self._high[r & ~self._split]
+    def annihilator(self, rows) -> int:
+        """The mask of the lines u with r.u = 0 for every packed row r of
+        rows: W^perp for W their span, with (q^(n - dim W) - 1)/(q - 1)
+        lines, and 0 iff W = F^n."""
+        if self._low is None and rows:
+            return self._unsliced(rows)
+        out = self.full
+        for r in rows:
+            out &= self._sliced(r)
+        return out
+
+    def _sliced(self, r: int) -> int:
+        """The mask of the lines u with r.u = 0 from the residue tables:
+        the lines where r's low part gives s and its high part -s."""
+        low, high = self._low[r & self._split], self._high[r & ~self._split]
         p = self.field.p
         # unrolled for p = 2 and 3: with the general line alone graph-bridge
         # read 5.5 % and 8.0 % fewer inst_per_s (seeds 1 and 7, BENCH_27.json)
@@ -695,22 +706,11 @@ class LineTable:
             return low[0] & high[0] | low[1] & high[1] | low[2] & high[2]
         return reduce(or_, map(and_, low, high))
 
-    def annihilator(self, rows) -> int:
-        """The mask of the lines u with r.u = 0 for every packed row r of
-        rows: W^perp for W their span, with (q^(n - dim W) - 1)/(q - 1)
-        lines, and 0 iff W = F^n."""
-        if self._low is None and rows:
-            return self._unsliced(rows)
-        out = self.full
-        for r in rows:
-            out &= self.hyperplane(r)
-        return out
-
     def _unsliced(self, rows) -> int:
         """annihilator(rows) for nonempty rows with no residue tables: the
-        meet of the rows' hyperplanes by the residue adder, or the lines of
-        the rows' kernel read off one by one when that costs less, with d
-        rows taken to span a d-space (their kernel has at least its lines)."""
+        meet of the rows' masks by the residue adder, or the lines of the
+        rows' kernel read off one by one when that costs less, with d rows
+        taken to span a d-space (their kernel has at least its lines)."""
         if sum(map(self._adder_cost, rows)) >= self._lines_of(len(rows)):
             return self._kernel_lines(rows)
         out = self.full
@@ -788,9 +788,9 @@ class FormRows:
     one vector is a length and kernel reads its vectors off that RREF; the
     kernel of one vector is kept as well.  The raw rows are kept too, and
     for square maps restriction reads the span of the B M_i B^t off those
-    of B's rows; for alternating maps line_mask reads the lines of a
-    line's kernel off the LineTable as the meet of its rows' hyperplanes,
-    with no reduction, and keeps that mask.  Vectors are packed rows of n
+    of B's rows; line_mask reads the lines of a vector's kernel off the
+    LineTable of F^m as the annihilator of its raw rows, with no
+    reduction, and keeps that mask.  Vectors are packed rows of n
     lanes.  The map lives as long as a caller holds it; what it keeps
     depends on the M_i alone, so one map may serve every scan of the same
     M_i, and altspace.form_rows keeps the last map it built, one entry
@@ -859,28 +859,16 @@ class FormRows:
         return _kernel_of_last(self.field, self.m, *self._span(vectors))
 
     def line_mask(self, v: int) -> int:
-        """For alternating M_i and the row v of a line of F^m in
-        field.lines[m]: the mask of the lines of kernel([v]), the meet of
-        the hyperplanes of v's rows, which stops once it is v's line alone.
-        The stop holds because v^t M_i v = 0 puts v in its own kernel; on
-        a square map that is not alternating v may lie outside it, and the
-        mask would wrongly keep v's line (so ncrk_witness_pair meets the
-        rows with LineTable.annihilator instead).  Each line's mask is
-        kept as long as the map lives, so back-to-back lattices of the same
-        M_i build it once (rebuilding it per lattice read 11.5 % and 7.2 % fewer
-        graph-bridge inst_per_s); a hyperplane is one meet in the residue
-        tables, or is built from its row where the table has none, and is
-        not kept.  The lattice asks for line masks only where
-        line_masks_pay, so its hyperplanes are all meets in the tables."""
+        """The mask, in field.lines[m], of the lines of kernel([v]): the
+        annihilator of v's rows, on any map.  Each vector's mask is kept as
+        long as the map lives, so back-to-back lattices of the same M_i
+        build it once (rebuilding it per lattice read 11.5 % and 7.2 %
+        fewer graph-bridge inst_per_s).  The lattice and the ncrk scan ask
+        for line masks only where line_masks_pay, so each row's mask is one
+        meet in the residue tables."""
         out = self._line_masks.get(v)
         if out is None:
-            table = self.field.lines[self.m]
-            own, out = 1 << table.index[v], table.full
-            for r in self._products(v):
-                out &= table.hyperplane(r)
-                if out == own:
-                    break
-            self._line_masks[v] = out
+            out = self._line_masks[v] = self.field.lines[self.m].annihilator(self._products(v))
         return out
 
     def restriction(self, rows) -> tuple:
@@ -1079,9 +1067,9 @@ def enumerate_complements(u: Subspace, guard=None, skip=()):
     once and its RREF extended by each last row.  skip holds the
     annihilator masks (LineTable.annihilator) of subspaces of dimension
     u.dim; a complement W of u meets such an S in 0 iff ann(W) & ann(S)
-    == 0, with ann(W) the prefix's mask ANDed with the hyperplane of the
-    last row.  A skipped complement is ticked but neither reduced nor
-    yielded.
+    == 0, with ann(W) the prefix's mask ANDed with the last row's,
+    annihilator((r,)).  A skipped complement is ticked but neither reduced
+    nor yielded.
     """
     g = as_guard(guard)
     field, n, d = u.field, u.n, u.dim
@@ -1091,7 +1079,7 @@ def enumerate_complements(u: Subspace, guard=None, skip=()):
     # one complement, 0, is a zero last row
     *head, tail = [_combinations(field, n, u.rows, w) for w in w0.rows] or [[0]]
     table = field.lines[n] if skip else None
-    planes = [table.hyperplane(r) for r in tail] if skip else [0] * len(tail)
+    planes = [table.annihilator((r,)) for r in tail] if skip else [0] * len(tail)
     for prefix in product(*head):
         mask = table.annihilator(prefix) if skip else 0
         out = None      # the prefix's RREF, once a complement needs it

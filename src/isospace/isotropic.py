@@ -25,14 +25,12 @@ from .ffield import Subspace, enumerate_complements, line_masks_pay, projective_
 def greedy_maximal(space: AltMatrixSpace) -> Subspace:
     """Grow an isotropic space until U = rad(U), hence maximal.
 
-    Deterministic: it starts at <e_1>, and each step adjoins the first
-    basis row of rad(U) lying outside U.
+    Deterministic: it starts at the zero space, and each step adjoins the
+    first basis row of rad(U) lying outside U (first e_1, as rad(0) = F^n).
     """
     field, n = space.field, space.n
-    if n < 1:
-        raise ValueError("need ambient dimension >= 1")
     forms = form_rows(space)
-    u = Subspace.coordinate(field, n, [0])
+    u = Subspace.zero(field, n)
     while True:
         rad = forms.kernel(u.rows)
         if rad.dim == u.dim:
@@ -80,14 +78,14 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     required, then ticked, one per child.  Only the source of rad(U)
     depends on the field: where line masks pay (ffield.line_masks_pay,
     one mask kept per line of F^n), rad(U) is the AND of the line masks
-    of U's rows, with no row reduction, U (with (q^d - 1)/(q - 1) lines
-    in dimension d) is maximal iff rad(U) has as many, and the children
-    are its set bits in those columns' blocks of field.lines[n], in index
-    order; elsewhere forms.kernel reduces U's rows, U is maximal iff the
-    kernel has U's dimension, and the children are read off the kernel's
-    rows pivoted after U's last pivot (Subspace.lines), with no line
-    table.  Both give the same levels in the same order and tick the
-    guard alike.
+    of U's rows (FormRows.line_mask), with no row reduction, U (with
+    (q^d - 1)/(q - 1) lines in dimension d) is maximal iff rad(U) has as
+    many, and the children are its set bits in those columns' blocks of
+    field.lines[n], in index order; elsewhere forms.kernel reduces U's
+    rows, U is maximal iff the kernel has U's dimension, and the children
+    are read off the kernel's rows pivoted after U's last pivot
+    (Subspace.lines), with no line table.  Both give the same levels in
+    the same order and tick the guard alike.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
@@ -97,7 +95,7 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     g.require(count)
     forms = form_rows(space)
     masks = None
-    if line_masks_pay(q, n, count):
+    if line_masks_pay(q, n):
         table = field.lines[n]
         lines, leads, blocks, full = table.lines, table.leads, table.blocks, table.full
         masks = {v: forms.line_mask(v) for v in lines}     # the map's masks, not copies
@@ -434,8 +432,6 @@ def greedy_deg_decomposition(space: AltMatrixSpace) -> list:
     standard coordinate complement.
     """
     field, n = space.field, space.n
-    if n < 1:
-        raise ValueError("need ambient dimension >= 1")
     forms = form_rows(space)
     covered = Subspace.zero(field, n)
     parts = []

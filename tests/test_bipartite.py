@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from isospace import bipartite
+from isospace import bipartite, ffield
 from isospace.altspace import (AltMatrixSpace, is_isotropic, radical_space,
                                validate_decomposition)
 from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
@@ -14,7 +14,7 @@ from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 two_decomposition_via_adjoint)
 from isospace.errors import Guard, GuardExceeded, VerificationError
 from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, enumerate_subspaces,
-                              kernel, line_masks_pay, vstack)
+                              kernel, vstack)
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import alpha_exact, two_decomposition_brute
 from util import F2, F3, random_matrix_space, random_space, symplectic_form
@@ -358,10 +358,9 @@ def _ncrk_route_inputs():
         for s, t in shapes:
             out += [ncrk_pad_square(random_matrix_space(rng, field, s, t, k)) for k in (1, 2)]
     out.append(ncrk_pad_square(MatrixSpace(F3, 1, 3, ())))
-    # padded <(0 1)> is <E_11, E_12, E_22>: for the line of e_2, the
-    # hyperplane of E_12 e_2 = e_1 is already e_2's own line, but E_22 e_2
-    # != 0, so its kernel is 0; FormRows.line_mask, whose early stop holds
-    # only on alternating maps, would keep e_2's line
+    # padded <(0 1)> is <E_11, E_12, E_22>, not alternating: e_2 lies
+    # outside its own kernel, which is 0 since E_22 e_2 != 0, so its line
+    # mask is 0 although the mask of E_12 e_2 = e_1 alone is e_2's line
     e12 = Matrix.from_rows(F2, [[0, 1]])
     out.append(ncrk_pad_square(MatrixSpace.from_generators(F2, 1, 2, [e12])))
     return out
@@ -391,13 +390,40 @@ def test_the_line_mask_ncrk_scan_is_the_rank_scan(monkeypatch):
         assert masked == (b.field != F31) and isinstance(short[0][0], str)
         ranks.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bipartite, "line_masks_pay", lambda p, n, masks: not masked)
+            mp.setattr(bipartite, "line_masks_pay", lambda p, n: not masked)
             assert _ncrk_record(b) == full and len(ranks) == (used if masked else 0)
             assert [_ncrk_record(b, used - 1), _ncrk_record(b, used // 2)] == short
-    # the scan asks with F^m's own line count: F_2^13's 8,191 masks of
+    # the scan prices one mask per line of F^m: F_2^13's 8,191 masks of
     # 8,191 lines fit the 2^26-bit budget, F_2^14's 16,383 do not, so only
     # the first gets a line table, though F_2^14 has residue tables
     field = PrimeField(2)
     for t in (13, 14):
         ncrk_witness_pair(MatrixSpace(field, 1, t, ()))
-    assert sorted(field.lines) == [13] and line_masks_pay(2, 14, 0)
+    assert sorted(field.lines) == [13] and ffield._tables_fit(2, 14)
+
+
+def test_the_ncrk_mask_scan_builds_one_mask_per_basis_row(monkeypatch):
+    # each call builds the line mask of each distinct RREF basis row of
+    # the scanned subspaces once, however many subspaces hold that row
+    rows, built = set(), []
+    scan, inner = bipartite.enumerate_subspaces, ffield.LineTable.annihilator
+
+    def scanning(*args, **kwargs):
+        for w in scan(*args, **kwargs):
+            rows.update(w.rows)
+            yield w
+
+    def counting(self, vectors):
+        built.append(vectors)
+        return inner(self, vectors)
+
+    monkeypatch.setattr(bipartite, "enumerate_subspaces", scanning)
+    monkeypatch.setattr(ffield.LineTable, "annihilator", counting)
+    for b in _ncrk_route_inputs():
+        if b.field == F31:
+            continue
+        for _ in range(2):
+            rows.clear()
+            built.clear()
+            ncrk_witness_pair(b)
+            assert len(built) == len(rows) > 0, (b.field, b.s, b.t)

@@ -356,7 +356,8 @@ def test_to_graph_witness_with_no_parts(files, tmp_path, capsys):
 
 
 def test_the_space_of_the_empty_graph_loads_back(tmp_path):
-    # from-graph writes "ams 2 0 0" for graph 0; alpha and chi read it
+    # from-graph writes "ams 2 0 0" for graph 0; alpha, chi, decompose
+    # and stats read it
     empty = tmp_path / "empty.graph"
     empty.write_text("graph 0\n")
     space = tmp_path / "empty.ams"
@@ -367,6 +368,11 @@ def test_the_space_of_the_empty_graph_loads_back(tmp_path):
     assert rep["alpha"] == 0 and rep["witness"] == []
     for method in ("brute", "lawler", "maxcover"):
         assert run_command(["chi", "-f", str(space), "--method", method])["results"]["chi"] == 0
+    for method in ("greedy-deg", "lawler"):
+        rep = run_command(["decompose", "-f", str(space), "--method", method])["results"]
+        assert rep["parts"] == [] and rep["count"] == 0
+    rep = run_command(["stats", "-f", str(space)])["results"]
+    assert rep["n"] == rep["dim"] == rep["greedy_maximal_dim"] == rep["max_degree"] == 0
 
 
 def test_json_flag_is_read_from_the_parsed_arguments(capsys):

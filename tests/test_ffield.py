@@ -396,7 +396,7 @@ def test_a_hyperplane_is_the_lines_orthogonal_to_its_row():
                 if any(r):
                     scan = sum(1 << i for i, u in enumerate(vectors)
                                if sum(a * b for a, b in zip(r, u)) % field.p == 0)
-                    assert table.hyperplane(field.pack(r)) == scan, (field, r)
+                    assert table.annihilator((field.pack(r),)) == scan, (field, r)
 
 
 def test_masks_without_residue_tables_are_the_sliced_masks(monkeypatch):
@@ -416,7 +416,8 @@ def test_masks_without_residue_tables_are_the_sliced_masks(monkeypatch):
         rows = [field.pack(r) for r in product(range(field.p), repeat=n)]
         for line_words in (1, 40, 10**9):      # kernel lines always, mixed, adder always
             monkeypatch.setattr(ffield, "LINE_WORDS", line_words)
-            assert [bare.hyperplane(r) for r in rows] == [sliced.hyperplane(r) for r in rows]
+            assert ([bare.annihilator((r,)) for r in rows]
+                    == [sliced.annihilator((r,)) for r in rows])
             for u in spaces:
                 assert bare.annihilator(u.rows) == sliced.annihilator(u.rows), (field, u)
             assert bare.annihilator(()) == bare.full
@@ -435,7 +436,7 @@ def test_a_large_field_builds_its_masks_from_their_rows():
         r = [rng.randrange(101) for _ in range(3)]
         scan = sum(1 << i for i, u in enumerate(vectors)
                    if sum(a * b for a, b in zip(r, u)) % 101 == 0)
-        assert table.hyperplane(field.pack(r)) == scan
+        assert table.annihilator((field.pack(r),)) == scan
         assert scan.bit_count() == (102 if any(r) else 10303)
     for d in (1, 2, 3):
         u = Subspace.from_vectors(field, 3, [[rng.randrange(101) for _ in range(3)]
@@ -448,16 +449,32 @@ def test_a_large_field_builds_its_masks_from_their_rows():
 
 
 def test_a_line_mask_is_the_lines_of_the_line_kernel():
-    from util import random_space
+    # on alternating maps, on a square map that is not alternating and on
+    # a rectangular one, the mask of every line of F^n is the lines of
+    # its kernel in F^m
+    from isospace.bipartite import MatrixSpace, ncrk_pad_square
+    from util import random_matrix_space, random_space
+
+    def check(forms, field, n, m):
+        table = field.lines[m]
+        for v in field.lines[n].lines:
+            kernel = forms.kernel([v])
+            want = sum(1 << i for i, u in enumerate(table.lines)
+                       if kernel.contains_vector(u))
+            assert forms.line_mask(v) == want, (field, v)
+            assert forms.line_mask(v) is forms.line_mask(v)
+        return forms
+
     rng = random.Random(27)
     for field, n, m in [(F2, 5, 1), (F2, 6, 3), (F3, 4, 2), (F3, 5, 0), (F5, 3, 1)]:
         for _ in range(3):
-            space = random_space(rng, field, n, m)
-            forms = FormRows(field, n, n, space.basis)
-            table = field.lines[n]
-            for v in table.lines:
-                kernel = forms.kernel([v])
-                want = sum(1 << i for i, u in enumerate(table.lines)
-                           if kernel.contains_vector(u))
-                assert forms.line_mask(v) == want
-                assert forms.line_mask(v) is forms.line_mask(v)
+            check(FormRows(field, n, n, random_space(rng, field, n, m).basis), field, n, n)
+    # padded <(0 1)> is <E_11, E_12, E_22>, read through transposes as the
+    # ncrk scan reads a square space: e_2's kernel is 0, not its own line
+    e12 = Matrix.from_rows(F2, [[0, 1]])
+    padded = ncrk_pad_square(MatrixSpace.from_generators(F2, 1, 2, [e12]))
+    forms = check(FormRows(F2, 2, 2, [x.transpose() for x in padded.basis]), F2, 2, 2)
+    assert forms.line_mask(F2.pack((0, 1))) == 0
+    for k in (1, 2):
+        b = random_matrix_space(rng, F3, 2, 4, k)
+        check(FormRows(F3, 2, 4, b.basis), F3, 2, 4)

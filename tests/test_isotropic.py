@@ -10,7 +10,7 @@ from isospace.altspace import AltMatrixSpace, form_rows, is_isotropic, max_degre
 from isospace.bipartite import ncrk_witness_pair
 from isospace.errors import Guard, GuardExceeded
 from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, enumerate_subspaces,
-                             gaussian_binomial, line_masks_pay, projective_rows)
+                             gaussian_binomial, projective_rows)
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 chi_maxcover, enumerate_isotropic_lattice,
@@ -236,13 +236,13 @@ def test_without_residue_tables_the_scans_reduce_rows(monkeypatch):
     monkeypatch.setattr(FormRows, "rank", counting(FormRows.rank, ranks))
     for p in (31, 89):
         field = PrimeField(p)
-        assert not line_masks_pay(p, 3, 0)
+        assert not ffield._tables_fit(p, 3)
         space = random_space(random.Random(0), field, 3, 1)
         record = _lattice_record(space)
         assert built == [] and field.lines == {} and record[-1] > 1000
         if p == 31:     # forced masks take 0.5 s on F_89^3
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(isotropic, "line_masks_pay", lambda p, n, masks: True)
+                mp.setattr(isotropic, "line_masks_pay", lambda p, n: True)
                 assert _lattice_record(space) == record and built
         ncrk_witness_pair(random_matrix_space(random.Random(0), field, 3, 3, 1))
         assert ranks
