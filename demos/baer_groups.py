@@ -16,7 +16,7 @@ J = Matrix.from_rows(F3, [[0, 1], [2, 0]])
 sp = AltMatrixSpace(F3, 2, [J])
 n, m, p = sp.n, sp.dim, 3
 
-gens = baer_generators(sp.basis)
+gens = baer_generators(sp.field, sp.n, sp.basis)
 print(f"tuple (J) with n={n}, m={m} over F_{p}: {len(gens)} generators "
       f"in GL({1 + n + m}, {p}), all upper unitriangular")
 

@@ -9,12 +9,13 @@ restriction the role of induced subgraphs.
 Restriction (B A B^t) reads its basis off FormRows.restriction: the
 entries w_a^t A w_b, a < b, of the rows w_a of B, from the form rows
 w_a^t A, reduced once to the canonical upper triangles.  Isometry
-(T^t A T) and the block extraction of bipartite.py (U1 A U2^t) take every
-product L A R at once from ffield.congruences and reduce the flat entry
-rows once.  The isotropy test keeps one Matrix product per basis matrix:
-it stops at the first nonzero product, where a batched test would build
-them all.  Those spans are alternating (or, for blocks, independent) by
-construction, so only outside input goes through validate.
+(T^t A T), the block extraction of bipartite.py (U1 A U2^t) and the
+isotropy test (B A B^t) each take L @ A @ R, one Matrix product per basis
+matrix: isometry and block extraction reduce the products' flat entry
+rows once with span_basis, and the isotropy test stops at the first
+nonzero product.  Those spans are alternating (or, for blocks,
+independent) by construction, so only outside input goes through
+validate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache, reduce
 
 from .errors import VerificationError
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
-                     congruences, hstack, kernel, projective_rows, span_basis, vstack)
+                     hstack, kernel, projective_rows, span_basis, vstack)
 
 
 def is_alternating(m: Matrix) -> bool:
@@ -211,9 +212,9 @@ def isometry_transform(space: AltMatrixSpace, t: Matrix) -> AltMatrixSpace:
         raise ValueError("transform shape mismatch")
     if t.rank() != space.n:
         raise ValueError("transform is singular")
-    field, n = space.field, space.n
+    field, n, tt = space.field, space.n, t.transpose()
     return AltMatrixSpace._unchecked(field, n, span_basis(
-        field, n, n, congruences(t.transpose(), space.basis, t)))
+        field, n, n, [(tt @ a @ t).flat() for a in space.basis]))
 
 
 def is_isotropic(space: AltMatrixSpace, u: Subspace) -> bool:

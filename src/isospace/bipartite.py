@@ -16,8 +16,8 @@ from .altspace import (AltMatrixSpace, block_alternating, is_isotropic, nondegen
                        split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
-                     congruences, enumerate_subspaces, kernel, line_masks_pay, solve_linear,
-                     span_basis, vstack)
+                     enumerate_subspaces, kernel, line_masks_pay, solve_linear, span_basis,
+                     vstack)
 
 
 class MatrixSpace:
@@ -75,18 +75,20 @@ def block_space_from_bipartite(space: AltMatrixSpace, u1: Subspace,
                                u2: Subspace) -> MatrixSpace:
     """Extract B <= M(s x t) from a bipartite space via its 2-decomposition.
 
-    The blocks are U1 A U2^t for the RREF bases U1, U2 of the parts: entry
-    (i, j) is the form of row i of U1 against row j of U2.  span_basis
-    reduces their entry rows to the canonical basis.  The zero space gives
-    the zero s x t space before U2^t is built.  Raises unless (u1, u2) is
-    an isotropic 2-decomposition of the space.
+    The blocks are U1 A U2^t for the RREF bases U1, U2 of the parts, one
+    Matrix product per basis matrix A: entry (i, j) is the form of row i
+    of U1 against row j of U2.  span_basis reduces their entry rows to the
+    canonical basis.  The zero space gives the zero s x t space before U2^t
+    is built.  Raises unless (u1, u2) is an isotropic 2-decomposition of
+    the space.
     """
     validate_decomposition(space, [u1, u2])
     field, s, t = space.field, u1.dim, u2.dim
     if not space.basis:
         return MatrixSpace._unchecked(field, s, t, ())
+    b1, b2t = u1.basis, u2.basis.transpose()
     return MatrixSpace._unchecked(field, s, t, span_basis(
-        field, s, t, congruences(u1.basis, space.basis, u2.basis.transpose())))
+        field, s, t, [(b1 @ a @ b2t).flat() for a in space.basis]))
 
 
 def ncrk_witness_pair(b: MatrixSpace, guard=None):

@@ -22,7 +22,7 @@ import time
 
 from . import io as formats
 from .altspace import (form_rows, is_isotropic, max_rank_bruteforce, nondegenerate_part,
-                       radical_space, validate_decomposition)
+                       rad_of, radical_space, validate_decomposition)
 from .bipartite import (adjoint_algebra, alpha_bipartite,
                         decomposition_from_hyperbolic,
                         hyperbolic_idempotent_search, ncrk_brute,
@@ -116,6 +116,9 @@ def cmd_maximal(args, space, guard):
         out = enumerate_maximal_filter(space, guard=guard)
     else:
         out = enumerate_maximal_branch(space, guard=guard)
+    for u in out:
+        if not is_isotropic(space, u) or rad_of(space, u) != u:
+            raise VerificationError("maximal space failed re-verification")
     res = {"count": len(out), "field": space.field.p, "n": space.n,
            "method": args.method,
            "dimensions": sorted(u.dim for u in out)}
@@ -254,7 +257,7 @@ def cmd_singular_exists(args, b, guard):
 
 
 def cmd_baer(args, space, guard):
-    gens = baer_generators(space.basis)
+    gens = baer_generators(space.field, space.n, space.basis)
     res = {"generator_count": len(gens), "degree": 1 + space.n + space.dim,
            "field": space.field.p}
     if args.verify:

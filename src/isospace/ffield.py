@@ -29,11 +29,12 @@ LineTable of (p, n), PrimeField.lines[n].  LineTable.annihilator is the
 one builder of masks: it gives a span W as the lines of W^perp, so that a
 join W + V is one AND and W = F^n iff its mask is 0, and FormRows.line_mask
 keeps, per vector, the annihilator of that vector's rows under a map, the
-lines of its kernel.  Besides its lines and their index, a table holds the
-n p masks of its coordinates, and its residue tables only where those are
-small; without them a mask is built from its rows alone.  line_masks_pay
-is the one rule for where a scan runs on masks: only where F_p^n has
-residue tables, and one mask per line fits their budget.
+lines of its kernel.  Besides its lines, a table holds the n p masks of
+its coordinates, and its residue tables only where those are small;
+without them a mask is built from its rows alone, and the table indexes
+its lines to read the lines of a kernel.  line_masks_pay is the one rule
+for where a scan runs on masks: only where F_p^n has residue tables, and
+one mask per line fits their budget.
 """
 
 from __future__ import annotations
@@ -608,12 +609,15 @@ class LineTable:
 
     `lines` holds one packed row per line, its first nonzero coordinate 1,
     in projective_rows order; line i is bit i of a mask, and a mask takes
-    `words` 64-bit words.  `leads` holds their lead columns and `index`
-    maps each row to its position.  The lines led at column c are a run,
-    so `blocks[c]`, their mask, is one range of bits, and `full` is the
-    mask of every line.  `coords[j][a]` is the mask of the lines whose row
-    holds a at coordinate j: inside the run of a column c < j, runs of
-    p^(n-1-j) bits repeated with period p^(n-j), built by doubling.
+    `words` 64-bit words.  `leads` holds their lead columns.  The lines
+    led at column c are a run, so `blocks[c]`, their mask, is one range
+    of bits, and `full` is the mask of every line.  `coords[j][a]` is the
+    mask of the lines whose row holds a at coordinate j: inside the run of
+    a column c < j, runs of p^(n-1-j) bits repeated with period p^(n-j),
+    built by doubling.  `index` maps each row to its position; it is
+    built only for a table without residue tables, the one kind whose
+    masks read the lines of a kernel (_kernel_lines), and is None on the
+    others.
 
     `annihilator(rows)` is the one builder of masks: the lines u with
     r.u = 0 for every row r, W^perp for W the rows' span.  The residue of
@@ -644,7 +648,6 @@ class LineTable:
             lines += run
             leads += [c] * len(run)
         self.lines, self.leads, self.blocks = tuple(lines), tuple(leads), tuple(blocks)
-        self.index = {v: i for i, v in enumerate(lines)}
         self.full = (1 << len(lines)) - 1
         coords = [[0] * p for _ in range(n)]
         at = 0
@@ -661,11 +664,13 @@ class LineTable:
         self.coords = tuple(tuple(col) for col in coords)
         self.words = len(lines) + 63 >> 6
         half = n // 2
-        self._low = self._high = None
+        self._low = self._high = self.index = None
         if _tables_fit(p, n):
             self._split = (1 << half * field.width) - 1
             self._low = self._residues(range(half), 1)
             self._high = self._residues(range(half, n), -1)
+        else:
+            self.index = {v: i for i, v in enumerate(lines)}
 
     def _residues(self, cols, sign: int) -> dict:
         """Every packed row r supported on cols -> [the mask of the lines u
@@ -920,31 +925,6 @@ def _kernel_of_last(field: PrimeField, m: int, rows, pivots) -> Subspace:
         basis.append(v)
         free.append(j)
     return Subspace(field, m, tuple(basis), tuple(free))
-
-
-def congruences(left: Matrix, mats, right: Matrix) -> list:
-    """The flat entry rows (as Matrix.flat gives them) of L M R for every
-    n x m matrix M of mats, with L s x n and R m x t, in the order of mats.
-
-    Row j of every L M at once is one combination of the slices, row i of
-    every M side by side; each of its k pieces times R is one combination
-    of the rows of R, and lands as row j of that matrix's flat row.
-    """
-    mats = list(mats)
-    field, s, t, n, m = left.field, left.rows, right.cols, left.cols, right.rows
-    if (right.field != field or any(a.field != field or a.rows != n or a.cols != m
-                                    for a in mats)):
-        raise ValueError("shape or field mismatch in congruences")
-    k, width = len(mats), field.width
-    span, tspan = m * width, t * width
-    slices = [sum(a.packed[i] << c * span for c, a in enumerate(mats)) for i in range(n)]
-    rows, mask = right.packed, (1 << span) - 1
-    flats = [0] * k
-    for j, x in enumerate(left.packed):
-        y = _combine(x, slices, field, k * m)
-        for c in range(k):
-            flats[c] |= _combine(y >> c * span & mask, rows, field, t) << j * tspan
-    return flats
 
 
 def span_basis(field: PrimeField, rows: int, cols: int, flats) -> list:

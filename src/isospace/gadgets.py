@@ -83,21 +83,18 @@ def right_degree_min(bprime, guard=None) -> int:
     return best
 
 
-def baer_generators(tensor):
-    """The 1+n+m generators of the Baer group of an alternating tuple.
+def baer_generators(field: PrimeField, n: int, tensor):
+    """The n+m generators of the Baer group of an alternating tuple.
 
     tensor is an ordered tuple (A_1, ..., A_m) of alternating n x n
-    matrices over F_p, p odd.  Emits the n matrices built from
-    B_i = [A_1 e_i, ..., A_m e_i] and the m elementary central generators,
-    all upper unitriangular in GL(1+n+m, p).
+    matrices over the field F_p, p odd, m >= 0.  Emits the n matrices
+    built from B_i = [A_1 e_i, ..., A_m e_i] and the m elementary central
+    generators, all upper unitriangular in GL(1+n+m, p); the empty tuple
+    gives the n generators I + E_{0,1+i} of F_p^n.
     """
-    tensor = list(tensor)
-    if not tensor:
-        raise ValueError("need a nonempty tuple")
-    field = tensor[0].field
     if field.p == 2:
         raise ValueError("Baer correspondence requires odd p")
-    n = tensor[0].rows
+    tensor = list(tensor)
     m = len(tensor)
     for a in tensor:
         if a.rows != n or a.cols != n or a.field != field:

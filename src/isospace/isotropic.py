@@ -165,8 +165,11 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
 
     Reduce by the radical (every maximal isotropic space contains rad(A)),
     pick a minimum-degree vector v, branch over one representative w per
-    line of the closed neighbourhood of v, recurse on A|_rad(w), lift, and
-    keep the lifted candidates with U = rad(U).  Branches share restricted
+    line of the closed neighbourhood of v, recurse on A|_rad(w), and keep
+    every lift, first seen first.  A lift is maximal with no test: w lies
+    in the radical of A|_rad(w), so a maximal isotropic M of A|_rad(w)
+    contains w; its lift U is isotropic, and an isotropic V containing U
+    contains w, so V lies in rad(w) and is U.  Branches share restricted
     spaces: a memo keyed by (dim rad(w), restriction key), as chi_lawler's
     is, solves each once per call, and a hit reuses its list of maximal
     spaces and ticks nothing.
@@ -202,12 +205,7 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
                 hit = memo[key] = rec(AltMatrixSpace.from_upper(field, *key))
             for m in hit:
                 cand = m.image(rw)
-                ck = cand.key()
-                if ck in found:
-                    continue
-                # cand = rad(cand): its rows have rank n - dim cand
-                if forms.rank(cand.rows) == n - cand.dim:
-                    found[ck] = cand
+                found.setdefault(cand.key(), cand)
         return list(found.values())
 
     # rec's spaces are distinct: keyed when non-degenerate, and lifted

@@ -363,7 +363,7 @@ def random_matrix_rect(rng, field, rows, cols):
 def test_criterion_12_baer_group():
     t0 = time.time()
     sp = AltMatrixSpace(F3, 2, [symplectic_form(F3, 2)])
-    gens = baer_generators(sp.basis)
+    gens = baer_generators(sp.field, sp.n, sp.basis)
     G = group_closure(gens)
     assert G.order == 27
     comm = G.commutator_subgroup()

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from isospace.altspace import (degree, max_degree, max_rank_bruteforce,
+from isospace.altspace import (degree, max_degree, max_rank_bruteforce, rad_of,
                                validate_decomposition)
 from isospace.cli import main, run_command
 from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
@@ -293,6 +293,39 @@ def test_adjoint_route_decides_a_form_on_f3_4(tmp_path, capsys):
 def test_baer_over_f2_is_an_input_error(files, capsys):
     # K3_AMS is well formed, but the Baer correspondence needs odd p
     assert _fails_cleanly(["baer", "-f", files["k3.ams"]], capsys) == 5
+
+
+def test_the_baer_group_of_a_space_with_no_forms(tmp_path, capsys):
+    # the empty tuple on F_3^2 gives F_3^2: the generators I + E_{0,1+i}
+    # of GL(3, 3) and no central ones
+    path = tmp_path / "empty.ams"
+    path.write_text("ams 3 2 0\n")
+    res = run_command(["baer", "-f", str(path), "--verify"])["results"]
+    assert (res["generator_count"], res["degree"]) == (2, 3)
+    assert res["order"] == 9 == res["expected_order"]
+    assert res["abelian"] and res["commutator_order"] == 1
+    assert res["max_abelian_order"] == 9
+    # over F_2 the characteristic is still what is refused
+    path.write_text("ams 2 2 0\n")
+    assert main(["baer", "-f", str(path)]) == 5
+    assert "requires odd p" in capsys.readouterr().err
+
+
+def test_maximal_reverifies_every_space_it_reports(tmp_path, files, capsys, monkeypatch):
+    # neither a space that is not isotropic nor an isotropic one short of
+    # its radical is reported, whichever method found it
+    from isospace import cli
+    empty = tmp_path / "empty.ams"
+    empty.write_text("ams 2 2 0\n")
+    cases = [(files["k3.ams"], Subspace.full(F2, 3)),
+             (str(empty), Subspace.from_vectors(F2, 2, [[1, 0]]))]
+    for path, wrong in cases:
+        assert rad_of(parse_space(Path(path).read_text()), wrong) != wrong
+        for method in ("filter", "branch"):
+            monkeypatch.setattr(cli, f"enumerate_maximal_{method}",
+                                lambda space, guard: (wrong,))
+            argv = ["maximal", "-f", path, "--method", method]
+            assert _fails_cleanly(argv, capsys) == 4
 
 
 def test_quantum_on_a_disconnected_graph_is_an_input_error(tmp_path, capsys):

@@ -362,13 +362,23 @@ def test_a_form_rows_kernel_is_one_reduction(monkeypatch):
 
 # ------------------------------------------------------------ line tables
 
-def test_a_line_table_holds_the_lines_in_projective_order():
+def test_a_line_table_holds_the_lines_in_projective_order(monkeypatch):
+    tables = []
     for field, n in [(F2, 0), (F2, 1), (F2, 5), (F3, 4), (F5, 3), (PrimeField(251), 1)]:
-        table = field.lines[n]
-        assert field.lines[n] is table and table.n == n
+        tables.append(field.lines[n])
+        assert field.lines[n] is tables[-1] and tables[-1].n == n
+    monkeypatch.setattr(ffield, "RESIDUE_BITS", 0)
+    tables.append(ffield.LineTable(F3, 3))
+    monkeypatch.undo()
+    for table in tables:
+        field, n = table.field, table.n
         assert list(table.lines) == list(projective_rows(field, n))
         assert table.full == (1 << len(table.lines)) - 1
-        assert all(table.index[v] == i for i, v in enumerate(table.lines))
+        # only a table without residue tables reads kernels' lines by index
+        if table._low is None:
+            assert all(table.index[v] == i for i, v in enumerate(table.lines))
+        else:
+            assert table.index is None
         # the lead-column blocks partition the lines, each block a run
         union = 0
         for c, block in enumerate(table.blocks):

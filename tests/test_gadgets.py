@@ -94,7 +94,7 @@ def test_right_degree_min_matches_every_vector():
 
 
 def test_baer_generators_shape():
-    gens = baer_generators([symplectic_form(F3, 2)])
+    gens = baer_generators(F3, 2, [symplectic_form(F3, 2)])
     assert len(gens) == 3
     for g in gens:
         assert g.rows == g.cols == 4
@@ -104,14 +104,14 @@ def test_baer_generators_shape():
 
 def test_baer_rejects_even_characteristic():
     with pytest.raises(ValueError):
-        baer_generators([symplectic_form(F2, 2)])
+        baer_generators(F2, 2, [symplectic_form(F2, 2)])
 
 
 def test_baer_central_generators_commute():
     sp = AltMatrixSpace.from_generators(
         F3, 3, [Matrix.from_rows(F3, [[0, 1, 0], [2, 0, 0], [0, 0, 0]]),
                 Matrix.from_rows(F3, [[0, 0, 1], [0, 0, 0], [2, 0, 0]])])
-    gens = baer_generators(sp.basis)
+    gens = baer_generators(sp.field, sp.n, sp.basis)
     n, m = 3, 2
     cs = gens[n:]
     for a in cs:
@@ -120,7 +120,7 @@ def test_baer_central_generators_commute():
 
 
 def test_baer_heisenberg():
-    gens = baer_generators([symplectic_form(F3, 2)])
+    gens = baer_generators(F3, 2, [symplectic_form(F3, 2)])
     G = group_closure(gens)
     assert G.order == 27 == 3 ** (2 + 1)
     assert not G.is_abelian()
@@ -136,7 +136,7 @@ def test_baer_alpha_correspondence():
             F3, 3, [Matrix.from_rows(F3, [[0, 1, 0], [2, 0, 0], [0, 0, 0]])]),
     ]
     for sp in cases:
-        gens = baer_generators(sp.basis)
+        gens = baer_generators(sp.field, sp.n, sp.basis)
         G = group_closure(gens)
         p, n, m = 3, sp.n, sp.dim
         assert G.order == p ** (n + m)
@@ -155,9 +155,9 @@ def test_group_closure_cyclic():
 
 def test_is_abelian_matches_all_pairs_of_elements():
     rng = random.Random(12)
-    groups = [group_closure(baer_generators([symplectic_form(F3, 2)])),
+    groups = [group_closure(baer_generators(F3, 2, [symplectic_form(F3, 2)])),
               group_closure(baer_generators(
-                  [Matrix.from_rows(F3, [[0, 1, 0], [2, 0, 0], [0, 0, 0]])]))]
+                  F3, 3, [Matrix.from_rows(F3, [[0, 1, 0], [2, 0, 0], [0, 0, 0]])]))]
     while len(groups) < 30:
         field = rng.choice([F2, F3])
         gens = [Matrix(field, 2, 2, [rng.randrange(field.p) for _ in range(4)])
@@ -176,7 +176,7 @@ def test_the_abelian_search_meters_its_centralizer_scans(monkeypatch):
     # each centralizer_of call compares every group element with the
     # generators, so the guard takes |G| just before it
     sp = random_space(random.Random(16), F3, 2, 1)
-    G = group_closure(baer_generators(sp.basis))
+    G = group_closure(baer_generators(sp.field, sp.n, sp.basis))
     log = []
 
     class Recorder(Guard):

@@ -27,3 +27,23 @@ def test_bipartite_imports_nothing_from_isotropic():
             found += [f"{module} {a.name}" for a in node.names
                       if "isotropic" in f"{module}.{a.name}".split(".")]
     assert found == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # every name an import binds is read in its module; __init__.py
+    # imports to re-export, so it is left out
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in bound if name not in used]
+    assert found == []

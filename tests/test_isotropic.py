@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from isospace import ffield, isotropic
-from isospace.altspace import AltMatrixSpace, form_rows, is_isotropic, max_degree, rad_of
+from isospace.altspace import (AltMatrixSpace, form_rows, is_isotropic, max_degree, rad_of,
+                               restrict)
 from isospace.bipartite import ncrk_witness_pair
 from isospace.errors import Guard, GuardExceeded
 from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, enumerate_subspaces,
@@ -288,6 +289,45 @@ def test_branch_equals_filter_f3():
         sp = random_space(rng, F3, n, rng.randint(0, 4))
         assert ({u.key() for u in enumerate_maximal_filter(sp)}
                 == {u.key() for u in enumerate_maximal_branch(sp)})
+
+
+def test_every_lift_from_the_radical_of_a_line_is_maximal():
+    # why enumerate_maximal_branch keeps every lift untested: w lies in
+    # the radical of A|_rad(w), so a maximal M there contains w, and its
+    # lift through rad(w) is isotropic and equal to its own radical
+    rng = random.Random(34)
+    lifts = 0
+    for field, top in [(F2, 5), (F3, 4)]:
+        for _ in range(40):
+            n = rng.randint(1, top)
+            sp = random_space(rng, field, n, rng.randint(0, n))
+            for w in projective_rows(field, n):
+                rw = rad_of(sp, field.unpack(w, n))
+                for m in enumerate_maximal_filter(restrict(sp, rw)):
+                    lift = m.image(rw)
+                    assert lift.contains_vector(w) and is_isotropic(sp, lift)
+                    assert rad_of(sp, lift) == lift
+                    lifts += 1
+    assert lifts > 1000
+
+
+def test_the_branch_enumeration_ranks_single_vectors_only(monkeypatch):
+    # its one rank is deg(v) in the minimum-degree sweep: no lift is
+    # ranked for maximality, which the lemma above gives
+    sizes = []
+    rank = FormRows.rank
+
+    def recording(self, vectors):
+        sizes.append(len(vectors))
+        return rank(self, vectors)
+
+    monkeypatch.setattr(FormRows, "rank", recording)
+    rng = random.Random(35)
+    for field, n in [(F2, 4), (F2, 5), (F3, 4)]:
+        for _ in range(3):
+            enumerate_maximal_branch(random_space(rng, field, n, rng.randint(1, n)))
+    enumerate_maximal_branch(sympl(F2, 4))
+    assert sizes and set(sizes) == {1}
 
 
 # ------------------------------------------------------------------- alpha

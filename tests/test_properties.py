@@ -18,8 +18,7 @@ from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 ncrk_witness_pair)
 from isospace.errors import Guard, GuardExceeded
 from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, _rref_rows,
-                             congruences, hstack, invert, kernel,
-                             rref_canonicalize, vstack)
+                             hstack, invert, kernel, rref_canonicalize, vstack)
 from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
                              is_bipartite_bfs, space_from_graph)
 from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
@@ -706,23 +705,6 @@ def test_equal_restriction_keys_are_equal_restrictions(pair):
     keys = [(u.dim, FormRows(sp.field, sp.n, sp.n, sp.basis).restriction(u.rows))
             for sp, u in pair]
     assert (keys[0] == keys[1]) == (restrict(*pair[0]) == restrict(*pair[1]))
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from([F2, F3, F5, F251]), st.integers(0, 4), st.integers(0, 4),
-       st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
-       st.randoms(use_true_random=False))
-@example(F3, 2, 3, 4, 1, 0, random.Random(0))
-@example(F251, 1, 4, 3, 2, 3, random.Random(1))
-def test_congruences_are_the_per_matrix_products(field, s, n, m, t, k, rng):
-    def rand(rows, cols):
-        return Matrix(field, rows, cols, [rng.randrange(field.p) for _ in range(rows * cols)])
-
-    left, right, mats = rand(s, n), rand(m, t), [rand(n, m) for _ in range(k)]
-    assert congruences(left, mats, right) == [(left @ a @ right).flat() for a in mats]
-    if k:
-        with pytest.raises(ValueError):
-            congruences(left, mats, rand(m + 1, t))
 
 
 @settings(max_examples=60, deadline=None)
