@@ -164,7 +164,8 @@ def rad_of(space: AltMatrixSpace, target) -> Subspace:
     target may be a vector or a Subspace; for a subspace the constraints
     range over its basis.  The constraint rows are v^t A = -(A v)^t.  The
     rows come from form_rows(space), so repeated calls on one space share
-    them, and a vector's radical is built once while that map is kept.
+    them, and a vector's radical is read off its kept RREF rows with no
+    reduction while that map is kept.
     """
     if isinstance(target, Subspace):
         if target.n != space.n:

@@ -204,18 +204,22 @@ class AdjointAlgebra:
         return len(self.pairs)
 
 
-def adjoint_algebra(space: AltMatrixSpace) -> AdjointAlgebra:
+def adjoint_algebra(space: AltMatrixSpace, guard=None) -> AdjointAlgebra:
     """Solve B^t A_i = A_i D for all i in the 2n^2 unknowns (D, B).
 
     The space must be non-degenerate (then B is unique given D and the
     pair basis projects injectively to the D side).  (0, B) solves iff B's
     columns lie in rad(A), so the space is degenerate iff the RREF kernel
-    has a pivot on the B side.
+    has a pivot on the B side.  The k n^2 equations, k = dim A, are
+    reduced with at most k n^2 min(k n^2, 2 n^2) row operations, required
+    from the guard before the system is built.
     """
     n = space.n
     field = space.field
     width, lane = field.width, field.lane
     nn = n * n
+    equations = space.dim * nn
+    as_guard(guard).require(equations * min(equations, 2 * nn), "row operations")
     # unknown vector x = (D row-major, B row-major), as one packed row of
     # 2 n^2 lanes; the equation of (r, c) for each basis A,
     #   (B^t A)_{rc} - (A D)_{rc} = sum_k A_{kc} B_{kr} - sum_k A_{rk} D_{kc} = 0,
@@ -242,20 +246,25 @@ def hyperbolic_idempotent_search(adj: AdjointAlgebra, guard=None):
     and P* = I - P, or None.  P* = I - P is solved once: c0, reduced by the
     RREF kernel, is zero at its pivots, so t in product order gives
     c = c0 + sum t_j k_j in coefficient order (c is t_j at pivot j, and each
-    other coordinate depends only on earlier pivots).
+    other coordinate depends only on earlier pivots).  The n^2 equations in
+    dim Adj unknowns are reduced with at most n^2 min(n^2, dim Adj + 1) row
+    operations, and the q^(dim ker) candidates are required before the
+    coset's generators are built.
     """
     g = as_guard(guard)
     field, n, q = adj.field, adj.n, adj.field.p
+    nn = n * n
+    g.require(nn * min(nn, adj.dim + 1), "row operations")
     # column j of the system is D_j + D_j*, row-major
     sums = tuple((d + b).flat() for d, b in adj.pairs)
-    system = Matrix._reduced(field, adj.dim, n * n, sums).transpose()
+    system = Matrix._reduced(field, adj.dim, nn, sums).transpose()
     c0, ker = solve_linear(system, Matrix.identity(field, n).entries)
     if c0 is None:
         return None
+    g.require(q ** ker.dim)
     ds = [d for d, _ in adj.pairs]     # P = P0 + sum t_j K_j
     coeffs = [ker.reduce_vector(field.pack(c0))] + list(ker.rows)
     gens = [combination(field, n, n, c, ds) for c in coeffs]
-    g.require(q ** ker.dim)
     for t in product(range(q), repeat=ker.dim):
         g.tick()
         d = combination(field, n, n, field.pack((1,) + t), gens)
@@ -308,6 +317,7 @@ def two_decomposition_via_adjoint(space: AltMatrixSpace, guard=None):
     """
     if space.n < 2:
         return None
+    g = as_guard(guard)
     part, comp, rad = nondegenerate_part(space)
-    p = hyperbolic_idempotent_search(adjoint_algebra(part), guard=guard)
+    p = hyperbolic_idempotent_search(adjoint_algebra(part, guard=g), guard=g)
     return None if p is None else decomposition_from_hyperbolic(space, p, comp, rad)

@@ -29,7 +29,7 @@ from .bipartite import (adjoint_algebra, alpha_bipartite,
                         ncrk_pad_square, two_decomposition_via_adjoint)
 from .errors import (DEFAULT_GUARD, Guard, GuardExceeded, ParseError,
                      VerificationError)
-from .ffield import PrimeField, Subspace, gaussian_binomial, projective_rows
+from .ffield import Matrix, PrimeField, Subspace, gaussian_binomial, projective_rows
 from .gadgets import (baer_generators, dim2_gadget, group_closure,
                       right_degree_min, singular_exists_brute)
 from .graphs import (coloring_from_decomposition,
@@ -206,7 +206,7 @@ def cmd_alpha_bipartite(args, space, guard):
 
 def cmd_adjoint(args, space, guard):
     part, comp, rad = nondegenerate_part(space)
-    adj = adjoint_algebra(part)
+    adj = adjoint_algebra(part, guard=guard)
     res = {"dim": adj.dim, "ambient": adj.n, "field": space.field.p,
            "reduced_from_radical_dim": rad.dim}
     if args.find_hyperbolic:
@@ -261,7 +261,10 @@ def cmd_baer(args, space, guard):
     res = {"generator_count": len(gens), "degree": 1 + space.n + space.dim,
            "field": space.field.p}
     if args.verify:
-        closure = group_closure(gens, guard=guard)
+        # on F^0 there are no generators: the identity generates the same,
+        # trivial, group
+        closure = group_closure(gens or [Matrix.identity(space.field, res["degree"])],
+                                guard=guard)
         comm = closure.commutator_subgroup(guard=guard)
         res["order"] = closure.order
         res["expected_order"] = space.field.p ** (space.n + space.dim)

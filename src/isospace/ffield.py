@@ -40,7 +40,7 @@ one mask per line fits their budget.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, product
 from operator import and_, or_
 
@@ -54,34 +54,18 @@ _SMALL_PRIMES = {
 }
 
 
-class _LaneConstants(dict):
-    """n -> (L, pL, (2^w - p) L) for packed rows of n lanes, filled on first use."""
+class _PerLength(dict):
+    """n -> build(n), filled on first use: PrimeField's per-length memos."""
 
-    __slots__ = ("p", "width")
+    __slots__ = ("build",)
 
-    def __init__(self, p: int, width: int):
+    def __init__(self, build):
         super().__init__()
-        self.p = p
-        self.width = width
+        self.build = build
 
     def __missing__(self, n):
-        ones = ((1 << n * self.width) - 1) // ((1 << self.width) - 1)
-        consts = self[n] = (ones, self.p * ones, ((1 << self.width - 1) - self.p) * ones)
-        return consts
-
-
-class _LineTables(dict):
-    """n -> the LineTable of F_p^n, filled on first use."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, field: "PrimeField"):
-        super().__init__()
-        self.field = field
-
-    def __missing__(self, n):
-        table = self[n] = LineTable(self.field, n)
-        return table
+        out = self[n] = self.build(n)
+        return out
 
 
 class PrimeField:
@@ -103,8 +87,13 @@ class PrimeField:
         self._inv = tuple(inv)
         self.width = 1 if p == 2 else (2 * (p - 1)).bit_length() + 1
         self.lane = (1 << self.width) - 1
-        self.ones = _LaneConstants(p, self.width)
-        self.lines = _LineTables(self)
+        self.ones = _PerLength(self._lane_constants)
+        self.lines = _PerLength(partial(LineTable, self))
+
+    def _lane_constants(self, n: int) -> tuple:
+        """(L, pL, (2^w - p) L) for packed rows of n lanes."""
+        ones = ((1 << n * self.width) - 1) // self.lane
+        return ones, self.p * ones, ((1 << self.width - 1) - self.p) * ones
 
     def pack(self, v) -> int:
         """The packed row of the vector v (a sequence), its entries taken mod p."""
@@ -609,15 +598,15 @@ class LineTable:
 
     `lines` holds one packed row per line, its first nonzero coordinate 1,
     in projective_rows order; line i is bit i of a mask, and a mask takes
-    `words` 64-bit words.  `leads` holds their lead columns.  The lines
-    led at column c are a run, so `blocks[c]`, their mask, is one range
-    of bits, and `full` is the mask of every line.  `coords[j][a]` is the
-    mask of the lines whose row holds a at coordinate j: inside the run of
-    a column c < j, runs of p^(n-1-j) bits repeated with period p^(n-j),
-    built by doubling.  `index` maps each row to its position; it is
-    built only for a table without residue tables, the one kind whose
-    masks read the lines of a kernel (_kernel_lines), and is None on the
-    others.
+    `words` 64-bit words.  A line's lead column is read off its row, as
+    any RREF row's is.  The lines led at column c are a run, so
+    `blocks[c]`, their mask, is one range of bits, and `full` is the mask
+    of every line.  `coords[j][a]` is the mask of the lines whose row
+    holds a at coordinate j: inside the run of a column c < j, runs of
+    p^(n-1-j) bits repeated with period p^(n-j), built by doubling.
+    `index` maps each row to its position; it is built only for a table
+    without residue tables, the one kind whose masks read the lines of a
+    kernel (_kernel_lines), and is None on the others.
 
     `annihilator(rows)` is the one builder of masks: the lines u with
     r.u = 0 for every row r, W^perp for W the rows' span.  The residue of
@@ -634,20 +623,19 @@ class LineTable:
     masks.
     """
 
-    __slots__ = ("field", "n", "lines", "leads", "index", "blocks", "full", "coords",
+    __slots__ = ("field", "n", "lines", "index", "blocks", "full", "coords",
                  "words", "_split", "_low", "_high")
 
     def __init__(self, field: PrimeField, n: int):
         p = field.p
         self.field, self.n = field, n
         units = [1 << j * field.width for j in range(n)]
-        lines, leads, blocks = [], [], []
+        lines, blocks = [], []
         for c in range(n):
             run = _combinations(field, n, units[c + 1:], units[c])
             blocks.append((1 << len(run)) - 1 << len(lines))
             lines += run
-            leads += [c] * len(run)
-        self.lines, self.leads, self.blocks = tuple(lines), tuple(leads), tuple(blocks)
+        self.lines, self.blocks = tuple(lines), tuple(blocks)
         self.full = (1 << len(lines)) - 1
         coords = [[0] * p for _ in range(n)]
         at = 0
@@ -790,20 +778,18 @@ class FormRows:
     row j of every M_i side by side, so each vector costs one combination.
     Each distinct w's rows are kept in RREF pivoted on their last nonzero
     columns, with their pivots, as long as the map lives, so the rank of
-    one vector is a length and kernel reads its vectors off that RREF; the
-    kernel of one vector is kept as well.  The raw rows are kept too, and
-    for square maps restriction reads the span of the B M_i B^t off those
-    of B's rows; line_mask reads the lines of a vector's kernel off the
-    LineTable of F^m as the annihilator of its raw rows, with no
-    reduction, and keeps that mask.  Vectors are packed rows of n
-    lanes.  The map lives as long as a caller holds it; what it keeps
-    depends on the M_i alone, so one map may serve every scan of the same
-    M_i, and altspace.form_rows keeps the last map it built, one entry
-    only, for the next scan.
+    one vector is a length and its kernel is read off that RREF with no
+    reduction.  The raw rows are kept too, and for square maps restriction
+    reads the span of the B M_i B^t off those of B's rows; line_mask reads
+    the lines of a vector's kernel off the LineTable of F^m as the
+    annihilator of its raw rows, with no reduction, and keeps that mask.
+    Vectors are packed rows of n lanes.  The map lives as long as a
+    caller holds it; what it keeps depends on the M_i alone, so one map
+    may serve every scan of the same M_i, and altspace.form_rows keeps the
+    last map it built, one entry only, for the next scan.
     """
 
-    __slots__ = ("field", "k", "m", "_slices", "_rows", "_products_of", "_kernels",
-                 "_line_masks")
+    __slots__ = ("field", "k", "m", "_slices", "_rows", "_products_of", "_line_masks")
 
     def __init__(self, field: PrimeField, n: int, m: int, mats):
         mats = list(mats)
@@ -817,7 +803,6 @@ class FormRows:
                         for j in range(n)]
         self._rows = {}
         self._products_of = {}
-        self._kernels = {}
         self._line_masks = {}
 
     def rows(self, w: int) -> tuple:
@@ -853,14 +838,8 @@ class FormRows:
 
     def kernel(self, vectors) -> "Subspace":
         """{u in F^m : r u = 0 for every row r of the vectors}, in RREF; the
-        kernel of one vector is kept as long as the map lives, and the same
-        object is returned for it each time."""
-        if len(vectors) == 1:
-            w = vectors[0]
-            out = self._kernels.get(w)
-            if out is None:
-                out = self._kernels[w] = _kernel_of_last(self.field, self.m, *self.rows(w))
-            return out
+        kernel of one vector is read off its kept rows, with no reduction,
+        and is built anew at each call."""
         return _kernel_of_last(self.field, self.m, *self._span(vectors))
 
     def line_mask(self, v: int) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import chain
 
 from .altspace import (AltMatrixSpace, form_rows, nondegenerate_part,
                        split_zero_space, validate_decomposition)
@@ -23,19 +24,24 @@ from .ffield import Subspace, enumerate_complements, line_masks_pay, projective_
 # greedy maximal isotropic space
 
 def greedy_maximal(space: AltMatrixSpace) -> Subspace:
-    """Grow an isotropic space until U = rad(U), hence maximal.
+    """Grow an isotropic space until U = rad(U), hence maximal: the greedy
+    growth (_grow) inside F^n, where W is rad(U) at every step, so each
+    step adjoins the first basis row of rad(U) lying outside U (first e_1,
+    as rad(0) = F^n)."""
+    return _grow(form_rows(space), Subspace.full(space.field, space.n))
 
-    Deterministic: it starts at the zero space, and each step adjoins the
-    first basis row of rad(U) lying outside U (first e_1, as rad(0) = F^n).
-    """
-    field, n = space.field, space.n
-    forms = form_rows(space)
-    u = Subspace.zero(field, n)
-    while True:
-        rad = forms.kernel(u.rows)
-        if rad.dim == u.dim:
-            return u
-        u = u.extend_by_vector(rad.first_row_outside(u))
+
+def _grow(forms, w: Subspace) -> Subspace:
+    """The isotropic S grown inside w by the forms' map: from S = 0, adjoin
+    the first basis row v of W outside S and cut W by rad(v), until W = S.
+    W is always w meet rad(S), so at the stop S = w meet rad(S): no
+    isotropic space of w strictly contains S."""
+    s = Subspace.zero(w.field, w.n)
+    while w.dim > s.dim:
+        v = w.first_row_outside(s)
+        s = s.extend_by_vector(v)
+        w = w.intersect(forms.kernel([v]))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +91,9 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     rows, U is maximal iff the kernel has U's dimension, and the children
     are read off the kernel's rows pivoted after U's last pivot
     (Subspace.lines), with no line table.  Both give the same levels in
-    the same order and tick the guard alike.
+    the same order and tick the guard alike, and a child's new pivot is
+    read off its row, the lead of the lowest set bit, whichever source
+    gave it.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
@@ -97,7 +105,7 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     masks = None
     if line_masks_pay(q, n):
         table = field.lines[n]
-        lines, leads, blocks, full = table.lines, table.leads, table.blocks, table.full
+        lines, blocks, full = table.lines, table.blocks, table.full
         masks = {v: forms.line_mask(v) for v in lines}     # the map's masks, not copies
     levels, level, maximal = [], [Subspace.zero(field, n)], []
     size = 0        # the lines of a space of the level
@@ -140,8 +148,9 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
             while free:
                 low = free & -free
                 free ^= low
-                i = low.bit_length() - 1
-                level.append(Subspace(field, n, rows + (lines[i],), pivots + (leads[i],)))
+                v = lines[low.bit_length() - 1]
+                level.append(Subspace(field, n, rows + (v,),
+                                      pivots + (((v & -v).bit_length() - 1) // width,)))
         size = size * q + 1
     return IsotropicLattice(tuple(levels), tuple(maximal))
 
@@ -194,10 +203,10 @@ def enumerate_maximal_branch(space: AltMatrixSpace, guard=None) -> tuple:
         vstar = min(reps, key=lambda v: forms.rank([v]))
         rad_v = forms.kernel([vstar])
         found: dict = {}
-        branch = [vstar] + [w for w in reps if not rad_v.contains_vector(w)]
-        for w in branch:
+        # the branches' rad(w): v* first, whose radical is already built
+        rads = chain([rad_v], (forms.kernel([w]) for w in reps if not rad_v.contains_vector(w)))
+        for rw in rads:
             g.tick()
-            rw = forms.kernel([w])
             # A|_rad(w) from the rows of the lines that forms already holds
             key = (rw.dim, forms.restriction(rw.rows))
             hit = memo.get(key)
@@ -424,22 +433,17 @@ def chi_maxcover(space: AltMatrixSpace, guard=None, mi=None) -> int:
 def greedy_deg_decomposition(space: AltMatrixSpace) -> list:
     """Greedy isotropic decomposition with at most O(Delta log n) parts.
 
-    Each pass grows an isotropic S inside a complement W of what is already
-    covered, shrinking W by rad(w) as vectors are adjoined; deterministic:
-    w is the first basis row of W outside <S>, and the complement is the
-    standard coordinate complement.
+    Each pass is the greedy growth of greedy_maximal (_grow) inside the
+    standard coordinate complement W of what is already covered, instead
+    of inside F^n: it adjoins the first basis row w of W outside <S> and
+    shrinks W by rad(w), until W = S.
     """
-    field, n = space.field, space.n
+    n = space.n
     forms = form_rows(space)
-    covered = Subspace.zero(field, n)
+    covered = Subspace.zero(space.field, n)
     parts = []
     while covered.dim < n:
-        w = covered.coordinate_complement()
-        s = Subspace.zero(field, n)
-        while w.dim > s.dim:
-            vec = w.first_row_outside(s)
-            s = s.extend_by_vector(vec)
-            w = w.intersect(forms.kernel([vec]))
+        s = _grow(forms, covered.coordinate_complement())
         parts.append(s)
         covered = covered.sum(s)
     return parts

@@ -133,8 +133,8 @@ def test_max_degree():
 
 def test_form_rows_keeps_one_map_and_one_radical_per_vector():
     # one entry, keyed by the space's value: an equal copy shares the map,
-    # another space replaces it; a vector's kernel and a line's mask are
-    # one object each per map and equal what a fresh FormRows builds
+    # another space replaces it; a line's mask is one object per map, and
+    # a vector's kernel and mask equal what a fresh FormRows builds
     rng = random.Random(26)
     for field, n, m in ((F2, 5, 3), (F3, 4, 2)):
         sp = random_space(rng, field, n, m)
@@ -150,7 +150,7 @@ def test_form_rows_keeps_one_map_and_one_radical_per_vector():
         fresh = FormRows(field, n, n, sp.basis)
         for v in projective_rows(field, n):
             k = again.kernel([v])
-            assert again.kernel([v]) is k and rad_of(sp, field.unpack(v, n)) is k
+            assert again.kernel([v]) == k and rad_of(sp, field.unpack(v, n)) == k
             assert k == fresh.kernel([v])
             mask = again.line_mask(v)
             assert again.line_mask(v) is mask and mask == fresh.line_mask(v)

@@ -231,6 +231,26 @@ def test_hyperbolic_search_symplectic():
     assert q @ q == q
 
 
+def test_the_adjoint_route_prices_each_linear_system_first():
+    # one form on F_3^4: the adjoint algebra's 16 x 32 system and the
+    # idempotent search's 16 x 16 one each take at most 16 * 16 row
+    # operations, required before the system is built; no tick is spent
+    sp = AltMatrixSpace(F3, 4, [symplectic_form(F3, 4)])
+    g = Guard(255)
+    with pytest.raises(GuardExceeded, match="estimated 256 row operations"):
+        adjoint_algebra(sp, guard=g)
+    adj = adjoint_algebra(sp, guard=Guard(256))
+    assert adj.dim == 16
+    with pytest.raises(GuardExceeded, match="estimated 256 row operations"):
+        hyperbolic_idempotent_search(adj, guard=g)
+    with pytest.raises(GuardExceeded, match="estimated 256 row operations"):
+        two_decomposition_via_adjoint(sp, guard=g)
+    assert g.used == 0
+    # past the price of its system, the search requires its 3^10 candidates
+    with pytest.raises(GuardExceeded, match="estimated 59049 iterations"):
+        hyperbolic_idempotent_search(adj, guard=Guard(256))
+
+
 def test_decomposition_from_identity():
     im, ker = decomposition_from_idempotent(Matrix.identity(F3, 3))
     assert im.dim == 3 and ker.dim == 0

@@ -311,6 +311,17 @@ def test_the_baer_group_of_a_space_with_no_forms(tmp_path, capsys):
     assert "requires odd p" in capsys.readouterr().err
 
 
+def test_the_baer_group_of_the_zero_ambient_space_is_trivial(tmp_path, capsys):
+    # F_3^0 has no generators at all; its Baer group is the trivial group
+    path = tmp_path / "zero.ams"
+    path.write_text("ams 3 0 0\n")
+    assert main(["--json", "baer", "-f", str(path), "--verify"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert (res["generator_count"], res["degree"]) == (0, 1)
+    assert res["order"] == 1 == res["expected_order"]
+    assert res["abelian"] and res["commutator_order"] == 1 == res["max_abelian_order"]
+
+
 def test_maximal_reverifies_every_space_it_reports(tmp_path, files, capsys, monkeypatch):
     # neither a space that is not isotropic nor an isotropic one short of
     # its radical is reported, whichever method found it
@@ -642,6 +653,20 @@ def test_large_inputs_trip_the_guard_at_once(tmp_path, argv, text):
     assert proc.returncode == 3, proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert proc.stdout == "" and len(lines) == 1 and lines[0].startswith("guard exceeded")
+
+
+def test_the_adjoint_route_is_priced_before_its_linear_systems(tmp_path, capsys):
+    # one form on F_2^40, non-degenerate on F^38: each call built and
+    # reduced a 1,444-equation system for seconds before any guard check
+    path = tmp_path / "form.ams"
+    path.write_text(emit_space(random_space(random.Random(0), F2, 40, 1)))
+    for cmd in (["adjoint"], ["adjoint", "--find-hyperbolic"], ["alpha-bipartite"]):
+        t0 = time.perf_counter()
+        assert main(["--guard", "10"] + cmd + ["-f", str(path)]) == 3, cmd
+        assert time.perf_counter() - t0 < 1.0, cmd
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1, cmd
+        assert "row operations" in err, cmd
 
 
 def test_ncrk_scans_the_smaller_side(tmp_path, capsys):

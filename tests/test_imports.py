@@ -47,3 +47,36 @@ def test_no_module_imports_a_name_it_does_not_use():
                 continue
             found += [f"{path.name}: {name}" for name in bound if name not in used]
     assert found == []
+
+
+def test_no_unread_state():
+    # every __slots__ name of a class is read as an attribute somewhere in
+    # the package, and every private module-level function or class is
+    # referenced, so that a reader dropped from the code takes its state
+    # and its helpers with it
+    trees = [(path.name, ast.parse(path.read_text(), str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    read, referenced = set(), set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+    found = []
+    for name, tree in trees:
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and not node.name.endswith("__") and node.name not in referenced):
+                found.append(f"{name}: {node.name} is never referenced")
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.Assign)
+                        and any(getattr(t, "id", None) == "__slots__" for t in node.targets)):
+                    found += [f"{name}: {cls.name}.{slot.value} is never read"
+                              for slot in ast.walk(node.value)
+                              if isinstance(slot, ast.Constant) and slot.value not in read]
+    assert found == []

@@ -859,7 +859,7 @@ def test_the_form_rows_memo_cannot_be_seen(field, n, m, seed):
     # each scan gives the same answer and guard ticks cold, right after
     # every other scan of the space, and on an equal copy of the space;
     # the scans that end on restricted spaces run first, so the last map
-    # kept is the space's own, with the radicals the others built
+    # kept is the space's own, with the rows the others built
     sp = random_space(random.Random(seed), field, n, m)
     copy = AltMatrixSpace.from_generators(field, n, sp.basis)
     assert copy == sp and copy is not sp
@@ -872,5 +872,5 @@ def test_the_form_rows_memo_cannot_be_seen(field, n, m, seed):
             for o in others:
                 _scan(o, sp)
             kept = form_rows(sp)
-            assert kept._kernels and form_rows(target) is kept, name
+            assert kept._rows and form_rows(target) is kept, name
             assert _scan(name, target) == cold, name

@@ -12,12 +12,13 @@ import random
 from isospace.altspace import form_rows
 from isospace.bipartite import ncrk_witness_pair
 from isospace.errors import Guard
-from isospace.ffield import Subspace, enumerate_complements, enumerate_subspaces
+from isospace.ffield import PrimeField, Subspace, enumerate_complements, enumerate_subspaces
 from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import (alpha_exact, chi_brute, chi_maxcover,
                                 enumerate_isotropic_lattice,
                                 enumerate_maximal_branch,
-                                enumerate_maximal_filter, has_isotropic_dim2)
+                                enumerate_maximal_filter, greedy_deg_decomposition,
+                                greedy_maximal, has_isotropic_dim2)
 from util import F2, F3, random_matrix_space, random_space
 
 
@@ -78,3 +79,20 @@ def test_row_representation_outputs_pinned():
     out += [complements_record(F2, 4), complements_record(F3, 3)]
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == "8c67b02e514d5808332a086f4f5d3043828576a043992ea17945992eec078100"
+
+
+def test_greedy_outputs_pinned():
+    # the RREF rows of greedy_maximal and of every greedy_deg_decomposition
+    # part, in order, on two seeded spaces per field, n = 0..7 and 0-5
+    # forms; the spaces with few forms are degenerate
+    rng = random.Random(3535)
+    out = []
+    for field in (F2, F3, PrimeField(5)):
+        for n in range(8):
+            for m in range(6):
+                for _ in range(2):
+                    sp = random_space(rng, field, n, m)
+                    out.append([rows(greedy_maximal(sp)),
+                                [rows(u) for u in greedy_deg_decomposition(sp)]])
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "aa247f6a05f7ea81e7f13151c0983d574add91959c1e1a55a681ab0dd582c6ac"
