@@ -16,8 +16,7 @@ from .altspace import (AltMatrixSpace, block_alternating, is_isotropic, nondegen
                        split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
-                     enumerate_subspaces, kernel, line_masks_pay, solve_linear, span_basis,
-                     vstack)
+                     enumerate_subspaces, kernel, line_masks_pay, span_basis, vstack)
 
 
 class MatrixSpace:
@@ -243,29 +242,37 @@ def adjoint_algebra(space: AltMatrixSpace, guard=None) -> AdjointAlgebra:
 
 def hyperbolic_idempotent_search(adj: AdjointAlgebra, guard=None):
     """The first P = sum c_i D_i of Adj, in coefficient order, with P^2 = P
-    and P* = I - P, or None.  P* = I - P is solved once: c0, reduced by the
-    RREF kernel, is zero at its pivots, so t in product order gives
-    c = c0 + sum t_j k_j in coefficient order (c is t_j at pivot j, and each
-    other coordinate depends only on earlier pivots).  The n^2 equations in
-    dim Adj unknowns are reduced with at most n^2 min(n^2, dim Adj + 1) row
-    operations, and the q^(dim ker) candidates are required before the
-    coset's generators are built.
+    and P* = I - P, or None.  P* = I - P is solved once, as the RREF kernel
+    of the n^2 equations [-I | D_1 + D_1*, ..., D_k + D_k*] in the unknowns
+    (1, c): c solves iff the kernel has a row led at lane 0, that row's
+    later lanes are the solution c0 that is zero at the pivots of the
+    other rows, and those rows, shifted down a lane, are the RREF kernel
+    of the equations in c.  So t in product order gives c = c0 + sum t_j
+    k_j in coefficient order (c is t_j at pivot j, and each other
+    coordinate depends only on earlier pivots).  The system is reduced
+    with at most n^2 min(n^2, dim Adj + 1) row operations, and the
+    q^(dim ker) candidates are required before the coset's generators are
+    built.
     """
     g = as_guard(guard)
     field, n, q = adj.field, adj.n, adj.field.p
+    width, lane = field.width, field.lane
     nn = n * n
     g.require(nn * min(nn, adj.dim + 1), "row operations")
-    # column j of the system is D_j + D_j*, row-major
-    sums = tuple((d + b).flat() for d, b in adj.pairs)
-    system = Matrix._reduced(field, adj.dim, nn, sums).transpose()
-    c0, ker = solve_linear(system, Matrix.identity(field, n).entries)
-    if c0 is None:
+    # the equation of entry e, row-major: entry e of D_j + D_j* at lane j,
+    # for j from 1, and entry e of -I at lane 0
+    sums = [(d + b).flat() for d, b in adj.pairs]
+    rows = [sum([(x >> s & lane) << j * width for j, x in enumerate(sums, 1)])
+            for s in range(0, nn * width, width)]
+    for i in range(0, nn, n + 1):
+        rows[i] |= q - 1
+    sol = kernel(Matrix._reduced(field, nn, adj.dim + 1, tuple(rows)))
+    if not sol.pivots or sol.pivots[0]:
         return None
-    g.require(q ** ker.dim)
+    g.require(q ** (sol.dim - 1))
     ds = [d for d, _ in adj.pairs]     # P = P0 + sum t_j K_j
-    coeffs = [ker.reduce_vector(field.pack(c0))] + list(ker.rows)
-    gens = [combination(field, n, n, c, ds) for c in coeffs]
-    for t in product(range(q), repeat=ker.dim):
+    gens = [combination(field, n, n, c >> width, ds) for c in sol.rows]
+    for t in product(range(q), repeat=sol.dim - 1):
         g.tick()
         d = combination(field, n, n, field.pack((1,) + t), gens)
         if d @ d == d:

@@ -422,6 +422,14 @@ class Subspace:
         return cls(m.field, m.cols, tuple(rows), tuple(pivots))
 
     @classmethod
+    def from_rref(cls, field: PrimeField, n: int, rows: tuple) -> "Subspace":
+        """The span of packed rows already in RREF, as a Subspace holds
+        them; each pivot is read off its row, the lead of its lowest set
+        bit."""
+        width = field.width
+        return cls(field, n, rows, tuple([((r & -r).bit_length() - 1) // width for r in rows]))
+
+    @classmethod
     def zero(cls, field: PrimeField, n: int) -> "Subspace":
         return cls(field, n, (), ())
 
@@ -535,19 +543,31 @@ class Subspace:
         """One packed row per line of self whose first nonzero coefficient,
         a 1, is at a row of self in the ascending leads (indices into
         self.rows): by the position of that 1, then the later coefficients
-        in itertools.product order.  Self's rows are in RREF, so each row's
-        first nonzero coordinate is a 1, at its lead row's pivot.  The
+        in itertools.product order (led_lines of each lead in turn).  The
         guard requires the lines, then ticks once per line."""
         g = as_guard(guard)
-        rows, p = self.rows, self.field.p
-        count, at = 0, -1       # sum of p^(k-1-lead) over the leads, by Horner's rule
+        g.require(self.line_count(leads))
         for lead in leads:
-            count, at = count * p**(lead - at) + 1, lead
-        g.require(count * p**(len(rows) - 1 - at))
-        for lead in leads:
-            for v in _combinations(self.field, self.n, rows[lead + 1:], rows[lead]):
+            for v in self.led_lines(lead):
                 g.tick()
                 yield v
+
+    def line_count(self, leads) -> int:
+        """The number of lines of self led at the ascending rows leads."""
+        p = self.field.p
+        count, at = 0, -1       # sum of p^(dim-1-lead) over the leads, by Horner's rule
+        for lead in leads:
+            count, at = count * p**(lead - at) + 1, lead
+        return count * p**(len(self.rows) - 1 - at)
+
+    def led_lines(self, lead: int) -> list:
+        """The packed rows of the lines of self whose first nonzero
+        coefficient is a 1 at the row lead: that row plus every combination
+        of the later rows, in itertools.product order.  Self's rows are in
+        RREF, so each such row's first nonzero coordinate is a 1, at the
+        lead row's pivot."""
+        rows = self.rows
+        return _combinations(self.field, self.n, rows[lead + 1:], rows[lead])
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -606,7 +626,9 @@ class LineTable:
     p^(n-1-j) bits repeated with period p^(n-j), built by doubling.
     `index` maps each row to its position; it is built only for a table
     without residue tables, the one kind whose masks read the lines of a
-    kernel (_kernel_lines), and is None on the others.
+    kernel (_kernel_lines), and is None on the others.  `row_blocks()`
+    gives, per line, the blocks of the columns its row uses and of the
+    columns after its lead, built on first use.
 
     `annihilator(rows)` is the one builder of masks: the lines u with
     r.u = 0 for every row r, W^perp for W the rows' span.  The residue of
@@ -624,7 +646,7 @@ class LineTable:
     """
 
     __slots__ = ("field", "n", "lines", "index", "blocks", "full", "coords",
-                 "words", "_split", "_low", "_high")
+                 "words", "_split", "_low", "_high", "_row_blocks")
 
     def __init__(self, field: PrimeField, n: int):
         p = field.p
@@ -651,6 +673,7 @@ class LineTable:
             at += p**(n - 1 - c)
         self.coords = tuple(tuple(col) for col in coords)
         self.words = len(lines) + 63 >> 6
+        self._row_blocks = None
         half = n // 2
         self._low = self._high = self.index = None
         if _tables_fit(p, n):
@@ -674,6 +697,28 @@ class LineTable:
                     out[r | c << j * width] = t if not r else [
                         reduce(or_, [z[a] & t[s - a] for a in range(p)]) for s in range(p)]
         return out
+
+    def row_blocks(self) -> tuple:
+        """(used, tail), two dicts keyed by the lines' rows: used[v] is the
+        OR of blocks[c] over the columns c where v is nonzero, and tail[v]
+        the OR of blocks[c] over the columns after v's lead.  They depend on
+        (p, n) alone, so they are built on the first call and kept with the
+        table: lines^2 bits for used, and one tail per column, shared by
+        the lines led there."""
+        if self._row_blocks is None:
+            width, lane, blocks = self.field.width, self.field.lane, self.blocks
+            used, tail = {}, {}
+            for c, block in enumerate(blocks):
+                # the lines led at c are the run of block c, and every later
+                # column's block lies above it
+                after = self.full >> block.bit_length() << block.bit_length()
+                start = (block & -block).bit_length() - 1
+                for v in self.lines[start:block.bit_length()]:
+                    tail[v] = after
+                    used[v] = reduce(or_, [blocks[j] for j in range(c, self.n)
+                                           if v >> j * width & lane])
+            self._row_blocks = used, tail
+        return self._row_blocks
 
     def annihilator(self, rows) -> int:
         """The mask of the lines u with r.u = 0 for every packed row r of

@@ -49,25 +49,46 @@ def _grow(forms, w: Subspace) -> Subspace:
 
 class IsotropicLattice:
     """All isotropic spaces of A, bucketed by dimension, and the maximal
-    ones (U = rad(U)), recorded in level order as the lattice grows."""
+    ones (U = rad(U)), recorded in level order as the lattice grows.
 
-    __slots__ = ("levels", "_maximal")
+    A space is kept as the tuple of its RREF rows, the packed rows that
+    Subspace.rows holds: `level_rows[d]` holds the spaces of dimension d
+    and `maximal_rows` the maximal ones.  A Subspace is built from its rows
+    only when it is read: `space(rows)` builds one, and `levels` and
+    `maximal()` build theirs on first read and keep them.
+    """
 
-    def __init__(self, levels, maximal):
-        self.levels = levels          # tuple of tuples of Subspace, by dim
-        self._maximal = maximal       # tuple of Subspace
+    __slots__ = ("field", "n", "level_rows", "maximal_rows", "_levels", "_maximal")
+
+    def __init__(self, field, n: int, level_rows, maximal_rows):
+        self.field, self.n = field, n
+        self.level_rows = level_rows        # tuple of tuples of row tuples, by dim
+        self.maximal_rows = maximal_rows    # tuple of row tuples
+        self._levels = self._maximal = None
+
+    def space(self, rows: tuple) -> Subspace:
+        return Subspace.from_rref(self.field, self.n, rows)
+
+    @property
+    def levels(self) -> tuple:
+        """The spaces as Subspaces, a tuple per dimension."""
+        if self._levels is None:
+            self._levels = tuple(tuple(map(self.space, level)) for level in self.level_rows)
+        return self._levels
 
     def alpha(self) -> int:
-        return len(self.levels) - 1
+        return len(self.level_rows) - 1
 
     def all_spaces(self):
         for level in self.levels:
             yield from level
 
     def count(self) -> int:
-        return sum(len(level) for level in self.levels)
+        return sum(map(len, self.level_rows))
 
     def maximal(self) -> tuple:
+        if self._maximal is None:
+            self._maximal = tuple(map(self.space, self.maximal_rows))
         return self._maximal
 
 
@@ -77,23 +98,32 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     Each nonzero isotropic V has one parent, the span of all its RREF rows
     but the last, which is isotropic and one dimension lower; so level d+1
     is the children of each U of level d inside rad(U), in the order of
-    their parents, and each space is built once, already in RREF.  U is
-    maximal iff rad(U) = U, and then it has no child.  A child adds the
-    row of a line of rad(U) led at a column after U's last pivot where
-    U's rows are zero, in projective_rows order; the children of U are
-    required, then ticked, one per child.  Only the source of rad(U)
-    depends on the field: where line masks pay (ffield.line_masks_pay,
-    one mask kept per line of F^n), rad(U) is the AND of the line masks
-    of U's rows (FormRows.line_mask), with no row reduction, U (with
-    (q^d - 1)/(q - 1) lines in dimension d) is maximal iff rad(U) has as
-    many, and the children are its set bits in those columns' blocks of
-    field.lines[n], in index order; elsewhere forms.kernel reduces U's
-    rows, U is maximal iff the kernel has U's dimension, and the children
-    are read off the kernel's rows pivoted after U's last pivot
-    (Subspace.lines), with no line table.  Both give the same levels in
-    the same order and tick the guard alike, and a child's new pivot is
-    read off its row, the lead of the lowest set bit, whichever source
-    gave it.
+    their parents, and each space is built once, already in RREF, as the
+    tuple of its rows (IsotropicLattice builds no Subspace until one is
+    read).  U is maximal iff rad(U) = U, and then it has no child.  A child
+    appends the row of a line of rad(U) led at a column after U's last
+    pivot where U's rows are zero, in projective_rows order; the children
+    of U are required, then ticked, one per child.  Only the source of
+    rad(U) depends on the field.
+
+    Where line masks pay (ffield.line_masks_pay, one mask kept per line of
+    F^n), each line's row has three masks over field.lines[n]: its line
+    mask (the lines of its kernel, FormRows.line_mask), `used` and `tail`
+    (LineTable.row_blocks).  The children are the set bits of
+    tail & rad(U) & ~used, in index order: tail is that of U's last row
+    (every line for U = 0), rad(U) the AND of the line masks of U's rows
+    and used the OR of their used, so a node costs one AND per row, with
+    no row reduced and no column looped over.  U (with (q^d - 1)/(q - 1)
+    lines in dimension d) is maximal iff rad(U) has as many; a maximal U
+    has no child, and U's k forms put at most d k conditions on rad(U),
+    so rad(U) is formed and counted only where U has no child and
+    d (k + 1) >= n.
+
+    Elsewhere forms.kernel reduces U's rows, U is maximal iff the kernel
+    has U's dimension, and the children are read off the kernel's rows
+    pivoted after U's last pivot (Subspace.led_lines), with no line
+    table.  Both sources give the same levels in the same order and tick
+    the guard alike.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
@@ -102,57 +132,61 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     count = (q**n - 1) // (q - 1)
     g.require(count)
     forms = form_rows(space)
-    masks = None
+    clear = None
     if line_masks_pay(q, n):
         table = field.lines[n]
-        lines, blocks, full = table.lines, table.blocks, table.full
-        masks = {v: forms.line_mask(v) for v in lines}     # the map's masks, not copies
-    levels, level, maximal = [], [Subspace.zero(field, n)], []
+        lines, full = table.lines, table.full
+        used_of, tail_of = table.row_blocks()
+        # the lines of v's kernel led at a column where v is zero
+        clear = {v: forms.line_mask(v) & ~used_of[v] for v in lines}
+    levels, level, maximal = [], [()], []
     size = 0        # the lines of a space of the level
+    least = -(-n // (space.dim + 1))       # the least dimension of a maximal U
     while level:
         levels.append(tuple(level))
+        may_stop = len(levels) > least
         level = []
-        for u in levels[-1]:
-            rows, pivots = u.rows, u.pivots
-            start = pivots[-1] + 1 if pivots else 0
-            support = 0
-            if masks is None:
+        for rows in levels[-1]:
+            if clear is None:
                 rad = forms.kernel(rows)
                 if rad.dim == len(rows):
-                    maximal.append(u)
+                    maximal.append(rows)
                     continue
+                start = support = 0
                 for r in rows:
                     support |= r
-                at = bisect_left(rad.pivots, start)
-                after = Subspace(field, n, rad.rows[at:], rad.pivots[at:])
-                free = [i for i, c in enumerate(after.pivots) if not support >> c * width & lane]
-                for v in after.lines(free, g):
-                    level.append(Subspace(field, n, rows + (v,),
-                                          pivots + (((v & -v).bit_length() - 1) // width,)))
+                if rows:
+                    start = ((rows[-1] & -rows[-1]).bit_length() - 1) // width + 1
+                leads = [i for i in range(bisect_left(rad.pivots, start), rad.dim)
+                         if not support >> rad.pivots[i] * width & lane]
+                k = rad.line_count(leads)
+                g.require(k)
+                g.tick(k)
+                for i in leads:
+                    level += [rows + (v,) for v in rad.led_lines(i)]
                 continue
-            rad = full
+            # tail & rad(U) & ~used, one AND per row
+            free = tail_of[rows[-1]] if rows else full
             for r in rows:
-                rad &= masks[r]
-                support |= r
-            if rad.bit_count() == size:
-                maximal.append(u)
+                free &= clear[r]
+            if not free:
+                # a maximal U has no child; require(0) and tick(0) do nothing
+                if may_stop:
+                    rad = full
+                    for r in rows:
+                        rad &= forms.line_mask(r)
+                    if rad.bit_count() == size:
+                        maximal.append(rows)
                 continue
-            free = 0
-            for c in range(start, n):
-                if not support >> c * width & lane:
-                    free |= blocks[c]
-            free &= rad
             k = free.bit_count()
             g.require(k)
             g.tick(k)
             while free:
                 low = free & -free
                 free ^= low
-                v = lines[low.bit_length() - 1]
-                level.append(Subspace(field, n, rows + (v,),
-                                      pivots + (((v & -v).bit_length() - 1) // width,)))
+                level.append(rows + (lines[low.bit_length() - 1],))
         size = size * q + 1
-    return IsotropicLattice(tuple(levels), tuple(maximal))
+    return IsotropicLattice(field, n, tuple(levels), tuple(maximal))
 
 
 def enumerate_maximal_filter(space: AltMatrixSpace, guard=None) -> tuple:
@@ -163,7 +197,7 @@ def enumerate_maximal_filter(space: AltMatrixSpace, guard=None) -> tuple:
 def alpha_exact(space: AltMatrixSpace, guard=None):
     """(alpha(A), witness): the top of the isotropic lattice."""
     lat = enumerate_isotropic_lattice(space, guard=guard)
-    return lat.alpha(), lat.levels[-1][0]
+    return lat.alpha(), lat.space(lat.level_rows[-1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +280,9 @@ def chi_brute(space: AltMatrixSpace, guard=None):
     lat = enumerate_isotropic_lattice(space, guard=g)
     if lat.alpha() == n:
         return 1, [Subspace.full(field, n)]
-    cands = []
-    for level in reversed(lat.levels[1:]):
+    cands = []      # the spaces' RREF rows, by decreasing dimension
+    for level in reversed(lat.level_rows[1:]):
         cands.extend(level)
-    # cands is ordered by decreasing dimension
     table = field.lines[n]
     masks = [None] * len(cands)
     kept = 0        # the words of the masks built
@@ -263,19 +296,20 @@ def chi_brute(space: AltMatrixSpace, guard=None):
         g.tick(len(cands) - start)
         for idx in range(start, len(cands)):
             u = cands[idx]
-            if u.dim * left < missing:
+            d = len(u)
+            if d * left < missing:
                 break
-            if u.dim > missing:
+            if d > missing:
                 continue
             m = masks[idx]
             if m is None:
                 kept += table.words
                 g.require(kept, "mask words")
-                m = masks[idx] = table.annihilator(u.rows)
+                m = masks[idx] = table.annihilator(u)
             s = acc & m
-            if s.bit_count() != lines[missing - u.dim]:
+            if s.bit_count() != lines[missing - d]:
                 continue
-            res = extend(s, dim + u.dim, idx + 1, left - 1, parts + [u])
+            res = extend(s, dim + d, idx + 1, left - 1, parts + [u])
             if res is not None:
                 return res
         return None
@@ -283,7 +317,7 @@ def chi_brute(space: AltMatrixSpace, guard=None):
     for c in range(2, n + 1):
         res = extend(table.full, 0, 0, c, [])
         if res is not None:
-            return c, res
+            return c, [lat.space(u) for u in res]
     raise VerificationError("no decomposition found up to n parts")  # unreachable
 
 
@@ -529,24 +563,23 @@ def _two_split(lat: IsotropicLattice, g):
     it of dimension n - dim V with V + W = F^n, or None; one tick per pair,
     V + W = F^n read as annihilator(V) & annihilator(W) == 0, each W's mask
     built when first read and its words required from the guard g."""
-    zero = lat.levels[0][0]
-    n = zero.n
-    table = zero.field.lines[n]
+    n, levels = lat.n, lat.level_rows
+    table = lat.field.lines[n]
     masks: dict = {}     # level -> the masks of its spaces, each built when first read
     kept = 0             # the words of the masks built
-    for v in lat.maximal():
-        d = n - v.dim
-        if d >= len(lat.levels):
+    for v in lat.maximal_rows:
+        d = n - len(v)
+        if d >= len(levels):
             continue
-        level = lat.levels[d]
+        level = levels[d]
         ms = masks.setdefault(d, [None] * len(level))
-        mv = table.annihilator(v.rows)
+        mv = table.annihilator(v)
         for i, w in enumerate(level):
             g.tick()
             if ms[i] is None:
                 kept += table.words
                 g.require(kept, "mask words")
-                ms[i] = table.annihilator(w.rows)
+                ms[i] = table.annihilator(w)
             if not mv & ms[i]:
-                return v, w
+                return lat.space(v), lat.space(w)
     return None

@@ -707,11 +707,11 @@ def test_a_closed_stdout_exits_6_without_a_traceback():
 
 
 def test_running_out_of_memory_exits_7_without_a_traceback(tmp_path):
-    # alpha on F_3^8 with one form builds a lattice far past 150 MB of
+    # alpha on F_3^9 with one form builds a lattice far past 150 MB of
     # address space long before it reaches the default guard
     import resource
     path = tmp_path / "big.ams"
-    path.write_text(emit_space(random_space(random.Random(0), F3, 8, 1)))
+    path.write_text(emit_space(random_space(random.Random(0), F3, 9, 1)))
     cap = 150 * 2**20
 
     def limit():
@@ -722,3 +722,22 @@ def test_running_out_of_memory_exits_7_without_a_traceback(tmp_path):
     lines = proc.stderr.strip().splitlines()
     assert proc.returncode == 7, proc.stderr
     assert proc.stdout == "" and len(lines) == 1 and lines[0].startswith("memory error")
+
+
+def test_running_out_of_memory_in_a_lattice_on_f2_14_prints_one_line(tmp_path):
+    # one form on F_2^14 walks its lattice on kernels, with no line masks;
+    # alpha and the brute chi both run out of 150 MB inside that walk
+    import resource
+    path = tmp_path / "big.ams"
+    path.write_text(emit_space(random_space(random.Random(0), F2, 14, 1)))
+    cap = 150 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    for cmd in (["alpha"], ["chi", "--method", "brute"]):
+        proc = subprocess.run([sys.executable, "-m", "isospace", *cmd, "-f", str(path)],
+                              capture_output=True, text=True, timeout=120, preexec_fn=limit)
+        lines = proc.stderr.strip().splitlines()
+        assert proc.returncode == 7, proc.stderr
+        assert proc.stdout == "" and len(lines) == 1 and lines[0].startswith("memory error")

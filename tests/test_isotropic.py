@@ -22,7 +22,8 @@ from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 isotropic_count_formula,
                                 two_decomposition_brute,
                                 validate_decomposition)
-from util import F2, F3, every_space, random_matrix_space, random_space, symplectic_form
+from util import (F2, F3, every_space, lattice_reference, random_matrix_space, random_space,
+                  symplectic_form)
 
 
 def k3(field=F2):
@@ -219,6 +220,53 @@ def test_the_mask_lattice_is_the_kernel_lattice(space):
         mp.setattr(ffield, "RESIDUE_BITS", -1)
         assert _lattice_record(space) == full
         assert [_lattice_record(space, used - 1), _lattice_record(space, used // 2)] == short
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_spaces(), st.booleans())
+@example(sympl(F2, 6), True)
+@example(sympl(F3, 4), False)
+def test_the_lattice_is_the_reference_search(space, masks):
+    # the levels, the maximal spaces in level order and the ticks of a plain
+    # search over Subspaces, on the mask source and on the kernel source
+    # (no bits for line masks)
+    ref = Guard()
+    levels, maximal = lattice_reference(space, ref)
+    with pytest.MonkeyPatch.context() as mp:
+        if not masks:
+            mp.setattr(ffield, "RESIDUE_BITS", -1)
+        assert ffield.line_masks_pay(space.field.p, space.n) == masks
+        g = Guard()
+        lat = enumerate_isotropic_lattice(space, guard=g)
+    assert [[u.rows for u in level] for level in levels] == [list(l) for l in lat.level_rows]
+    assert [u.rows for u in maximal] == list(lat.maximal_rows) and g.used == ref.used
+    assert [list(level) for level in lat.levels] == levels
+    assert list(lat.maximal()) == maximal
+    assert [[u.pivots for u in level] for level in lat.levels] == [
+        [u.pivots for u in level] for level in levels]
+
+
+def test_the_walk_builds_no_subspace_until_one_is_read(monkeypatch):
+    # a node is its tuple of RREF rows: the mask walk builds no Subspace,
+    # alpha_exact builds its witness alone, and levels builds each space
+    # once, on its first read
+    built, inner = [], Subspace.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        inner(self, *args)
+
+    space = random_space(random.Random(8), F3, 5, 1)
+    monkeypatch.setattr(Subspace, "__init__", counting)
+    lat = enumerate_isotropic_lattice(space)
+    assert built == [] and lat.count() > 100
+    alpha_exact(space)
+    assert len(built) == 1
+    built.clear()
+    levels = lat.levels
+    assert len(built) == lat.count() and lat.levels is levels
+    lat.maximal()
+    assert len(built) == lat.count() + len(lat.maximal_rows)
 
 
 def test_without_residue_tables_the_scans_reduce_rows(monkeypatch):

@@ -1,8 +1,9 @@
 """Shared generators for the seeded random test suites."""
 
-from isospace.altspace import AltMatrixSpace, elementary_alternating
+from isospace.altspace import AltMatrixSpace, elementary_alternating, rad_of
 from isospace.bipartite import MatrixSpace
-from isospace.ffield import Matrix, PrimeField, combination, enumerate_subspaces
+from isospace.ffield import (Matrix, PrimeField, Subspace, combination, enumerate_subspaces,
+                             projective_rows)
 from isospace.graphs import Graph
 from isospace.isotropic import enumerate_maximal_filter
 
@@ -129,3 +130,30 @@ def chi_maxcover_reference(space, guard):
                     seen.add(u.key())
                     nxt.append(u)
         frontier = nxt
+
+
+def lattice_reference(space, guard):
+    """The isotropic lattice by a plain breadth-first search over Subspaces:
+    the children of U are the spaces U + <v>, for the lines v of F^n in
+    projective_rows order that lie in rad(U) (rad_of), whose RREF is U's
+    rows with v appended (extend_by_vector), so that U is their parent;
+    U is maximal iff rad(U) = U.  One guard tick per child.  Returns the
+    levels and the maximal spaces in level order."""
+    field, n = space.field, space.n
+    lines = list(projective_rows(field, n))
+    levels, level, maximal = [], [Subspace.zero(field, n)], []
+    while level:
+        levels.append(level)
+        level = []
+        for u in levels[-1]:
+            rad = rad_of(space, u)
+            if rad == u:
+                maximal.append(u)
+                continue
+            for v in lines:
+                if rad.contains_vector(v):
+                    w = u.extend_by_vector(v)
+                    if w.rows == u.rows + (v,):
+                        guard.tick()
+                        level.append(w)
+    return levels, maximal
