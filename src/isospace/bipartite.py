@@ -256,14 +256,13 @@ def hyperbolic_idempotent_search(adj: AdjointAlgebra, guard=None):
     """
     g = as_guard(guard)
     field, n, q = adj.field, adj.n, adj.field.p
-    width, lane = field.width, field.lane
+    width = field.width
     nn = n * n
     g.require(nn * min(nn, adj.dim + 1), "row operations")
-    # the equation of entry e, row-major: entry e of D_j + D_j* at lane j,
-    # for j from 1, and entry e of -I at lane 0
-    sums = [(d + b).flat() for d, b in adj.pairs]
-    rows = [sum([(x >> s & lane) << j * width for j, x in enumerate(sums, 1)])
-            for s in range(0, nn * width, width)]
+    # the equation of entry e, row-major: column e of the flats of the
+    # D_j + D_j*, shifted up to lanes j from 1, and entry e of -I at lane 0
+    sums = Matrix._reduced(field, adj.dim, nn, tuple([(d + b).flat() for d, b in adj.pairs]))
+    rows = [r << width for r in sums.transpose().packed]
     for i in range(0, nn, n + 1):
         rows[i] |= q - 1
     sol = kernel(Matrix._reduced(field, nn, adj.dim + 1, tuple(rows)))

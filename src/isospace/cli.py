@@ -175,11 +175,11 @@ def cmd_to_graph_witness(args, g, guard):
 
 
 def cmd_ncrk(args, b, guard):
+    if args.pad and b.s >= b.t:
+        raise ParseError("--pad needs s < t")
     res = {"ncrk": ncrk_brute(b, guard=guard), "s": b.s, "t": b.t,
            "dim": b.dim, "field": b.field.p}
     if args.pad:
-        if b.s >= b.t:
-            raise ParseError("--pad needs s < t")
         c = ncrk_pad_square(b)
         res["padded_ncrk"] = ncrk_brute(c, guard=guard)
         res["padded_dim"] = c.dim
@@ -195,8 +195,8 @@ def cmd_alpha_bipartite(args, space, guard):
     else:
         pair = two_decomposition_via_adjoint(space, guard=guard)
         if pair is None:
-            raise VerificationError("space is not bipartite (no isotropic "
-                                    "2-decomposition found); give --u1/--u2")
+            raise ValueError("space is not bipartite (no isotropic "
+                             "2-decomposition found); give --u1/--u2")
         u1, u2 = pair
     a, wit = alpha_bipartite(space, u1, u2, guard=guard)
     return {"alpha": a, "witness": _rows(wit), "ncrk": space.n - a,

@@ -205,7 +205,7 @@ class Matrix:
         field, packed = self.field, self.packed
         width, lane = field.width, field.lane
         return Matrix._reduced(field, self.cols, self.rows, tuple([
-            sum((r >> s & lane) << i * width for i, r in enumerate(packed))
+            sum([(r >> s & lane) << i * width for i, r in enumerate(packed)])
             for s in range(0, self.cols * width, width)]))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -539,19 +539,6 @@ class Subspace:
         """The first basis row of self that inner does not contain, or None."""
         return next((r for r in self.rows if not inner.contains_vector(r)), None)
 
-    def lines(self, leads, guard=None):
-        """One packed row per line of self whose first nonzero coefficient,
-        a 1, is at a row of self in the ascending leads (indices into
-        self.rows): by the position of that 1, then the later coefficients
-        in itertools.product order (led_lines of each lead in turn).  The
-        guard requires the lines, then ticks once per line."""
-        g = as_guard(guard)
-        g.require(self.line_count(leads))
-        for lead in leads:
-            for v in self.led_lines(lead):
-                g.tick()
-                yield v
-
     def line_count(self, leads) -> int:
         """The number of lines of self led at the ascending rows leads."""
         p = self.field.p
@@ -651,10 +638,10 @@ class LineTable:
     def __init__(self, field: PrimeField, n: int):
         p = field.p
         self.field, self.n = field, n
-        units = [1 << j * field.width for j in range(n)]
+        full = Subspace.full(field, n)
         lines, blocks = [], []
         for c in range(n):
-            run = _combinations(field, n, units[c + 1:], units[c])
+            run = full.led_lines(c)
             blocks.append((1 << len(run)) - 1 << len(lines))
             lines += run
         self.lines, self.blocks = tuple(lines), tuple(blocks)
@@ -789,14 +776,13 @@ class LineTable:
         return reduce(or_, [z[s] & col[-s * inv[c] % p] for s in range(p)])
 
     def _kernel_lines(self, rows) -> int:
-        """The mask of the lines of the kernel of rows, each looked up in
-        index: the kernel's RREF rows lead with a 1, so the combinations
-        whose first nonzero coefficient is a 1 are the lines' rows."""
+        """The mask of the lines of the kernel of rows, each read off the
+        kernel by led_lines and looked up in index."""
         field, n, index = self.field, self.n, self.index
-        kernel = _kernel_of_last(field, n, *_rref_rows(rows, field, n, last=True)).rows
+        kernel = _kernel_of_last(field, n, *_rref_rows(rows, field, n, last=True))
         bits = bytearray(len(self.lines) + 7 >> 3)
-        for lead in range(len(kernel)):
-            for v in _combinations(field, n, kernel[lead + 1:], kernel[lead]):
+        for lead in range(kernel.dim):
+            for v in kernel.led_lines(lead):
                 i = index[v]
                 bits[i >> 3] |= 1 << (i & 7)
         return int.from_bytes(bits, "little")
@@ -1023,11 +1009,13 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
 
 
 def projective_rows(field: PrimeField, n: int, guard=None):
-    """One packed row per line of F_p^n, its first nonzero coordinate 1
-    (guarded: the lines are required before the n unit rows are built)."""
+    """One packed row per line of F_p^n, its first nonzero coordinate 1:
+    the led_lines of F^n at each column in turn (guarded: the lines are
+    required before the n unit rows are built, then ticked one by one)."""
     g = as_guard(guard)
     g.require((field.p**n - 1) // (field.p - 1))
-    return Subspace.full(field, n).lines(range(n), g)
+    full = Subspace.full(field, n)
+    return (g.tick() or v for c in range(n) for v in full.led_lines(c))
 
 
 def enumerate_subspaces(field: PrimeField, n: int, d: int | None = None, guard=None):

@@ -332,9 +332,13 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     FormRows.  One memo maps a key to its answer with its certificate in
     those coordinates, so each distinct restriction is solved once per
     call, and an improving child's parts lift into U's coordinates through
-    w.  Maximal spaces, read off the lattice of A|_U, are tried largest
-    first, and the search stops once the dimension lower bound
-    ceil(dim U / alpha(A|_U)) is attained.  A search whose bound is 2 keeps
+    w.  The search of A itself runs in F^n's coordinates, unkeyed: every
+    restriction below it is smaller.  Maximal spaces, read off the lattice
+    of A|_U as row tuples, are tried largest first, each built as a
+    Subspace only when it is searched; the search stops once the dimension
+    lower bound ceil(dim U / alpha(A|_U)) is attained, or once the best
+    through V, 1 + ceil((dim U - dim V)/alpha), cannot beat its best, as
+    no later V can then either.  A search whose bound is 2 keeps
     its lattice until its best first reaches 3, then scans it once for an
     isotropic 2-decomposition (pairs of a maximal V and a space W of
     dimension dim U - dim V whose annihilator masks meet in 0, as
@@ -348,7 +352,8 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     repeat iff W meets some such V' in 0; enumerate_complements skips it by
     the annihilator masks of those V' before reducing it.  A search keeps
     the mask of a V searched in full only if a later V has its dimension,
-    and requires the words it keeps from the guard as it keeps them.
+    drops them when the dimension falls, and requires the words it keeps
+    from the guard as it keeps them.
     Returns (chi, certificate).
     """
     g = as_guard(guard)
@@ -367,20 +372,21 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
         g.tick()
         d = sub.n
         lat = enumerate_isotropic_lattice(sub, guard=g)
-        mis = sorted(lat.maximal(), key=lambda s: -s.dim)
-        alpha_u = mis[0].dim
+        mis = sorted(lat.maximal_rows, key=len, reverse=True)
+        alpha_u = len(mis[0])
         lb = -(-d // alpha_u)
         if lb != 2:
             lat = None      # only a search that may stop at 3 scans its lattice
         forms = form_rows(sub)
-        searched: dict = {}      # dim V -> the annihilator masks of the V searched
+        done = []       # the annihilator masks of the V of this dimension searched
         kept = 0
         best = None
-        for i, v in enumerate(mis):
-            # no decomposition through v can beat 1 + ceil((dim U - dim V)/alpha)
-            if best is not None and 1 + -(-(d - v.dim) // alpha_u) >= best[0]:
-                continue
-            done = searched.setdefault(v.dim, [])
+        for i, rows in enumerate(mis):
+            # no decomposition through V can beat 1 + ceil((dim U - dim V)/alpha),
+            # and no later, smaller V either
+            if best is not None and 1 + -(-(d - len(rows)) // alpha_u) >= best[0]:
+                break
+            v = Subspace.from_rref(field, d, rows)
             for w in enumerate_complements(v, guard=g, skip=done):
                 cw, parts = rec(w.dim, forms.restriction(w.rows))
                 if best is None or 1 + cw < best[0]:
@@ -393,16 +399,18 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
                             return best
                         lat = None
             # only a later V of v's dimension (mis is sorted) reads its mask
-            if i + 1 < len(mis) and mis[i + 1].dim == v.dim:
+            if i + 1 < len(mis) and len(mis[i + 1]) == len(rows):
                 table = field.lines[d]
                 kept += table.words
                 g.require(kept, "mask words")
-                done.append(table.annihilator(v.rows))
+                done.append(table.annihilator(rows))
+            else:
+                done = []
         return best
 
-    # the first lattice's lines, required before the restriction to F^n
+    # the first lattice's lines, required before the space is searched
     g.require((field.p**n - 1) // (field.p - 1))
-    c, parts = rec(n, form_rows(space).restriction(Subspace.full(field, n).rows))
+    c, parts = search(space) if n else (0, [])
     validate_decomposition(space, parts)
     return c, parts
 
@@ -555,14 +563,17 @@ def two_decomposition_brute(space: AltMatrixSpace, guard=None):
         return None
     if space.dim == 0:
         return split_zero_space(field, n)
-    return _two_split(enumerate_isotropic_lattice(space, guard=g), g)
+    lat = enumerate_isotropic_lattice(space, guard=g)
+    pair = _two_split(lat, g)
+    return None if pair is None else (lat.space(pair[0]), lat.space(pair[1]))
 
 
 def _two_split(lat: IsotropicLattice, g):
-    """The first pair (V, W) of a maximal V of the lattice and a space W of
-    it of dimension n - dim V with V + W = F^n, or None; one tick per pair,
-    V + W = F^n read as annihilator(V) & annihilator(W) == 0, each W's mask
-    built when first read and its words required from the guard g."""
+    """The RREF rows of the first pair (V, W) of a maximal V of the lattice
+    and a space W of it of dimension n - dim V with V + W = F^n, or None;
+    one tick per pair, V + W = F^n read as annihilator(V) &
+    annihilator(W) == 0, each W's mask built when first read and its words
+    required from the guard g."""
     n, levels = lat.n, lat.level_rows
     table = lat.field.lines[n]
     masks: dict = {}     # level -> the masks of its spaces, each built when first read
@@ -581,5 +592,5 @@ def _two_split(lat: IsotropicLattice, g):
                 g.require(kept, "mask words")
                 ms[i] = table.annihilator(w)
             if not mv & ms[i]:
-                return lat.space(v), lat.space(w)
+                return v, w
     return None

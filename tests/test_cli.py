@@ -358,6 +358,28 @@ def test_alpha_bipartite_needs_both_blocks(tmp_path, capsys, flag):
     assert _fails_cleanly(["alpha-bipartite", "-f", str(form), flag, "1 1"], capsys) == 2
 
 
+@pytest.mark.parametrize("text", [K3_AMS, "ams 2 0 0\n"], ids=["k3", "zero-n0"])
+def test_alpha_bipartite_without_a_2_decomposition_is_an_input_error(tmp_path, capsys, text):
+    # a well-formed space outside the command's domain: exit 5, not 4
+    form = tmp_path / "form.ams"
+    form.write_text(text)
+    assert main(["alpha-bipartite", "-f", str(form)]) == 5
+    assert capsys.readouterr().err == ("input error: space is not bipartite (no isotropic "
+                                       "2-decomposition found); give --u1/--u2\n")
+
+
+def test_ncrk_pad_is_checked_before_the_scan(tmp_path, capsys, monkeypatch):
+    from isospace import cli
+
+    def scan(b, guard=None):
+        raise AssertionError("ncrk_brute ran before --pad was checked")
+
+    monkeypatch.setattr(cli, "ncrk_brute", scan)
+    square = tmp_path / "square.mats"
+    square.write_text("mats 2 2 2 1\n1 0\n0 1\n")
+    assert _fails_cleanly(["ncrk", "-f", str(square), "--pad"], capsys) == 2
+
+
 def test_malformed_arguments_stay_parse_errors(files, tmp_path, capsys):
     notjson = tmp_path / "report.txt"
     notjson.write_text("alpha: 2\n")

@@ -724,7 +724,8 @@ def test_chi_lawler_keys_each_complement_once_per_search(monkeypatch):
     # each search has its own FormRows and skips a complement it has
     # already tried, so no (search, complement) pair is keyed twice.  The
     # skip comes inside enumerate_complements, so every complement that
-    # comes out is keyed; the one other key is the whole space's.  7,304
+    # comes out is keyed, and nothing else is: the whole space is searched
+    # unkeyed.  7,304
     # ticks: a search with lower bound 2 that reaches 3 scans its lattice
     # for a 2-decomposition, one tick per pair, and stops when there is
     # none, so its remaining complements are never enumerated
@@ -751,8 +752,32 @@ def test_chi_lawler_keys_each_complement_once_per_search(monkeypatch):
         chi_lawler(sp, guard=g)
         ticks += g.used
         assert keyed and len(keyed) == len(set(keyed)), sp
-        assert len(keyed) == len(yields) + 1, sp
+        assert len(keyed) == len(yields), sp
     assert ticks == 7304
+
+
+def test_chi_lawler_builds_only_the_maximal_spaces_it_searches(monkeypatch):
+    # each search reads its maximal spaces as row tuples and builds a
+    # Subspace only for each V whose complements it enumerates
+    from test_acceptance import random_space_suite_lam4
+    built, searched = [], []
+    from_rref, complements = Subspace.from_rref.__func__, isotropic.enumerate_complements
+
+    def building(cls, field, n, rows):
+        built.append(rows)
+        return from_rref(cls, field, n, rows)
+
+    def searching(u, **kwargs):
+        searched.append(u)
+        return complements(u, **kwargs)
+
+    monkeypatch.setattr(Subspace, "from_rref", classmethod(building))
+    monkeypatch.setattr(isotropic, "enumerate_complements", searching)
+    for _, sp in random_space_suite_lam4():
+        built.clear()
+        searched.clear()
+        chi_lawler(sp)
+        assert searched and len(built) == len(searched), sp
 
 
 def _chi3_lb2_spaces():

@@ -18,14 +18,15 @@ from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 ncrk_witness_pair)
 from isospace.errors import Guard, GuardExceeded
 from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, _combine, _rref_rows,
-                             hstack, invert, kernel, rref_canonicalize, vstack)
+                             hstack, invert, kernel, projective_rows, rref_canonicalize,
+                             vstack)
 from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
                              is_bipartite_bfs, space_from_graph)
 from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
                          parse_mats, parse_mats_tuple, parse_space)
 from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover,
                                 enumerate_maximal_branch, enumerate_maximal_filter,
-                                validate_decomposition)
+                                two_decomposition_brute, validate_decomposition)
 from isospace.quantum import channel_from_graph, period
 from util import (F2, F3, combine_reference, invert_reference, matmul_reference,
                   random_matrix_space, random_space, rref_rows_reference)
@@ -191,6 +192,36 @@ def test_branch_and_filter_enumerations_agree(space):
     assert branch == {u.key() for u in enumerate_maximal_filter(space)}
 
 
+@st.composite
+def degenerate_spaces(draw):
+    """A span of up to 3 random alternating matrices on F_2^n, n <= 6, or
+    F_3^n, n <= 5, with a nonzero radical."""
+    field = draw(st.sampled_from([F2, F3]))
+    n = draw(st.integers(1, 6 if field.p == 2 else 5))
+    space = random_space(draw(st.randoms(use_true_random=False)), field, n,
+                         draw(st.integers(0, 3)))
+    assume(radical_space(space).dim)
+    return space
+
+
+@settings(max_examples=90, deadline=None)
+@given(degenerate_spaces())
+@example(AltMatrixSpace.zero_space(F3, 5))      # the part is F^0
+def test_the_oracles_follow_the_radical_lemma(space):
+    # every maximal isotropic space contains rad(A) (nondegenerate_part), so
+    # each oracle on A is read off the part: the oracles here still walk A
+    part, comp, rad = nondegenerate_part(space)
+    assert alpha_exact(space)[0] == rad.dim + alpha_exact(part)[0]
+    lifted = {v.image(comp).sum(rad).key() for v in enumerate_maximal_filter(part)}
+    assert {u.key() for u in enumerate_maximal_filter(space)} == lifted
+    assert {u.key() for u in enumerate_maximal_branch(space)} == lifted
+    chi = chi_brute(part)[0] if part.n else 1
+    assert chi_brute(space)[0] == chi_lawler(space)[0] == chi_maxcover(space) == chi
+    if space.n >= 2:
+        unsplit = part.n >= 2 and two_decomposition_brute(part) is None
+        assert (two_decomposition_brute(space) is None) == unsplit
+
+
 def first_hyperbolic_idempotent(adj):
     """Reference scan: every coefficient vector of Adj in product order,
     testing P* = I - P and then P^2 = P."""
@@ -330,27 +361,31 @@ def test_lines_are_the_lines_led_at_the_chosen_rows(pair, choose):
     sub = pair[0].sum(pair[1])
     field, n, p = sub.field, sub.n, sub.field.p
     leads = [i for i in range(sub.dim) if choose >> i & 1]
-    kids = list(sub.lines(leads))
-    # the lines are required before the first is built, one tick each
-    exact = Guard(len(kids))
-    assert list(sub.lines(leads, exact)) == kids and exact.used == len(kids)
-    if kids:
-        short = Guard(len(kids) - 1)
-        with pytest.raises(GuardExceeded):
-            next(sub.lines(leads, short))
-        assert short.used == 0
-    # brute: the vectors of sub whose first nonzero coordinate is a 1 at
-    # the pivot of a chosen row, by that row, then the coordinates at the
-    # pivots in product order
-    rows = sub.basis_rows()
-    chosen = [sub.pivots[i] for i in leads]
-    brute = []
-    for coeffs in product(range(p), repeat=sub.dim):
-        v = tuple(sum(a * r[j] for a, r in zip(coeffs, rows)) % p for j in range(n))
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead in chosen and v[lead] == 1:
-            brute.append(((lead, [v[c] for c in sub.pivots]), field.pack(v)))
-    assert kids == [v for _, v in sorted(brute)]
+    full = Subspace.full(field, n)
+    # projective_rows reads F^n's lines led at every column: required
+    # before the first is built, one tick each
+    lines = list(projective_rows(field, n))
+    exact = Guard(len(lines))
+    assert list(projective_rows(field, n, exact)) == lines and exact.used == len(lines)
+    short = Guard(len(lines) - 1)
+    with pytest.raises(GuardExceeded):
+        projective_rows(field, n, short)
+    assert short.used == 0
+    for space, chosen_rows, kids in ((sub, leads, [v for i in leads for v in sub.led_lines(i)]),
+                                     (full, range(n), lines)):
+        assert space.line_count(chosen_rows) == len(kids)
+        # brute: the vectors of the space whose first nonzero coordinate is
+        # a 1 at the pivot of a chosen row, by that row, then the
+        # coordinates at the pivots in product order
+        rows = space.basis_rows()
+        chosen = [space.pivots[i] for i in chosen_rows]
+        brute = []
+        for coeffs in product(range(p), repeat=space.dim):
+            v = tuple(sum(a * r[j] for a, r in zip(coeffs, rows)) % p for j in range(n))
+            lead = next((j for j, x in enumerate(v) if x), None)
+            if lead in chosen and v[lead] == 1:
+                brute.append(((lead, [v[c] for c in space.pivots]), field.pack(v)))
+        assert kids == [v for _, v in sorted(brute)]
 
 
 @settings(max_examples=60, deadline=None)
