@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .errors import VerificationError
+from .errors import DecompositionError
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
                      hstack, kernel, projective_rows, span_basis, vstack)
 
@@ -231,19 +231,20 @@ def is_isotropic(space: AltMatrixSpace, u: Subspace) -> bool:
 
 
 def validate_decomposition(space: AltMatrixSpace, parts) -> None:
-    """Raise VerificationError unless parts is an isotropic decomposition:
-    nonzero isotropic subspaces of F^n whose bases together form a basis."""
+    """Raise DecompositionError (a VerificationError) unless parts is an
+    isotropic decomposition: nonzero isotropic subspaces of F^n whose bases
+    together form a basis."""
     n = space.n
     for u in parts:
         if u.n != n or u.field != space.field:
-            raise VerificationError("decomposition part lies in another ambient space")
+            raise DecompositionError("decomposition part lies in another ambient space")
         if u.dim == 0:
-            raise VerificationError("decomposition part is the zero space")
+            raise DecompositionError("decomposition part is the zero space")
         if not is_isotropic(space, u):
-            raise VerificationError("decomposition part is not isotropic")
+            raise DecompositionError("decomposition part is not isotropic")
     if (sum(u.dim for u in parts) != n
             or reduce(Subspace.sum, parts, Subspace.zero(space.field, n)).dim != n):
-        raise VerificationError("parts do not form a direct sum decomposition of F^n")
+        raise DecompositionError("parts do not form a direct sum decomposition of F^n")
 
 
 def split_zero_space(field: PrimeField, n: int):

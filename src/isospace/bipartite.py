@@ -108,11 +108,12 @@ def ncrk_witness_pair(b: MatrixSpace, guard=None):
     masks run where F^m has at most 2^13 lines, the range measured in
     BENCH_30.json), the partner's dimension is read off masks of lines of
     F^m instead of a row reduction per subspace: the kernel of a basis row
-    is its FormRows.line_mask, built once per row for the call, on the
-    padded squares of ncrk_pad_square too, which are not alternating; the
-    kernel of a space is the AND over its basis rows, and a d-space has
-    (q^d - 1)/(q - 1) lines.  Both routes scan, tick and break ties alike,
-    so they give the same pair.
+    is its FormRows.line_mask, and the call's map builds the masks of every
+    line of F^n together on the first read, on the padded squares of
+    ncrk_pad_square too, which are not alternating; the kernel of a space
+    is the AND over its basis rows, and a d-space has (q^d - 1)/(q - 1)
+    lines.  Both routes scan, tick and break ties alike, so they give the
+    same pair.
     """
     g = as_guard(guard)
     field = b.field

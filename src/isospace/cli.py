@@ -27,8 +27,8 @@ from .bipartite import (adjoint_algebra, alpha_bipartite,
                         decomposition_from_hyperbolic,
                         hyperbolic_idempotent_search, ncrk_brute,
                         ncrk_pad_square, two_decomposition_via_adjoint)
-from .errors import (DEFAULT_GUARD, Guard, GuardExceeded, ParseError,
-                     VerificationError)
+from .errors import (DEFAULT_GUARD, DecompositionError, Guard, GuardExceeded,
+                     ParseError, VerificationError)
 from .ffield import Matrix, PrimeField, Subspace, gaussian_binomial, projective_rows
 from .gadgets import (baer_generators, dim2_gadget, group_closure,
                       right_degree_min, singular_exists_brute)
@@ -198,7 +198,12 @@ def cmd_alpha_bipartite(args, space, guard):
             raise ValueError("space is not bipartite (no isotropic "
                              "2-decomposition found); give --u1/--u2")
         u1, u2 = pair
-    a, wit = alpha_bipartite(space, u1, u2, guard=guard)
+    try:
+        a, wit = alpha_bipartite(space, u1, u2, guard=guard)
+    except DecompositionError as e:
+        # blocks that are no isotropic 2-decomposition are input outside the
+        # command's domain; alpha_bipartite validates the pair before its scan
+        raise ValueError(str(e)) from None
     return {"alpha": a, "witness": _rows(wit), "ncrk": space.n - a,
             "block_shape": [u1.dim, u2.dim], "field": space.field.p,
             "n": space.n}

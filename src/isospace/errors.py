@@ -18,6 +18,11 @@ class VerificationError(RuntimeError):
     """A constructed witness failed its re-verification check."""
 
 
+class DecompositionError(VerificationError):
+    """Parts given as an isotropic decomposition are not one
+    (altspace.validate_decomposition)."""
+
+
 class ParseError(ValueError):
     """Malformed input file; message carries the location."""
 

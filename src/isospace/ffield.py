@@ -27,14 +27,16 @@ the one reduction (_kernel_of_last).
 Scans over the lines of F_p^n meet sets of lines as bitmasks over the
 LineTable of (p, n), PrimeField.lines[n].  LineTable.annihilator is the
 one builder of masks: it gives a span W as the lines of W^perp, so that a
-join W + V is one AND and W = F^n iff its mask is 0, and FormRows.line_mask
-keeps, per vector, the annihilator of that vector's rows under a map, the
-lines of its kernel.  Besides its lines, a table holds the n p masks of
-its coordinates, and its residue tables only where those are small;
-without them a mask is built from its rows alone, and the table indexes
-its lines to read the lines of a kernel.  line_masks_pay is the one rule
-for where a scan runs on masks: only where F_p^n has residue tables, and
-one mask per line fits their budget.
+join W + V is one AND and W = F^n iff its mask is 0.  FormRows.line_mask
+gives, per line of F^n, the annihilator of that line's rows under a map,
+the lines of its kernel; a map builds the masks of all its lines together
+on the first read, one walk of the lines and one annihilator per distinct
+row.  Besides its lines, a table holds the n p masks of its coordinates,
+and its residue tables only where those are small; without them a mask
+is built from its rows alone, and the table indexes its lines to read the
+lines of a kernel.  line_masks_pay is the one rule for where a scan runs
+on masks: only where F_p^n has residue tables, and one mask per line fits
+their budget.
 """
 
 from __future__ import annotations
@@ -811,13 +813,14 @@ class FormRows:
     columns, with their pivots, as long as the map lives, so the rank of
     one vector is a length and its kernel is read off that RREF with no
     reduction.  The raw rows are kept too, and for square maps restriction
-    reads the span of the B M_i B^t off those of B's rows; line_mask reads
-    the lines of a vector's kernel off the LineTable of F^m as the
-    annihilator of its raw rows, with no reduction, and keeps that mask.
-    Vectors are packed rows of n lanes.  The map lives as long as a
-    caller holds it; what it keeps depends on the M_i alone, so one map
-    may serve every scan of the same M_i, and altspace.form_rows keeps the
-    last map it built, one entry only, for the next scan.
+    reads the span of the B M_i B^t off those of B's rows.  line_mask gives
+    the lines of a line's kernel in the LineTable of F^m, the annihilator of
+    its raw rows, with no reduction; the first call builds the masks of
+    every line of F^n in one pass and keeps them.  Vectors are packed rows
+    of n lanes.  The map lives as long as a caller holds it; what it keeps
+    depends on the M_i alone, so one map may serve every scan of the same
+    M_i, and altspace.form_rows keeps the last map it built, one entry
+    only, for the next scan.
     """
 
     __slots__ = ("field", "k", "m", "_slices", "_rows", "_products_of", "_line_masks")
@@ -834,7 +837,7 @@ class FormRows:
                         for j in range(n)]
         self._rows = {}
         self._products_of = {}
-        self._line_masks = {}
+        self._line_masks = None
 
     def rows(self, w: int) -> tuple:
         """The RREF (rows, pivots) of the span of w^t M_1, ..., w^t M_k,
@@ -874,16 +877,44 @@ class FormRows:
         return _kernel_of_last(self.field, self.m, *self._span(vectors))
 
     def line_mask(self, v: int) -> int:
-        """The mask, in field.lines[m], of the lines of kernel([v]): the
-        annihilator of v's rows, on any map.  Each vector's mask is kept as
-        long as the map lives, so back-to-back lattices of the same M_i
-        build it once (rebuilding it per lattice read 11.5 % and 7.2 %
+        """The mask, in field.lines[m], of the lines of kernel([v]) for the
+        row v of a line of F^n (its first nonzero coordinate 1): the
+        annihilator of v's rows, on any map.  The first call builds the
+        masks of every line together (_all_line_masks), and they are kept
+        as long as the map lives, so back-to-back lattices of the same M_i
+        build them once (rebuilding them per lattice read 11.5 % and 7.2 %
         fewer graph-bridge inst_per_s).  The lattice and the ncrk scan ask
         for line masks only where line_masks_pay, so each row's mask is one
         meet in the residue tables."""
-        out = self._line_masks.get(v)
-        if out is None:
-            out = self._line_masks[v] = self.field.lines[self.m].annihilator(self._products(v))
+        if self._line_masks is None:
+            self._line_masks = self._all_line_masks()
+        return self._line_masks[v]
+
+    def _all_line_masks(self) -> dict:
+        """The row of each line of F^n -> its line mask, from one walk of
+        the lines in projective_rows order.  Unit row j carries slice j in
+        the lanes above its n, so each combination _combinations makes
+        holds a line's row in its low n lanes and that line's k products
+        above them; the annihilator of each distinct product row is built
+        once for the walk, and a line's mask is the AND of its rows'."""
+        field, k, n = self.field, self.k, len(self._slices)
+        table = field.lines[self.m]
+        width = field.width
+        low, span = n * width, self.m * width
+        line, row = (1 << low) - 1, (1 << span) - 1
+        units = [1 << j * width | s << low for j, s in enumerate(self._slices)]
+        ann, out = {}, {}
+        for c in range(n):
+            for x in _combinations(field, n + k * self.m, units[c + 1:], units[c]):
+                mask, flat = table.full, x >> low
+                for _ in range(k):
+                    r = flat & row
+                    flat >>= span
+                    a = ann.get(r)
+                    if a is None:
+                        a = ann[r] = table.annihilator((r,))
+                    mask &= a
+                out[x & line] = mask
         return out
 
     def restriction(self, rows) -> tuple:

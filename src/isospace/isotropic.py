@@ -108,12 +108,13 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
 
     Where line masks pay (ffield.line_masks_pay, one mask kept per line of
     F^n), each line's row has three masks over field.lines[n]: its line
-    mask (the lines of its kernel, FormRows.line_mask), `used` and `tail`
-    (LineTable.row_blocks).  The children are the set bits of
-    tail & rad(U) & ~used, in index order: tail is that of U's last row
-    (every line for U = 0), rad(U) the AND of the line masks of U's rows
-    and used the OR of their used, so a node costs one AND per row, with
-    no row reduced and no column looped over.  U (with (q^d - 1)/(q - 1)
+    mask (the lines of its kernel, FormRows.line_mask; the map builds every
+    line's together before the first node, or has them from an earlier
+    lattice), `used` and `tail` (LineTable.row_blocks).  The children are
+    the set bits of tail & rad(U) & ~used, in index order: tail is that of
+    U's last row (every line for U = 0), rad(U) the AND of the line masks
+    of U's rows and used the OR of their used, so a node costs one AND per
+    row, with no row reduced and no column looped over.  U (with (q^d - 1)/(q - 1)
     lines in dimension d) is maximal iff rad(U) has as many; a maximal U
     has no child, and U's k forms put at most d k conditions on rad(U),
     so rad(U) is formed and counted only where U has no child and

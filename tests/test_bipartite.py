@@ -3,7 +3,7 @@ import random
 import pytest
 
 from isospace import bipartite, ffield
-from isospace.altspace import (AltMatrixSpace, is_isotropic, radical_space,
+from isospace.altspace import (AltMatrixSpace, form_rows, is_isotropic, radical_space,
                                validate_decomposition)
 from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 bipartite_space_from_blocks,
@@ -14,9 +14,9 @@ from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 two_decomposition_via_adjoint)
 from isospace.errors import Guard, GuardExceeded, VerificationError
 from isospace.ffield import (FormRows, Matrix, PrimeField, Subspace, enumerate_subspaces,
-                              kernel, vstack)
+                              kernel, projective_rows, vstack)
 from isospace.graphs import Graph, space_from_graph
-from isospace.isotropic import alpha_exact, two_decomposition_brute
+from isospace.isotropic import alpha_exact, chi_brute, two_decomposition_brute
 from util import F2, F3, random_matrix_space, random_space, symplectic_form
 
 F5, F31 = PrimeField(5), PrimeField(31)
@@ -422,28 +422,51 @@ def test_the_line_mask_ncrk_scan_is_the_rank_scan(monkeypatch):
     assert sorted(field.lines) == [13] and ffield._tables_fit(2, 14)
 
 
-def test_the_ncrk_mask_scan_builds_one_mask_per_basis_row(monkeypatch):
-    # each call builds the line mask of each distinct RREF basis row of
-    # the scanned subspaces once, however many subspaces hold that row
-    rows, built = set(), []
-    scan, inner = bipartite.enumerate_subspaces, ffield.LineTable.annihilator
+def test_a_map_builds_its_line_masks_once_one_annihilator_per_product_row(monkeypatch):
+    # the first read builds the mask of every line of F^n in one pass, with
+    # one annihilator per distinct product row v^t M_i; the ncrk scan, which
+    # reads a line's mask in every subspace holding it, and two lattices on
+    # one kept map (alpha_exact, then chi_brute) build no more
+    passes, built = [], []
+    one_pass, inner = FormRows._all_line_masks, ffield.LineTable.annihilator
 
-    def scanning(*args, **kwargs):
-        for w in scan(*args, **kwargs):
-            rows.update(w.rows)
-            yield w
+    def passing(self):
+        start = len(built)
+        out = one_pass(self)
+        passes.append((self, built[start:]))
+        return out
 
-    def counting(self, vectors):
-        built.append(vectors)
-        return inner(self, vectors)
+    def counting(self, rows):
+        built.append(rows)
+        return inner(self, rows)
 
-    monkeypatch.setattr(bipartite, "enumerate_subspaces", scanning)
+    def products(field, n, mats):
+        return {((Matrix(field, 1, n, field.unpack(v, n)) @ a).packed[0],)
+                for v in projective_rows(field, n) for a in mats}
+
+    monkeypatch.setattr(FormRows, "_all_line_masks", passing)
     monkeypatch.setattr(ffield.LineTable, "annihilator", counting)
     for b in _ncrk_route_inputs():
-        if b.field == F31:
-            continue
         for _ in range(2):
-            rows.clear()
-            built.clear()
+            passes.clear()
             ncrk_witness_pair(b)
-            assert len(built) == len(rows) > 0, (b.field, b.s, b.t)
+            if b.field == F31:
+                assert passes == []
+                continue
+            n = min(b.s, b.t)
+            mats = b.basis if b.s < b.t else [x.transpose() for x in b.basis]
+            ((_, rows),) = passes
+            assert len(rows) == len(set(rows)), (b.field, b.s, b.t)
+            assert set(rows) == products(b.field, n, mats), (b.field, b.s, b.t)
+    rng = random.Random(11)
+    for field, n in ((F2, 6), (F3, 5), (F3, 4)):
+        for sp in (space_from_graph(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                              if rng.random() < 0.5]), field),
+                   random_space(rng, field, n, 2)):
+            form_rows.cache_clear()
+            passes.clear()
+            alpha_exact(sp)
+            chi_brute(sp)
+            ((forms, rows),) = passes
+            assert forms is form_rows(sp) and len(rows) == len(set(rows)), (field, n)
+            assert set(rows) == products(field, n, sp.basis), (field, n)

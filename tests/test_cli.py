@@ -368,6 +368,28 @@ def test_alpha_bipartite_without_a_2_decomposition_is_an_input_error(tmp_path, c
                                        "2-decomposition found); give --u1/--u2\n")
 
 
+@pytest.mark.parametrize("u2, message", [
+    ("0 1 0; 0 0 1", "decomposition part is not isotropic"),
+    ("0 1 0", "parts do not form a direct sum decomposition of F^n")], ids=["edge", "short"])
+def test_alpha_bipartite_blocks_that_are_no_2_decomposition_are_an_input_error(
+        tmp_path, capsys, monkeypatch, u2, message):
+    # well-formed blocks outside the command's domain: exit 5, not 4, with
+    # the library's message, and the pair validated once
+    from isospace import bipartite
+    calls, inner = [], bipartite.validate_decomposition
+
+    def validating(space, parts):
+        calls.append(parts)
+        return inner(space, parts)
+
+    monkeypatch.setattr(bipartite, "validate_decomposition", validating)
+    form = tmp_path / "k3.ams"
+    form.write_text(K3_AMS)
+    assert main(["alpha-bipartite", "-f", str(form), "--u1", "1 0 0", "--u2", u2]) == 5
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert len(calls) == 1
+
+
 def test_ncrk_pad_is_checked_before_the_scan(tmp_path, capsys, monkeypatch):
     from isospace import cli
 

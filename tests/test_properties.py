@@ -501,6 +501,44 @@ def test_form_rows_are_the_products_w_t_m(field, n, m, k, rng):
 
 
 @st.composite
+def line_mask_maps(draw):
+    """(field, n, m, mats): the basis of an alternating space on F^n (F_2
+    with n <= 6, F_3 with n <= 5, F_5 with n <= 3, no forms included), or
+    the s x t map with s != t that ncrk_witness_pair scans, read from the
+    smaller side."""
+    field = draw(st.sampled_from([F2, F3, F5]))
+    top = {2: 6, 3: 5, 5: 3}[field.p]
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, top))
+        space = random_space(rng, field, n, draw(st.integers(0, 4)))
+        return field, n, n, space.basis
+    s, t = draw(st.lists(st.integers(1, top), min_size=2, max_size=2, unique=True))
+    b = random_matrix_space(rng, field, s, t, draw(st.integers(0, 3)))
+    if s < t:
+        return field, s, t, b.basis
+    return field, t, s, [x.transpose() for x in b.basis]
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_mask_maps())
+def test_every_line_mask_is_the_annihilator_of_the_line_products(case):
+    # the masks built together on the first read are, line by line, the
+    # annihilator of the products v^t M_i taken through Matrix, and the
+    # lines of the line's kernel
+    field, n, m, mats = case
+    forms = FormRows(field, n, m, mats)
+    table = field.lines[m]
+    for v in projective_rows(field, n):
+        row = Matrix(field, 1, n, field.unpack(v, n))
+        mask = forms.line_mask(v)
+        assert mask == table.annihilator(tuple([(row @ a).packed[0] for a in mats]))
+        kernel_of_v = forms.kernel([v])
+        assert mask == sum(1 << i for i, u in enumerate(table.lines)
+                           if kernel_of_v.contains_vector(u))
+
+
+@st.composite
 def lane_cases(draw):
     """A field of {2, 3, 5, 7, 251}, a length 0..16 and up to 5 vectors of it."""
     field = PrimeField(draw(st.sampled_from([2, 3, 5, 7, 251])))
