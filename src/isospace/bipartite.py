@@ -10,13 +10,13 @@ idempotent.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 
 from .altspace import (AltMatrixSpace, block_alternating, is_isotropic, nondegenerate_part,
                        split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
 from .ffield import (FormRows, Matrix, PrimeField, Subspace, are_independent, combination,
-                     enumerate_subspaces, kernel, line_masks_pay, span_basis, vstack)
+                     enumerate_subspaces, kernel, span_basis, vstack)
 
 
 class MatrixSpace:
@@ -103,35 +103,38 @@ def ncrk_witness_pair(b: MatrixSpace, guard=None):
     each line is combined at most once.  Ties go to the first scanned space
     in enumerate_subspaces order, and only its kernel is taken.
 
-    Where line masks of the partner's side F^m pay (ffield.line_masks_pay,
-    one mask per line of F^m, so that on fields with residue tables the
-    masks run where F^m has at most 2^13 lines, the range measured in
-    BENCH_30.json), the partner's dimension is read off masks of lines of
-    F^m instead of a row reduction per subspace: the kernel of a basis row
-    is its FormRows.line_mask, and the call's map builds the masks of every
-    line of F^n together on the first read, on the padded squares of
-    ncrk_pad_square too, which are not alternating; the kernel of a space
-    is the AND over its basis rows, and a d-space has (q^d - 1)/(q - 1)
-    lines.  Both routes scan, tick and break ties alike, so they give the
-    same pair.
+    The call's map decides the route: where it hands over masks of lines
+    of the partner's side F^m (FormRows.line_masks, one mask per line of
+    F^n; on fields with residue tables where F^m has at most 2^13 lines,
+    the range measured in BENCH_30.json), the partner's dimension is read
+    off them instead of a row reduction per subspace.  The kernel of a
+    basis row is its line mask, built together with every other after the
+    scan's require, on the padded squares of ncrk_pad_square too, which
+    are not alternating; the kernel of a space is the AND over its basis
+    rows, and a d-space has (q^d - 1)/(q - 1) lines.  Both routes scan,
+    tick and break ties alike, so they give the same pair.
     """
     g = as_guard(guard)
     field = b.field
     left = b.s < b.t
     n, m = (b.s, b.t) if left else (b.t, b.s)
     forms = FormRows(field, n, m, b.basis if left else [x.transpose() for x in b.basis])
-    q = field.p
-    table = field.lines[m] if line_masks_pay(q, m) else None
-    if table is not None:
+    scan = enumerate_subspaces(field, n, guard=g)
+    # the first space comes after the scan's require: a scan the guard
+    # refuses builds no mask
+    first = next(scan)
+    masks = forms.line_masks()
+    if masks is not None:
+        q, full = field.p, field.lines[m].full
         dims = {(q**d - 1) // (q - 1): d for d in range(m + 1)}
     best = None
-    for w in enumerate_subspaces(field, n, guard=g):
-        if table is None:
+    for w in chain((first,), scan):
+        if masks is None:
             score = w.dim + m - forms.rank(w.rows)
         else:
-            ker = table.full
+            ker = full
             for r in w.rows:
-                ker &= forms.line_mask(r)
+                ker &= masks[r]
             score = w.dim + dims[ker.bit_count()]
         if best is None or score > best[0]:
             best = (score, w)

@@ -68,11 +68,15 @@ def _field(p) -> PrimeField:
 
 
 def _subspace(field, n, rows) -> Subspace:
-    """The span of witness rows from the command line or a report."""
+    """The span of witness rows from the command line or a report, whose
+    entries lie in [0, p) as a file's do."""
     if not isinstance(rows, list) or not all(
             isinstance(r, list) and len(r) == n and all(type(x) is int for x in r)
             for r in rows):
         raise ParseError(f"witness rows {rows!r} are not lists of {n} integers")
+    bad = [x for r in rows for x in r if not 0 <= x < field.p]
+    if bad:
+        raise ParseError(f"witness entry {bad[0]} out of range [0, {field.p})")
     return Subspace.from_vectors(field, n, rows)
 
 

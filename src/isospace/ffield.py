@@ -27,16 +27,18 @@ the one reduction (_kernel_of_last).
 Scans over the lines of F_p^n meet sets of lines as bitmasks over the
 LineTable of (p, n), PrimeField.lines[n].  LineTable.annihilator is the
 one builder of masks: it gives a span W as the lines of W^perp, so that a
-join W + V is one AND and W = F^n iff its mask is 0.  FormRows.line_mask
-gives, per line of F^n, the annihilator of that line's rows under a map,
-the lines of its kernel; a map builds the masks of all its lines together
-on the first read, one walk of the lines and one annihilator per distinct
-row.  Besides its lines, a table holds the n p masks of its coordinates,
-and its residue tables only where those are small; without them a mask
-is built from its rows alone, and the table indexes its lines to read the
-lines of a kernel.  line_masks_pay is the one rule for where a scan runs
-on masks: only where F_p^n has residue tables, and one mask per line fits
-their budget.
+join W + V is one AND and W = F^n iff its mask is 0.  A map decides
+where its line masks run and hands them over whole: FormRows.line_masks
+maps each line of F^n to the annihilator of that line's rows, the lines
+of its kernel, or is None where masks do not pay (line_masks_pay: only
+where F_p^m has residue tables and one mask per line fits their budget,
+a rule no other module asks).  A map builds the masks of all its lines
+together on the first read, one walk of the lines and one annihilator
+per distinct row.  Besides its lines, a table holds the n p masks of its
+coordinates, one child mask per line (row_blocks), and its residue
+tables only where those are small; without them a mask is built from its
+rows alone, and the table indexes its lines to read the lines of a
+kernel.
 """
 
 from __future__ import annotations
@@ -590,13 +592,14 @@ def _tables_fit(p: int, n: int) -> bool:
 
 
 def line_masks_pay(p: int, n: int) -> bool:
-    """Whether a scan that keeps one mask per line of F_p^n runs on masks,
-    computed without building a table: only where F_p^n has residue
-    tables, so that a row's mask is one meet of two, and the lines^2 bits
-    of the masks fit the tables' own budget of RESIDUE_BITS.  Without the
-    tables a mask costs an adder or a kernel read per row, and the lattice
-    and the ncrk scan run faster on row reductions (a single-form lattice
-    on F_89^3: 0.11 s against 0.53 s on masks, 2 cores, BENCH_31.json)."""
+    """Whether a map hands over masks of the lines of F_p^n, one per line
+    (FormRows.line_masks, the one caller), computed without building a
+    table: only where F_p^n has residue tables, so that a row's mask is
+    one meet of two, and the lines^2 bits of the masks fit the tables' own
+    budget of RESIDUE_BITS.  Without the tables a mask costs an adder or a
+    kernel read per row, and the lattice and the ncrk scan run faster on
+    row reductions (a single-form lattice on F_89^3: 0.11 s against 0.53 s
+    on masks, 2 cores, BENCH_31.json)."""
     lines = (p**n - 1) // (p - 1)
     return lines * lines <= RESIDUE_BITS and _tables_fit(p, n)
 
@@ -616,8 +619,8 @@ class LineTable:
     `index` maps each row to its position; it is built only for a table
     without residue tables, the one kind whose masks read the lines of a
     kernel (_kernel_lines), and is None on the others.  `row_blocks()`
-    gives, per line, the blocks of the columns its row uses and of the
-    columns after its lead, built on first use.
+    gives each line one child mask, the blocks of the columns after its
+    lead where its row is zero, built on first use.
 
     `annihilator(rows)` is the one builder of masks: the lines u with
     r.u = 0 for every row r, W^perp for W the rows' span.  The residue of
@@ -687,26 +690,20 @@ class LineTable:
                         reduce(or_, [z[a] & t[s - a] for a in range(p)]) for s in range(p)]
         return out
 
-    def row_blocks(self) -> tuple:
-        """(used, tail), two dicts keyed by the lines' rows: used[v] is the
-        OR of blocks[c] over the columns c where v is nonzero, and tail[v]
-        the OR of blocks[c] over the columns after v's lead.  They depend on
-        (p, n) alone, so they are built on the first call and kept with the
-        table: lines^2 bits for used, and one tail per column, shared by
-        the lines led there."""
+    def row_blocks(self) -> dict:
+        """The lines' rows -> the OR of blocks[c] over the columns c after
+        the line's lead where its row is zero.  RREF leads increase, so for
+        the rows of an RREF U the AND of theirs is the lines led after U's
+        last lead at a column where U is zero.  They depend on (p, n) alone,
+        so they are built on the first call and kept with the table:
+        lines^2 bits."""
         if self._row_blocks is None:
-            width, lane, blocks = self.field.width, self.field.lane, self.blocks
-            used, tail = {}, {}
-            for c, block in enumerate(blocks):
-                # the lines led at c are the run of block c, and every later
-                # column's block lies above it
-                after = self.full >> block.bit_length() << block.bit_length()
-                start = (block & -block).bit_length() - 1
-                for v in self.lines[start:block.bit_length()]:
-                    tail[v] = after
-                    used[v] = reduce(or_, [blocks[j] for j in range(c, self.n)
-                                           if v >> j * width & lane])
-            self._row_blocks = used, tail
+            width, lane = self.field.width, self.field.lane
+            # column j lies after v's lead iff v is nonzero before j
+            self._row_blocks = {v: reduce(or_, [b for j, b in enumerate(self.blocks)
+                                                if v & (1 << j * width) - 1
+                                                and not v >> j * width & lane], 0)
+                                for v in self.lines}
         return self._row_blocks
 
     def annihilator(self, rows) -> int:
@@ -813,10 +810,12 @@ class FormRows:
     columns, with their pivots, as long as the map lives, so the rank of
     one vector is a length and its kernel is read off that RREF with no
     reduction.  The raw rows are kept too, and for square maps restriction
-    reads the span of the B M_i B^t off those of B's rows.  line_mask gives
-    the lines of a line's kernel in the LineTable of F^m, the annihilator of
-    its raw rows, with no reduction; the first call builds the masks of
-    every line of F^n in one pass and keeps them.  Vectors are packed rows
+    reads the span of the B M_i B^t off those of B's rows.  The map decides
+    where line masks run: line_masks hands over the lines of each line's
+    kernel in the LineTable of F^m, the annihilators of its raw rows, as
+    one mapping, or None where they do not pay, and a scan reads the
+    mapping directly; the first call that pays builds the masks of every
+    line of F^n in one pass and keeps them.  Vectors are packed rows
     of n lanes.  The map lives as long as a caller holds it; what it keeps
     depends on the M_i alone, so one map may serve every scan of the same
     M_i, and altspace.form_rows keeps the last map it built, one entry
@@ -876,19 +875,20 @@ class FormRows:
         and is built anew at each call."""
         return _kernel_of_last(self.field, self.m, *self._span(vectors))
 
-    def line_mask(self, v: int) -> int:
-        """The mask, in field.lines[m], of the lines of kernel([v]) for the
-        row v of a line of F^n (its first nonzero coordinate 1): the
-        annihilator of v's rows, on any map.  The first call builds the
-        masks of every line together (_all_line_masks), and they are kept
-        as long as the map lives, so back-to-back lattices of the same M_i
-        build them once (rebuilding them per lattice read 11.5 % and 7.2 %
-        fewer graph-bridge inst_per_s).  The lattice and the ncrk scan ask
-        for line masks only where line_masks_pay, so each row's mask is one
-        meet in the residue tables."""
+    def line_masks(self):
+        """The row of each line of F^n (its first nonzero coordinate 1) ->
+        the mask, in field.lines[m], of the lines of its kernel, the
+        annihilator of its rows; None where line_masks_pay(p, m) is false,
+        decided at each call.  The first call that pays builds the masks of
+        every line together (_all_line_masks), and they are kept as long as
+        the map lives, so back-to-back lattices of the same M_i build them
+        once (rebuilding them per lattice read 11.5 % and 7.2 % fewer
+        graph-bridge inst_per_s)."""
+        if not line_masks_pay(self.field.p, self.m):
+            return None
         if self._line_masks is None:
             self._line_masks = self._all_line_masks()
-        return self._line_masks[v]
+        return self._line_masks
 
     def _all_line_masks(self) -> dict:
         """The row of each line of F^n -> its line mask, from one walk of

@@ -17,7 +17,7 @@ from itertools import chain
 from .altspace import (AltMatrixSpace, form_rows, nondegenerate_part,
                        split_zero_space, validate_decomposition)
 from .errors import VerificationError, as_guard
-from .ffield import Subspace, enumerate_complements, line_masks_pay, projective_rows
+from .ffield import Subspace, enumerate_complements, projective_rows
 
 
 # ---------------------------------------------------------------------------
@@ -106,19 +106,19 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     of U are required, then ticked, one per child.  Only the source of
     rad(U) depends on the field.
 
-    Where line masks pay (ffield.line_masks_pay, one mask kept per line of
-    F^n), each line's row has three masks over field.lines[n]: its line
-    mask (the lines of its kernel, FormRows.line_mask; the map builds every
-    line's together before the first node, or has them from an earlier
-    lattice), `used` and `tail` (LineTable.row_blocks).  The children are
-    the set bits of tail & rad(U) & ~used, in index order: tail is that of
-    U's last row (every line for U = 0), rad(U) the AND of the line masks
-    of U's rows and used the OR of their used, so a node costs one AND per
-    row, with no row reduced and no column looped over.  U (with (q^d - 1)/(q - 1)
-    lines in dimension d) is maximal iff rad(U) has as many; a maximal U
-    has no child, and U's k forms put at most d k conditions on rad(U),
-    so rad(U) is formed and counted only where U has no child and
-    d (k + 1) >= n.
+    The map decides the source: where it hands over line masks
+    (FormRows.line_masks, one mask kept per line of F^n, built together
+    before the first node or kept from an earlier lattice), each line's
+    row has two masks over field.lines[n]: its line mask, the lines of its
+    kernel, and its child mask (LineTable.row_blocks), the lines led after
+    its lead at a column where it is zero.  RREF leads increase, so the
+    children of U are the set bits, in index order, of the AND over U's
+    rows of line mask & child mask (every line for U = 0), and a node
+    costs one AND per row, with no row reduced and no column looped over.
+    U (with (q^d - 1)/(q - 1) lines in dimension d) is maximal iff rad(U),
+    the AND of its rows' line masks, has as many; a maximal U has no
+    child, and U's k forms put at most d k conditions on rad(U), so rad(U)
+    is formed and counted only where U has no child and d (k + 1) >= n.
 
     Elsewhere forms.kernel reduces U's rows, U is maximal iff the kernel
     has U's dimension, and the children are read off the kernel's rows
@@ -133,13 +133,13 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     count = (q**n - 1) // (q - 1)
     g.require(count)
     forms = form_rows(space)
-    clear = None
-    if line_masks_pay(q, n):
+    masks = forms.line_masks()
+    if masks is not None:
         table = field.lines[n]
         lines, full = table.lines, table.full
-        used_of, tail_of = table.row_blocks()
-        # the lines of v's kernel led at a column where v is zero
-        clear = {v: forms.line_mask(v) & ~used_of[v] for v in lines}
+        after = table.row_blocks()
+        # the lines of v's kernel led after v's lead at a column where v is zero
+        clear = {v: masks[v] & after[v] for v in lines}
     levels, level, maximal = [], [()], []
     size = 0        # the lines of a space of the level
     least = -(-n // (space.dim + 1))       # the least dimension of a maximal U
@@ -148,7 +148,7 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
         may_stop = len(levels) > least
         level = []
         for rows in levels[-1]:
-            if clear is None:
+            if masks is None:
                 rad = forms.kernel(rows)
                 if rad.dim == len(rows):
                     maximal.append(rows)
@@ -166,8 +166,8 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
                 for i in leads:
                     level += [rows + (v,) for v in rad.led_lines(i)]
                 continue
-            # tail & rad(U) & ~used, one AND per row
-            free = tail_of[rows[-1]] if rows else full
+            # rad(U) & the child masks, one AND per row
+            free = full
             for r in rows:
                 free &= clear[r]
             if not free:
@@ -175,7 +175,7 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
                 if may_stop:
                     rad = full
                     for r in rows:
-                        rad &= forms.line_mask(r)
+                        rad &= masks[r]
                     if rad.bit_count() == size:
                         maximal.append(rows)
                 continue

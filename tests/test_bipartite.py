@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from isospace import bipartite, ffield
+from isospace import ffield
 from isospace.altspace import (AltMatrixSpace, form_rows, is_isotropic, radical_space,
                                validate_decomposition)
 from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
@@ -410,7 +410,7 @@ def test_the_line_mask_ncrk_scan_is_the_rank_scan(monkeypatch):
         assert masked == (b.field != F31) and isinstance(short[0][0], str)
         ranks.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bipartite, "line_masks_pay", lambda p, n: not masked)
+            mp.setattr(ffield, "line_masks_pay", lambda p, n: not masked)
             assert _ncrk_record(b) == full and len(ranks) == (used if masked else 0)
             assert [_ncrk_record(b, used - 1), _ncrk_record(b, used // 2)] == short
     # the scan prices one mask per line of F^m: F_2^13's 8,191 masks of
@@ -420,6 +420,19 @@ def test_the_line_mask_ncrk_scan_is_the_rank_scan(monkeypatch):
     for t in (13, 14):
         ncrk_witness_pair(MatrixSpace(field, 1, t, ()))
     assert sorted(field.lines) == [13] and ffield._tables_fit(2, 14)
+
+
+def test_a_scan_the_guard_refuses_builds_no_line_mask(monkeypatch):
+    # the scan requires its subspaces before the map builds its masks: the
+    # subspaces of F_2^13 are far more than the default guard allows, while
+    # masks of F_2^13 pay
+    built = []
+    monkeypatch.setattr(FormRows, "_all_line_masks", lambda self: built.append(self))
+    b = random_matrix_space(random.Random(0), F2, 13, 13, 3)
+    assert ffield.line_masks_pay(2, 13)
+    with pytest.raises(GuardExceeded):
+        ncrk_witness_pair(b)
+    assert built == []
 
 
 def test_a_map_builds_its_line_masks_once_one_annihilator_per_product_row(monkeypatch):

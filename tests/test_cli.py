@@ -390,6 +390,23 @@ def test_alpha_bipartite_blocks_that_are_no_2_decomposition_are_an_input_error(
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("entry", [2, 3, -1])
+def test_witness_entries_outside_the_field_are_a_parse_error(tmp_path, capsys, entry):
+    # as in the file formats, an entry outside [0, p) is an error, not
+    # reduced mod p: [[2, 0, 0]] is not the zero space, nor --u1 "3 0" the
+    # line of "1 0"
+    message = f"parse error: witness entry {entry} out of range [0, 2)\n"
+    graph, report = tmp_path / "edge.graph", tmp_path / "wide.json"
+    graph.write_text("graph 3\n1 2\n")
+    report.write_text(json.dumps({"results": {"field": 2, "witness": [[entry, 0, 0]]}}))
+    assert main(["to-graph-witness", "-f", str(graph), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == message
+    form = tmp_path / "form.ams"
+    form.write_text("ams 2 2 1\n0 1\n1 0\n")
+    assert main(["alpha-bipartite", "-f", str(form), "--u1", f"{entry} 0", "--u2", "0 1"]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_ncrk_pad_is_checked_before_the_scan(tmp_path, capsys, monkeypatch):
     from isospace import cli
 

@@ -396,6 +396,21 @@ def test_a_line_table_holds_the_lines_in_projective_order(monkeypatch):
                                    if field.unpack(v, n)[j] == a)
 
 
+def test_a_line_s_child_mask_is_the_lines_led_after_it_where_it_is_zero():
+    # row_blocks()[v] holds the lines u whose lead column c lies after v's
+    # lead with v_c = 0, read off the unpacked rows; F^0 has no lines
+    for field, top in [(F2, 6), (F3, 5), (F5, 3)]:
+        for n in range(top + 1):
+            table = field.lines[n]
+            rows = [field.unpack(v, n) for v in table.lines]
+            leads = [next(c for c, e in enumerate(r) if e) for r in rows]
+            after = table.row_blocks()
+            assert sorted(after) == sorted(table.lines) and table.row_blocks() is after
+            for v, r, lead in zip(table.lines, rows, leads):
+                want = sum(1 << i for i, c in enumerate(leads) if c > lead and r[c] == 0)
+                assert after[v] == want, (field, r)
+
+
 def test_a_hyperplane_is_the_lines_orthogonal_to_its_row():
     for field, top in [(F2, 4), (F3, 4), (F5, 3)]:
         for n in range(1, top + 1):
@@ -470,8 +485,8 @@ def test_a_line_mask_is_the_lines_of_the_line_kernel():
             kernel = forms.kernel([v])
             want = sum(1 << i for i, u in enumerate(table.lines)
                        if kernel.contains_vector(u))
-            assert forms.line_mask(v) == want, (field, v)
-            assert forms.line_mask(v) is forms.line_mask(v)
+            assert forms.line_masks()[v] == want, (field, v)
+            assert forms.line_masks()[v] is forms.line_masks()[v]
         return forms
 
     rng = random.Random(27)
@@ -483,7 +498,7 @@ def test_a_line_mask_is_the_lines_of_the_line_kernel():
     e12 = Matrix.from_rows(F2, [[0, 1]])
     padded = ncrk_pad_square(MatrixSpace.from_generators(F2, 1, 2, [e12]))
     forms = check(FormRows(F2, 2, 2, [x.transpose() for x in padded.basis]), F2, 2, 2)
-    assert forms.line_mask(F2.pack((0, 1))) == 0
+    assert forms.line_masks()[F2.pack((0, 1))] == 0
     for k in (1, 2):
         b = random_matrix_space(rng, F3, 2, 4, k)
         check(FormRows(F3, 2, 4, b.basis), F3, 2, 4)

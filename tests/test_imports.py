@@ -17,8 +17,22 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def test_only_ffield_decides_where_line_masks_run():
+    # FormRows.line_masks hands a scan its masks, or None where they do not
+    # pay; no other module asks line_masks_pay itself
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "ffield.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", None), getattr(node, "attr", None)])
+            found += [path.name for name in names if name == "line_masks_pay"]
+    assert found == []
+
+
 def test_bipartite_imports_nothing_from_isotropic():
-    # the ncrk scan takes its route from ffield.line_masks_pay, as the
+    # the ncrk scan takes its route from FormRows.line_masks, as the
     # lattice does, and uses no isotropic code
     found = []
     for node in ast.walk(ast.parse((PACKAGE / "bipartite.py").read_text())):

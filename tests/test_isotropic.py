@@ -274,15 +274,20 @@ def test_without_residue_tables_the_scans_reduce_rows(monkeypatch):
     # the lattice builds no line mask and no line table, and gives the levels, maximal spaces
     # and ticks it gives with masks forced on it; the ncrk scan ranks rows
     built, ranks = [], []
+    handing, ranking = FormRows.line_masks, FormRows.rank
 
-    def counting(inner, calls):
-        def wrapper(self, arg):
-            calls.append(arg)
-            return inner(self, arg)
-        return wrapper
+    def handed(self):
+        out = handing(self)
+        if out is not None:
+            built.append(out)
+        return out
 
-    monkeypatch.setattr(FormRows, "line_mask", counting(FormRows.line_mask, built))
-    monkeypatch.setattr(FormRows, "rank", counting(FormRows.rank, ranks))
+    def counting(self, arg):
+        ranks.append(arg)
+        return ranking(self, arg)
+
+    monkeypatch.setattr(FormRows, "line_masks", handed)
+    monkeypatch.setattr(FormRows, "rank", counting)
     for p in (31, 89):
         field = PrimeField(p)
         assert not ffield._tables_fit(p, 3)
@@ -291,7 +296,7 @@ def test_without_residue_tables_the_scans_reduce_rows(monkeypatch):
         assert built == [] and field.lines == {} and record[-1] > 1000
         if p == 31:     # forced masks take 0.5 s on F_89^3
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(isotropic, "line_masks_pay", lambda p, n: True)
+                mp.setattr(ffield, "line_masks_pay", lambda p, n: True)
                 assert _lattice_record(space) == record and built
         ncrk_witness_pair(random_matrix_space(random.Random(0), field, 3, 3, 1))
         assert ranks
