@@ -11,7 +11,7 @@ from itertools import combinations
 from .altspace import (AltMatrixSpace, elementary_alternating, is_isotropic,
                        validate_decomposition)
 from .errors import VerificationError, as_guard
-from .ffield import PrimeField, Subspace
+from .ffield import Matrix, PrimeField, Subspace
 
 
 class Graph:
@@ -108,20 +108,24 @@ def independent_set_from_isotropic(g: Graph, u: Subspace) -> tuple:
     return verts
 
 
-def _part_assignment(parts_cols, n, g):
+def _part_assignment(parts, n, g):
     """Backtracking core for coloring recovery: give each part in turn an
     ascending vertex set whose columns in the part's basis are independent.
     A loop keeps one iterator of untried subsets per part, so any number of
     parts fits; the dimensions sum to n, so every vertex is used.  Each
-    subset tried ticks the guard d^2, the entries of its d x d rank test."""
+    part's columns are read once, packed (one transpose of its basis), and
+    a subset's rank test reduces its packed columns.  Each subset tried
+    ticks the guard d^2, the entries of its d x d rank test."""
+    cols = [u.basis.transpose().packed for u in parts]
     remaining, chosen, tries = set(range(n)), [], []
-    while len(chosen) < len(parts_cols):
-        basis, d = parts_cols[len(chosen)]
+    while len(chosen) < len(parts):
+        u, part_cols = parts[len(chosen)], cols[len(chosen)]
+        field, d = u.field, u.dim
         if len(tries) == len(chosen):
             tries.append(combinations(sorted(remaining), d))
         for combo in tries[-1]:
             g.tick(d * d)
-            if Subspace.from_vectors(basis.field, d, [basis.col(j) for j in combo]).dim == d:
+            if Matrix._reduced(field, d, d, tuple([part_cols[j] for j in combo])).rank() == d:
                 chosen.append(combo)
                 remaining.difference_update(combo)
                 break
@@ -145,8 +149,7 @@ def coloring_from_decomposition(g: Graph, parts, guard=None) -> list:
     # no part, no field: the empty list decomposes F^0 alone, over any field
     field = parts[0].field if parts else PrimeField(2)
     validate_decomposition(space_from_graph(g, field), parts)
-    parts_cols = [(u.basis, u.dim) for u in parts]
-    blocks = _part_assignment(parts_cols, g.n, as_guard(guard))
+    blocks = _part_assignment(parts, g.n, as_guard(guard))
     if not all(_is_independent(g, t) for t in blocks):
         raise VerificationError("recovered block is not independent")
     return blocks

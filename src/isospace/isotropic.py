@@ -337,22 +337,23 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     restriction below it is smaller.  Maximal spaces, read off the lattice
     of A|_U as row tuples, are tried largest first, each built as a
     Subspace only when it is searched; the search stops once the dimension
-    lower bound ceil(dim U / alpha(A|_U)) is attained, or once the best
-    through V, 1 + ceil((dim U - dim V)/alpha), cannot beat its best, as
-    no later V can then either.  A search whose bound is 2 keeps
-    its lattice until its best first reaches 3, then scans it once for an
-    isotropic 2-decomposition (pairs of a maximal V and a space W of
-    dimension dim U - dim V whose annihilator masks meet in 0, as
-    two_decomposition_brute does); if there is none, 3 cannot be beaten
-    and the search stops with the complement that reached it, as the full
-    search would keep: this is the recursion at the chi(W) = 1 layer, read
-    off masks instead of reducing and keying each complement.  A
-    search tries each complement once: a repeat gives the same chi, which
-    cannot beat the best it already set.  As best only falls, every earlier
-    V' of V's dimension was searched in full, so a complement W of V is a
-    repeat iff W meets some such V' in 0; enumerate_complements skips it by
-    the annihilator masks of those V' before reducing it.  A search keeps
-    the mask of a V searched in full only if a later V has its dimension,
+    lower bound lb = ceil(dim U / alpha(A|_U)) is attained, or once the
+    best through V, 1 + ceil((dim U - dim V)/alpha), cannot beat its best,
+    as no later V can then either.  A search keeps its lattice until its
+    best first reaches lb + 1, then scans it once for an isotropic
+    lb-decomposition (_split, exact for every lb <= chi: a maximal first
+    part, then lattice spaces whose annihilator masks keep the sum direct;
+    at lb = 2 the pairs that two_decomposition_brute scans).  If there is
+    none, lb + 1 cannot be beaten, and the search stops with the
+    complement that reached it, as the full search would keep; otherwise
+    it drops the lattice and goes on.  The scan reads the layers below off
+    masks instead of reducing and keying each complement.  A search tries
+    each complement once: a repeat gives the same chi, which cannot beat
+    the best it already set.  As best only falls, every earlier V' of V's
+    dimension was searched in full, so a complement W of V is a repeat iff
+    W meets some such V' in 0; enumerate_complements skips it by the
+    annihilator masks of those V' before reducing it.  A search keeps the
+    mask of a V searched in full only if a later V has its dimension,
     drops them when the dimension falls, and requires the words it keeps
     from the guard as it keeps them.
     Returns (chi, certificate).
@@ -376,8 +377,6 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
         mis = sorted(lat.maximal_rows, key=len, reverse=True)
         alpha_u = len(mis[0])
         lb = -(-d // alpha_u)
-        if lb != 2:
-            lat = None      # only a search that may stop at 3 scans its lattice
         forms = form_rows(sub)
         done = []       # the annihilator masks of the V of this dimension searched
         kept = 0
@@ -394,9 +393,9 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
                     best = (1 + cw, [v] + [p.image(w) for p in parts])
                     if best[0] == lb:
                         return best
-                    if best[0] == 3 and lat is not None:
-                        # lb = 2: with no 2-decomposition, 3 cannot be beaten
-                        if _two_split(lat, g) is None:
+                    if best[0] == lb + 1 and lat is not None:
+                        # with no lb-decomposition, lb + 1 cannot be beaten
+                        if _split(lat, lb, g) is None:
                             return best
                         lat = None
             # only a later V of v's dimension (mis is sorted) reads its mask
@@ -551,12 +550,12 @@ def isotropic_count_formula(n: int, d: int, q: int) -> int:
 def two_decomposition_brute(space: AltMatrixSpace, guard=None):
     """Search for an isotropic 2-decomposition by brute force.
 
-    Scans the lattice's maximal isotropic spaces V and its isotropic spaces
-    W of dimension n - dim V (_two_split, which chi_lawler's searches share)
-    for a pair with V + W = F^n; returns (V, W) or None.  If any
-    2-decomposition U1 + U2
-    exists, one of this shape exists: extend U1 to a maximal V = U1 +
-    (V meet U2), and take for W a complement of V meet U2 inside U2.
+    The scan _split(lat, 2, g), which chi_lawler's searches share, pairs
+    the lattice's maximal isotropic spaces V, in lattice order, with its
+    isotropic spaces W of dimension n - dim V, and returns the first (V, W)
+    with V + W = F^n, or None.  If any 2-decomposition U1 + U2 exists, one
+    of this shape exists: extend U1 to a maximal V = U1 + (V meet U2), and
+    take for W a complement of V meet U2 inside U2.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
@@ -565,33 +564,78 @@ def two_decomposition_brute(space: AltMatrixSpace, guard=None):
     if space.dim == 0:
         return split_zero_space(field, n)
     lat = enumerate_isotropic_lattice(space, guard=g)
-    pair = _two_split(lat, g)
+    pair = _split(lat, 2, g)
     return None if pair is None else (lat.space(pair[0]), lat.space(pair[1]))
 
 
-def _two_split(lat: IsotropicLattice, g):
-    """The RREF rows of the first pair (V, W) of a maximal V of the lattice
-    and a space W of it of dimension n - dim V with V + W = F^n, or None;
-    one tick per pair, V + W = F^n read as annihilator(V) &
-    annihilator(W) == 0, each W's mask built when first read and its words
-    required from the guard g."""
-    n, levels = lat.n, lat.level_rows
-    table = lat.field.lines[n]
+def _split(lat: IsotropicLattice, k: int, g):
+    """The RREF rows of k spaces of the lattice whose sum is direct and is
+    F^n, the first of them maximal, or None; exact for every k <= chi(A).
+
+    The first part V runs over the maximal spaces in lattice order.  The
+    middle parts are searched depth first, in non-increasing dimension,
+    and among spaces of one dimension in increasing lattice index; the
+    last part comes from the level of the dimension still missing, at most
+    the last middle part's and after it in that level when equal.  The
+    partial sum S is held as its annihilator mask, as in chi_brute: a part
+    W joins S directly iff the AND of their masks has the lines of an
+    (n - dim S - dim W)-space, and the last part completes F^n iff the AND
+    is 0.  The scan ticks once per space it tries as a part after V; each
+    space's mask is built when first read and its words are required from
+    the guard g.  At k = 2 there is no middle part: the scan is the pairs
+    (V, W) with dim W = n - dim V, one tick per pair.
+
+    Why a maximal first part is enough: take a k-decomposition U_1 + ... +
+    U_k with k <= chi, and extend U_1 to a maximal V.  V + U_2 + ... + U_k
+    = F^n, so by Steinitz exchange a basis of V extends to one of F^n by
+    vectors from bases of the U_j, and the complement of V they span is a
+    direct sum of W_j, each W_j inside U_j and so isotropic.  V and the
+    nonzero W_j are an isotropic decomposition of F^n, so they are at
+    least chi >= k parts: all k - 1 of the W_j are nonzero, and sorted by
+    dimension, then lattice index, they are the parts after V of a split
+    that the scan tries.  So the scan finds a k-decomposition for k = chi,
+    and for k < chi none exists.  k >= 2.
+    """
+    field, n, levels = lat.field, lat.n, lat.level_rows
+    q, top = field.p, len(levels) - 1
+    table = field.lines[n]
+    lines = [(q**d - 1) // (q - 1) for d in range(n + 1)]   # of a d-space
     masks: dict = {}     # level -> the masks of its spaces, each built when first read
     kept = 0             # the words of the masks built
+
+    def rest(acc: int, missing: int, left: int, cap: int, start: int):
+        # the rows of left parts of dimension <= cap, from index start on in
+        # level cap, completing the span whose mask is acc to F^n, or None
+        nonlocal kept
+        if left == 1:
+            dims = [missing] if missing <= cap else []
+        else:
+            dims = range(min(cap, missing - left + 1), -(-missing // left) - 1, -1)
+        for d in dims:
+            level = levels[d]
+            ms = masks.get(d)
+            if ms is None:
+                ms = masks[d] = [None] * len(level)
+            for i in range(start if d == cap else 0, len(level)):
+                g.tick()
+                m = ms[i]
+                if m is None:
+                    kept += table.words
+                    g.require(kept, "mask words")
+                    m = ms[i] = table.annihilator(level[i])
+                s = acc & m
+                if left == 1:
+                    if not s:
+                        return [level[i]]
+                elif s.bit_count() == lines[missing - d]:
+                    found = rest(s, missing - d, left - 1, d, i + 1)
+                    if found is not None:
+                        return [level[i]] + found
+        return None
+
     for v in lat.maximal_rows:
-        d = n - len(v)
-        if d >= len(levels):
-            continue
-        level = levels[d]
-        ms = masks.setdefault(d, [None] * len(level))
-        mv = table.annihilator(v)
-        for i, w in enumerate(level):
-            g.tick()
-            if ms[i] is None:
-                kept += table.words
-                g.require(kept, "mask words")
-                ms[i] = table.annihilator(w)
-            if not mv & ms[i]:
-                return v, w
+        if n - len(v) <= top * (k - 1):
+            found = rest(table.annihilator(v), n - len(v), k - 1, top, 0)
+            if found is not None:
+                return [v] + found
     return None

@@ -22,8 +22,8 @@ from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 isotropic_count_formula,
                                 two_decomposition_brute,
                                 validate_decomposition)
-from util import (F2, F3, every_space, lattice_reference, random_matrix_space, random_space,
-                  symplectic_form)
+from util import (F2, F3, every_space, lattice_reference, random_graph, random_matrix_space,
+                  random_space, symplectic_form)
 
 
 def k3(field=F2):
@@ -801,7 +801,7 @@ def test_chi_lawler_stops_at_3_without_a_2_decomposition(monkeypatch):
     spaces = _chi3_lb2_spaces()
     assert len(spaces) == 7
     keyed = [0]
-    inner, split = FormRows.restriction, isotropic._two_split
+    inner, split = FormRows.restriction, isotropic._split
 
     def recording(self, rows):
         keyed[0] += 1
@@ -815,29 +815,43 @@ def test_chi_lawler_stops_at_3_without_a_2_decomposition(monkeypatch):
     monkeypatch.setattr(FormRows, "restriction", recording)
     for sp in spaces:
         got, fewer = run(sp)
-        monkeypatch.setattr(isotropic, "_two_split", lambda lat, g: (None, None))
+        monkeypatch.setattr(isotropic, "_split", lambda lat, k, g: (None, None))
         want, full = run(sp)
-        monkeypatch.setattr(isotropic, "_two_split", split)
+        monkeypatch.setattr(isotropic, "_split", split)
         assert got == want and got[0] == 3, sp
         assert fewer < full, sp
 
 
+def test_chi_lawler_stops_at_4_without_a_3_decomposition():
+    # an 8-vertex graph over F_2 with alpha 3 and chi 4: the top search's
+    # bound is 3, and once its best reaches 4 one split scan rules out a
+    # 3-decomposition, where the full search tries every complement (about
+    # 1.7 M ticks)
+    from isospace.graphs import graph_chi_brute
+    graph = random_graph(random.Random(1), 8, 0.5)
+    sp = space_from_graph(graph, F2)
+    c, parts = chi_lawler(sp, guard=Guard(10**5))
+    assert c == len(parts) == graph_chi_brute(graph) == 4
+    assert alpha_exact(sp)[0] == 3
+
+
 def test_a_guard_trips_inside_the_split_scan(monkeypatch, tmp_path):
-    # the scan ticks once per pair and requires its mask words from the
-    # search's guard: a guard that lasts until the scan, and no longer, stops
-    # the search inside it, and the CLI exits 3 there
+    # the scan ticks once per space it tries and requires its mask words
+    # from the search's guard: a guard that lasts until the scan, and no
+    # longer, stops the search inside it, and the CLI exits 3 there
     from isospace.cli import main
     from isospace.io import emit_space
-    split, inside = isotropic._two_split, []
+    split, inside, bounds = isotropic._split, [], []
 
-    def recording(lat, g):
+    def recording(lat, k, g):
         try:
-            return split(lat, g)
+            return split(lat, k, g)
         except GuardExceeded:
             inside.append(g.limit)
+            bounds.append(k)
             raise
 
-    monkeypatch.setattr(isotropic, "_two_split", recording)
+    monkeypatch.setattr(isotropic, "_split", recording)
     tripped = []
     for sp in _chi3_lb2_spaces():
         total = Guard()
@@ -854,6 +868,26 @@ def test_a_guard_trips_inside_the_split_scan(monkeypatch, tmp_path):
     path.write_text(emit_space(sp))
     assert main(["--guard", str(limit), "chi", "-f", str(path), "--method", "lawler"]) == 3
     assert inside == [limit]
+    # a search whose bound is 3: K_4 with a pendant vertex has alpha 2 and
+    # chi 4, so its search reaches 4 and scans for a 3-decomposition
+    sp = space_from_graph(Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]), F2)
+    total = Guard()
+    assert chi_lawler(sp, guard=total)[0] == 4
+    inside.clear()
+    bounds.clear()
+    tripped = []
+    for limit in range(total.used):
+        with pytest.raises(GuardExceeded):
+            chi_lawler(sp, guard=Guard(limit))
+        if inside:
+            assert bounds == [3]
+            tripped.append(limit)
+            inside.clear()
+            bounds.clear()
+    assert tripped
+    path.write_text(emit_space(sp))
+    assert main(["--guard", str(tripped[0]), "chi", "-f", str(path), "--method", "lawler"]) == 3
+    assert inside == tripped[:1] and bounds == [3]
 
 
 def test_chi_lawler_certificates_leave_the_first_descent():

@@ -12,8 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
 from isospace.altspace import (AltMatrixSpace, degree, is_isotropic,
-                               isometry_transform, nondegenerate_part, rad_of,
-                               radical_space, restrict)
+                               isometry_transform, max_degree, nondegenerate_part,
+                               rad_of, radical_space, restrict)
 from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
                                 bipartite_space_from_blocks,
                                 block_space_from_bipartite,
@@ -27,12 +27,13 @@ from isospace.graphs import (Graph, graph_alpha_brute, graph_chi_brute,
                              is_bipartite_bfs, space_from_graph)
 from isospace.io import (emit_graph, emit_mats, emit_space, parse_graph,
                          parse_mats, parse_mats_tuple, parse_space)
-from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler, chi_maxcover,
-                                enumerate_maximal_branch, enumerate_maximal_filter,
-                                two_decomposition_brute, validate_decomposition)
+from isospace.isotropic import (_split, alpha_exact, chi_brute, chi_lawler, chi_maxcover,
+                                enumerate_isotropic_lattice, enumerate_maximal_branch,
+                                enumerate_maximal_filter, two_decomposition_brute,
+                                validate_decomposition)
 from isospace.quantum import channel_from_graph, period
-from util import (F2, F3, combine_reference, invert_reference, matmul_reference,
-                  random_matrix_space, random_space, rref_rows_reference)
+from util import (F2, F3, combine_reference, direct_sum, invert_reference, matmul_reference,
+                  random_graph, random_matrix_space, random_space, rref_rows_reference)
 
 F5 = PrimeField(5)
 F251 = PrimeField(251)
@@ -223,6 +224,71 @@ def test_the_oracles_follow_the_radical_lemma(space):
     if space.n >= 2:
         unsplit = part.n >= 2 and two_decomposition_brute(part) is None
         assert (two_decomposition_brute(space) is None) == unsplit
+
+
+@st.composite
+def split_spaces(draw):
+    """A span of up to 5 random alternating matrices, or the space of a
+    random graph, on F_2^n, n <= 6, or F_3^n, n <= 5."""
+    field = draw(st.sampled_from([F2, F3]))
+    n = draw(st.integers(1, 6 if field.p == 2 else 5))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        return space_from_graph(random_graph(rng, n, rng.random()), field)
+    return random_space(rng, field, n, draw(st.integers(0, 5)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(split_spaces())
+@example(space_from_graph(Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]),
+                          F2))      # bound ceil(5 / 2) = 3, chi 4
+@example(space_from_graph(Graph(7, [(0, 1), (0, 3), (0, 6), (1, 3), (1, 5), (1, 6), (2, 5),
+                                    (2, 6), (5, 6)]), F2))
+# bound 3, chi 3: the rest of a maximal V of dimension 3 splits as 2 + 2,
+# never as 3 + 1, so the middle part's dimension must go below the largest
+def test_the_split_scan_finds_a_k_decomposition_exactly_at_chi(space):
+    # a maximal first part is enough for every k <= chi (_split), so the
+    # scan finds a k-decomposition for 2 <= k <= chi iff k = chi, which is
+    # what lets chi_lawler stop at lb + 1
+    chi = chi_brute(space)[0]
+    lat = enumerate_isotropic_lattice(space)
+    for k in range(2, chi + 1):
+        found = _split(lat, k, Guard())
+        assert (found is None) == (k < chi), k
+        if found is not None:
+            assert len(found) == k
+            validate_decomposition(space, [lat.space(rows) for rows in found])
+    assert chi_lawler(space)[0] == chi == chi_maxcover(space)
+
+
+@st.composite
+def direct_sum_pairs(draw):
+    """Spans of up to 3 random alternating matrices on F^m and F^n, over
+    one field, with m + n <= 6 over F_2 and <= 5 over F_3."""
+    field = draw(st.sampled_from([F2, F3]))
+    top = 6 if field.p == 2 else 5
+    m = draw(st.integers(1, top - 1))
+    n = draw(st.integers(1, top - m))
+    rng = draw(st.randoms(use_true_random=False))
+    return (random_space(rng, field, m, draw(st.integers(0, 3))),
+            random_space(rng, field, n, draw(st.integers(0, 3))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(direct_sum_pairs())
+def test_the_oracles_follow_direct_sums(pair):
+    # the forms of A + B act on the two blocks apart: an isotropic space of
+    # A + B lies in the sum of its projections, which are isotropic, so
+    # alpha adds, the maximal spaces are the sums of maximal spaces, chi is
+    # the larger chi, and a vector's degree is the sum of its parts' degrees
+    a, b = pair
+    s = direct_sum(a, b)
+    assert alpha_exact(s)[0] == alpha_exact(a)[0] + alpha_exact(b)[0]
+    chi = max(chi_brute(a)[0], chi_brute(b)[0])
+    assert chi_brute(s)[0] == chi_lawler(s)[0] == chi_maxcover(s) == chi
+    assert (len(enumerate_maximal_filter(s))
+            == len(enumerate_maximal_filter(a)) * len(enumerate_maximal_filter(b)))
+    assert max_degree(s) == max_degree(a) + max_degree(b)
 
 
 def first_hyperbolic_idempotent(adj):

@@ -47,6 +47,21 @@ def every_space(field, n):
             combination(field, n, n, r, elementary) for r in s.rows])
 
 
+def direct_sum(a, b):
+    """A + B on F^(m + n), for A on F^m and B on F^n: the span of the block
+    diagonal matrices diag(A_i, 0) and diag(0, B_j) over the two bases."""
+    field, m, n = a.field, a.n, b.n
+
+    def placed(mat, at):
+        ent = [[0] * (m + n) for _ in range(m + n)]
+        for i, row in enumerate(mat.row_list()):
+            ent[at + i][at:at + len(row)] = row
+        return Matrix.from_rows(field, ent)
+
+    return AltMatrixSpace(field, m + n, [placed(x, 0) for x in a.basis]
+                          + [placed(x, m) for x in b.basis])
+
+
 def symplectic_form(field, n):
     """Non-degenerate alternating form [[0, I], [-I, 0]] on F^n, n even."""
     assert n % 2 == 0
