@@ -336,18 +336,18 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     w.  The search of A itself runs in F^n's coordinates, unkeyed: every
     restriction below it is smaller.  Maximal spaces, read off the lattice
     of A|_U as row tuples, are tried largest first, each built as a
-    Subspace only when it is searched; the search stops once the dimension
-    lower bound lb = ceil(dim U / alpha(A|_U)) is attained, or once the
-    best through V, 1 + ceil((dim U - dim V)/alpha), cannot beat its best,
-    as no later V can then either.  A search keeps its lattice until its
-    best first reaches lb + 1, then scans it once for an isotropic
-    lb-decomposition (_split, exact for every lb <= chi: a maximal first
-    part, then lattice spaces whose annihilator masks keep the sum direct;
-    at lb = 2 the pairs that two_decomposition_brute scans).  If there is
-    none, lb + 1 cannot be beaten, and the search stops with the
-    complement that reached it, as the full search would keep; otherwise
-    it drops the lattice and goes on.  The scan reads the layers below off
-    masks instead of reducing and keying each complement.  A search tries
+    Subspace only when it is searched.  Every search has one rule.  It
+    reads alpha(A|_U) and the bound lb = ceil(dim U / alpha) off its
+    lattice, and for lb >= 2 it first scans the lattice once for an
+    isotropic lb-decomposition (_split, exact for every lb <= chi: a
+    maximal first part, then lattice spaces whose annihilator masks keep
+    the sum direct).  If the scan finds one, lb is chi(A|_U) and the split
+    is the certificate.  Otherwise chi(A|_U) >= lb + 1, and the search
+    walks complements and returns at the first whose best is at most lb +
+    1 (for lb = 1, a zero restriction, no scan is needed: the one
+    complement, 0, gives 1).  Short of that, it stops trying maximal
+    spaces once the best through V, 1 + ceil((dim U - dim V)/alpha),
+    cannot beat its best, as no later V can then either.  A search tries
     each complement once: a repeat gives the same chi, which cannot beat
     the best it already set.  As best only falls, every earlier V' of V's
     dimension was searched in full, so a complement W of V is a repeat iff
@@ -355,7 +355,8 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     annihilator masks of those V' before reducing it.  A search keeps the
     mask of a V searched in full only if a later V has its dimension,
     drops them when the dimension falls, and requires the words it keeps
-    from the guard as it keeps them.
+    from the guard as it keeps them.  The first search's lattice requires
+    the lines of F^n before it builds anything.
     Returns (chi, certificate).
     """
     g = as_guard(guard)
@@ -377,6 +378,11 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
         mis = sorted(lat.maximal_rows, key=len, reverse=True)
         alpha_u = len(mis[0])
         lb = -(-d // alpha_u)
+        if lb >= 2:
+            # an lb-decomposition answers at once; with none, chi >= lb + 1
+            found = _split(lat, lb, g)
+            if found is not None:
+                return lb, [lat.space(rows) for rows in found]
         forms = form_rows(sub)
         done = []       # the annihilator masks of the V of this dimension searched
         kept = 0
@@ -391,13 +397,8 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
                 cw, parts = rec(w.dim, forms.restriction(w.rows))
                 if best is None or 1 + cw < best[0]:
                     best = (1 + cw, [v] + [p.image(w) for p in parts])
-                    if best[0] == lb:
+                    if best[0] <= lb + 1:
                         return best
-                    if best[0] == lb + 1 and lat is not None:
-                        # with no lb-decomposition, lb + 1 cannot be beaten
-                        if _split(lat, lb, g) is None:
-                            return best
-                        lat = None
             # only a later V of v's dimension (mis is sorted) reads its mask
             if i + 1 < len(mis) and len(mis[i + 1]) == len(rows):
                 table = field.lines[d]
@@ -408,8 +409,6 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
                 done = []
         return best
 
-    # the first lattice's lines, required before the space is searched
-    g.require((field.p**n - 1) // (field.p - 1))
     c, parts = search(space) if n else (0, [])
     validate_decomposition(space, parts)
     return c, parts

@@ -716,6 +716,15 @@ def test_large_inputs_trip_the_guard_at_once(tmp_path, argv, text):
     assert proc.stdout == "" and len(lines) == 1 and lines[0].startswith("guard exceeded")
 
 
+def test_chi_lawler_answers_an_f3_8_space_at_its_bound(tmp_path, capsys):
+    # its split scan finds a 2-decomposition before the 3^16 complements of
+    # the first maximal space are required
+    path = tmp_path / "space.ams"
+    path.write_text(emit_space(random_space(random.Random(0), F3, 8, 2)))
+    assert main(["chi", "-f", str(path), "--method", "lawler", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["chi"] == 2
+
+
 def test_the_adjoint_route_is_priced_before_its_linear_systems(tmp_path, capsys):
     # one form on F_2^40, non-degenerate on F^38: each call built and
     # reduced a 1,444-equation system for seconds before any guard check

@@ -669,8 +669,8 @@ def test_the_span_searches_answer_on_a_large_field():
     # neither F_101^3 nor F_89^3 has residue tables (about 10^9 bits or
     # more), so the lattice reads radicals off kernels and the span searches
     # build their masks without tables; every search answers, also within a
-    # small guard (a chi_lawler search answered at its first maximal space
-    # keeps no mask)
+    # small guard (a chi_lawler search answers from its split scan, which
+    # builds only the masks it reads)
     for field, forms in ((PrimeField(101), 1), (PrimeField(101), 2), (PrimeField(89), 1)):
         sp = random_space(random.Random(0), field, 3, forms)
         for chi in (chi_brute, chi_lawler):
@@ -725,16 +725,36 @@ def test_chi_lawler_solves_each_restriction_once(monkeypatch):
         assert seen and len(seen) == len(set(seen)), sp
 
 
+def _chi3_lb2_spaces():
+    # the criterion-04/05 spaces whose top search has lower bound
+    # ceil(n / alpha) = 2 but chi = 3
+    from test_acceptance import random_space_suite_lam4, random_space_suite_lam5
+    spaces = [sp for _, sp in random_space_suite_lam4()] + random_space_suite_lam5()
+    return [sp for sp in spaces
+            if -(-sp.n // alpha_exact(sp)[0]) == 2 and chi_lawler(sp)[0] == 3]
+
+
+def _walking_spaces():
+    # inputs whose top search finds no lb-decomposition and walks: the
+    # seven chi-3 spaces of bound 2, K_4 with a pendant vertex (bound 3,
+    # chi 4) and K_4 plus two isolated vertices (alpha 3, bound 2, chi 4)
+    k4 = list(Graph.complete(4).edges)
+    return _chi3_lb2_spaces() + [space_from_graph(Graph(5, k4 + [(3, 4)]), F2),
+                                 space_from_graph(Graph(6, k4), F2)]
+
+
 def test_chi_lawler_keys_each_complement_once_per_search(monkeypatch):
     # each search has its own FormRows and skips a complement it has
     # already tried, so no (search, complement) pair is keyed twice.  The
     # skip comes inside enumerate_complements, so every complement that
     # comes out is keyed, and nothing else is: the whole space is searched
-    # unkeyed.  7,304
-    # ticks: a search with lower bound 2 that reaches 3 scans its lattice
-    # for a 2-decomposition, one tick per pair, and stops when there is
-    # none, so its remaining complements are never enumerated
-    from test_acceptance import random_space_suite_lam4
+    # unkeyed.  8,873 ticks: 239 over the seven chi-3 spaces and 548 for
+    # K_4 with a pendant vertex, whose top searches stop at the first
+    # complement that reaches lb + 1, and 8,086 for K_4 plus two isolated
+    # vertices, whose top search (chi = lb + 2) never reaches lb + 1 and
+    # tries every V that could still beat its best; its searches key 960
+    # complements
+    spaces = _walking_spaces()
     keyed, yields = [], []
     inner, complements = FormRows.restriction, isotropic.enumerate_complements
 
@@ -750,7 +770,7 @@ def test_chi_lawler_keys_each_complement_once_per_search(monkeypatch):
     monkeypatch.setattr(FormRows, "restriction", recording)
     monkeypatch.setattr(isotropic, "enumerate_complements", yielding)
     ticks = 0
-    for _, sp in random_space_suite_lam4():
+    for sp in spaces:
         keyed.clear()
         yields.clear()
         g = Guard()
@@ -758,15 +778,17 @@ def test_chi_lawler_keys_each_complement_once_per_search(monkeypatch):
         ticks += g.used
         assert keyed and len(keyed) == len(set(keyed)), sp
         assert len(keyed) == len(yields), sp
-    assert ticks == 7304
+    assert ticks == 8873
 
 
 def test_chi_lawler_builds_only_the_maximal_spaces_it_searches(monkeypatch):
     # each search reads its maximal spaces as row tuples and builds a
-    # Subspace only for each V whose complements it enumerates
-    from test_acceptance import random_space_suite_lam4
-    built, searched = [], []
+    # Subspace only for each V whose complements it enumerates, and for
+    # the parts of a split it answers with
+    spaces = _walking_spaces()
+    built, searched, parts = [], [], []
     from_rref, complements = Subspace.from_rref.__func__, isotropic.enumerate_complements
+    split = isotropic._split
 
     def building(cls, field, n, rows):
         built.append(rows)
@@ -776,50 +798,47 @@ def test_chi_lawler_builds_only_the_maximal_spaces_it_searches(monkeypatch):
         searched.append(u)
         return complements(u, **kwargs)
 
+    def scanning(lat, k, g):
+        found = split(lat, k, g)
+        parts.extend(found or ())
+        return found
+
     monkeypatch.setattr(Subspace, "from_rref", classmethod(building))
     monkeypatch.setattr(isotropic, "enumerate_complements", searching)
-    for _, sp in random_space_suite_lam4():
+    monkeypatch.setattr(isotropic, "_split", scanning)
+    for sp in spaces:
         built.clear()
         searched.clear()
+        parts.clear()
         chi_lawler(sp)
-        assert searched and len(built) == len(searched), sp
-
-
-def _chi3_lb2_spaces():
-    # the criterion-04/05 spaces whose top search has lower bound
-    # ceil(n / alpha) = 2 but chi = 3
-    from test_acceptance import random_space_suite_lam4, random_space_suite_lam5
-    spaces = [sp for _, sp in random_space_suite_lam4()] + random_space_suite_lam5()
-    return [sp for sp in spaces
-            if -(-sp.n // alpha_exact(sp)[0]) == 2 and chi_lawler(sp)[0] == 3]
+        assert searched and len(built) == len(searched) + len(parts), sp
 
 
 def test_chi_lawler_stops_at_3_without_a_2_decomposition(monkeypatch):
-    # a search with lower bound 2 that reaches 3 scans its lattice for a
-    # 2-decomposition; with none it stops, with the certificate and chi the
-    # full search keeps, having keyed fewer complements
+    # a search whose scan finds no lb-decomposition stops at the first
+    # complement that reaches lb + 1: on each space of bound 2 and chi 3,
+    # the top search's last complement W is the first with 1 + chi(W) = 3,
+    # and no walk over a top V's complements runs to its end
     spaces = _chi3_lb2_spaces()
     assert len(spaces) == 7
-    keyed = [0]
-    inner, split = FormRows.restriction, isotropic._split
+    top, finished = [], []
+    complements = isotropic.enumerate_complements
 
-    def recording(self, rows):
-        keyed[0] += 1
-        return inner(self, rows)
+    def yielding(u, **kwargs):
+        for w in complements(u, **kwargs):
+            if u.n == sp.n:     # every search below the top is smaller
+                top.append(w)
+            yield w
+        finished.append(u.n == sp.n)
 
-    def run(sp):
-        keyed[0] = 0
-        c, parts = chi_lawler(sp)
-        return (c, [p.basis.entries for p in parts]), keyed[0]
-
-    monkeypatch.setattr(FormRows, "restriction", recording)
+    monkeypatch.setattr(isotropic, "enumerate_complements", yielding)
     for sp in spaces:
-        got, fewer = run(sp)
-        monkeypatch.setattr(isotropic, "_split", lambda lat, k, g: (None, None))
-        want, full = run(sp)
-        monkeypatch.setattr(isotropic, "_split", split)
-        assert got == want and got[0] == 3, sp
-        assert fewer < full, sp
+        top.clear()
+        finished.clear()
+        assert chi_lawler(sp)[0] == 3, sp
+        reached = [1 + chi_brute(restrict(sp, w))[0] for w in top]
+        assert reached[-1] == 3 and min(reached[:-1], default=4) > 3, sp
+        assert not any(finished), sp
 
 
 def test_chi_lawler_stops_at_4_without_a_3_decomposition():
@@ -835,10 +854,26 @@ def test_chi_lawler_stops_at_4_without_a_3_decomposition():
     assert alpha_exact(sp)[0] == 3
 
 
+def test_chi_lawler_answers_its_bound_from_one_scan():
+    # a search whose lattice has an lb-decomposition answers from its scan,
+    # before any complement: F_2^8 with 5 forms (chi 3 = lb) in 599 ticks,
+    # where the walk to 3 took 1.48 M, and F_3^8 with 2 forms (chi 2 = lb),
+    # whose first maximal space has 3^16 complements
+    sp = random_space(random.Random(0), F2, 8, 5)
+    c, parts = chi_lawler(sp, guard=Guard(10**4))
+    assert c == len(parts) == 3
+    sp = random_space(random.Random(0), F3, 8, 2)
+    c, parts = chi_lawler(sp)
+    assert c == len(parts) == chi_brute(sp)[0] == 2
+
+
 def test_a_guard_trips_inside_the_split_scan(monkeypatch, tmp_path):
     # the scan ticks once per space it tries and requires its mask words
     # from the search's guard: a guard that lasts until the scan, and no
-    # longer, stops the search inside it, and the CLI exits 3 there
+    # longer, stops the search inside it, and the CLI exits 3 there.  Every
+    # search scans right after its lattice, before any complement is
+    # required, so on the seven chi-3 spaces of bound 2 each limit within
+    # the top scan's ticks (2 to 16 pairs, 42 in all) trips inside it
     from isospace.cli import main
     from isospace.io import emit_space
     split, inside, bounds = isotropic._split, [], []
@@ -862,14 +897,14 @@ def test_a_guard_trips_inside_the_split_scan(monkeypatch, tmp_path):
             if inside:
                 tripped.append((sp, limit))
                 inside.clear()
-    assert len(tripped) == 4
+    assert len(tripped) == 42
     sp, limit = tripped[0]
     path = tmp_path / "space.ams"
     path.write_text(emit_space(sp))
     assert main(["--guard", str(limit), "chi", "-f", str(path), "--method", "lawler"]) == 3
     assert inside == [limit]
     # a search whose bound is 3: K_4 with a pendant vertex has alpha 2 and
-    # chi 4, so its search reaches 4 and scans for a 3-decomposition
+    # chi 4, so its search scans for a 3-decomposition and finds none
     sp = space_from_graph(Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]), F2)
     total = Guard()
     assert chi_lawler(sp, guard=total)[0] == 4
@@ -908,7 +943,8 @@ def test_chi_lawler_certificates_leave_the_first_descent():
 def test_chi_lawler_certificates_pinned():
     # chi and the parts of every certificate, bit for bit as computed by
     # the recursion memoized by U, on the criterion-04 random spaces and
-    # every graph on at most 5 vertices over F_2
+    # every graph on at most 5 vertices over F_2; where a search's scan
+    # finds an lb-decomposition, that split is its certificate
     import hashlib
     import json
     from test_acceptance import random_space_suite_lam4, small_graphs_all
@@ -919,7 +955,7 @@ def test_chi_lawler_certificates_pinned():
         c, parts = chi_lawler(sp)
         out.append((c, [(p.field.p, p.n, p.basis.entries) for p in parts]))
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
-    assert digest == "85114d2371124f0ac36c54dd61a00f679883b03b8020dbc42a30cb6bd08d21b9"
+    assert digest == "657d2f14b0f87606e42fc4bc18b5e01748cff050d661c559f7be61ab03b7660f"
 
 
 def test_the_branch_enumeration_solves_each_restriction_once(monkeypatch):

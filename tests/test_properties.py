@@ -519,11 +519,15 @@ def test_io_formats_survive_a_round_trip(space, b, g):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([F2, F3]), graphs())
+@example(F2, Graph(6, Graph.complete(4).edges))
+# K_4 plus two isolated vertices: alpha 3, bound 2, chi 4, so chi_lawler's
+# top search finds no 2-decomposition and walks past lb + 1
 def test_alpha_and_chi_of_the_graph_space_are_those_of_the_graph(field, g):
     assume(field.p == 2 or g.n <= 4)
     space = space_from_graph(g, field)
     assert alpha_exact(space)[0] == graph_alpha_brute(g)
     assert chi_maxcover(space) == graph_chi_brute(g)
+    assert chi_lawler(space)[0] == graph_chi_brute(g)
 
 
 @settings(max_examples=40, deadline=None)
