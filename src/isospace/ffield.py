@@ -1092,21 +1092,29 @@ def enumerate_complements(u: Subspace, guard=None, skip=()):
     u.dim; a complement W of u meets such an S in 0 iff ann(W) & ann(S)
     == 0, with ann(W) the prefix's mask ANDed with the last row's,
     annihilator((r,)).  A skipped complement is ticked but neither reduced
-    nor yielded.
+    nor yielded.  Before the first complement the guard is required only
+    for what that one builds, the q^d choices of each row and one tick,
+    so a caller that stops there is not refused for the rest; the other
+    q^{d(n-d)} - 1 are required once a second complement is asked for.
     """
     g = as_guard(guard)
     field, n, d = u.field, u.n, u.dim
     w0 = u.coordinate_complement()
-    g.require(field.p ** (d * w0.dim))
+    total = field.p ** (d * w0.dim)
+    g.require(min(total, w0.dim * field.p ** d + 1))
     # row i of a complement is w_i plus any combination of u's rows; F^n's
     # one complement, 0, is a zero last row
     *head, tail = [_combinations(field, n, u.rows, w) for w in w0.rows] or [[0]]
     table = field.lines[n] if skip else None
     planes = [table.annihilator((r,)) for r in tail] if skip else [0] * len(tail)
+    asked = 0       # complements asked for; the second requires the rest
     for prefix in product(*head):
         mask = table.annihilator(prefix) if skip else 0
         out = None      # the prefix's RREF, once a complement needs it
         for r, plane in zip(tail, planes):
+            asked += 1
+            if asked == 2:
+                g.require(total - 1)
             g.tick()
             if skip:
                 plane &= mask

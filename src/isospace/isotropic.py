@@ -334,20 +334,21 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     those coordinates, so each distinct restriction is solved once per
     call, and an improving child's parts lift into U's coordinates through
     w.  The search of A itself runs in F^n's coordinates, unkeyed: every
-    restriction below it is smaller.  Maximal spaces, read off the lattice
-    of A|_U as row tuples, are tried largest first, each built as a
-    Subspace only when it is searched.  Every search has one rule.  It
-    reads alpha(A|_U) and the bound lb = ceil(dim U / alpha) off its
-    lattice, and for lb >= 2 it first scans the lattice once for an
-    isotropic lb-decomposition (_split, exact for every lb <= chi: a
-    maximal first part, then lattice spaces whose annihilator masks keep
-    the sum direct).  If the scan finds one, lb is chi(A|_U) and the split
-    is the certificate.  Otherwise chi(A|_U) >= lb + 1, and the search
-    walks complements and returns at the first whose best is at most lb +
-    1 (for lb = 1, a zero restriction, no scan is needed: the one
-    complement, 0, gives 1).  Short of that, it stops trying maximal
-    spaces once the best through V, 1 + ceil((dim U - dim V)/alpha),
-    cannot beat its best, as no later V can then either.  A search tries
+    restriction below it is smaller.  Every search has one path.  A
+    restriction with no forms is its own isotropic space: it answers 1
+    with F^(dim U), after requiring the dim U x dim U entries of that
+    certificate from the guard.  Any other search has alpha(A|_U) <
+    dim U, read off its lattice, so its bound lb = ceil(dim U / alpha) is
+    at least 2, and no complement it walks is 0.  It scans the lattice
+    once for an isotropic lb-decomposition (_split, exact for every lb <=
+    chi: a maximal first part, then lattice spaces whose annihilator
+    masks keep the sum direct).  If the scan finds one, lb is chi(A|_U)
+    and the split is the certificate.  Otherwise chi(A|_U) >= lb + 1, and
+    the search walks complements of its maximal spaces, read off the
+    lattice as row tuples, largest first, each built as a Subspace only
+    when it is searched, and returns at the first complement whose best
+    is at most lb + 1.  No bound through V cuts the walk shorter: 1 +
+    ceil((dim U - dim V)/alpha) <= lb + 1 for every V.  A search tries
     each complement once: a repeat gives the same chi, which cannot beat
     the best it already set.  As best only falls, every earlier V' of V's
     dimension was searched in full, so a complement W of V is a repeat iff
@@ -364,8 +365,6 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     memo: dict = {}      # (dim, restriction key) -> (chi, parts in its coordinates)
 
     def rec(d: int, key: tuple):
-        if d == 0:
-            return 0, []
         hit = memo.get((d, key))
         if hit is None:
             hit = memo[d, key] = search(AltMatrixSpace.from_upper(field, d, key))
@@ -374,24 +373,21 @@ def chi_lawler(space: AltMatrixSpace, guard=None):
     def search(sub: AltMatrixSpace):
         g.tick()
         d = sub.n
+        if sub.dim == 0:
+            g.require(d * d, "certificate entries")
+            return 1, [Subspace.full(field, d)]
         lat = enumerate_isotropic_lattice(sub, guard=g)
+        lb = -(-d // lat.alpha())
+        # an lb-decomposition answers at once; with none, chi >= lb + 1
+        found = _split(lat, lb, g)
+        if found is not None:
+            return lb, [lat.space(rows) for rows in found]
         mis = sorted(lat.maximal_rows, key=len, reverse=True)
-        alpha_u = len(mis[0])
-        lb = -(-d // alpha_u)
-        if lb >= 2:
-            # an lb-decomposition answers at once; with none, chi >= lb + 1
-            found = _split(lat, lb, g)
-            if found is not None:
-                return lb, [lat.space(rows) for rows in found]
         forms = form_rows(sub)
         done = []       # the annihilator masks of the V of this dimension searched
         kept = 0
         best = None
         for i, rows in enumerate(mis):
-            # no decomposition through V can beat 1 + ceil((dim U - dim V)/alpha),
-            # and no later, smaller V either
-            if best is not None and 1 + -(-(d - len(rows)) // alpha_u) >= best[0]:
-                break
             v = Subspace.from_rref(field, d, rows)
             for w in enumerate_complements(v, guard=g, skip=done):
                 cw, parts = rec(w.dim, forms.restriction(w.rows))

@@ -725,6 +725,21 @@ def test_chi_lawler_answers_an_f3_8_space_at_its_bound(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["results"]["chi"] == 2
 
 
+def test_lawler_answers_a_zero_space_without_its_lattice(tmp_path, capsys):
+    # a space with no forms is its own isotropic space: chi 1 with F^40 as
+    # the certificate, priced by its 1,600 entries, where the lattice of
+    # F_3^40 would be refused at its (3^40 - 1) / 2 lines
+    path = tmp_path / "zero.ams"
+    path.write_text("ams 3 40 0\n")
+    unit = [[int(i == j) for j in range(40)] for i in range(40)]
+    assert main(["chi", "-f", str(path), "--method", "lawler", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)["results"]
+    assert rep["chi"] == 1 and rep["parts"] == [unit]
+    assert main(["decompose", "-f", str(path), "--method", "lawler", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)["results"]
+    assert rep["count"] == 1 and rep["parts"] == [unit]
+
+
 def test_the_adjoint_route_is_priced_before_its_linear_systems(tmp_path, capsys):
     # one form on F_2^40, non-degenerate on F^38: each call built and
     # reduced a 1,444-equation system for seconds before any guard check

@@ -208,6 +208,22 @@ def test_enumerate_complements_edge_cases():
     assert list(enumerate_complements(zero)) == [Subspace.full(F2, 3)]
 
 
+def test_enumerate_complements_requires_the_rest_at_the_second():
+    # <e_1, e_2> in F_2^4 has 2^4 complements: the first is priced by the
+    # 2 x 2^2 choice rows and its tick, the other 15 once a second is
+    # asked for
+    u = Subspace.from_vectors(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    with pytest.raises(GuardExceeded, match="estimated 9 iterations"):
+        next(enumerate_complements(u, guard=Guard(8)))
+    comps = enumerate_complements(u, guard=Guard(9))
+    first = next(comps)
+    assert first.intersect(u).dim == 0 and first.sum(u).dim == 4
+    with pytest.raises(GuardExceeded, match="estimated 15 iterations"):
+        next(comps)
+    g = Guard(16)
+    assert len(list(enumerate_complements(u, guard=g))) == 16 and g.used == 16
+
+
 def test_a_skipped_complement_is_one_of_a_skipped_space():
     # chi_lawler's searches pass the masks of the maximal spaces of the
     # same dimension searched before: exactly the complements that meet

@@ -709,7 +709,8 @@ def test_the_masks_a_search_keeps_are_required_from_the_guard(monkeypatch):
 
 def test_chi_lawler_solves_each_restriction_once(monkeypatch):
     # the search at U depends on A|_U alone, so no restricted space is
-    # enumerated twice within one call
+    # enumerated twice within one call; the zero space answers without a
+    # lattice
     from test_acceptance import random_space_suite_lam4
     seen = []
     inner = isotropic.enumerate_isotropic_lattice
@@ -722,7 +723,8 @@ def test_chi_lawler_solves_each_restriction_once(monkeypatch):
     for _, sp in random_space_suite_lam4():
         seen.clear()
         chi_lawler(sp)
-        assert seen and len(seen) == len(set(seen)), sp
+        assert len(seen) == len(set(seen)), sp
+        assert bool(seen) == (sp.dim > 0), sp
 
 
 def _chi3_lb2_spaces():
@@ -865,6 +867,63 @@ def test_chi_lawler_answers_its_bound_from_one_scan():
     sp = random_space(random.Random(0), F3, 8, 2)
     c, parts = chi_lawler(sp)
     assert c == len(parts) == chi_brute(sp)[0] == 2
+
+
+def test_chi_lawler_answers_f3_8_inputs_one_above_their_bound():
+    # each top search finds no lb-decomposition and stops at its first
+    # complement that reaches lb + 1, long before the 3^15 complements of
+    # its first maximal space, which were required before the first
+    sp = random_space(random.Random(0), F3, 8, 5)
+    c, parts = chi_lawler(sp)
+    assert c == len(parts) == chi_brute(sp)[0] == 4
+    assert -(-8 // alpha_exact(sp)[0]) == 3
+    from isospace.graphs import graph_chi_brute
+    for seed, chi in ((1, 4), (2, 3)):
+        graph = random_graph(random.Random(seed), 8, 0.5)
+        c, parts = chi_lawler(space_from_graph(graph, F3))
+        assert c == len(parts) == graph_chi_brute(graph) == chi, seed
+
+
+def test_a_walk_past_its_first_complement_is_still_priced():
+    # K_4 plus two isolated vertices over F_3 (chi 4 = lb + 2): the top
+    # search's first complement cannot end it, so the other 3^9 - 1
+    # complements of its first maximal space are required, and refused,
+    # once it asks for a second
+    sp = space_from_graph(Graph(6, list(Graph.complete(4).edges)), F3)
+    with pytest.raises(GuardExceeded, match="estimated 19682 iterations"):
+        chi_lawler(sp, guard=Guard(10**4))
+
+
+def test_every_walk_follows_a_failed_scan_of_its_own_lattice(monkeypatch):
+    # a zero restriction answers without a lattice, and every other search
+    # scans its lattice before it walks: each enumerate_complements call
+    # follows, in its own search, a _split that returned None, and takes a
+    # maximal space of that lattice.  The latest scan of V's dimension is
+    # its search's, as every search begun after it is a smaller restriction
+    spaces = _walking_spaces() + [AltMatrixSpace.from_generators(F3, 3, [])]
+    split, complements = isotropic._split, isotropic.enumerate_complements
+    events = []
+
+    def scanning(lat, k, g):
+        found = split(lat, k, g)
+        events.append(("split", lat, found))
+        return found
+
+    def searching(u, **kwargs):
+        events.append(("walk", u, None))
+        return complements(u, **kwargs)
+
+    monkeypatch.setattr(isotropic, "_split", scanning)
+    monkeypatch.setattr(isotropic, "enumerate_complements", searching)
+    for sp in spaces:
+        events.clear()
+        chi_lawler(sp)
+        assert (sp.dim > 0) == any(kind == "walk" for kind, _, _ in events), sp
+        for i, (kind, u, _) in enumerate(events):
+            if kind == "walk":
+                lat, found = next((lat, found) for kind, lat, found in reversed(events[:i])
+                                  if kind == "split" and lat.n == u.n)
+                assert found is None and u.rows in lat.maximal_rows, sp
 
 
 def test_a_guard_trips_inside_the_split_scan(monkeypatch, tmp_path):
