@@ -152,9 +152,10 @@ def form_rows(space: AltMatrixSpace) -> FormRows:
     is rad_A(U) and forms.rank([v]) is deg_A(v).
 
     The last map built is kept, keyed by the space's value, so back-to-back
-    scans of one space (or of an equal one) share its rows and line
-    radicals; a call on another space replaces it.  One entry only: every
-    space held elsewhere would otherwise keep its map alive."""
+    scans of one space (or of an equal one) share its rows, line radicals
+    and the lattice a walk kept on it (enumerate_isotropic_lattice); a
+    call on another space replaces it.  One entry only: every space held
+    elsewhere would otherwise keep its map alive."""
     return FormRows(space.field, space.n, space.n, space.basis)
 
 

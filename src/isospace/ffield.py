@@ -819,10 +819,12 @@ class FormRows:
     of n lanes.  The map lives as long as a caller holds it; what it keeps
     depends on the M_i alone, so one map may serve every scan of the same
     M_i, and altspace.form_rows keeps the last map it built, one entry
-    only, for the next scan.
+    only, for the next scan.  `lattice` is a slot that
+    isotropic.enumerate_isotropic_lattice owns.
     """
 
-    __slots__ = ("field", "k", "m", "_slices", "_rows", "_products_of", "_line_masks")
+    __slots__ = ("field", "k", "m", "_slices", "_rows", "_products_of", "_line_masks",
+                 "lattice")
 
     def __init__(self, field: PrimeField, n: int, m: int, mats):
         mats = list(mats)
@@ -837,6 +839,7 @@ class FormRows:
         self._rows = {}
         self._products_of = {}
         self._line_masks = None
+        self.lattice = None
 
     def rows(self, w: int) -> tuple:
         """The RREF (rows, pivots) of the span of w^t M_1, ..., w^t M_k,

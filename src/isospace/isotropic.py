@@ -125,6 +125,16 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     pivoted after U's last pivot (Subspace.led_lines), with no line
     table.  Both sources give the same levels in the same order and tick
     the guard alike.
+
+    The map keeps the rows of the lattice it completes, with the T ticks
+    its walk cost (FormRows.lattice), as long as form_rows keeps the map,
+    so alpha_exact then chi_brute walk once.  A later call on the same
+    space, after the first require, ticks T and returns a new lattice over
+    the kept rows if T fits what the guard has left; this is exact, as a
+    walk's require(k), tick(k) pairs all pass iff their total fits.
+    Otherwise the kept rows are dropped and the walk runs, and trips where
+    a first walk would.  A walk that raises keeps nothing.  The Subspaces
+    a reader builds stay with its lattice, not with the map.
     """
     g = as_guard(guard)
     field, n = space.field, space.n
@@ -133,6 +143,13 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
     count = (q**n - 1) // (q - 1)
     g.require(count)
     forms = form_rows(space)
+    kept = forms.lattice
+    if kept is not None and kept[2] <= g.limit - g.used:
+        g.tick(kept[2])
+        return IsotropicLattice(field, n, kept[0], kept[1])
+    # kept rows whose ticks do not fit go before the walk, which trips
+    forms.lattice = None
+    before = g.used
     masks = forms.line_masks()
     if masks is not None:
         table = field.lines[n]
@@ -187,7 +204,9 @@ def enumerate_isotropic_lattice(space: AltMatrixSpace, guard=None) -> IsotropicL
                 free ^= low
                 level.append(rows + (lines[low.bit_length() - 1],))
         size = size * q + 1
-    return IsotropicLattice(field, n, tuple(levels), tuple(maximal))
+    levels, maximal = tuple(levels), tuple(maximal)
+    forms.lattice = levels, maximal, g.used - before
+    return IsotropicLattice(field, n, levels, maximal)
 
 
 def enumerate_maximal_filter(space: AltMatrixSpace, guard=None) -> tuple:

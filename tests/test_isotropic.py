@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -22,8 +23,8 @@ from isospace.isotropic import (alpha_exact, chi_brute, chi_lawler,
                                 isotropic_count_formula,
                                 two_decomposition_brute,
                                 validate_decomposition)
-from util import (F2, F3, every_space, lattice_reference, random_graph, random_matrix_space,
-                  random_space, symplectic_form)
+from util import (F2, F3, K4_PENDANT, every_space, lattice_reference, random_graph,
+                  random_matrix_space, random_space, symplectic_form)
 
 
 def k3(field=F2):
@@ -236,6 +237,7 @@ def test_the_lattice_is_the_reference_search(space, masks):
         if not masks:
             mp.setattr(ffield, "RESIDUE_BITS", -1)
         assert ffield.line_masks_pay(space.field.p, space.n) == masks
+        form_rows.cache_clear()     # walk, not replay an earlier example's rows
         g = Guard()
         lat = enumerate_isotropic_lattice(space, guard=g)
     assert [[u.rows for u in level] for level in levels] == [list(l) for l in lat.level_rows]
@@ -295,6 +297,7 @@ def test_without_residue_tables_the_scans_reduce_rows(monkeypatch):
         record = _lattice_record(space)
         assert built == [] and field.lines == {} and record[-1] > 1000
         if p == 31:     # forced masks take 0.5 s on F_89^3
+            form_rows.cache_clear()     # the map keeps the lattice just built
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ffield, "line_masks_pay", lambda p, n: True)
                 assert _lattice_record(space) == record and built
@@ -302,6 +305,83 @@ def test_without_residue_tables_the_scans_reduce_rows(monkeypatch):
         assert ranks
         built.clear()
         ranks.clear()
+
+
+def test_the_lattice_oracles_of_one_space_share_one_walk(monkeypatch):
+    # alpha_exact, chi_brute, two_decomposition_brute and
+    # enumerate_maximal_filter walk the lattice of one space once between
+    # them, and chi_lawler's top search then walks none; that each answers
+    # and ticks as alone is test_the_lattice_oracles_in_any_order_answer_as_alone
+    built, inner = [], isotropic.IsotropicLattice.__init__
+
+    def counting(self, field, n, level_rows, maximal_rows):
+        built.append(level_rows)    # a walk builds new rows, a replay reads kept ones
+        inner(self, field, n, level_rows, maximal_rows)
+
+    def walks():
+        return len({id(rows) for rows in built})
+
+    monkeypatch.setattr(isotropic.IsotropicLattice, "__init__", counting)
+    form_rows.cache_clear()
+    chi_lawler(K4_PENDANT)
+    lawler_walks = walks()
+    assert lawler_walks > 1
+    form_rows.cache_clear()
+    built.clear()
+    for oracle in (alpha_exact, chi_brute, two_decomposition_brute, enumerate_maximal_filter):
+        oracle(K4_PENDANT)
+    assert len(built) == 4 and walks() == 1
+    chi_lawler(K4_PENDANT)
+    assert walks() == 1 + (lawler_walks - 1)
+
+
+def test_a_guard_short_of_the_kept_walk_trips_as_a_first_walk():
+    # one tick short of the kept lattice's cost, the walk runs again and
+    # trips with a first walk's message and ticks, and keeps nothing; a
+    # guard with exactly the cost left replays it
+    space = random_space(random.Random(8), F3, 5, 1)
+    form_rows.cache_clear()
+    full = _lattice_record(space)
+    cost = full[-1]
+    for used in (0, 7):
+        g = Guard(cost - 1 + used)
+        g.used = used
+        with pytest.raises(GuardExceeded) as kept:
+            enumerate_isotropic_lattice(space, guard=g)
+        assert form_rows(space).lattice is None
+        tripped = str(kept.value), g.used
+        form_rows.cache_clear()
+        g = Guard(cost - 1 + used)
+        g.used = used
+        with pytest.raises(GuardExceeded) as fresh:
+            enumerate_isotropic_lattice(space, guard=g)
+        assert tripped == (str(fresh.value), g.used)
+        assert _lattice_record(space) == full
+    rows = form_rows(space).lattice[0]
+    g = Guard(cost + 7)
+    g.used = 7
+    assert enumerate_isotropic_lattice(space, guard=g).level_rows is rows
+    assert g.used == cost + 7
+
+
+def test_the_map_of_another_space_drops_the_kept_lattice_before_its_walk():
+    # form_rows keeps one map, and the kept rows go with it: when the walk
+    # of another space first ticks, nothing but this test holds the first
+    # space's rows
+    first, other = random_space(random.Random(8), F3, 5, 1), sympl(F2, 6)
+    form_rows.cache_clear()
+    rows = enumerate_isotropic_lattice(first).level_rows
+    assert form_rows(first).lattice[0] is rows
+    held, seen = sys.getrefcount(rows), []
+
+    class Watching(Guard):
+        def tick(self, k=1):
+            seen.append(sys.getrefcount(rows))
+            super().tick(k)
+
+    enumerate_isotropic_lattice(other, guard=Watching())
+    assert seen and set(seen) == {held - 1}
+    assert form_rows(other).lattice is not None
 
 
 # ----------------------------------------------------- maximal: filter, branch

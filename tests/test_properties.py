@@ -11,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from isospace.altspace import (AltMatrixSpace, degree, is_isotropic,
+from isospace.altspace import (AltMatrixSpace, degree, form_rows, is_isotropic,
                                isometry_transform, max_degree, nondegenerate_part,
                                rad_of, radical_space, restrict)
 from isospace.bipartite import (MatrixSpace, adjoint_algebra, alpha_bipartite,
@@ -32,8 +32,9 @@ from isospace.isotropic import (_split, alpha_exact, chi_brute, chi_lawler, chi_
                                 enumerate_maximal_filter, two_decomposition_brute,
                                 validate_decomposition)
 from isospace.quantum import channel_from_graph, period
-from util import (F2, F3, combine_reference, direct_sum, invert_reference, matmul_reference,
-                  random_graph, random_matrix_space, random_space, rref_rows_reference)
+from util import (F2, F3, K4_PENDANT, combine_reference, direct_sum, invert_reference,
+                  matmul_reference, oracle_record, random_graph, random_matrix_space, random_space,
+                  rref_rows_reference)
 
 F5 = PrimeField(5)
 F251 = PrimeField(251)
@@ -194,6 +195,37 @@ def test_rref_is_invariant_under_row_operations(field, k, n, rng):
 def test_branch_and_filter_enumerations_agree(space):
     branch = {u.key() for u in enumerate_maximal_branch(space)}
     assert branch == {u.key() for u in enumerate_maximal_filter(space)}
+
+
+LATTICE_ORACLES = (alpha_exact, chi_brute, chi_lawler, chi_maxcover, two_decomposition_brute,
+                   enumerate_maximal_filter)
+
+
+@st.composite
+def spaces_up_to_5(draw):
+    """A span of up to 4 random alternating matrices on F_2^n or F_3^n,
+    n <= 5."""
+    field = draw(st.sampled_from([F2, F3]))
+    n = draw(st.integers(0, 5))
+    return random_space(draw(st.randoms(use_true_random=False)), field, n,
+                        draw(st.integers(0, 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spaces_up_to_5(), st.permutations(LATTICE_ORACLES))
+@example(K4_PENDANT, LATTICE_ORACLES)
+def test_the_lattice_oracles_in_any_order_answer_as_alone(space, order):
+    # the map keeps the lattice rows it built (FormRows.lattice), so on one
+    # guard an oracle after another reads them; each must give the outputs
+    # and add the ticks it gives and adds from a cleared memo
+    alone = {}
+    for oracle in order:
+        form_rows.cache_clear()
+        alone[oracle] = oracle_record(oracle, space, Guard())
+    form_rows.cache_clear()
+    g = Guard()
+    for oracle in order:
+        assert oracle_record(oracle, space, g) == alone[oracle], oracle.__name__
 
 
 @st.composite

@@ -4,11 +4,16 @@ from isospace.altspace import AltMatrixSpace, elementary_alternating, rad_of
 from isospace.bipartite import MatrixSpace
 from isospace.ffield import (Matrix, PrimeField, Subspace, combination, enumerate_subspaces,
                              projective_rows)
-from isospace.graphs import Graph
+from isospace.graphs import Graph, space_from_graph
 from isospace.isotropic import enumerate_maximal_filter
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+
+# K_4 plus a pendant vertex: alpha 2 and chi 4 = lb + 1, so chi_lawler walks
+# complements after its first lattice
+K4_PENDANT = space_from_graph(Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                                        (3, 4)]), F2)
 
 
 def random_alternating(rng, field, n):
@@ -172,3 +177,18 @@ def lattice_reference(space, guard):
                         guard.tick()
                         level.append(w)
     return levels, maximal
+
+
+def oracle_record(oracle, space, guard):
+    """What oracle(space, guard=guard) returns, every Subspace in it as its
+    RREF (rows, pivots), and the ticks the call added to the guard."""
+    def plain(out):
+        if isinstance(out, Subspace):
+            return out.rows, out.pivots
+        if isinstance(out, (tuple, list)):
+            return [plain(x) for x in out]
+        return out
+
+    before = guard.used
+    out = oracle(space, guard=guard)
+    return plain(out), guard.used - before
